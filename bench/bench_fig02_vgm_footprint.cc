@@ -62,8 +62,10 @@ void Run() {
     const double ratio = static_cast<double>(active_region) / static_cast<double>(subop);
     min_ratio = std::min(min_ratio, ratio);
     max_ratio = std::max(max_ratio, ratio);
+    std::string growth = "+";  // Not "+" + Pct(): GCC 12 -Wrestrict false positive.
+    growth += bench::Pct(ratio);
     table.AddRow({c.label, FormatBytes(reserve - active_region), FormatBytes(active_region),
-                  FormatBytes(subop), "+" + bench::Pct(ratio)});
+                  FormatBytes(subop), growth});
   }
   table.Print();
   std::printf("Sub-operator growth range: +%s to +%s (paper: +22%% to +180%%)\n",

@@ -9,6 +9,7 @@
 #include "src/core/compiler.h"
 #include "src/ir/builder.h"
 #include "src/models/zoo.h"
+#include "src/util/strings.h"
 
 namespace t10 {
 namespace {
@@ -65,7 +66,7 @@ void Run() {
     const std::size_t stride = std::max<std::size_t>(1, result.pareto.size() / 12);
     for (std::size_t i = 0; i < result.pareto.size(); i += stride) {
       const PlanCandidate& cand = result.pareto[i];
-      table.AddRow({"*" + std::to_string(i), FormatBytes(cand.predicted.per_core_bytes),
+      table.AddRow({NumberedName("*", i), FormatBytes(cand.predicted.per_core_bytes),
                     bench::Ms(cand.predicted.total_seconds()),
                     std::to_string(cand.predicted.steps),
                     std::to_string(cand.predicted.cores_used)});

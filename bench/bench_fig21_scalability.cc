@@ -13,6 +13,7 @@
 #include "src/hardware/cluster_spec.h"
 #include "src/ir/builder.h"
 #include "src/models/zoo.h"
+#include "src/util/strings.h"
 
 namespace t10 {
 namespace {
@@ -27,12 +28,12 @@ ChipSpec ChipWithCores(int cores) {
 // A 4-layer square MLP: width H gives 4 * H*H F16 weight tensors, the knob
 // the sweep turns to find the largest model a cluster can hold resident.
 Graph DeepMlp(std::int64_t width) {
-  Graph g("deep-mlp-" + std::to_string(width));
+  Graph g(NumberedName("deep-mlp-", width));
   std::string in = "x";
   for (int layer = 0; layer < 4; ++layer) {
-    const std::string w = "w" + std::to_string(layer);
-    const std::string out = layer == 3 ? "y" : "h" + std::to_string(layer);
-    g.Add(MatMulOp("fc" + std::to_string(layer), 32, width, width, DataType::kF16,
+    const std::string w = NumberedName("w", layer);
+    const std::string out = layer == 3 ? "y" : NumberedName("h", layer);
+    g.Add(MatMulOp(NumberedName("fc", layer), 32, width, width, DataType::kF16,
                    in, w, out));
     g.MarkWeight(w);
     in = out;

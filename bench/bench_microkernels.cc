@@ -1,13 +1,16 @@
 // Google-benchmark microbenchmarks of the compiler's hot paths: plan
 // geometry derivation, plan cost evaluation, intra-op search, and the
 // functional executor. These are the operations Fig 18/19's compile-time
-// numbers are built from.
+// numbers are built from. BM_ProgramExecutorRun times the byte-level
+// executor per operator, on the plans the search emits for them.
 
 #include <benchmark/benchmark.h>
 
 #include "src/core/compiler.h"
 #include "src/core/functional.h"
+#include "src/core/program_executor.h"
 #include "src/core/search.h"
+#include "src/fault/campaign.h"
 #include "src/ir/builder.h"
 
 namespace t10 {
@@ -19,10 +22,28 @@ const Operator& BenchOp() {
   return *op;
 }
 
+// The fastest plan the search emits for BenchOp() on the IPU Mk2.
+const ExecutionPlan& BenchPlan() {
+  static const IntraOpResult* result = [] {
+    ChipSpec chip = ChipSpec::IpuMk2();
+    GroundTruthTiming timing(chip);
+    return new IntraOpResult(SearchOperatorPlans(BenchOp(), chip, timing));
+  }();
+  return result->pareto.back().plan;
+}
+
 void BM_PlanCreate(benchmark::State& state) {
-  const Operator& op = BenchOp();
+  const ExecutionPlan& searched = BenchPlan();
+  std::vector<std::vector<std::int64_t>> temporal;
+  for (const RTensorPlan& tp : searched.tensors()) {
+    temporal.push_back(tp.temporal);
+  }
   for (auto _ : state) {
-    auto plan = ExecutionPlan::Create(op, {32, 46, 1}, {{1, 23}, {1, 1}, {1, 1}});
+    auto plan = ExecutionPlan::Create(BenchOp(), searched.fop(), temporal);
+    if (!plan.has_value()) {
+      state.SkipWithError("searched plan no longer re-creates");
+      return;
+    }
     benchmark::DoNotOptimize(plan);
   }
 }
@@ -31,9 +52,9 @@ BENCHMARK(BM_PlanCreate);
 void BM_PlanEvaluate(benchmark::State& state) {
   ChipSpec chip = ChipSpec::IpuMk2();
   GroundTruthTiming timing(chip);
-  auto plan = ExecutionPlan::Create(BenchOp(), {32, 46, 1}, {{1, 23}, {1, 1}, {1, 1}});
+  const ExecutionPlan& plan = BenchPlan();
   for (auto _ : state) {
-    PlanMetrics metrics = plan->Evaluate(timing, chip);
+    PlanMetrics metrics = plan.Evaluate(timing, chip);
     benchmark::DoNotOptimize(metrics);
   }
 }
@@ -76,6 +97,51 @@ void BM_FunctionalMatMul(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_FunctionalMatMul)->Unit(benchmark::kMicrosecond);
+
+// One f32 operator per argument, at the shapes of a small served MLP layer:
+// 0 = matmul, 1 = unary, 2 = conv (compound, strided input dims).
+Operator ExecutorOp(std::int64_t index) {
+  switch (index) {
+    case 0:
+      return MatMulOp("fc", 16, 32, 32, DataType::kF32, "x", "w", "y");
+    case 1:
+      return ElementwiseOp("act", {16, 32}, DataType::kF32, "x", "y", /*cost=*/2.0);
+    default:
+      return Conv2dOp("conv", 1, 8, 8, 8, 8, 3, 3, DataType::kF32, "x", "w", "y",
+                      /*stride=*/2);
+  }
+}
+
+// ProgramExecutor::Run per operator on a 16-core chip, with the plan the
+// serving runtime would pick from the search (fault::PickExecutablePlan).
+void BM_ProgramExecutorRun(benchmark::State& state) {
+  const ChipSpec chip = ChipSpec::ScaledIpu(16);
+  GroundTruthTiming timing(chip);
+  const Operator op = ExecutorOp(state.range(0));
+  const IntraOpResult search = SearchOperatorPlans(op, chip, timing);
+  const ExecutionPlan* plan = fault::PickExecutablePlan(search, nullptr);
+  if (plan == nullptr) {
+    state.SkipWithError("no executable plan");
+    return;
+  }
+  std::vector<HostTensor> inputs;
+  for (std::size_t i = 0; i < op.inputs().size(); ++i) {
+    inputs.push_back(RandomHostTensor(TensorShape(op.axes(), op.inputs()[i]), 1 + i));
+  }
+  Machine machine(chip);
+  ProgramExecutor executor(machine, *plan);
+  for (auto _ : state) {
+    StatusOr<HostTensor> out = executor.Run(inputs);
+    if (!out.ok()) {
+      state.SkipWithError(out.status().ToString().c_str());
+      return;
+    }
+    benchmark::DoNotOptimize(out->data.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetLabel(op.name() + " steps=" + std::to_string(plan->total_steps()));
+}
+BENCHMARK(BM_ProgramExecutorRun)->DenseRange(0, 2)->Unit(benchmark::kMicrosecond);
 
 }  // namespace
 }  // namespace t10

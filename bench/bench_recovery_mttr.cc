@@ -24,6 +24,7 @@
 #include "src/hardware/cluster_spec.h"
 #include "src/ir/builder.h"
 #include "src/serve/router.h"
+#include "src/util/strings.h"
 
 namespace t10 {
 namespace {
@@ -49,9 +50,9 @@ Graph BigModel() {
   const std::vector<int> dims{128, 160, 192, 224, 192, 160, 128};
   std::string prev = "x";
   for (int layer = 0; layer + 1 < static_cast<int>(dims.size()); ++layer) {
-    const std::string w = "w" + std::to_string(layer);
-    const std::string h = "h" + std::to_string(layer);
-    g.Add(MatMulOp("fc" + std::to_string(layer), 64, dims[static_cast<std::size_t>(layer)],
+    const std::string w = NumberedName("w", layer);
+    const std::string h = NumberedName("h", layer);
+    g.Add(MatMulOp(NumberedName("fc", layer), 64, dims[static_cast<std::size_t>(layer)],
                    dims[static_cast<std::size_t>(layer) + 1], DataType::kF32, prev, w, h));
     g.MarkWeight(w);
     prev = h;

@@ -421,6 +421,16 @@ int main(int argc, char** argv) {
     }
 
     router.WaitIdle();
+    if (chip_kill_at > 0 && chip_kill_at <= requests) {
+      // A killed chip is lost for good, but replicated shards can redirect
+      // every request before the monitor parks the dead shard. Wait (bounded)
+      // for the router to record the loss, so the exit code does not depend
+      // on how quickly the survivors answered.
+      const auto settle_deadline = serve::Clock::now() + std::chrono::seconds(30);
+      while (router.stats().shard_downs == 0 && serve::Clock::now() < settle_deadline) {
+        std::this_thread::sleep_for(std::chrono::milliseconds(1));
+      }
+    }
     const int routable = router.routable_shards();  // Pre-shutdown view.
     // Elastic recovery may have re-cut the pipeline into fewer stages, so the
     // start-of-run count is only history now.

@@ -12,7 +12,6 @@ CompilerResources::CompilerResources(const ChipSpec& chip, CompileOptions option
 
 const FittedCostModel& CompilerResources::cost_model() {
   if (!cost_model_.has_value()) {
-    obs::ScopedTimer timer("compiler.phase.cost_model_fit.seconds");
     cost_model_ = FittedCostModel::Fit(truth_.truth(), options_.cost_model_samples);
   }
   return *cost_model_;

@@ -41,10 +41,10 @@ class CompilerResources {
   const CompileOptions& options() const { return options_; }
   const GroundTruthTiming& truth() const { return truth_; }
 
-  // The fitted cost model, fitting it on first use (timed under the legacy
-  // compiler.phase.cost_model_fit.seconds histogram). Lazy so constructing a
-  // Compiler stays cheap and CompileFrom(IntraOpSearch) needs no preceding
-  // FitCostModel pass run.
+  // The fitted cost model, fitting it on first use (in the FitCostModel
+  // pass, so compiler.pass.fit_cost_model.seconds times it). Lazy so
+  // constructing a Compiler stays cheap and CompileFrom(IntraOpSearch)
+  // needs no preceding FitCostModel pass run.
   const FittedCostModel& cost_model();
   bool cost_model_ready() const { return cost_model_.has_value(); }
 

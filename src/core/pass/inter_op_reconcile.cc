@@ -3,7 +3,6 @@
 #include <utility>
 #include <vector>
 
-#include "src/obs/metrics.h"
 #include "src/verify/pass_checks.h"
 
 namespace t10 {
@@ -50,11 +49,8 @@ PassResult InterOpReconcilePass::Run(CompilationContext& ctx) {
   if (ctx.budget_bytes == 0) {
     ctx.budget_bytes = chip.core_memory_bytes;
   }
-  {
-    obs::ScopedTimer timer("compiler.phase.reconcile.seconds");
-    ctx.schedule = ReconcileInterOp(ctx.inter_ops, chip, ctx.budget_bytes,
-                                    ctx.resources->options().inter_op_reconcile ? -1 : 1);
-  }
+  ctx.schedule = ReconcileInterOp(ctx.inter_ops, chip, ctx.budget_bytes,
+                                  ctx.resources->options().inter_op_reconcile ? -1 : 1);
   ctx.model.fits = ctx.schedule.feasible;
   ctx.model.reconcile_trajectory = ctx.schedule.trajectory;
   ctx.model.idle_bytes_per_core = ctx.schedule.idle_bytes_per_core;

@@ -36,7 +36,6 @@ IntraOpResult SearchOneOp(const Operator& op, CompilerResources& resources) {
 }
 
 PassResult IntraOpSearchPass::Run(CompilationContext& ctx) {
-  obs::ScopedTimer timer("compiler.phase.intra_search.seconds");
   const Graph& graph = *ctx.graph;
   CompilerResources& resources = *ctx.resources;
   obs::MetricsRegistry& metrics = obs::MetricsRegistry::Global();

@@ -42,6 +42,7 @@ OperandLayout MakeLayout(const TensorRef& ref, const RTensorPlan& tp) {
       << "program executor supports one temporally-split dim per tensor";
   if (!tp.rotating_dims.empty()) {
     layout.rot_dim = tp.rotating_dims.front();
+    T10_CHECK(!ref.dims[layout.rot_dim].compound()) << "compound dims never rotate";
     layout.rot_axis = ref.dims[layout.rot_dim].axis;
     layout.w_r = tp.window[static_cast<std::size_t>(layout.rot_dim)];
   }
@@ -68,24 +69,140 @@ OperandLayout MakeLayout(const TensorRef& ref, const RTensorPlan& tp) {
   return layout;
 }
 
-// Iterates an odometer over `extents`.
-template <typename Fn>
-void ForEachTuple(const std::vector<std::int64_t>& extents, Fn&& fn) {
-  std::vector<std::int64_t> tuple(extents.size(), 0);
-  while (true) {
-    fn(tuple);
-    std::size_t d = extents.size();
-    bool done = true;
-    while (d-- > 0) {
-      if (++tuple[d] < extents[d]) {
-        done = false;
-        break;
-      }
-      tuple[d] = 0;
+// Index tables for one loop nest: per level (an operator axis or a tensor
+// dim), only the lanes that are not padding, each carrying one flat-index
+// contribution per channel (an operand window or the host tensor), stored
+// lane-major. Built once per (step, core) or (operand, core) and swept with
+// running sums, so no element recomputes its index from coordinates.
+class IndexTables {
+ public:
+  // Level l holds at most max_lanes[l] lanes.
+  IndexTables(const std::vector<std::int64_t>& max_lanes, int channels)
+      : channels_(channels), count_(max_lanes.size(), 0) {
+    std::int64_t total = 0;
+    for (std::int64_t lanes : max_lanes) {
+      start_.push_back(total);
+      limit_.push_back(lanes);
+      total += lanes * channels;
     }
-    if (done) {
+    entries_.resize(static_cast<std::size_t>(total));
+  }
+
+  // Empties level `level`.
+  void Clear(int level) { count_[static_cast<std::size_t>(level)] = 0; }
+  // Appends a lane to `level`; returns its channel entries to fill.
+  std::int64_t* AddLane(int level) {
+    const std::size_t l = static_cast<std::size_t>(level);
+    T10_CHECK_LT(count_[l], limit_[l]);
+    return entries_.data() + start_[l] + count_[l]++ * channels_;
+  }
+
+  bool AnyEmpty() const {
+    return std::find(count_.begin(), count_.end(), 0) != count_.end();
+  }
+
+  // Visits the product of every level's lanes in row-major order (the last
+  // level innermost), calling run(base, lanes, count) once per innermost
+  // run: base[ch] sums the outer levels' contributions for channel ch, and
+  // lanes/count are the innermost level's lane-major entries. Nothing runs
+  // if a level has no lanes.
+  template <typename Run>
+  void Sweep(Run&& run) {
+    const std::size_t ch = static_cast<std::size_t>(channels_);
+    if (count_.empty()) {
+      // Rank-0 nest: a single element at index 0 of every channel.
+      base_.assign(ch, 0);
+      run(base_.data(), base_.data(), std::int64_t{1});
       return;
     }
+    if (AnyEmpty()) {
+      return;
+    }
+    const std::size_t outer = count_.size() - 1;
+    cursor_.assign(outer, 0);
+    // base_[l * ch + c]: channel c's sum over levels < l at the cursor.
+    base_.assign((outer + 1) * ch, 0);
+    auto refresh_from = [&](std::size_t level) {
+      for (std::size_t l = level; l < outer; ++l) {
+        const std::int64_t* lane = entries_.data() + start_[l] + cursor_[l] * channels_;
+        for (std::size_t c = 0; c < ch; ++c) {
+          base_[(l + 1) * ch + c] = base_[l * ch + c] + lane[c];
+        }
+      }
+    };
+    refresh_from(0);
+    const std::int64_t* inner = entries_.data() + start_[outer];
+    const std::int64_t* inner_base = base_.data() + outer * ch;
+    while (true) {
+      run(inner_base, inner, count_[outer]);
+      std::size_t l = outer;
+      while (l > 0 && ++cursor_[l - 1] == count_[l - 1]) {
+        cursor_[--l] = 0;
+      }
+      if (l == 0) {
+        return;
+      }
+      refresh_from(l - 1);
+    }
+  }
+
+ private:
+  int channels_;
+  std::vector<std::int64_t> start_;  // Offset of each level in entries_.
+  std::vector<std::int64_t> limit_;
+  std::vector<std::int64_t> count_;
+  std::vector<std::int64_t> entries_;
+  std::vector<std::int64_t> cursor_;
+  std::vector<std::int64_t> base_;
+};
+
+// How one sub-task vertex combines its operands per element: contractions
+// multiply the inputs, elementwise ops add them (identity for one input),
+// reduce-sum passes its input through; every result accumulates into the
+// output. The common arities get their own loop, all with the same
+// arithmetic and order.
+enum class LaneKernel { kProduct2, kProductN, kPass1, kSum2 };
+
+LaneKernel PickLaneKernel(OpKind kind, int inputs) {
+  if (kind == OpKind::kContraction) {
+    return inputs == 2 ? LaneKernel::kProduct2 : LaneKernel::kProductN;
+  }
+  return inputs > 1 ? LaneKernel::kSum2 : LaneKernel::kPass1;
+}
+
+// Runs one innermost run of `count` lanes: ptr[ti] is operand ti's window
+// at the run's base, lanes holds `operands` offsets per lane (the output
+// last).
+void RunLanes(LaneKernel kernel, float* const* ptr, int operands, const std::int64_t* lanes,
+              std::int64_t count) {
+  float* out = ptr[operands - 1];
+  switch (kernel) {
+    case LaneKernel::kProduct2:
+      // 1.0f * a * b, as kProductN computes it; 1.0f * a == a exactly.
+      for (std::int64_t t = 0; t < count; ++t, lanes += 3) {
+        out[lanes[2]] += ptr[0][lanes[0]] * ptr[1][lanes[1]];
+      }
+      return;
+    case LaneKernel::kProductN:
+      for (std::int64_t t = 0; t < count; ++t, lanes += operands) {
+        float value = 1.0f;
+        for (int ti = 0; ti + 1 < operands; ++ti) {
+          value *= ptr[ti][lanes[ti]];
+        }
+        out[lanes[operands - 1]] += value;
+      }
+      return;
+    case LaneKernel::kPass1:
+      for (std::int64_t t = 0; t < count; ++t, lanes += operands) {
+        out[lanes[operands - 1]] += ptr[0][lanes[0]];
+      }
+      return;
+    case LaneKernel::kSum2:
+      // Only the first two inputs contribute to an elementwise op.
+      for (std::int64_t t = 0; t < count; ++t, lanes += operands) {
+        out[lanes[operands - 1]] += ptr[0][lanes[0]] + ptr[1][lanes[1]];
+      }
+      return;
   }
 }
 
@@ -254,9 +371,18 @@ StatusOr<HostTensor> ProgramExecutor::RunImpl(const std::vector<HostTensor>& inp
     }
   }
 
-  auto window_floats = [&](int ti, int core) {
-    return reinterpret_cast<float*>(machine_.Data(windows[ti][core]));
-  };
+  // Window and staging base pointers, hoisted: scratchpads never move
+  // while a program runs.
+  std::vector<std::vector<float*>> window_ptr(static_cast<std::size_t>(operands));
+  for (int ti = 0; ti < operands; ++ti) {
+    for (int c = 0; c < cores; ++c) {
+      window_ptr[ti].push_back(reinterpret_cast<float*>(machine_.Data(windows[ti][c])));
+    }
+  }
+  std::vector<std::byte*> staging_ptr;
+  for (int c = 0; c < cores; ++c) {
+    staging_ptr.push_back(machine_.Data(staging[static_cast<std::size_t>(c)]));
+  }
 
   // Window start along the rotating dim after `advance` elements of rotation.
   auto window_start = [&](int ti, int core, std::int64_t advance) {
@@ -266,44 +392,62 @@ StatusOr<HostTensor> ProgramExecutor::RunImpl(const std::vector<HostTensor>& inp
            sub_len;
   };
 
-  // --- Upload: place each core's initial windows from the host tensors. ---
-  for (int ti = 0; ti < static_cast<int>(inputs.size()); ++ti) {
+  // Host <-> window transfer tables of operand `ti` on `core`: one level per
+  // tensor dim, holding the lanes whose global coordinate lies inside
+  // `shape` (the rest are padding), each with its window offset (channel 0)
+  // and its row-major host-tensor offset (channel 1).
+  auto build_transfer_tables = [&](int ti, int core, const std::vector<std::int64_t>& shape,
+                                   IndexTables& tables) {
     const TensorRef& ref = geometry_.Operand(ti);
     const RTensorPlan& tp = plan_.tensors()[static_cast<std::size_t>(ti)];
     const OperandLayout& layout = layouts[static_cast<std::size_t>(ti)];
+    const std::vector<std::int64_t>& offset = geometry_.Offset(core);
+    T10_CHECK_EQ(shape.size(), ref.dims.size()) << "rank of " << ref.name;
+    std::int64_t host_stride = 1;
+    for (std::size_t d = ref.dims.size(); d-- > 0;) {
+      const DimRef& dim = ref.dims[d];
+      std::int64_t base = offset[static_cast<std::size_t>(dim.axis)];
+      if (dim.compound()) {
+        base = dim.stride * base + offset[static_cast<std::size_t>(dim.minor_axis)];
+      }
+      const bool rotating = static_cast<int>(d) == layout.rot_dim;
+      const std::int64_t start = rotating ? window_start(ti, core, 0) : 0;
+      tables.Clear(static_cast<int>(d));
+      for (std::int64_t j = 0; j < tp.window[d]; ++j) {
+        const std::int64_t global = base + (rotating ? (start + j) % tp.sub_shape[d] : j);
+        if (global >= shape[d]) {
+          continue;  // Padding lane.
+        }
+        std::int64_t* lane = tables.AddLane(static_cast<int>(d));
+        lane[0] = j * layout.strides[d];
+        lane[1] = global * host_stride;
+      }
+      host_stride *= shape[d];
+    }
+  };
+
+  // --- Upload: place each core's initial windows from the host tensors;
+  // padding lanes hold zeros. ---
+  for (int ti = 0; ti < static_cast<int>(inputs.size()); ++ti) {
+    const HostTensor& input = inputs[static_cast<std::size_t>(ti)];
+    IndexTables tables(plan_.tensors()[static_cast<std::size_t>(ti)].window, 2);
     for (int c = 0; c < cores; ++c) {
-      float* buffer = window_floats(ti, c);
-      const std::vector<std::int64_t>& offset = geometry_.Offset(c);
-      ForEachTuple(tp.window, [&](const std::vector<std::int64_t>& j) {
-        // Window index -> sub-tensor coordinate -> global index.
-        bool valid = true;
-        std::vector<std::int64_t> global(ref.dims.size());
-        for (std::size_t d = 0; d < ref.dims.size(); ++d) {
-          std::int64_t sub_c = j[d];
-          if (static_cast<int>(d) == layout.rot_dim) {
-            const std::int64_t sub_len = tp.sub_shape[d];
-            sub_c = (window_start(ti, c, 0) + j[d]) % sub_len;
-          }
-          const DimRef& dim = ref.dims[d];
-          std::int64_t base = offset[static_cast<std::size_t>(dim.axis)];
-          if (dim.compound()) {
-            base = dim.stride * base + offset[static_cast<std::size_t>(dim.minor_axis)];
-          }
-          global[d] = base + sub_c;
-          valid = valid && global[d] < inputs[static_cast<std::size_t>(ti)].shape[d];
+      float* buffer = window_ptr[ti][c];
+      std::fill(buffer, buffer + layouts[static_cast<std::size_t>(ti)].window_elems, 0.0f);
+      build_transfer_tables(ti, c, input.shape, tables);
+      tables.Sweep([&](const std::int64_t* base, const std::int64_t* lanes, std::int64_t count) {
+        float* dst = buffer + base[0];
+        const float* src = input.data.data() + base[1];
+        for (std::int64_t t = 0; t < count; ++t) {
+          dst[lanes[2 * t]] = src[lanes[2 * t + 1]];
         }
-        std::int64_t phys = 0;
-        for (std::size_t d = 0; d < ref.dims.size(); ++d) {
-          phys += j[d] * layout.strides[d];
-        }
-        buffer[phys] = valid ? inputs[static_cast<std::size_t>(ti)].at(global) : 0.0f;
       });
     }
   }
   // Zero the output accumulators.
   const int out_ti = operands - 1;
   for (int c = 0; c < cores; ++c) {
-    std::memset(machine_.Data(windows[out_ti][c]), 0, windows[out_ti][c].bytes);
+    std::memset(window_ptr[out_ti][c], 0, static_cast<std::size_t>(windows[out_ti][c].bytes));
   }
 
   // Checkpoint save/restore: same-core copies (no link traffic, no faults).
@@ -331,6 +475,39 @@ StatusOr<HostTensor> ProgramExecutor::RunImpl(const std::vector<HostTensor>& inp
   for (const RotationLoop& loop : plan_.loops()) {
     pace[static_cast<std::size_t>(loop.axis)] = loop.pace;
   }
+  // Step-invariant ComputeSet state: per-axis lane extents and, per (axis,
+  // operand), the index coefficient of the axis's local coordinate over the
+  // operand's non-rotating dims (a compound dim adds stride * l on its major
+  // axis and l on its minor one). Rotating dims are resolved per step
+  // against the hoisted window start in `rot_start`.
+  const LaneKernel kernel = PickLaneKernel(op.kind(), static_cast<int>(inputs.size()));
+  std::vector<std::int64_t> extents(axes.size());
+  for (std::size_t a = 0; a < axes.size(); ++a) {
+    extents[a] = pace[a] > 0 ? pace[a] : slice[a];
+  }
+  std::vector<std::int64_t> coef(axes.size() * static_cast<std::size_t>(operands), 0);
+  for (int ti = 0; ti < operands; ++ti) {
+    const TensorRef& ref = geometry_.Operand(ti);
+    const OperandLayout& layout = layouts[static_cast<std::size_t>(ti)];
+    for (std::size_t d = 0; d < ref.dims.size(); ++d) {
+      const DimRef& dim = ref.dims[d];
+      if (static_cast<int>(d) == layout.rot_dim) {
+        continue;
+      }
+      if (dim.compound()) {
+        coef[static_cast<std::size_t>(dim.axis * operands + ti)] += dim.stride * layout.strides[d];
+        coef[static_cast<std::size_t>(dim.minor_axis * operands + ti)] += layout.strides[d];
+      } else {
+        coef[static_cast<std::size_t>(dim.axis * operands + ti)] += layout.strides[d];
+      }
+    }
+  }
+  IndexTables compute_tables(extents, operands);
+  std::vector<std::int64_t> advance(axes.size(), 0);
+  std::vector<std::int64_t> rot_start(static_cast<std::size_t>(operands), 0);
+  std::vector<float*> run_ptr(static_cast<std::size_t>(operands));
+  std::vector<float> outgoing;  // ShiftSet head slabs of one ring, reused.
+
   const std::int64_t total_steps = plan_.total_steps();
   run_stats.steps = total_steps;
   std::int64_t ckpt_step = 0;
@@ -356,70 +533,67 @@ StatusOr<HostTensor> ProgramExecutor::RunImpl(const std::vector<HostTensor>& inp
       ckpt_step = s;
     }
     const std::vector<std::int64_t> counters = geometry_.StepCounters(s);
-    std::vector<std::int64_t> advance(axes.size(), 0);
     for (std::size_t a = 0; a < axes.size(); ++a) {
       const int loop = geometry_.LoopOfAxis(static_cast<int>(a));
-      if (loop >= 0) {
-        advance[a] = counters[static_cast<std::size_t>(loop)] * pace[a];
-      }
+      advance[a] = loop >= 0 ? counters[static_cast<std::size_t>(loop)] * pace[a] : 0;
     }
 
     // ComputeSet: every core runs its sub-task vertex on local windows only.
-    std::vector<std::int64_t> extents(axes.size());
-    for (std::size_t a = 0; a < axes.size(); ++a) {
-      extents[a] = pace[a] > 0 ? pace[a] : slice[a];
-    }
     for (int c = 0; c < cores; ++c) {
       const std::vector<std::int64_t>& offset = geometry_.Offset(c);
       const std::vector<std::int64_t>& phase = geometry_.Phase(c);
-      float* out_buffer = window_floats(out_ti, c);
-      ForEachTuple(extents, [&](const std::vector<std::int64_t>& tuple) {
-        std::vector<std::int64_t> local(axes.size());
-        for (std::size_t a = 0; a < axes.size(); ++a) {
-          local[a] = pace[a] > 0 ? (phase[a] + advance[a] + tuple[a]) % slice[a] : tuple[a];
-          if (offset[a] + local[a] >= axes[a].length) {
-            return;  // Padding lane.
+      for (int ti = 0; ti < operands; ++ti) {
+        const OperandLayout& layout = layouts[static_cast<std::size_t>(ti)];
+        if (layout.rot_dim >= 0) {
+          rot_start[static_cast<std::size_t>(ti)] =
+              window_start(ti, c, advance[static_cast<std::size_t>(layout.rot_axis)]);
+        }
+      }
+      // One level per axis: the step's non-padding local coordinates, each
+      // with its physical index contribution to every operand's window.
+      struct {
+        std::int64_t j = 0;
+        std::int64_t w_r = 1;
+      } miss;  // First window miss met while building, if any.
+      for (std::size_t a = 0; a < axes.size(); ++a) {
+        compute_tables.Clear(static_cast<int>(a));
+        for (std::int64_t t = 0; t < extents[a]; ++t) {
+          const std::int64_t l = pace[a] > 0 ? (phase[a] + advance[a] + t) % slice[a] : t;
+          if (offset[a] + l >= axes[a].length) {
+            continue;  // Padding lane.
+          }
+          std::int64_t* lane = compute_tables.AddLane(static_cast<int>(a));
+          for (int ti = 0; ti < operands; ++ti) {
+            const OperandLayout& layout = layouts[static_cast<std::size_t>(ti)];
+            std::int64_t index = coef[a * static_cast<std::size_t>(operands) +
+                                      static_cast<std::size_t>(ti)] *
+                                 l;
+            if (layout.rot_axis == static_cast<int>(a)) {
+              // Rotating dims are never compound: their sub-tensor length
+              // is the axis slice.
+              const std::int64_t sub_len = slice[a];
+              const std::int64_t j =
+                  ((l - rot_start[static_cast<std::size_t>(ti)]) % sub_len + sub_len) % sub_len;
+              if (j >= layout.w_r && miss.j < miss.w_r) {
+                miss = {j, layout.w_r};
+              }
+              index += j * layout.strides[static_cast<std::size_t>(layout.rot_dim)];
+            }
+            lane[ti] = index;
           }
         }
-        auto physical_index = [&](int ti) {
-          const TensorRef& ref = geometry_.Operand(ti);
-          const RTensorPlan& tp = plan_.tensors()[static_cast<std::size_t>(ti)];
-          const OperandLayout& layout = layouts[static_cast<std::size_t>(ti)];
-          std::int64_t phys = 0;
-          for (std::size_t d = 0; d < ref.dims.size(); ++d) {
-            const DimRef& dim = ref.dims[d];
-            std::int64_t sub_c = local[static_cast<std::size_t>(dim.axis)];
-            if (dim.compound()) {
-              sub_c = dim.stride * sub_c + local[static_cast<std::size_t>(dim.minor_axis)];
+      }
+      if (compute_tables.AnyEmpty()) {
+        continue;  // Some axis is all padding on this core: nothing is read.
+      }
+      T10_CHECK_LT(miss.j, miss.w_r) << "window miss in " << op.name();
+      compute_tables.Sweep(
+          [&](const std::int64_t* base, const std::int64_t* lanes, std::int64_t count) {
+            for (int ti = 0; ti < operands; ++ti) {
+              run_ptr[static_cast<std::size_t>(ti)] = window_ptr[ti][c] + base[ti];
             }
-            std::int64_t j = sub_c;
-            if (static_cast<int>(d) == layout.rot_dim) {
-              const std::int64_t sub_len = tp.sub_shape[d];
-              j = ((sub_c - window_start(ti, c, advance[static_cast<std::size_t>(
-                                                    layout.rot_axis)])) %
-                       sub_len +
-                   sub_len) %
-                  sub_len;
-              T10_CHECK_LT(j, layout.w_r) << "window miss in " << op.name();
-            }
-            phys += j * layout.strides[d];
-          }
-          return phys;
-        };
-        float value;
-        if (op.kind() == OpKind::kContraction) {
-          value = 1.0f;
-          for (int ti = 0; ti < static_cast<int>(inputs.size()); ++ti) {
-            value *= window_floats(ti, c)[physical_index(ti)];
-          }
-        } else {
-          value = window_floats(0, c)[physical_index(0)];
-          if (inputs.size() > 1) {
-            value += window_floats(1, c)[physical_index(1)];
-          }
-        }
-        out_buffer[physical_index(out_ti)] += value;
-      });
+            RunLanes(kernel, run_ptr.data(), operands, lanes, count);
+          });
     }
 
     // ShiftSets: every rotating tensor ships its head slab downstream, then
@@ -439,20 +613,19 @@ StatusOr<HostTensor> ProgramExecutor::RunImpl(const std::vector<HostTensor>& inp
         for (const std::vector<int>& ring : program_.allocations[static_cast<std::size_t>(ti)]
                                                 .rings) {
           const int n = static_cast<int>(ring.size());
+          outgoing.resize(std::max(outgoing.size(), static_cast<std::size_t>(n * slab_elems)));
           // Phase 1: collect each member's outgoing head slab.
-          std::vector<std::vector<float>> outgoing(static_cast<std::size_t>(n));
           for (int p = 0; p < n; ++p) {
-            outgoing[static_cast<std::size_t>(p)].resize(static_cast<std::size_t>(slab_elems));
-            const float* buffer = window_floats(ti, ring[static_cast<std::size_t>(p)]);
+            const float* buffer = window_ptr[ti][ring[static_cast<std::size_t>(p)]];
             for (std::int64_t o = 0; o < layout.outer; ++o) {
-              std::memcpy(outgoing[static_cast<std::size_t>(p)].data() + o * run_elems,
+              std::memcpy(outgoing.data() + p * slab_elems + o * run_elems,
                           buffer + o * layout.w_r * layout.inner,
                           static_cast<std::size_t>(run_elems) * 4);
             }
           }
           // Phase 2: local compaction (drop the head, make room at the tail).
           for (int p = 0; p < n; ++p) {
-            float* buffer = window_floats(ti, ring[static_cast<std::size_t>(p)]);
+            float* buffer = window_ptr[ti][ring[static_cast<std::size_t>(p)]];
             for (std::int64_t o = 0; o < layout.outer; ++o) {
               std::memmove(buffer + o * layout.w_r * layout.inner,
                            buffer + o * layout.w_r * layout.inner + run_elems,
@@ -465,26 +638,22 @@ StatusOr<HostTensor> ProgramExecutor::RunImpl(const std::vector<HostTensor>& inp
           for (int p = 0; p < n; ++p) {
             const int src_core = ring[static_cast<std::size_t>(p)];
             const int dst_core = ring[static_cast<std::size_t>((p - 1 + n) % n)];
-            float* dst_buffer = window_floats(ti, dst_core);
+            const BufferHandle& stage = staging[static_cast<std::size_t>(src_core)];
+            const BufferHandle& dst_window = windows[ti][static_cast<std::size_t>(dst_core)];
             for (std::int64_t o = 0; o < layout.outer; ++o) {
-              const float* src = outgoing[static_cast<std::size_t>(p)].data() + o * run_elems;
-              float* dst = dst_buffer + (o * layout.w_r + (layout.w_r - rp)) * layout.inner;
+              const std::byte* src = reinterpret_cast<const std::byte*>(
+                  outgoing.data() + p * slab_elems + o * run_elems);
+              // Byte offset of the slab row's tail slot in the dst window.
+              const std::int64_t dst_offset =
+                  (o * layout.w_r + (layout.w_r - rp)) * layout.inner * 4;
               std::int64_t done = 0;
               while (done < run_elems * 4) {
                 const std::int64_t len = std::min(chunk_bytes, run_elems * 4 - done);
-                std::memcpy(machine_.Data(staging[static_cast<std::size_t>(src_core)]),
-                            reinterpret_cast<const std::byte*>(src) + done,
+                std::memcpy(staging_ptr[static_cast<std::size_t>(src_core)], src + done,
                             static_cast<std::size_t>(len));
-                BufferHandle stage_view{staging[static_cast<std::size_t>(src_core)].core,
-                                        staging[static_cast<std::size_t>(src_core)].offset,
-                                        len};
-                BufferHandle dst_view{windows[ti][static_cast<std::size_t>(dst_core)].core,
-                                      windows[ti][static_cast<std::size_t>(dst_core)].offset +
-                                          (reinterpret_cast<std::byte*>(dst) -
-                                           machine_.Data(windows[ti][static_cast<std::size_t>(
-                                               dst_core)])) +
-                                          done,
-                                      len};
+                const BufferHandle stage_view{stage.core, stage.offset, len};
+                const BufferHandle dst_view{dst_window.core,
+                                            dst_window.offset + dst_offset + done, len};
                 if (ft_.enabled) {
                   T10_RETURN_IF_ERROR(machine_.CopyReliable(stage_view, dst_view, ft_.retry));
                 } else {
@@ -531,26 +700,19 @@ StatusOr<HostTensor> ProgramExecutor::RunImpl(const std::vector<HostTensor>& inp
   // reduce group; the on-chip reduce-scatter epilogue is modelled in
   // Evaluate and exercised by sim_machine_test). ---
   HostTensor out = HostTensor::Zeros(TensorShape(axes, op.output()));
-  const TensorRef& out_ref = op.output();
-  const RTensorPlan& out_tp = plan_.tensors().back();
-  const OperandLayout& out_layout = layouts[static_cast<std::size_t>(out_ti)];
+  for (const DimRef& dim : op.output().dims) {
+    T10_CHECK(!dim.compound());
+  }
+  IndexTables out_tables(plan_.tensors().back().window, 2);
   for (int c = 0; c < cores; ++c) {
-    const float* buffer = window_floats(out_ti, c);
-    const std::vector<std::int64_t>& offset = geometry_.Offset(c);
-    ForEachTuple(out_tp.window, [&](const std::vector<std::int64_t>& j) {
-      std::vector<std::int64_t> global(out_ref.dims.size());
-      for (std::size_t d = 0; d < out_ref.dims.size(); ++d) {
-        T10_CHECK(!out_ref.dims[d].compound());
-        global[d] = offset[static_cast<std::size_t>(out_ref.dims[d].axis)] + j[d];
-        if (global[d] >= out.shape[d]) {
-          return;  // Padding lane.
-        }
+    const float* buffer = window_ptr[out_ti][c];
+    build_transfer_tables(out_ti, c, out.shape, out_tables);
+    out_tables.Sweep([&](const std::int64_t* base, const std::int64_t* lanes, std::int64_t count) {
+      const float* src = buffer + base[0];
+      float* dst = out.data.data() + base[1];
+      for (std::int64_t t = 0; t < count; ++t) {
+        dst[lanes[2 * t + 1]] += src[lanes[2 * t]];
       }
-      std::int64_t phys = 0;
-      for (std::size_t d = 0; d < out_ref.dims.size(); ++d) {
-        phys += j[d] * out_layout.strides[d];
-      }
-      out.at(global) += buffer[phys];
     });
   }
 

@@ -1,6 +1,7 @@
 #include "src/ir/builder.h"
 
 #include "src/util/logging.h"
+#include "src/util/strings.h"
 
 namespace t10 {
 namespace {
@@ -10,7 +11,8 @@ std::vector<Axis> DenseAxes(const std::vector<std::int64_t>& shape) {
   std::vector<Axis> axes;
   axes.reserve(shape.size());
   for (std::size_t i = 0; i < shape.size(); ++i) {
-    axes.push_back(Axis{"d" + std::to_string(i), shape[i], /*reduction=*/false});
+    axes.push_back(
+        Axis{NumberedName("d", static_cast<std::int64_t>(i)), shape[i], /*reduction=*/false});
   }
   return axes;
 }

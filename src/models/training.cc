@@ -9,6 +9,7 @@
 
 #include "src/ir/builder.h"
 #include "src/models/zoo.h"
+#include "src/util/strings.h"
 
 namespace t10 {
 
@@ -21,7 +22,7 @@ Graph BuildMlpTrainingStep(std::int64_t batch, int num_layers, std::int64_t widt
   // stresses the memory planner.
   std::vector<std::string> activations = {"x"};
   for (int i = 0; i < num_layers; ++i) {
-    const std::string p = "l" + std::to_string(i);
+    const std::string p = NumberedName("l", i);
     graph.Add(ContractionOp(p + "_fwd",
                             {{"m", batch, false}, {"n", width, false}, {"k", width, false}},
                             {{activations.back(), {"m", "k"}}, {p + "_w", {"k", "n"}}},
@@ -32,13 +33,13 @@ Graph BuildMlpTrainingStep(std::int64_t batch, int num_layers, std::int64_t widt
   }
 
   // Loss gradient seed.
-  graph.Add(ElementwiseOp("loss_grad", {batch, width}, f16, activations.back(), "d" +
-                          std::to_string(num_layers), 2.0));
+  graph.Add(ElementwiseOp("loss_grad", {batch, width}, f16, activations.back(),
+                          NumberedName("d", num_layers), 2.0));
 
   // Backward pass, layer by layer.
   for (int i = num_layers - 1; i >= 0; --i) {
-    const std::string p = "l" + std::to_string(i);
-    const std::string dy = "d" + std::to_string(i + 1);
+    const std::string p = NumberedName("l", i);
+    const std::string dy = NumberedName("d", i + 1);
     // Gradient through the activation: dZ = dY * relu'(Z).
     graph.Add(BinaryOp(p + "_dact", {batch, width}, f16, dy, p + "_z", p + "_dz", 2.0));
     // Weight gradient: dW[k,n] += X[m,k] * dZ[m,n].
@@ -51,7 +52,7 @@ Graph BuildMlpTrainingStep(std::int64_t batch, int num_layers, std::int64_t widt
     graph.Add(ContractionOp(p + "_dx",
                             {{"m", batch, false}, {"k", width, false}, {"n", width, false}},
                             {{p + "_dz", {"m", "n"}}, {p + "_w", {"k", "n"}}},
-                            {"d" + std::to_string(i), {"m", "k"}}, f16));
+                            {NumberedName("d", i), {"m", "k"}}, f16));
     // SGD update (elementwise, weight and gradient shapes match).
     graph.Add(BinaryOp(p + "_sgd", {width, width}, f16, p + "_w", p + "_dwout",
                        p + "_w_next", 2.0));

@@ -10,6 +10,7 @@
 
 #include "src/ir/builder.h"
 #include "src/models/zoo.h"
+#include "src/util/strings.h"
 
 namespace t10 {
 namespace {
@@ -33,7 +34,7 @@ std::string AddEncoderLayer(Graph& graph, const EncoderConfig& config, std::int6
   const std::int64_t e = config.heads;
   const std::int64_t d = h / e;
   const std::int64_t s = config.seq;
-  const std::string p = "l" + std::to_string(layer) + "_";
+  const std::string p = NumberedName("l", layer) + "_";
   const DataType f16 = DataType::kF16;
 
   auto axes_proj = std::vector<Axis>{{"b", batch, false}, {"s", s, false}, {"e", e, false},

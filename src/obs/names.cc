@@ -32,6 +32,9 @@ const char* const kMetricNames[] = {
     "compiler.phase.cost_eval.seconds",
     "compiler.phase.enumeration.seconds",
     "compiler.phase.filtering.seconds",
+    "compiler.phase.materialize.seconds",
+    "compiler.phase.memory_plan.seconds",
+    "compiler.phase.pareto.seconds",
     "compiler.phase.total.seconds",
     "compiler.plan_cache.entries",
     "compiler.plan_cache.loaded_entries",

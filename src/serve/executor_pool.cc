@@ -119,12 +119,13 @@ StatusOr<std::shared_ptr<PlanSet>> PlanSet::Build(const ChipSpec& chip, const Gr
   return set;
 }
 
-StatusOr<const PlanSet::Reference*> PlanSet::ReferenceFor(int slot_index, std::uint64_t seed) {
+StatusOr<std::shared_ptr<const PlanSet::Reference>> PlanSet::ReferenceFor(int slot_index,
+                                                                         std::uint64_t seed) {
   MutexLock lock(reference_mu_);
-  const auto key = std::make_pair(slot_index, seed);
+  const ReferenceKey key(slot_index, seed);
   auto it = reference_cache_.find(key);
   if (it != reference_cache_.end()) {
-    return &it->second;
+    return it->second;
   }
   const OpSlot& s = slot(slot_index);
   const Operator& op = graph_.op(s.op_index);
@@ -133,15 +134,25 @@ StatusOr<const PlanSet::Reference*> PlanSet::ReferenceFor(int slot_index, std::u
   T10_ASSIGN_OR_RETURN(
       out, ProgramExecutor(reference_machine_, *s.plan, FaultToleranceOptions{}, core_map_)
                .Run(inputs));
-  Reference ref;
-  ref.shape = out.shape;
-  ref.checksum = fault::Checksum(reinterpret_cast<const std::byte*>(out.data.data()),
-                                 static_cast<std::int64_t>(out.data.size() * sizeof(float)));
-  ref.data = std::move(out.data);
-  auto [inserted, fresh] = reference_cache_.emplace(key, std::move(ref));
+  auto ref = std::make_shared<Reference>();
+  ref->shape = out.shape;
+  ref->checksum = fault::Checksum(reinterpret_cast<const std::byte*>(out.data.data()),
+                                  static_cast<std::int64_t>(out.data.size() * sizeof(float)));
+  ref->data = std::move(out.data);
+  if (reference_order_.size() == kReferenceCacheCapacity) {
+    reference_cache_.erase(reference_order_.front());
+    reference_order_.pop_front();
+  }
+  const bool fresh = reference_cache_.emplace(key, ref).second;
   // NOLINTNEXTLINE(lint.serve.check): cache-miss path just verified the key is absent under the lock.
   T10_CHECK(fresh);
-  return &inserted->second;
+  reference_order_.push_back(key);
+  return std::shared_ptr<const Reference>(std::move(ref));
+}
+
+std::size_t PlanSet::reference_cache_size() {
+  MutexLock lock(reference_mu_);
+  return reference_cache_.size();
 }
 
 ExecutorPool::ExecutorPool(const ChipSpec& chip, const fault::FaultSpec& faults,

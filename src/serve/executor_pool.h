@@ -5,9 +5,9 @@
 // chip, later epochs via ReplanDegraded on the surviving sub-chip), the
 // logical->physical core map, one executable plan per supported operator
 // (shared with the fault campaign: PickExecutablePlan prefers plans that
-// actually rotate, so faults can bite), and a lazily-populated cache of
-// fault-free reference outputs used to check every OK response for bit
-// identity. Epochs are handed to workers as shared_ptr snapshots, so a
+// actually rotate, so faults can bite), and a lazily-populated, bounded
+// cache of fault-free reference outputs used to check every OK response for
+// bit identity. Epochs are handed to workers as shared_ptr snapshots, so a
 // failover can swap the server's current epoch while stragglers finish on
 // the old one.
 //
@@ -21,6 +21,7 @@
 #define T10_SRC_SERVE_EXECUTOR_POOL_H_
 
 #include <cstdint>
+#include <deque>
 #include <map>
 #include <memory>
 #include <string>
@@ -105,11 +106,21 @@ class PlanSet {
   int num_op_slots() const { return static_cast<int>(slots_.size()); }
   const OpSlot& slot(int index) const { return *slots_[static_cast<std::size_t>(index)]; }
 
+  // Most references the cache holds. Whole-model requests each bring a
+  // fresh seed, so an unbounded cache would grow for as long as the server
+  // runs; past the cap the oldest entry is evicted (FIFO) and simply
+  // recomputed, bit-identically, if its (slot, seed) comes back.
+  static constexpr std::size_t kReferenceCacheCapacity = 64;
+
   // The fault-free bytes a request on (slot, seed) must reproduce. Runs the
-  // slot's plan once on the internal pristine machine and caches the result;
-  // thread-safe, and returned pointers stay valid for the PlanSet's
-  // lifetime. Errors are operational (reference execution failed).
-  StatusOr<const Reference*> ReferenceFor(int slot_index, std::uint64_t seed);
+  // slot's plan on the internal pristine machine unless the result is
+  // cached; thread-safe, and the returned reference stays valid after its
+  // cache entry is evicted. Errors are operational (reference execution
+  // failed).
+  StatusOr<std::shared_ptr<const Reference>> ReferenceFor(int slot_index, std::uint64_t seed);
+
+  // Entries currently cached (at most kReferenceCacheCapacity).
+  std::size_t reference_cache_size();
 
  private:
   PlanSet(const ChipSpec& chip, const Graph& graph);
@@ -124,12 +135,14 @@ class PlanSet {
   std::vector<std::unique_ptr<OpSlot>> slots_;
 
   // Reference execution: a perfect machine (no injector) on the physical
-  // chip, serialized by `reference_mu_`. std::map nodes are stable, so cached
-  // References can be handed out by pointer.
+  // chip, serialized by `reference_mu_`. Cached References are shared, so
+  // eviction never invalidates one a caller still holds.
+  using ReferenceKey = std::pair<int, std::uint64_t>;
   Mutex reference_mu_{"serve.planset.reference_mu"};
   Machine reference_machine_ T10_GUARDED_BY(reference_mu_);
-  std::map<std::pair<int, std::uint64_t>, Reference> reference_cache_
+  std::map<ReferenceKey, std::shared_ptr<const Reference>> reference_cache_
       T10_GUARDED_BY(reference_mu_);
+  std::deque<ReferenceKey> reference_order_ T10_GUARDED_BY(reference_mu_);  // Oldest first.
 };
 
 // Terminal outcome of executing one request (including its retry budget).

@@ -535,7 +535,7 @@ void Server::Process(int worker, AdmittedRequest admitted,
 
   // Integrity: an OK response must reproduce the fault-free bytes.
   obs::Span audit_span = obs::StartSpan(trace, "audit");
-  StatusOr<const PlanSet::Reference*> reference =
+  StatusOr<std::shared_ptr<const PlanSet::Reference>> reference =
       plans->ReferenceFor(admitted.request.op_slot, admitted.request.input_seed);
   if (!reference.ok()) {
     response.status =

@@ -7,6 +7,7 @@
 #include "src/ir/builder.h"
 #include "src/ir/parser.h"
 #include "src/obs/metrics.h"
+#include "src/util/strings.h"
 
 namespace t10 {
 namespace {
@@ -61,10 +62,10 @@ TEST(CompilerTest, SignatureCacheReusesSearches) {
   Graph g("stack");
   // Four identical layers: the second..fourth hit the cache.
   for (int i = 0; i < 4; ++i) {
-    std::string in = i == 0 ? "x" : "h" + std::to_string(i - 1);
-    g.Add(MatMulOp("fc" + std::to_string(i), 16, 128, 128, DataType::kF16, in,
-                   "w" + std::to_string(i), "h" + std::to_string(i)));
-    g.MarkWeight("w" + std::to_string(i));
+    std::string in = i == 0 ? "x" : NumberedName("h", i - 1);
+    g.Add(MatMulOp(NumberedName("fc", i), 16, 128, 128, DataType::kF16, in,
+                   NumberedName("w", i), NumberedName("h", i)));
+    g.MarkWeight(NumberedName("w", i));
   }
   const auto t0 = std::chrono::steady_clock::now();
   IntraOpResult first = compiler.SearchOp(g.op(0));
@@ -91,10 +92,10 @@ TEST(CompilerTest, CacheCountersMatchCachedSignatures) {
   Graph g("stack");
   // Four identical layers and one distinct one: 2 misses, 3 hits.
   for (int i = 0; i < 4; ++i) {
-    std::string in = i == 0 ? "x" : "h" + std::to_string(i - 1);
-    g.Add(MatMulOp("fc" + std::to_string(i), 16, 128, 128, DataType::kF16, in,
-                   "w" + std::to_string(i), "h" + std::to_string(i)));
-    g.MarkWeight("w" + std::to_string(i));
+    std::string in = i == 0 ? "x" : NumberedName("h", i - 1);
+    g.Add(MatMulOp(NumberedName("fc", i), 16, 128, 128, DataType::kF16, in,
+                   NumberedName("w", i), NumberedName("h", i)));
+    g.MarkWeight(NumberedName("w", i));
   }
   g.Add(ElementwiseOp("act", {16, 128}, DataType::kF16, "h3", "y", 4.0));
   for (const Operator& op : g.ops()) {

@@ -9,6 +9,7 @@
 #include "src/core/compiler.h"
 #include "src/ir/builder.h"
 #include "src/obs/metrics.h"
+#include "src/util/strings.h"
 
 namespace t10 {
 namespace {
@@ -36,10 +37,10 @@ Graph WideStack() {
   Graph g("wide");
   std::string in = "x";
   for (int i = 0; i < 6; ++i) {
-    const std::string w = "w" + std::to_string(i);
-    const std::string out = "h" + std::to_string(i);
+    const std::string w = NumberedName("w", i);
+    const std::string out = NumberedName("h", i);
     // Vary the inner dimension so every layer has a distinct signature.
-    g.Add(MatMulOp("fc" + std::to_string(i), 16, 128 + 32 * i, 128 + 32 * (i + 1),
+    g.Add(MatMulOp(NumberedName("fc", i), 16, 128 + 32 * i, 128 + 32 * (i + 1),
                    DataType::kF16, in, w, out));
     g.MarkWeight(w);
     in = out;

@@ -9,7 +9,11 @@
 
 #include <gtest/gtest.h>
 
+#include <map>
+#include <string>
+
 #include "src/core/search.h"
+#include "src/fault/fault_plan.h"
 #include "src/ir/builder.h"
 
 namespace t10 {
@@ -38,23 +42,104 @@ void ExpectTensorsNear(const HostTensor& a, const HostTensor& b, double toleranc
   }
 }
 
-void CheckProgram(const Operator& op, const std::vector<std::int64_t>& fop,
-                  const std::vector<std::vector<std::int64_t>>& ft) {
-  auto plan = ExecutionPlan::Create(op, fop, ft);
-  ASSERT_TRUE(plan.has_value()) << op.DebugString();
-  ChipSpec chip = TinyChip(static_cast<int>(plan->cores_used()));
-  Machine machine(chip);
+// One hand-picked plan of the ProgramExecutorTest battery.
+struct BatteryCase {
+  std::string name;
+  Operator op;
+  std::vector<std::int64_t> fop;
+  std::vector<std::vector<std::int64_t>> ft;
+  std::int64_t shift_buffer_bytes = 0;  // 0: the chip's default staging buffer.
+};
+
+const std::vector<BatteryCase>& Battery() {
+  static const std::vector<BatteryCase> battery = [] {
+    const auto mm = [](std::int64_t m, std::int64_t k, std::int64_t n) {
+      return MatMulOp("mm", m, k, n, DataType::kF32, "A", "B", "C");
+    };
+    std::vector<BatteryCase> cases;
+    cases.push_back({"Figure7MatMul", mm(2, 6, 3), {2, 3, 1}, {{1, 3}, {2, 1}, {1, 1}}});
+    cases.push_back({"MismatchedWindows", mm(4, 12, 6), {2, 3, 1}, {{1, 3}, {2, 1}, {1, 1}}});
+    cases.push_back({"ReplicatedNoRotation", mm(8, 8, 8), {4, 1, 1}, {{1, 1}, {1, 1}, {1, 1}}});
+    cases.push_back({"SpatialReduction", mm(4, 16, 4), {2, 2, 4}, {{1, 1}, {1, 1}, {1, 1}}});
+    cases.push_back({"RotationPlusReduction", mm(2, 8, 4), {2, 2, 2}, {{1, 2}, {1, 1}, {1, 1}}});
+    cases.push_back({"TwoRotatingTensors", mm(4, 8, 8), {4, 2, 1}, {{1, 2}, {1, 2}, {1, 1}}});
+    cases.push_back({"PaddedAxes", mm(5, 6, 3), {2, 3, 1}, {{1, 3}, {1, 1}, {1, 1}}});
+    cases.push_back({"PaddedRotationPlusReduction", mm(5, 12, 7), {2, 2, 2},
+                     {{1, 2}, {2, 1}, {1, 1}}});
+    cases.push_back({"ConvWithWeightRotation",
+                     Conv2dOp("conv", 1, 2, 4, 8, 4, 3, 3, DataType::kF32, "I", "W", "O"),
+                     {1, 1, 4, 1, 1, 1, 1},
+                     {{1, 1, 1, 1}, {4, 1, 1, 1}, {1, 1, 1, 1}}});
+    cases.push_back({"StridedConv",
+                     Conv2dOp("conv_s2", 1, 2, 4, 4, 4, 3, 3, DataType::kF32, "I", "W", "O",
+                              /*stride=*/2),
+                     {1, 2, 2, 1, 1, 1, 1},
+                     {{1, 1, 1, 1}, {1, 1, 1, 1}, {1, 1, 1, 1}}});
+    cases.push_back({"PaddedStridedConvRotation",
+                     Conv2dOp("conv_pad", 1, 4, 2, 5, 5, 3, 3, DataType::kF32, "I", "W", "O",
+                              /*stride=*/2),
+                     {1, 2, 2, 1, 1, 1, 1},
+                     {{1, 2, 1, 1}, {1, 2, 1, 1}, {1, 1, 1, 1}}});
+    cases.push_back({"Unary", ElementwiseOp("relu", {4, 6}, DataType::kF32, "x", "y"), {2, 3},
+                     {{1, 1}, {1, 1}}});
+    cases.push_back({"PaddedBinary",
+                     BinaryOp("add", {5, 7}, DataType::kF32, "x", "z", "y"), {2, 3},
+                     {{1, 1}, {1, 1}, {1, 1}}});
+    cases.push_back({"Reduce", ReduceOp("sum", {4, 8}, DataType::kF32, "x", "y"), {2, 4},
+                     {{1, 1}, {1}}});
+    cases.push_back({"PaddedReduce", ReduceOp("sum", {5, 9}, DataType::kF32, "x", "y"), {2, 2},
+                     {{1, 1}, {1}}});
+    // Slab (12 floats = 48B) far above the 16B staging buffer: many rounds.
+    cases.push_back({"TinyShiftBuffer", mm(4, 12, 4), {1, 4, 1}, {{1, 2}, {1, 1}, {1, 1}},
+                     /*shift_buffer_bytes=*/16});
+    return cases;
+  }();
+  return battery;
+}
+
+const BatteryCase& Case(const std::string& name) {
+  for (const BatteryCase& c : Battery()) {
+    if (c.name == name) {
+      return c;
+    }
+  }
+  T10_CHECK(false) << "no battery case " << name;
+  return Battery().front();
+}
+
+ChipSpec BatteryChip(const BatteryCase& c, const ExecutionPlan& plan) {
+  ChipSpec chip = TinyChip(static_cast<int>(plan.cores_used()));
+  if (c.shift_buffer_bytes > 0) {
+    chip.shift_buffer_bytes = c.shift_buffer_bytes;
+  }
+  return chip;
+}
+
+std::uint64_t OutputChecksum(const HostTensor& t) {
+  return fault::Checksum(reinterpret_cast<const std::byte*>(t.data.data()),
+                         static_cast<std::int64_t>(t.data.size() * sizeof(float)));
+}
+
+// Runs a battery case against the single-core reference; returns the stats.
+ProgramRunStats CheckProgram(const BatteryCase& c, std::uint64_t seed = 21) {
+  auto plan = ExecutionPlan::Create(c.op, c.fop, c.ft);
+  EXPECT_TRUE(plan.has_value()) << c.name << ": " << c.op.DebugString();
+  if (!plan.has_value()) {
+    return {};
+  }
+  Machine machine(BatteryChip(c, *plan));
   ProgramExecutor executor(machine, *plan);
-  std::vector<HostTensor> inputs = RandomInputs(op, 21);
+  std::vector<HostTensor> inputs = RandomInputs(c.op, seed);
   ProgramRunStats stats;
   HostTensor got = *executor.Run(inputs, &stats);
-  HostTensor want = ReferenceExecute(op, inputs);
+  HostTensor want = ReferenceExecute(c.op, inputs);
   ExpectTensorsNear(got, want);
   EXPECT_EQ(stats.steps, plan->total_steps());
   // Machine memory fully released.
-  for (int c = 0; c < machine.num_cores(); ++c) {
-    EXPECT_EQ(machine.memory(c).used_bytes(), 0) << "core " << c;
+  for (int core = 0; core < machine.num_cores(); ++core) {
+    EXPECT_EQ(machine.memory(core).used_bytes(), 0) << "core " << core;
   }
+  return stats;
 }
 
 TEST(LoweringTest, Figure7ProgramStructure) {
@@ -110,75 +195,88 @@ TEST(LoweringTest, RingsPartitionTheSharingGroup) {
   EXPECT_EQ(seen.size(), 8u);
 }
 
-TEST(ProgramExecutorTest, Figure7MatMul) {
-  Operator op = MatMulOp("mm", 2, 6, 3, DataType::kF32, "A", "B", "C");
-  CheckProgram(op, {2, 3, 1}, {{1, 3}, {2, 1}, {1, 1}});
-}
+TEST(ProgramExecutorTest, Figure7MatMul) { CheckProgram(Case("Figure7MatMul")); }
 
-TEST(ProgramExecutorTest, MismatchedWindows) {
-  Operator op = MatMulOp("mm", 4, 12, 6, DataType::kF32, "A", "B", "C");
-  CheckProgram(op, {2, 3, 1}, {{1, 3}, {2, 1}, {1, 1}});
-}
+TEST(ProgramExecutorTest, MismatchedWindows) { CheckProgram(Case("MismatchedWindows")); }
 
-TEST(ProgramExecutorTest, ReplicatedNoRotation) {
-  Operator op = MatMulOp("mm", 8, 8, 8, DataType::kF32, "A", "B", "C");
-  CheckProgram(op, {4, 1, 1}, {{1, 1}, {1, 1}, {1, 1}});
-}
+TEST(ProgramExecutorTest, ReplicatedNoRotation) { CheckProgram(Case("ReplicatedNoRotation")); }
 
-TEST(ProgramExecutorTest, SpatialReduction) {
-  Operator op = MatMulOp("mm", 4, 16, 4, DataType::kF32, "A", "B", "C");
-  CheckProgram(op, {2, 2, 4}, {{1, 1}, {1, 1}, {1, 1}});
-}
+TEST(ProgramExecutorTest, SpatialReduction) { CheckProgram(Case("SpatialReduction")); }
 
 TEST(ProgramExecutorTest, RotationPlusReduction) {
-  Operator op = MatMulOp("mm", 2, 8, 4, DataType::kF32, "A", "B", "C");
-  CheckProgram(op, {2, 2, 2}, {{1, 2}, {1, 1}, {1, 1}});
+  CheckProgram(Case("RotationPlusReduction"));
 }
 
-TEST(ProgramExecutorTest, TwoRotatingTensors) {
-  Operator op = MatMulOp("mm", 4, 8, 8, DataType::kF32, "A", "B", "C");
-  CheckProgram(op, {4, 2, 1}, {{1, 2}, {1, 2}, {1, 1}});
-}
+TEST(ProgramExecutorTest, TwoRotatingTensors) { CheckProgram(Case("TwoRotatingTensors")); }
 
 TEST(ProgramExecutorTest, PaddedAxes) {
-  Operator op = MatMulOp("mm", 5, 6, 3, DataType::kF32, "A", "B", "C");
-  CheckProgram(op, {2, 3, 1}, {{1, 3}, {1, 1}, {1, 1}});
+  CheckProgram(Case("PaddedAxes"));
+  CheckProgram(Case("PaddedRotationPlusReduction"));
 }
 
 TEST(ProgramExecutorTest, ConvWithWeightRotation) {
-  Operator op = Conv2dOp("conv", 1, 2, 4, 8, 4, 3, 3, DataType::kF32, "I", "W", "O");
-  std::vector<std::int64_t> fop = {1, 1, 4, 1, 1, 1, 1};
-  CheckProgram(op, fop, {{1, 1, 1, 1}, {4, 1, 1, 1}, {1, 1, 1, 1}});
+  CheckProgram(Case("ConvWithWeightRotation"));
 }
 
 TEST(ProgramExecutorTest, StridedConv) {
-  Operator op =
-      Conv2dOp("conv_s2", 1, 2, 4, 4, 4, 3, 3, DataType::kF32, "I", "W", "O", /*stride=*/2);
-  std::vector<std::int64_t> fop = {1, 2, 2, 1, 1, 1, 1};
-  CheckProgram(op, fop, {{1, 1, 1, 1}, {1, 1, 1, 1}, {1, 1, 1, 1}});
+  CheckProgram(Case("StridedConv"));
+  CheckProgram(Case("PaddedStridedConvRotation"));
 }
 
 TEST(ProgramExecutorTest, ElementwiseAndReduce) {
-  Operator unary = ElementwiseOp("relu", {4, 6}, DataType::kF32, "x", "y");
-  CheckProgram(unary, {2, 3}, {{1, 1}, {1, 1}});
-  Operator reduce = ReduceOp("sum", {4, 8}, DataType::kF32, "x", "y");
-  CheckProgram(reduce, {2, 4}, {{1, 1}, {1}});
+  CheckProgram(Case("Unary"));
+  CheckProgram(Case("PaddedBinary"));
+  CheckProgram(Case("Reduce"));
+  CheckProgram(Case("PaddedReduce"));
 }
 
 TEST(ProgramExecutorTest, TinyShiftBufferStillCorrect) {
-  // Slab (12 floats = 48B) far above the 16B staging buffer: many rounds.
-  Operator op = MatMulOp("mm", 4, 12, 4, DataType::kF32, "A", "B", "C");
-  auto plan = ExecutionPlan::Create(op, {1, 4, 1}, {{1, 2}, {1, 1}, {1, 1}});
-  ASSERT_TRUE(plan.has_value());
-  ChipSpec chip = TinyChip(4);
-  chip.shift_buffer_bytes = 16;
-  Machine machine(chip);
-  ProgramExecutor executor(machine, *plan);
-  std::vector<HostTensor> inputs = RandomInputs(op, 5);
-  ProgramRunStats stats;
-  HostTensor got = *executor.Run(inputs, &stats);
-  ExpectTensorsNear(got, ReferenceExecute(op, inputs));
+  ProgramRunStats stats = CheckProgram(Case("TinyShiftBuffer"), /*seed=*/5);
   EXPECT_GT(stats.shift_rounds, stats.steps);  // Chunking happened.
+}
+
+// Pins the FNV checksum of every battery output (inputs from seed 21): the
+// executor's accumulation order is part of its contract, so a rewrite must
+// reproduce every output float bit for bit, with and without the
+// checksummed fault-tolerant transfer path.
+TEST(ProgramExecutorTest, GoldenOutputChecksums) {
+  const std::map<std::string, std::uint64_t> golden = {
+      {"Figure7MatMul", 0xa668e38ceb4ed10bULL},
+      {"MismatchedWindows", 0xb46e7f5b8721fc1dULL},
+      {"ReplicatedNoRotation", 0x4dc7effe4d33b10fULL},
+      {"SpatialReduction", 0x12534eb052be6619ULL},
+      {"RotationPlusReduction", 0x4cf8ecfdd17fd034ULL},
+      {"TwoRotatingTensors", 0x5eff159bb5cafe39ULL},
+      {"PaddedAxes", 0x144ffc5fef80f4ecULL},
+      {"PaddedRotationPlusReduction", 0x9cd737dcc77ee36dULL},
+      {"ConvWithWeightRotation", 0xa8b1dc4d5dd68f5cULL},
+      {"StridedConv", 0xde9637bf58a3764dULL},
+      {"PaddedStridedConvRotation", 0xeb943a36884b6063ULL},
+      {"Unary", 0xe55ecc0766b7c85cULL},
+      {"PaddedBinary", 0xd1ec888bcd6f579bULL},
+      {"Reduce", 0x309b0660a1fd7883ULL},
+      {"PaddedReduce", 0xa3d43897871d39e0ULL},
+      {"TinyShiftBuffer", 0x41fda3a528c5568dULL},
+  };
+  for (const BatteryCase& c : Battery()) {
+    SCOPED_TRACE(c.name);
+    auto plan = ExecutionPlan::Create(c.op, c.fop, c.ft);
+    ASSERT_TRUE(plan.has_value());
+    const std::vector<HostTensor> inputs = RandomInputs(c.op, 21);
+    FaultToleranceOptions reliable;
+    reliable.enabled = true;
+    reliable.checkpoint_interval_steps = 1;
+    for (const FaultToleranceOptions& ft : {FaultToleranceOptions{}, reliable}) {
+      Machine machine(BatteryChip(c, *plan));
+      StatusOr<HostTensor> got = ProgramExecutor(machine, *plan, ft).Run(inputs);
+      ASSERT_TRUE(got.ok()) << got.status().ToString();
+      const auto it = golden.find(c.name);
+      ASSERT_NE(it, golden.end()) << "no golden checksum; got 0x" << std::hex
+                                  << OutputChecksum(*got);
+      EXPECT_EQ(OutputChecksum(*got), it->second)
+          << "got 0x" << std::hex << OutputChecksum(*got);
+    }
+  }
 }
 
 TEST(ProgramExecutorTest, TrafficMatchesMachineCounters) {
@@ -197,22 +295,37 @@ TEST(ProgramExecutorTest, TrafficMatchesMachineCounters) {
 }
 
 // Every search-produced plan with <= 1 rotating dim per tensor must execute
-// byte-identically to the reference through the full lowering pipeline.
+// byte-identically to the reference through the full lowering pipeline:
+// contractions (incl. a strided, padded conv with compound input dims),
+// elementwise and reduce ops, over padded and unpadded shapes.
 class SearchedProgramsExecute : public ::testing::TestWithParam<int> {};
+
+Operator SearchedOp(int index) {
+  switch (index) {
+    case 0:
+      return MatMulOp("mm", 6, 12, 4, DataType::kF32, "A", "B", "C");
+    case 1:
+      return MatMulOp("skinny", 1, 24, 12, DataType::kF32, "A", "B", "C");
+    case 2:
+      return BatchedMatMulOp("bmm", 2, 4, 6, 4, DataType::kF32, "A", "B", "C");
+    case 3:
+      return Conv2dOp("conv_s2", 1, 4, 6, 5, 5, 3, 3, DataType::kF32, "I", "W", "O",
+                      /*stride=*/2);
+    case 4:
+      return MatMulOp("padded", 5, 14, 7, DataType::kF32, "A", "B", "C");
+    case 5:
+      return BinaryOp("add", {5, 7}, DataType::kF32, "x", "z", "y");
+    case 6:
+      return ElementwiseOp("gelu", {6, 10}, DataType::kF32, "x", "y", /*cost=*/8.0);
+    default:
+      return ReduceOp("sum", {7, 11}, DataType::kF32, "x", "y");
+  }
+}
 
 TEST_P(SearchedProgramsExecute, MatchesReference) {
   ChipSpec chip = TinyChip(12);
   GroundTruthTiming timing(chip);
-  Operator op = [&]() -> Operator {
-    switch (GetParam()) {
-      case 0:
-        return MatMulOp("mm", 6, 12, 4, DataType::kF32, "A", "B", "C");
-      case 1:
-        return MatMulOp("skinny", 1, 24, 12, DataType::kF32, "A", "B", "C");
-      default:
-        return BatchedMatMulOp("bmm", 2, 4, 6, 4, DataType::kF32, "A", "B", "C");
-    }
-  }();
+  const Operator op = SearchedOp(GetParam());
   SearchConstraints constraints;
   constraints.parallelism_fraction = 0.5;
   constraints.max_rotating_dims = 1;
@@ -228,7 +341,7 @@ TEST_P(SearchedProgramsExecute, MatchesReference) {
   }
 }
 
-INSTANTIATE_TEST_SUITE_P(Ops, SearchedProgramsExecute, ::testing::Range(0, 3));
+INSTANTIATE_TEST_SUITE_P(Ops, SearchedProgramsExecute, ::testing::Range(0, 8));
 
 }  // namespace
 }  // namespace t10

@@ -94,6 +94,11 @@ struct MalformedCase {
   const char* message_fragment;
 };
 
+// Without a printer gtest lists the parameter as its raw bytes — three
+// string pointers, which differ from process to process under ASLR — so
+// the listed test names would never be stable. Print the case name.
+void PrintTo(const MalformedCase& c, std::ostream* os) { *os << c.name; }
+
 class ParserMalformedTest : public ::testing::TestWithParam<MalformedCase> {};
 
 TEST_P(ParserMalformedTest, ReportsInvalidArgument) {

@@ -47,13 +47,15 @@ TEST_F(T10cObservability, CompileSucceeds) { EXPECT_EQ(exit_code_, 0); }
 
 TEST_F(T10cObservability, MetricsSnapshotHasCompilerPhaseTimings) {
   const std::string json = ReadFile(*metrics_path_);
-  EXPECT_NE(json.find("compiler.phase.cost_model_fit.seconds"), std::string::npos);
-  EXPECT_NE(json.find("compiler.phase.intra_search.seconds"), std::string::npos);
+  EXPECT_NE(json.find("compiler.pass.fit_cost_model.seconds"), std::string::npos);
+  EXPECT_NE(json.find("compiler.pass.intra_op_search.seconds"), std::string::npos);
   EXPECT_NE(json.find("compiler.phase.enumeration.seconds"), std::string::npos);
   EXPECT_NE(json.find("compiler.phase.filtering.seconds"), std::string::npos);
   EXPECT_NE(json.find("compiler.phase.cost_eval.seconds"), std::string::npos);
   EXPECT_NE(json.find("compiler.phase.pareto.seconds"), std::string::npos);
-  EXPECT_NE(json.find("compiler.phase.reconcile.seconds"), std::string::npos);
+  EXPECT_NE(json.find("compiler.pass.inter_op_reconcile.seconds"), std::string::npos);
+  EXPECT_NE(json.find("compiler.phase.materialize.seconds"), std::string::npos);
+  EXPECT_NE(json.find("compiler.phase.memory_plan.seconds"), std::string::npos);
   EXPECT_NE(json.find("compiler.phase.total.seconds"), std::string::npos);
 }
 

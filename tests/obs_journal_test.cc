@@ -15,6 +15,7 @@
 #include <vector>
 
 #include "src/obs/span.h"
+#include "src/util/strings.h"
 
 namespace t10 {
 namespace obs {
@@ -50,14 +51,14 @@ TEST(EventJournalTest, AppendsInOrderWithMetadata) {
 TEST(EventJournalTest, RingWrapsKeepingTheNewestEvents) {
   EventJournal journal(8);
   for (int i = 0; i < 20; ++i) {
-    journal.Append(Severity::kInfo, "test", "event." + std::to_string(i));
+    journal.Append(Severity::kInfo, "test", NumberedName("event.", i));
   }
   const std::vector<Event> events = journal.Snapshot();
   ASSERT_EQ(events.size(), 8u);  // Ring capacity, not total appended.
   EXPECT_EQ(journal.total_appended(), 20u);
   // The survivors are exactly the last 8, oldest first.
   for (int i = 0; i < 8; ++i) {
-    EXPECT_EQ(events[static_cast<std::size_t>(i)].event, "event." + std::to_string(12 + i));
+    EXPECT_EQ(events[static_cast<std::size_t>(i)].event, NumberedName("event.", 12 + i));
   }
 }
 
@@ -70,7 +71,7 @@ TEST(EventJournalTest, ConcurrentWritersLoseNothingBeforeWrap) {
   for (int t = 0; t < kThreads; ++t) {
     threads.emplace_back([&journal, t] {
       for (int i = 0; i < kPerThread; ++i) {
-        journal.Append(Severity::kInfo, "t" + std::to_string(t), "e" + std::to_string(i), t, i);
+        journal.Append(Severity::kInfo, NumberedName("t", t), NumberedName("e", i), t, i);
       }
     });
   }

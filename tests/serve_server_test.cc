@@ -19,6 +19,7 @@
 #include <vector>
 
 #include "src/ir/builder.h"
+#include "src/serve/executor_pool.h"
 #include "src/serve/health_monitor.h"
 
 namespace t10 {
@@ -92,6 +93,49 @@ TEST(ServeServerTest, ServesBitIdenticalResponses) {
   EXPECT_EQ(stats.failovers, 0);
   EXPECT_TRUE(server.Shutdown().ok());
   EXPECT_EQ(server.state(), ServerState::kStopped);
+}
+
+// A long stream of fresh-seed requests (as whole-model serving produces)
+// must not grow the reference cache past its cap, and every audit — the
+// executed output against the possibly recomputed reference — must stay
+// bit-identical, including for seeds whose reference was evicted.
+TEST(ServePlanSetTest, ReferenceCacheStaysBoundedOverALongStream) {
+  const Graph graph = SmallModel();
+  const ChipSpec chip = TinyChip(8);
+  StatusOr<std::shared_ptr<PlanSet>> built =
+      PlanSet::Build(chip, graph, TopologyHealth{}, CompileOptions{}, /*epoch=*/0,
+                     /*verify=*/false);
+  ASSERT_TRUE(built.ok()) << built.status().ToString();
+  PlanSet& plans = **built;
+  ExecutorPool pool(chip, fault::FaultSpec{}, FaultToleranceOptions{},
+                    /*retry_backoff_base_seconds=*/0.0, /*num_workers=*/1);
+  constexpr std::size_t kCap = PlanSet::kReferenceCacheCapacity;
+  StatusOr<std::shared_ptr<const PlanSet::Reference>> first = plans.ReferenceFor(0, 1000);
+  ASSERT_TRUE(first.ok());
+  const std::vector<float> first_data = (*first)->data;
+  const int requests = static_cast<int>(2 * kCap) + 7;
+  for (int i = 0; i < requests; ++i) {
+    const int slot = i % plans.num_op_slots();
+    const std::uint64_t seed = 1000 + static_cast<std::uint64_t>(i);
+    const ExecuteOutcome outcome = pool.Execute(0, plans, slot, seed, /*max_retries=*/0,
+                                                /*has_deadline=*/false, Clock::time_point{});
+    ASSERT_TRUE(outcome.status.ok()) << outcome.status.ToString();
+    StatusOr<std::shared_ptr<const PlanSet::Reference>> reference =
+        plans.ReferenceFor(slot, seed);
+    ASSERT_TRUE(reference.ok()) << reference.status().ToString();
+    EXPECT_EQ((*reference)->shape, outcome.output.shape) << "request " << i;
+    EXPECT_EQ((*reference)->data, outcome.output.data) << "request " << i;
+    ASSERT_LE(plans.reference_cache_size(), kCap) << "request " << i;
+  }
+  EXPECT_EQ(plans.reference_cache_size(), kCap);
+  // The first reference was evicted long ago: the caller's copy is still
+  // intact, and recomputing it reproduces the same bytes.
+  EXPECT_EQ((*first)->data, first_data);
+  StatusOr<std::shared_ptr<const PlanSet::Reference>> again = plans.ReferenceFor(0, 1000);
+  ASSERT_TRUE(again.ok());
+  EXPECT_NE(again->get(), first->get());
+  EXPECT_EQ((*again)->checksum, (*first)->checksum);
+  EXPECT_EQ((*again)->data, first_data);
 }
 
 TEST(ServeServerTest, LifecycleErrors) {

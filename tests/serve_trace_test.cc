@@ -172,6 +172,13 @@ TEST(ServeTraceTest, ChaosKillProducesFlightRecorderAndFlowLinkedRequeue) {
     ASSERT_GE(accepted, 8);
     server.KillCore(chip.num_cores - 1);
     server.WaitIdle();
+    // The backlog can drain before the failover finishes (Submit refuses
+    // while the server replans), so wait for the swap to complete.
+    const auto swap_deadline = Clock::now() + std::chrono::seconds(20);
+    while ((server.stats().failovers < 1 || server.state() != ServerState::kServing) &&
+           Clock::now() < swap_deadline) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
     // A couple of post-failover requests guarantee epoch-1 plan timings even
     // when the whole backlog raced ahead of the swap.
     for (int i = 0; i < 2; ++i) {
