@@ -6,13 +6,22 @@
 // models dominated by one repeated signature do not (the cache dedupes them
 // before the fan-out). Every configuration is checked to produce a
 // bit-identical model.
+//
+// Each cell is the median of three compiles (one in T10_BENCH_QUICK=1 mode).
+// T10_BENCH_JSON=<path> writes the per-model results as a JSON baseline
+// (BENCH_compile.json tracks it in-repo): cold jobs=1 and jobs=4 and warm
+// compile ms, the plans the search evaluated, and an FNV checksum of the
+// compiled model's Fingerprint(), so two builds can be compared for
+// identical output.
 
+#include <algorithm>
 #include <filesystem>
 #include <string>
 #include <vector>
 
 #include "bench/common.h"
 #include "src/core/compiler.h"
+#include "src/core/pass/plan_cache.h"
 #include "src/models/zoo.h"
 #include "src/util/thread_pool.h"
 
@@ -21,15 +30,23 @@ namespace {
 
 namespace fs = std::filesystem;
 
-double CompileSeconds(const ChipSpec& chip, const Graph& graph, CompileOptions options,
-                      std::string* fingerprint) {
-  Compiler compiler(chip, options);
-  CompiledModel model = compiler.Compile(graph);
-  T10_CHECK(model.fits) << graph.name();
-  if (fingerprint != nullptr) {
-    *fingerprint = model.Fingerprint();
+// Median wall time of `reps` compiles, each in a fresh Compiler (as every
+// t10c invocation is). Every compile must produce the same model, whose
+// Fingerprint() lands in `fingerprint`.
+double CompileSeconds(const ChipSpec& chip, const Graph& graph, const CompileOptions& options,
+                      int reps, std::string* fingerprint) {
+  std::vector<double> seconds;
+  for (int rep = 0; rep < reps; ++rep) {
+    Compiler compiler(chip, options);
+    CompiledModel model = compiler.Compile(graph);
+    T10_CHECK(model.fits) << graph.name();
+    const std::string fp = model.Fingerprint();
+    T10_CHECK(rep == 0 || fp == *fingerprint) << graph.name() << ": compiles differ";
+    *fingerprint = fp;
+    seconds.push_back(model.compile_wall_seconds);
   }
-  return model.compile_wall_seconds;
+  std::sort(seconds.begin(), seconds.end());
+  return seconds[seconds.size() / 2];
 }
 
 void Run() {
@@ -39,24 +56,32 @@ void Run() {
   const ChipSpec chip = ChipSpec::IpuMk2();
   const std::vector<int> job_counts = bench::QuickMode() ? std::vector<int>{1, 4}
                                                          : std::vector<int>{1, 2, 4, 8};
+  const int reps = bench::QuickMode() ? 1 : 3;
+  obs::Counter& evaluations =
+      obs::MetricsRegistry::Global().GetCounter("compiler.search.evaluations");
 
   const fs::path cache_dir = fs::temp_directory_path() / "t10_bench_compile_scaling";
 
   Table table({"Model", "BS", "Ops", "Sigs", "jobs=1", "jobs=2", "jobs=4", "jobs=8",
                "Speedup", "Warm cache"});
+  std::vector<bench::JsonObject> rows;
   for (const ModelInfo& info : EvaluationModels()) {
     const std::int64_t batch = info.batch_sizes.front();
     const Graph graph = info.build(batch);
 
     std::string serial_fp;
     std::vector<double> cold_seconds(9, 0.0);  // Indexed by job count.
+    std::int64_t plans_evaluated = 0;
     for (const int jobs : job_counts) {
       CompileOptions options;
       options.jobs = jobs;
       std::string fp;
+      const std::int64_t evaluations_before = evaluations.value();
       cold_seconds[static_cast<std::size_t>(jobs)] =
-          CompileSeconds(chip, graph, options, jobs == 1 ? &serial_fp : &fp);
-      if (jobs != 1) {
+          CompileSeconds(chip, graph, options, reps, jobs == 1 ? &serial_fp : &fp);
+      if (jobs == 1) {
+        plans_evaluated = (evaluations.value() - evaluations_before) / reps;
+      } else {
         T10_CHECK(fp == serial_fp) << info.name << ": jobs=" << jobs
                                    << " produced a different model";
       }
@@ -69,9 +94,9 @@ void Run() {
     CompileOptions cached;
     cached.jobs = job_counts.back();
     cached.plan_cache_dir = cache_dir.string();
-    CompileSeconds(chip, graph, cached, nullptr);  // Cold run populates the dir.
     std::string warm_fp;
-    const double warm = CompileSeconds(chip, graph, cached, &warm_fp);
+    CompileSeconds(chip, graph, cached, 1, &warm_fp);  // Cold run populates the dir.
+    const double warm = CompileSeconds(chip, graph, cached, reps, &warm_fp);
     T10_CHECK(warm_fp == serial_fp) << info.name << ": warm cache produced a different model";
 
     int unique = 0;
@@ -91,9 +116,26 @@ void Run() {
                   std::to_string(unique), cell(1), cell(2), cell(4), cell(8),
                   FormatDouble(base / cold_seconds[static_cast<std::size_t>(fastest)], 2) + "x",
                   bench::Ms(warm)});
+    char fingerprint_fnv[17];
+    std::snprintf(fingerprint_fnv, sizeof(fingerprint_fnv), "%016llx",
+                  static_cast<unsigned long long>(Fnv1a64(serial_fp)));
+    rows.push_back(bench::JsonObject()
+                       .Add("model", info.name)
+                       .Add("batch", batch)
+                       .Add("cold_jobs1_ms", cold_seconds[1] * 1e3, 3)
+                       .Add("cold_jobs4_ms", cold_seconds[4] * 1e3, 3)
+                       .Add("speedup_jobs4", cold_seconds[1] / cold_seconds[4], 2)
+                       .Add("warm_ms", warm * 1e3, 3)
+                       .Add("plans_evaluated", plans_evaluated)
+                       .Add("fingerprint_fnv", fingerprint_fnv));
   }
   table.Print();
   fs::remove_all(cache_dir);
+  bench::WriteJsonBaseline(bench::JsonObject()
+                               .Add("bench", "compile_scaling")
+                               .Add("host_concurrency", ThreadPool::HardwareConcurrency())
+                               .Add("compiles_per_cell", reps)
+                               .Add("models", rows));
 
   bench::Note(
       "Speedup is jobs=1 over the largest jobs count, cold cache. The fan-out parallelises "

@@ -4,8 +4,6 @@
 // Roller; with multiple chips Roller's transfer time can even grow, while
 // T10's does not.
 
-#include <fstream>
-
 #include "bench/common.h"
 #include "src/baselines/vgm.h"
 #include "src/core/compiler.h"
@@ -93,28 +91,25 @@ void MultiChipSweep() {
       "boundary handoff over the inter-chip link.");
 
   // JSON baseline for regression tracking (BENCH_multichip_scaling.json).
-  // NOLINTNEXTLINE(concurrency-mt-unsafe): benchmarks read the environment single-threaded.
-  if (const char* json_path = std::getenv("T10_BENCH_JSON");
-      json_path != nullptr && json_path[0] != '\0') {
-    std::ofstream out(json_path);
-    out << "{\n  \"bench\": \"multichip_scaling\",\n  \"layers\": 4,\n  \"scaling\": [\n";
-    for (std::size_t i = 0; i < points.size(); ++i) {
-      const SweepPoint& p = points[i];
-      out << "    {\"chips\": " << p.chips << ", \"max_width\": " << p.max_width
-          << ", \"max_weight_bytes\": " << p.max_weight_bytes
-          << ", \"stages\": " << p.stages
-          << ", \"bottleneck_ms\": " << FormatDouble(p.bottleneck_seconds * 1e3, 3)
-          << ", \"handoff_ms\": " << FormatDouble(p.handoff_seconds * 1e3, 3) << "}"
-          << (i + 1 < points.size() ? "," : "") << "\n";
-    }
-    const double growth =
-        points.front().max_weight_bytes > 0
-            ? static_cast<double>(points.back().max_weight_bytes) /
-                  static_cast<double>(points.front().max_weight_bytes)
-            : 0.0;
-    out << "  ],\n  \"capacity_growth_4_chips\": " << FormatDouble(growth, 2) << "\n}\n";
-    std::printf("multichip baseline written to %s\n", json_path);
+  std::vector<bench::JsonObject> scaling;
+  for (const SweepPoint& p : points) {
+    scaling.push_back(bench::JsonObject()
+                          .Add("chips", p.chips)
+                          .Add("max_width", p.max_width)
+                          .Add("max_weight_bytes", p.max_weight_bytes)
+                          .Add("stages", p.stages)
+                          .Add("bottleneck_ms", p.bottleneck_seconds * 1e3, 3)
+                          .Add("handoff_ms", p.handoff_seconds * 1e3, 3));
   }
+  const double growth = points.front().max_weight_bytes > 0
+                            ? static_cast<double>(points.back().max_weight_bytes) /
+                                  static_cast<double>(points.front().max_weight_bytes)
+                            : 0.0;
+  bench::WriteJsonBaseline(bench::JsonObject()
+                               .Add("bench", "multichip_scaling")
+                               .Add("layers", 4)
+                               .Add("scaling", scaling)
+                               .Add("capacity_growth_4_chips", growth, 2));
 }
 
 void Run() {

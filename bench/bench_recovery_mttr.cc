@@ -11,9 +11,7 @@
 
 #include <chrono>
 #include <cstdio>
-#include <cstdlib>
 #include <filesystem>
-#include <fstream>
 #include <set>
 #include <string>
 #include <thread>
@@ -238,29 +236,27 @@ int main() {
               FormatDouble(recompile_speedup, 2).c_str());
 
   // JSON baseline for regression tracking (BENCH_recovery.json).
-  // NOLINTNEXTLINE(concurrency-mt-unsafe): benchmarks read the environment single-threaded.
-  if (const char* json_path = std::getenv("T10_BENCH_JSON");
-      json_path != nullptr && json_path[0] != '\0') {
-    std::ofstream out(json_path);
-    out << "{\n  \"bench\": \"recovery_mttr\",\n";
-    out << "  \"chips\": 3,\n  \"killed_chip\": 1,\n";
-    auto emit = [&out](const char* name, const MttrResult& r) {
-      out << "  \"" << name << "\": {\"mttr_ms\": "
-          << FormatDouble(r.mttr_seconds * 1e3, 3) << ", \"start_ms\": "
-          << FormatDouble(r.start_seconds * 1e3, 3) << ", \"recoveries\": " << r.recoveries
-          << ", \"recovery_failures\": " << r.recovery_failures
-          << ", \"stages_after\": " << r.stages_after << "},\n";
-    };
-    emit("cold", cold);
-    emit("warm", warm);
-    out << "  \"recompile\": {\"uncached_ms\": "
-        << FormatDouble(recompile.uncached_seconds * 1e3, 3) << ", \"uncached_searches\": "
-        << recompile.uncached_searches << ", \"warm_ms\": "
-        << FormatDouble(recompile.warm_seconds * 1e3, 3) << ", \"warm_searches\": "
-        << recompile.warm_searches << ", \"warm_speedup\": "
-        << FormatDouble(recompile_speedup, 2) << "}\n}\n";
-    std::printf("recovery baseline written to %s\n", json_path);
-  }
+  auto episode = [](const MttrResult& r) {
+    return bench::JsonObject()
+        .Add("mttr_ms", r.mttr_seconds * 1e3, 3)
+        .Add("start_ms", r.start_seconds * 1e3, 3)
+        .Add("recoveries", r.recoveries)
+        .Add("recovery_failures", r.recovery_failures)
+        .Add("stages_after", r.stages_after);
+  };
+  bench::WriteJsonBaseline(
+      bench::JsonObject()
+          .Add("bench", "recovery_mttr")
+          .Add("chips", 3)
+          .Add("killed_chip", 1)
+          .Add("cold", episode(cold))
+          .Add("warm", episode(warm))
+          .Add("recompile", bench::JsonObject()
+                                .Add("uncached_ms", recompile.uncached_seconds * 1e3, 3)
+                                .Add("uncached_searches", recompile.uncached_searches)
+                                .Add("warm_ms", recompile.warm_seconds * 1e3, 3)
+                                .Add("warm_searches", recompile.warm_searches)
+                                .Add("warm_speedup", recompile_speedup, 2)));
 
   bench::Note(
       "End-to-end MTTR is dominated by failure detection and the drain barrier for "

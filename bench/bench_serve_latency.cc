@@ -17,8 +17,6 @@
 
 #include <chrono>
 #include <cstdio>
-#include <cstdlib>
-#include <fstream>
 #include <string>
 #include <thread>
 #include <vector>
@@ -312,36 +310,34 @@ int main() {
               bench::Ms(kill.post_kill_p99_seconds).c_str(), p99_ratio);
 
   // JSON baseline for scaling-regression tracking (BENCH_serve_scaling.json).
-  // NOLINTNEXTLINE(concurrency-mt-unsafe): benchmarks read the environment single-threaded.
-  if (const char* json_path = std::getenv("T10_BENCH_JSON");
-      json_path != nullptr && json_path[0] != '\0') {
-    std::ofstream out(json_path);
-    out << "{\n  \"bench\": \"serve_scaling\",\n";
-    out << "  \"requests\": " << shard_requests << ",\n";
-    out << "  \"pace_time_scale\": " << FormatDouble(kPaceScale, 0) << ",\n";
-    out << "  \"scaling\": [\n";
-    for (std::size_t i = 0; i < sweep.size(); ++i) {
-      const ShardedResult& r = sweep[i];
-      out << "    {\"shards\": " << r.shards << ", \"throughput_rps\": "
-          << FormatDouble(r.throughput_rps, 2) << ", \"p50_ms\": "
-          << FormatDouble(r.p50_seconds * 1e3, 3) << ", \"p99_ms\": "
-          << FormatDouble(r.p99_seconds * 1e3, 3) << ", \"lost\": " << r.lost << "}"
-          << (i + 1 < sweep.size() ? "," : "") << "\n";
-    }
-    out << "  ],\n";
-    const double speedup_4x = sweep.front().throughput_rps > 0.0
-                                  ? sweep.back().throughput_rps / sweep.front().throughput_rps
-                                  : 0.0;
-    out << "  \"speedup_4_shards\": " << FormatDouble(speedup_4x, 2) << ",\n";
-    out << "  \"chip_kill\": {\"shards\": 4, \"kill_at\": " << shard_requests / 3
-        << ", \"lost\": " << kill.lost << ", \"shard_downs\": " << kill.shard_downs
-        << ", \"redirects\": " << kill.redirects << ", \"pre_kill_p99_ms\": "
-        << FormatDouble(kill.pre_kill_p99_seconds * 1e3, 3) << ", \"surviving_p99_ms\": "
-        << FormatDouble(kill.post_kill_p99_seconds * 1e3, 3) << ", \"p99_ratio\": "
-        << FormatDouble(p99_ratio, 2) << "}\n";
-    out << "}\n";
-    std::printf("scaling baseline written to %s\n", json_path);
+  std::vector<bench::JsonObject> scaling;
+  for (const ShardedResult& r : sweep) {
+    scaling.push_back(bench::JsonObject()
+                          .Add("shards", r.shards)
+                          .Add("throughput_rps", r.throughput_rps, 2)
+                          .Add("p50_ms", r.p50_seconds * 1e3, 3)
+                          .Add("p99_ms", r.p99_seconds * 1e3, 3)
+                          .Add("lost", r.lost));
   }
+  const double speedup_4x = sweep.front().throughput_rps > 0.0
+                                ? sweep.back().throughput_rps / sweep.front().throughput_rps
+                                : 0.0;
+  bench::WriteJsonBaseline(
+      bench::JsonObject()
+          .Add("bench", "serve_scaling")
+          .Add("requests", shard_requests)
+          .Add("pace_time_scale", kPaceScale, 0)
+          .Add("scaling", scaling)
+          .Add("speedup_4_shards", speedup_4x, 2)
+          .Add("chip_kill", bench::JsonObject()
+                                .Add("shards", 4)
+                                .Add("kill_at", shard_requests / 3)
+                                .Add("lost", kill.lost)
+                                .Add("shard_downs", kill.shard_downs)
+                                .Add("redirects", kill.redirects)
+                                .Add("pre_kill_p99_ms", kill.pre_kill_p99_seconds * 1e3, 3)
+                                .Add("surviving_p99_ms", kill.post_kill_p99_seconds * 1e3, 3)
+                                .Add("p99_ratio", p99_ratio, 2)));
 
   bench::Note(
       "Shard throughput scales with chip count because every shard's single paced "

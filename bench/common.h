@@ -6,13 +6,17 @@
 #ifndef T10_BENCH_COMMON_H_
 #define T10_BENCH_COMMON_H_
 
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
+#include <fstream>
 #include <string>
 #include <utility>
+#include <vector>
 
 #include "src/fault/campaign.h"
 #include "src/obs/metrics.h"
+#include "src/util/logging.h"
 #include "src/util/table.h"
 
 namespace t10 {
@@ -64,6 +68,79 @@ inline std::string Gbps(double bytes_per_second) {
 }
 
 inline std::string Pct(double fraction) { return FormatDouble(fraction * 100.0, 1) + "%"; }
+
+// One JSON object for the checked-in BENCH_*.json baselines, built field by
+// field in output order. Nested objects render on one line; an array of
+// objects renders one element per line, as a field of the top-level object.
+class JsonObject {
+ public:
+  JsonObject& Add(const std::string& key, std::int64_t value) {
+    return AddRaw(key, std::to_string(value));
+  }
+  JsonObject& Add(const std::string& key, double value, int decimals) {
+    return AddRaw(key, FormatDouble(value, decimals));
+  }
+  JsonObject& Add(const std::string& key, const std::string& value) {
+    std::string quoted = "\"";
+    for (char c : value) {
+      if (c == '"' || c == '\\') {
+        quoted += '\\';
+      }
+      quoted += c;
+    }
+    return AddRaw(key, quoted + "\"");
+  }
+  JsonObject& Add(const std::string& key, const JsonObject& value) {
+    return AddRaw(key, value.Inline());
+  }
+  JsonObject& Add(const std::string& key, const std::vector<JsonObject>& rows) {
+    std::string text = "[";
+    for (std::size_t i = 0; i < rows.size(); ++i) {
+      text += (i == 0 ? "\n    " : ",\n    ") + rows[i].Inline();
+    }
+    return AddRaw(key, text + (rows.empty() ? "]" : "\n  ]"));
+  }
+
+  // {"key": value, ...} on one line.
+  std::string Inline() const {
+    std::string text = "{";
+    for (std::size_t i = 0; i < fields_.size(); ++i) {
+      text += (i == 0 ? "" : ", ") + fields_[i];
+    }
+    return text + "}";
+  }
+
+  // The top-level form: one field per line.
+  std::string Document() const {
+    std::string text = "{\n";
+    for (std::size_t i = 0; i < fields_.size(); ++i) {
+      text += "  " + fields_[i] + (i + 1 < fields_.size() ? ",\n" : "\n");
+    }
+    return text + "}\n";
+  }
+
+ private:
+  JsonObject& AddRaw(const std::string& key, const std::string& value) {
+    fields_.push_back("\"" + key + "\": " + value);
+    return *this;
+  }
+
+  std::vector<std::string> fields_;  // Rendered "key": value pairs.
+};
+
+// T10_BENCH_JSON=<path>: a bench that keeps a BENCH_*.json baseline writes
+// `doc` there; unset, nothing is written.
+inline void WriteJsonBaseline(const JsonObject& doc) {
+  // NOLINTNEXTLINE(concurrency-mt-unsafe): benchmarks read the environment single-threaded.
+  const char* path = std::getenv("T10_BENCH_JSON");
+  if (path == nullptr || path[0] == '\0') {
+    return;
+  }
+  std::ofstream out(path);
+  out << doc.Document();
+  T10_CHECK(out.good()) << "cannot write " << path;
+  std::printf("baseline written to %s\n", path);
+}
 
 // Fault-overhead measurement: the same fault campaign run fault-free and
 // under transient corruption, so a bench can report what the reliability

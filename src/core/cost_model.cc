@@ -11,6 +11,12 @@ namespace {
 
 constexpr double kMinPrediction = 1e-7;  // 100 ns floor.
 
+// Shift-model features: a constant, the bytes, and the shift-buffer
+// iterations they take.
+std::array<double, 3> ShiftFeatures(std::int64_t bytes, std::int64_t chunk_bytes) {
+  return {1.0, static_cast<double>(bytes), static_cast<double>(CeilDiv(bytes, chunk_bytes))};
+}
+
 }  // namespace
 
 const char* KernelClassName(KernelClass cls) {
@@ -47,7 +53,7 @@ KernelClass ClassifySubTask(const SubTaskShape& shape) {
   return KernelClass::kElementwise;
 }
 
-std::vector<double> FittedCostModel::Features(const SubTaskShape& shape) {
+std::array<double, 3> FittedCostModel::Features(const SubTaskShape& shape) {
   // A constant, the arithmetic work, and the local-memory traffic. (Separate
   // in/out byte features would be collinear for elementwise kernels, where
   // input and output sizes are always equal.)
@@ -143,7 +149,9 @@ FittedCostModel FittedCostModel::Fit(const KernelGroundTruth& truth, int samples
     LinearRegression& reg = model.kernel_models_[static_cast<std::size_t>(c)];
     for (int i = 0; i < samples_per_class; ++i) {
       SubTaskShape shape = RandomShape(cls, rng);
-      reg.AddSample(Features(shape), truth.SubTaskSeconds(shape));
+      const std::array<double, 3> features = Features(shape);
+      reg.AddSample(std::vector<double>(features.begin(), features.end()),
+                    truth.SubTaskSeconds(shape));
     }
     T10_CHECK(reg.Fit()) << "cost model fit failed for " << KernelClassName(cls);
     model.r_squared_[static_cast<std::size_t>(c)] = reg.RSquared();
@@ -157,8 +165,8 @@ FittedCostModel FittedCostModel::Fit(const KernelGroundTruth& truth, int samples
       128 * 1024, 8 * model.shift_chunk_bytes_);
   for (int i = 0; i < samples_per_class; ++i) {
     std::int64_t bytes = rng.Uniform(1, max_shift_bytes);
-    double iterations = static_cast<double>(CeilDiv(bytes, model.shift_chunk_bytes_));
-    model.shift_model_.AddSample({1.0, static_cast<double>(bytes), iterations},
+    const std::array<double, 3> features = ShiftFeatures(bytes, model.shift_chunk_bytes_);
+    model.shift_model_.AddSample(std::vector<double>(features.begin(), features.end()),
                                  truth.ShiftSeconds(bytes));
   }
   T10_CHECK(model.shift_model_.Fit()) << "shift cost model fit failed";
@@ -179,8 +187,7 @@ double FittedCostModel::ShiftSeconds(std::int64_t bytes) const {
   if (bytes <= 0) {
     return 0.0;
   }
-  double iterations = static_cast<double>(CeilDiv(bytes, shift_chunk_bytes_));
-  double predicted = shift_model_.Predict({1.0, static_cast<double>(bytes), iterations});
+  double predicted = shift_model_.Predict(ShiftFeatures(bytes, shift_chunk_bytes_));
   return std::max(predicted, kMinPrediction);
 }
 

@@ -79,7 +79,7 @@ class FittedCostModel final : public TimingSource {
  private:
   FittedCostModel() = default;
 
-  static std::vector<double> Features(const SubTaskShape& shape);
+  static std::array<double, 3> Features(const SubTaskShape& shape);
 
   std::array<LinearRegression, kNumKernelClasses> kernel_models_;
   std::array<double, kNumKernelClasses> r_squared_ = {};

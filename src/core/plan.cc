@@ -11,71 +11,80 @@ namespace {
 
 // Extent of one tensor dimension consumed by a sub-task, given per-axis
 // sub-task extents. Compound dims (h+kh) consume a halo of e_h + e_kh - 1.
-std::int64_t SlabExtent(const DimRef& dim, const std::vector<std::int64_t>& axis_extent) {
-  std::int64_t extent = axis_extent[dim.axis];
+template <typename AxisExtent>
+std::int64_t SlabExtent(const DimRef& dim, const AxisExtent& axis_extent) {
+  std::int64_t extent = axis_extent(dim.axis);
   if (dim.compound()) {
-    extent = dim.stride * (extent - 1) + axis_extent[dim.minor_axis];
+    extent = dim.stride * (extent - 1) + axis_extent(dim.minor_axis);
   }
   return extent;
+}
+
+// Tensor `ti` in tensors() order: inputs in operator order, then the output.
+const TensorRef& Operand(const Operator& op, std::size_t ti) {
+  return ti < op.inputs().size() ? op.inputs()[ti] : op.output();
 }
 
 }  // namespace
 
 std::optional<ExecutionPlan> ExecutionPlan::Create(
-    const Operator& op, std::vector<std::int64_t> fop,
-    std::vector<std::vector<std::int64_t>> temporal_factors) {
-  const std::vector<Axis>& axes = op.axes();
-  T10_CHECK_EQ(fop.size(), axes.size()) << op.name();
-  T10_CHECK_EQ(temporal_factors.size(), op.inputs().size() + 1) << op.name();
-
+    const Operator& op, const std::vector<std::int64_t>& fop,
+    const std::vector<std::vector<std::int64_t>>& temporal_factors) {
   ExecutionPlan plan;
-  plan.op_ = &op;
-  plan.fop_ = std::move(fop);
+  if (!plan.Rebuild(op, fop, temporal_factors)) {
+    return std::nullopt;
+  }
+  return plan;
+}
 
-  // Spatial slicing of every axis, with padding accounting.
-  plan.axis_slice_.resize(axes.size());
-  plan.cores_used_ = 1;
-  plan.padding_ratio_ = 1.0;
+bool ExecutionPlan::Rebuild(const Operator& op, std::span<const std::int64_t> fop,
+                            std::span<const std::vector<std::int64_t>> temporal_factors) {
+  const std::vector<Axis>& axes = op.axes();
+  const std::size_t num_tensors = op.inputs().size() + 1;
+  T10_CHECK_EQ(fop.size(), axes.size()) << op.name();
+  T10_CHECK_EQ(temporal_factors.size(), num_tensors) << op.name();
+
+  op_ = &op;
+  fop_.assign(fop.begin(), fop.end());
+
+  // Spatial slicing of every axis, with padding accounting, and the reduce
+  // group: cores holding partial outputs.
+  axis_slice_.resize(axes.size());
+  cores_used_ = 1;
+  padding_ratio_ = 1.0;
+  reduce_group_ = 1;
   for (std::size_t a = 0; a < axes.size(); ++a) {
-    const std::int64_t s = plan.fop_[a];
+    const std::int64_t s = fop_[a];
     if (s < 1 || s > axes[a].length) {
-      return std::nullopt;
+      return false;
     }
     const std::int64_t l = CeilDiv(axes[a].length, s);
-    plan.axis_slice_[a] = l;
-    plan.padding_ratio_ *=
-        static_cast<double>(axes[a].length) / static_cast<double>(l * s);
-    plan.cores_used_ *= s;
-  }
-
-  // Reduce group: cores holding partial outputs.
-  plan.reduce_group_ = 1;
-  for (int r : op.ReductionAxes()) {
-    plan.reduce_group_ *= plan.fop_[r];
+    axis_slice_[a] = l;
+    padding_ratio_ *= static_cast<double>(axes[a].length) / static_cast<double>(l * s);
+    cores_used_ *= s;
+    if (axes[a].reduction) {
+      reduce_group_ *= s;
+    }
   }
 
   // Per-tensor geometry.
-  std::vector<const TensorRef*> operands;
-  for (const TensorRef& input : op.inputs()) {
-    operands.push_back(&input);
-  }
-  operands.push_back(&op.output());
-
-  plan.tensors_.resize(operands.size());
-  for (std::size_t ti = 0; ti < operands.size(); ++ti) {
-    const TensorRef& tensor = *operands[ti];
-    const bool is_output = ti + 1 == operands.size();
-    RTensorPlan& tp = plan.tensors_[ti];
+  tensors_.resize(num_tensors);
+  for (std::size_t ti = 0; ti < num_tensors; ++ti) {
+    const TensorRef& tensor = Operand(op, ti);
+    const bool is_output = ti + 1 == num_tensors;
+    RTensorPlan& tp = tensors_[ti];
     tp.temporal = temporal_factors[ti];
     T10_CHECK_EQ(tp.temporal.size(), tensor.dims.size()) << op.name() << " " << tensor.name;
 
+    tp.spatial.clear();
+    tp.sub_shape.clear();
     for (std::size_t d = 0; d < tensor.dims.size(); ++d) {
       const DimRef& dim = tensor.dims[d];
-      std::int64_t s = plan.fop_[dim.axis];
-      std::int64_t sub = plan.axis_slice_[dim.axis];
+      std::int64_t s = fop_[dim.axis];
+      std::int64_t sub = axis_slice_[dim.axis];
       if (dim.compound()) {
-        s *= plan.fop_[dim.minor_axis];
-        sub = dim.stride * (sub - 1) + plan.axis_slice_[dim.minor_axis];
+        s *= fop_[dim.minor_axis];
+        sub = dim.stride * (sub - 1) + axis_slice_[dim.minor_axis];
       }
       tp.spatial.push_back(s);
       tp.sub_shape.push_back(sub);
@@ -84,22 +93,24 @@ std::optional<ExecutionPlan> ExecutionPlan::Create(
     tp.share_cores = 1;
     for (std::size_t a = 0; a < axes.size(); ++a) {
       if (!Operator::TensorUsesAxis(tensor, static_cast<int>(a))) {
-        tp.share_cores *= plan.fop_[a];
+        tp.share_cores *= fop_[a];
       }
     }
 
     tp.ring_size = 1;
+    tp.window.clear();
+    tp.rotating_dims.clear();
     for (std::size_t d = 0; d < tensor.dims.size(); ++d) {
       const std::int64_t ft = tp.temporal[d];
       if (ft < 1) {
-        return std::nullopt;
+        return false;
       }
       if (ft > 1) {
         // Alignment rules: no temporal split of compound dims, no temporal
         // split of the output (reduce-scatter epilogue instead), and the
         // window length must tile the sub-tensor exactly.
         if (tensor.dims[d].compound() || is_output || tp.sub_shape[d] % ft != 0) {
-          return std::nullopt;
+          return false;
         }
         tp.rotating_dims.push_back(static_cast<int>(d));
       }
@@ -107,7 +118,7 @@ std::optional<ExecutionPlan> ExecutionPlan::Create(
       tp.ring_size *= ft;
     }
     if (tp.share_cores % tp.ring_size != 0) {
-      return std::nullopt;  // Rings must evenly cover the sharing cores.
+      return false;  // Rings must evenly cover the sharing cores.
     }
     tp.replicas = tp.share_cores / tp.ring_size;
 
@@ -117,13 +128,13 @@ std::optional<ExecutionPlan> ExecutionPlan::Create(
   }
 
   // Rotating pace per axis: minimum window among tensors rotating on it.
-  plan.axis_pace_.assign(axes.size(), 0);
-  for (std::size_t ti = 0; ti < operands.size(); ++ti) {
-    const RTensorPlan& tp = plan.tensors_[ti];
+  axis_pace_.assign(axes.size(), 0);
+  for (std::size_t ti = 0; ti < num_tensors; ++ti) {
+    const RTensorPlan& tp = tensors_[ti];
     for (int d : tp.rotating_dims) {
-      const int a = operands[ti]->dims[d].axis;
+      const int a = Operand(op, ti).dims[d].axis;
       const std::int64_t w = tp.window[static_cast<std::size_t>(d)];
-      std::int64_t& pace = plan.axis_pace_[a];
+      std::int64_t& pace = axis_pace_[a];
       pace = pace == 0 ? w : std::min(pace, w);
     }
   }
@@ -131,42 +142,39 @@ std::optional<ExecutionPlan> ExecutionPlan::Create(
   // Loop nest over rotated axes. The axis whose rotating tensors are smallest
   // becomes the innermost loop (paper §4.4: it iterates most often, so it
   // should move the least data).
-  struct AxisKey {
-    int axis;
-    std::int64_t smallest_tensor_bytes;
-  };
-  std::vector<AxisKey> rotated;
-  for (std::size_t a = 0; a < axes.size(); ++a) {
-    if (plan.axis_pace_[a] == 0) {
-      continue;
-    }
+  auto smallest_rotating_bytes = [&](int axis) {
     std::int64_t smallest = INT64_MAX;
-    for (std::size_t ti = 0; ti < operands.size(); ++ti) {
-      const RTensorPlan& tp = plan.tensors_[ti];
-      for (int d : tp.rotating_dims) {
-        if (operands[ti]->dims[d].axis == static_cast<int>(a)) {
-          smallest = std::min(smallest, tp.sub_bytes);
+    for (std::size_t ti = 0; ti < num_tensors; ++ti) {
+      for (int d : tensors_[ti].rotating_dims) {
+        if (Operand(op, ti).dims[d].axis == axis) {
+          smallest = std::min(smallest, tensors_[ti].sub_bytes);
         }
       }
     }
-    rotated.push_back(AxisKey{static_cast<int>(a), smallest});
+    return smallest;
+  };
+  loops_.clear();
+  for (std::size_t a = 0; a < axes.size(); ++a) {
+    if (axis_pace_[a] == 0) {
+      continue;
+    }
+    RotationLoop loop;
+    loop.axis = static_cast<int>(a);
+    loop.pace = axis_pace_[a];
+    // The window lengths divide the axis slice, so the pace does too.
+    T10_CHECK_EQ(axis_slice_[a] % loop.pace, 0);
+    loop.steps = axis_slice_[a] / loop.pace;
+    loops_.push_back(loop);
   }
-  std::sort(rotated.begin(), rotated.end(), [](const AxisKey& x, const AxisKey& y) {
-    if (x.smallest_tensor_bytes != y.smallest_tensor_bytes) {
-      return x.smallest_tensor_bytes > y.smallest_tensor_bytes;  // Outer = larger.
+  std::sort(loops_.begin(), loops_.end(), [&](const RotationLoop& x, const RotationLoop& y) {
+    const std::int64_t x_bytes = smallest_rotating_bytes(x.axis);
+    const std::int64_t y_bytes = smallest_rotating_bytes(y.axis);
+    if (x_bytes != y_bytes) {
+      return x_bytes > y_bytes;  // Outer = larger.
     }
     return x.axis < y.axis;
   });
-  for (const AxisKey& key : rotated) {
-    RotationLoop loop;
-    loop.axis = key.axis;
-    loop.pace = plan.axis_pace_[key.axis];
-    // The window lengths divide the axis slice, so the pace does too.
-    T10_CHECK_EQ(plan.axis_slice_[key.axis] % loop.pace, 0);
-    loop.steps = plan.axis_slice_[key.axis] / loop.pace;
-    plan.loops_.push_back(loop);
-  }
-  return plan;
+  return true;
 }
 
 std::int64_t ExecutionPlan::total_steps() const {
@@ -179,19 +187,19 @@ std::int64_t ExecutionPlan::total_steps() const {
 
 SubTaskShape ExecutionPlan::StepSubTask() const {
   const std::vector<Axis>& axes = op_->axes();
-  std::vector<std::int64_t> extent(axes.size());
-  for (std::size_t a = 0; a < axes.size(); ++a) {
-    extent[a] = axis_pace_[a] > 0 ? axis_pace_[a] : axis_slice_[a];
-  }
+  // A rotated axis advances one pace per step; the others cover their slice.
+  auto extent = [this](std::size_t a) {
+    return axis_pace_[a] > 0 ? axis_pace_[a] : axis_slice_[a];
+  };
 
   SubTaskShape shape;
   shape.kind = op_->kind();
   double domain = 1.0;
   double reduction = 1.0;
   for (std::size_t a = 0; a < axes.size(); ++a) {
-    domain *= static_cast<double>(extent[a]);
+    domain *= static_cast<double>(extent(a));
     if (axes[a].reduction) {
-      reduction *= static_cast<double>(extent[a]);
+      reduction *= static_cast<double>(extent(a));
     }
   }
   switch (op_->kind()) {
@@ -228,7 +236,7 @@ SubTaskShape ExecutionPlan::StepSubTask() const {
   }
 
   shape.inner_length =
-      op_->output().dims.empty() ? 1 : extent[op_->output().dims.back().axis];
+      op_->output().dims.empty() ? 1 : extent(op_->output().dims.back().axis);
   if (op_->kind() == OpKind::kContraction && has_compound) {
     shape.kernel_volume = static_cast<std::int64_t>(reduction);
   }
@@ -262,15 +270,10 @@ PlanMetrics ExecutionPlan::Evaluate(const TimingSource& timing, const ChipSpec& 
   // Rotation shifts: a tensor rotating on axis `a` ships one slab of
   // thickness rp each time loop `a` advances; loop `a` advances once per
   // iteration of every loop at its level or outside it.
-  std::vector<const TensorRef*> operands;
-  for (const TensorRef& input : op_->inputs()) {
-    operands.push_back(&input);
-  }
-  operands.push_back(&op_->output());
   for (std::size_t ti = 0; ti < tensors_.size(); ++ti) {
     const RTensorPlan& tp = tensors_[ti];
     for (int d : tp.rotating_dims) {
-      const int axis = operands[ti]->dims[d].axis;
+      const int axis = Operand(*op_, ti).dims[d].axis;
       std::int64_t advances = 1;
       for (const RotationLoop& loop : loops_) {
         advances *= loop.steps;

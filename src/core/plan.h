@@ -27,6 +27,7 @@
 
 #include <cstdint>
 #include <optional>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -93,10 +94,17 @@ class ExecutionPlan {
   // temporal factors (inputs first, output last; the output entry must be all
   // ones). Returns nullopt if the combination violates an alignment or
   // divisibility rule — enumeration treats that as "not a plan" rather than
-  // an error.
+  // an error. Equivalent to Rebuild() on a fresh plan.
   static std::optional<ExecutionPlan> Create(
-      const Operator& op, std::vector<std::int64_t> fop,
-      std::vector<std::vector<std::int64_t>> temporal_factors);
+      const Operator& op, const std::vector<std::int64_t>& fop,
+      const std::vector<std::vector<std::int64_t>>& temporal_factors);
+
+  // Re-derives this plan in place, reusing the storage of its vectors: the
+  // search rebuilds one scratch plan per candidate and allocates nothing once
+  // that storage has grown. Returns false on the same rule violations as
+  // Create(); the plan is then unusable until the next successful Rebuild().
+  bool Rebuild(const Operator& op, std::span<const std::int64_t> fop,
+               std::span<const std::vector<std::int64_t>> temporal_factors);
 
   const Operator& op() const { return *op_; }
   const std::vector<std::int64_t>& fop() const { return fop_; }
@@ -130,7 +138,7 @@ class ExecutionPlan {
   std::string DebugString() const;
 
   // Default-constructed plans are invalid placeholders (op() is unset); only
-  // plans returned by Create() may be evaluated.
+  // plans returned by Create() or successfully Rebuild() may be evaluated.
   ExecutionPlan() = default;
 
  private:

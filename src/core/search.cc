@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <chrono>
 #include <cmath>
+#include <limits>
+#include <optional>
 
 #include "src/obs/metrics.h"
 #include "src/util/logging.h"
@@ -28,15 +30,15 @@ std::vector<std::int64_t> AxisFactorCandidates(std::int64_t length, std::int64_t
 }
 
 // All temporal factor vectors for one tensor: all-ones, plus every way of
-// splitting at most `max_dims` non-compound dims by divisors of the sharing
-// count P that also tile the sub-tensor exactly.
+// splitting at most `max_dims` (0, 1 or 2) non-compound dims by divisors of
+// the sharing count P that also tile the sub-tensor exactly.
 std::vector<std::vector<std::int64_t>> TemporalOptions(const TensorRef& tensor,
                                                        const std::vector<std::int64_t>& sub_shape,
                                                        std::int64_t share_cores, int max_dims) {
   const std::size_t rank = tensor.dims.size();
   std::vector<std::vector<std::int64_t>> options;
   options.emplace_back(rank, 1);  // Full replication across rings of one core.
-  if (share_cores <= 1 || rank == 0) {
+  if (max_dims == 0 || share_cores <= 1 || rank == 0) {
     return options;
   }
   for (std::size_t d = 0; d < rank; ++d) {
@@ -110,6 +112,22 @@ ExecutionPlan VendorPlan(const Operator& op, const ChipSpec& chip) {
   return *plan;
 }
 
+// A visited F_op and the temporal options of each of its inputs, stored once
+// and shared by every surviving candidate of that F_op.
+struct FopOptions {
+  std::vector<std::int64_t> fop;
+  std::vector<std::vector<std::vector<std::int64_t>>> per_input;  // [input][option] = f_t.
+};
+
+// A candidate that passed every filter, kept compactly: its predicted
+// metrics and what rebuilds its plan. Only frontier members are rebuilt.
+struct Survivor {
+  PlanMetrics predicted;
+  std::size_t fop_id = 0;   // Index into EnumerationState::fops.
+  std::size_t options = 0;  // Offset of its per-input option indices in
+                            // EnumerationState::survivor_options.
+};
+
 struct EnumerationState {
   const Operator* op = nullptr;
   const ChipSpec* chip = nullptr;
@@ -119,7 +137,15 @@ struct EnumerationState {
   std::vector<std::int64_t> suffix_max_product;
   std::int64_t min_cores = 1;
   std::vector<std::int64_t> fop;
-  std::vector<PlanCandidate> candidates;
+  // The candidate being costed: its temporal factors (output last, all
+  // ones), the index of each input's option, and the plan rebuilt in place
+  // from them. Reused for every candidate, so costing allocates nothing.
+  std::vector<std::vector<std::int64_t>> chosen;
+  std::vector<std::size_t> chosen_option;
+  ExecutionPlan scratch;
+  std::vector<FopOptions> fops;
+  std::vector<Survivor> survivors;
+  std::vector<std::size_t> survivor_options;  // Per survivor, one index per input.
   std::int64_t evaluations = 0;  // Enumeration attempts (budget control).
   std::int64_t fop_count = 0;
   // Phase wall-time split, accumulated per evaluation and published once per
@@ -144,7 +170,9 @@ void EvaluateFop(EnumerationState& state) {
     return;
   }
 
-  std::vector<std::vector<std::vector<std::int64_t>>> per_input_options;
+  const std::size_t fop_id = state.fops.size();
+  FopOptions& entry = state.fops.emplace_back();
+  entry.fop = state.fop;
   for (const TensorRef& input : op.inputs()) {
     std::vector<std::int64_t> sub_shape;
     for (const DimRef& dim : input.dims) {
@@ -160,13 +188,11 @@ void EvaluateFop(EnumerationState& state) {
         share *= state.fop[a];
       }
     }
-    per_input_options.push_back(TemporalOptions(input, sub_shape, share,
-                                                state.constraints->max_rotating_dims));
+    entry.per_input.push_back(TemporalOptions(input, sub_shape, share,
+                                              state.constraints->max_rotating_dims));
   }
 
   // Cartesian product of per-input temporal options.
-  std::vector<std::vector<std::int64_t>> chosen(op.inputs().size() + 1);
-  chosen.back().assign(op.output().dims.size(), 1);
   auto recurse = [&](auto&& self, std::size_t input_index) -> void {
     if (state.evaluations >= state.constraints->max_evaluations) {
       return;
@@ -174,22 +200,25 @@ void EvaluateFop(EnumerationState& state) {
     if (input_index == op.inputs().size()) {
       ++state.evaluations;
       const auto t0 = std::chrono::steady_clock::now();
-      auto plan = ExecutionPlan::Create(op, state.fop, chosen);
-      const bool filtered =
-          !plan.has_value() || plan->PerCoreBytes(*state.chip) > state.chip->core_memory_bytes;
+      const bool filtered = !state.scratch.Rebuild(op, state.fop, state.chosen) ||
+                            state.scratch.PerCoreBytes(*state.chip) > state.chip->core_memory_bytes;
       const auto t1 = std::chrono::steady_clock::now();
       state.filter_seconds += std::chrono::duration<double>(t1 - t0).count();
       if (filtered) {
         return;
       }
-      PlanCandidate candidate{*plan, plan->Evaluate(*state.cost, *state.chip)};
+      state.survivors.push_back(Survivor{state.scratch.Evaluate(*state.cost, *state.chip), fop_id,
+                                         state.survivor_options.size()});
+      state.survivor_options.insert(state.survivor_options.end(), state.chosen_option.begin(),
+                                    state.chosen_option.end());
       state.cost_eval_seconds +=
           std::chrono::duration<double>(std::chrono::steady_clock::now() - t1).count();
-      state.candidates.push_back(std::move(candidate));
       return;
     }
-    for (const auto& option : per_input_options[input_index]) {
-      chosen[input_index] = option;
+    const auto& options = entry.per_input[input_index];
+    for (std::size_t o = 0; o < options.size(); ++o) {
+      state.chosen[input_index] = options[o];
+      state.chosen_option[input_index] = o;
       self(self, input_index + 1);
     }
   };
@@ -221,30 +250,60 @@ void EnumerateFop(EnumerationState& state, std::size_t axis, std::int64_t produc
   state.fop[axis] = 1;
 }
 
-}  // namespace
-
-std::vector<PlanCandidate> ParetoFrontier(std::vector<PlanCandidate> candidates) {
-  std::sort(candidates.begin(), candidates.end(),
-            [](const PlanCandidate& x, const PlanCandidate& y) {
-              if (x.predicted.per_core_bytes != y.predicted.per_core_bytes) {
-                return x.predicted.per_core_bytes < y.predicted.per_core_bytes;
-              }
-              return x.predicted.total_seconds() < y.predicted.total_seconds();
-            });
-  std::vector<PlanCandidate> frontier;
+// Sorts by (per-core bytes, time) and keeps each item faster than every one
+// before it: the Pareto frontier, memory ascending. The one frontier routine,
+// shared by ParetoFrontier() and the search's compact survivors, so both pick
+// the same plans, exact ties included.
+template <typename T>
+std::vector<T> Frontier(std::vector<T> items) {
+  std::sort(items.begin(), items.end(), [](const T& x, const T& y) {
+    if (x.predicted.per_core_bytes != y.predicted.per_core_bytes) {
+      return x.predicted.per_core_bytes < y.predicted.per_core_bytes;
+    }
+    return x.predicted.total_seconds() < y.predicted.total_seconds();
+  });
+  std::vector<T> frontier;
   double best_time = std::numeric_limits<double>::infinity();
-  for (PlanCandidate& candidate : candidates) {
-    if (candidate.predicted.total_seconds() < best_time) {
-      best_time = candidate.predicted.total_seconds();
-      frontier.push_back(std::move(candidate));
+  for (T& item : items) {
+    if (item.predicted.total_seconds() < best_time) {
+      best_time = item.predicted.total_seconds();
+      frontier.push_back(std::move(item));
     }
   }
   return frontier;
 }
 
+// Reduces the search's survivors to the frontier and builds a full plan for
+// each frontier member only.
+std::vector<PlanCandidate> FrontierPlans(EnumerationState& state) {
+  const Operator& op = *state.op;
+  std::vector<std::vector<std::int64_t>> temporal = state.chosen;  // Output entry: all ones.
+  const std::vector<Survivor> frontier = Frontier(std::move(state.survivors));
+  std::vector<PlanCandidate> plans;
+  plans.reserve(frontier.size());
+  for (const Survivor& survivor : frontier) {
+    const FopOptions& entry = state.fops[survivor.fop_id];
+    for (std::size_t i = 0; i < op.inputs().size(); ++i) {
+      temporal[i] = entry.per_input[i][state.survivor_options[survivor.options + i]];
+    }
+    std::optional<ExecutionPlan> plan = ExecutionPlan::Create(op, entry.fop, temporal);
+    T10_CHECK(plan.has_value()) << op.name() << ": a costed candidate failed to rebuild";
+    plans.push_back(PlanCandidate{*std::move(plan), survivor.predicted});
+  }
+  return plans;
+}
+
+}  // namespace
+
+std::vector<PlanCandidate> ParetoFrontier(std::vector<PlanCandidate> candidates) {
+  return Frontier(std::move(candidates));
+}
+
 IntraOpResult SearchOperatorPlans(const Operator& op, const ChipSpec& chip,
                                   const TimingSource& cost_model,
                                   const SearchConstraints& constraints) {
+  T10_CHECK(constraints.max_rotating_dims >= 0 && constraints.max_rotating_dims <= 2)
+      << "max_rotating_dims must be 0, 1 or 2, got " << constraints.max_rotating_dims;
   obs::MetricsRegistry& metrics = obs::MetricsRegistry::Global();
   metrics.GetCounter("compiler.search.searches").Increment();
   IntraOpResult result;
@@ -267,6 +326,9 @@ IntraOpResult SearchOperatorPlans(const Operator& op, const ChipSpec& chip,
     state.cost = &cost_model;
     state.constraints = &active;
     state.fop.assign(op.axes().size(), 1);
+    state.chosen.resize(op.inputs().size());
+    state.chosen.emplace_back(op.output().dims.size(), 1);
+    state.chosen_option.resize(op.inputs().size());
 
     double achievable = 1.0;
     for (const Axis& axis : op.axes()) {
@@ -297,7 +359,7 @@ IntraOpResult SearchOperatorPlans(const Operator& op, const ChipSpec& chip,
     // rule-based constraint and were costed (Fig 18's middle bar);
     // enumeration attempts that fail an alignment/divisibility rule are not
     // plans.
-    result.filtered_count = static_cast<std::int64_t>(state.candidates.size());
+    result.filtered_count = static_cast<std::int64_t>(state.survivors.size());
     result.fop_count = state.fop_count;
 
     metrics.GetCounter("compiler.search.evaluations").Add(state.evaluations);
@@ -310,9 +372,9 @@ IntraOpResult SearchOperatorPlans(const Operator& op, const ChipSpec& chip,
     metrics.GetHistogram("compiler.phase.enumeration.seconds")
         .Record(std::max(0.0, enum_total - state.filter_seconds - state.cost_eval_seconds));
 
-    if (!state.candidates.empty()) {
+    if (!state.survivors.empty()) {
       obs::ScopedTimer pareto_timer("compiler.phase.pareto.seconds");
-      result.pareto = ParetoFrontier(std::move(state.candidates));
+      result.pareto = FrontierPlans(state);
       metrics.GetCounter("compiler.search.pareto_plans")
           .Add(static_cast<std::int64_t>(result.pareto.size()));
       return result;

@@ -29,7 +29,8 @@ struct SearchConstraints {
   double parallelism_fraction = 0.9;
   // Keep plans whose total padding ratio (original/padded size) >= this.
   double padding_threshold = 0.9;
-  // Maximum number of dims of one tensor that f_t may split simultaneously.
+  // Maximum number of dims of one tensor that f_t may split simultaneously:
+  // 0 (replication only, no rotation), 1 or 2. Other values CHECK-fail.
   int max_rotating_dims = 2;
   // Safety cap on cost-model evaluations per operator.
   std::int64_t max_evaluations = 2000000;

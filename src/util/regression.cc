@@ -69,7 +69,7 @@ bool LinearRegression::Fit() {
   return true;
 }
 
-double LinearRegression::Predict(const std::vector<double>& features) const {
+double LinearRegression::Predict(std::span<const double> features) const {
   T10_CHECK_EQ(features.size(), coefficients_.size());
   double y = 0.0;
   for (std::size_t i = 0; i < features.size(); ++i) {

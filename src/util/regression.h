@@ -5,6 +5,7 @@
 #define T10_SRC_UTIL_REGRESSION_H_
 
 #include <cstddef>
+#include <span>
 #include <vector>
 
 namespace t10 {
@@ -24,7 +25,7 @@ class LinearRegression {
   bool Fit();
 
   // Predicted value for a feature vector; requires a successful Fit().
-  double Predict(const std::vector<double>& features) const;
+  double Predict(std::span<const double> features) const;
 
   // Coefficient of determination over the training set; requires Fit().
   double RSquared() const;

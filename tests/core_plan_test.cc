@@ -192,5 +192,64 @@ TEST(ExecutionPlanTest, LoopOrderPutsSmallerTensorInner) {
   EXPECT_EQ(plan->loops().back().axis, op.FindAxis("k"));
 }
 
+// The search rebuilds one plan in place for every candidate: each Rebuild
+// must leave nothing of the previous configuration behind (vectors shrink,
+// loops reorder, a failed Rebuild in between is harmless), so the result
+// equals a fresh Create of the same configuration, down to its cost.
+TEST(ExecutionPlanTest, RebuildInPlaceMatchesCreate) {
+  const ChipSpec chip = TestChip();
+  const GroundTruthTiming timing(chip);
+  const Operator mm = MatMulOp("mm", 4, 64, 16, DataType::kF16, "A", "B", "C");
+  const Operator conv = Conv2dOp("conv", 1, 4, 8, 8, 8, 3, 3, DataType::kF16, "I", "W", "O");
+  std::vector<std::int64_t> conv_fop(conv.axes().size(), 1);
+  conv_fop[static_cast<std::size_t>(conv.FindAxis("h"))] = 2;
+  conv_fop[static_cast<std::size_t>(conv.FindAxis("f"))] = 2;
+  struct Config {
+    const Operator* op;
+    std::vector<std::int64_t> fop;
+    std::vector<std::vector<std::int64_t>> ft;
+  };
+  const std::vector<Config> configs = {
+      {&mm, {2, 2, 1}, {{1, 2}, {1, 2}, {1, 1}}},  // Two rotation loops.
+      {&conv, conv_fop, {{1, 2, 1, 1}, {1, 1, 1, 1}, {1, 1, 1, 1}}},
+      {&mm, {2, 2, 1}, {{1, 2}, {1, 1}, {2, 1}}},  // Invalid: the output rotates.
+      {&mm, {1, 1, 4}, {{1, 1}, {1, 1}, {1, 1}}},  // Reduce group, no rotation.
+      {&mm, {2, 2, 1}, {{1, 2}, {2, 1}, {1, 1}}},
+  };
+  ExecutionPlan scratch;
+  for (const Config& c : configs) {
+    const std::optional<ExecutionPlan> fresh = ExecutionPlan::Create(*c.op, c.fop, c.ft);
+    ASSERT_EQ(scratch.Rebuild(*c.op, c.fop, c.ft), fresh.has_value());
+    if (!fresh.has_value()) {
+      continue;
+    }
+    SCOPED_TRACE(fresh->DebugString());
+    EXPECT_EQ(scratch.DebugString(), fresh->DebugString());
+    EXPECT_EQ(scratch.axis_slices(), fresh->axis_slices());
+    ASSERT_EQ(scratch.tensors().size(), fresh->tensors().size());
+    for (std::size_t t = 0; t < fresh->tensors().size(); ++t) {
+      const RTensorPlan& got = scratch.tensors()[t];
+      const RTensorPlan& want = fresh->tensors()[t];
+      EXPECT_EQ(got.spatial, want.spatial);
+      EXPECT_EQ(got.temporal, want.temporal);
+      EXPECT_EQ(got.sub_shape, want.sub_shape);
+      EXPECT_EQ(got.window, want.window);
+      EXPECT_EQ(got.rotating_dims, want.rotating_dims);
+      EXPECT_EQ(got.sub_bytes, want.sub_bytes);
+    }
+    ASSERT_EQ(scratch.loops().size(), fresh->loops().size());
+    for (std::size_t l = 0; l < fresh->loops().size(); ++l) {
+      EXPECT_EQ(scratch.loops()[l].axis, fresh->loops()[l].axis);
+      EXPECT_EQ(scratch.loops()[l].pace, fresh->loops()[l].pace);
+      EXPECT_EQ(scratch.loops()[l].steps, fresh->loops()[l].steps);
+    }
+    const PlanMetrics got = scratch.Evaluate(timing, chip);
+    const PlanMetrics want = fresh->Evaluate(timing, chip);
+    EXPECT_EQ(got.total_seconds(), want.total_seconds());
+    EXPECT_EQ(got.per_core_bytes, want.per_core_bytes);
+    EXPECT_EQ(got.shift_bytes_per_core, want.shift_bytes_per_core);
+  }
+}
+
 }  // namespace
 }  // namespace t10

@@ -3,8 +3,12 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <map>
+#include <sstream>
+#include <string>
 
 #include "src/core/cost_model.h"
+#include "src/core/pass/plan_cache.h"
 #include "src/ir/builder.h"
 
 namespace t10 {
@@ -113,6 +117,122 @@ TEST_F(SearchTest, SkinnyMatMulUsesReductionPartitioning) {
     }
   }
   EXPECT_TRUE(uses_reduction_split);
+}
+
+TEST_F(SearchTest, ZeroRotatingDimsMeansReplicationOnly) {
+  Operator op = MatMulOp("mm", 64, 256, 64, DataType::kF16, "A", "B", "C");
+  SearchConstraints replicate;
+  replicate.max_rotating_dims = 0;
+  IntraOpResult result = SearchOperatorPlans(op, chip_, timing_, replicate);
+  ASSERT_FALSE(result.pareto.empty());
+  for (const PlanCandidate& c : result.pareto) {
+    for (const RTensorPlan& tp : c.plan.tensors()) {
+      EXPECT_TRUE(tp.rotating_dims.empty()) << c.plan.DebugString();
+    }
+    EXPECT_EQ(c.plan.total_steps(), 1);
+  }
+  // One temporal option per input: one candidate per F_op at most.
+  EXPECT_LE(result.filtered_count, result.fop_count);
+  EXPECT_LT(result.filtered_count, SearchOperatorPlans(op, chip_, timing_).filtered_count);
+}
+
+using SearchDeathTest = SearchTest;
+
+TEST_F(SearchDeathTest, MoreThanTwoRotatingDimsIsRejected) {
+  Operator op = MatMulOp("mm", 64, 256, 64, DataType::kF16, "A", "B", "C");
+  SearchConstraints constraints;
+  constraints.max_rotating_dims = 3;
+  EXPECT_DEATH(SearchOperatorPlans(op, chip_, timing_, constraints), "max_rotating_dims");
+}
+
+// FNV checksum of everything a search returns: each frontier plan's F_op,
+// every tensor's temporal factors and the predicted metrics (hexfloat, so
+// any bit of drift shows), plus the space statistics.
+std::uint64_t ResultChecksum(const IntraOpResult& result) {
+  std::ostringstream out;
+  out << std::hexfloat << result.complete_space_log10 << " " << result.filtered_count << " "
+      << result.fop_count << "\n";
+  for (const PlanCandidate& c : result.pareto) {
+    for (std::int64_t f : c.plan.fop()) {
+      out << f << ",";
+    }
+    for (const RTensorPlan& tp : c.plan.tensors()) {
+      out << "|";
+      for (std::int64_t f : tp.temporal) {
+        out << f << ",";
+      }
+    }
+    const PlanMetrics& m = c.predicted;
+    out << " " << m.cores_used << " " << m.steps << " " << m.compute_seconds << " "
+        << m.exchange_seconds << " " << m.epilogue_seconds << " " << m.per_core_bytes << " "
+        << m.shift_bytes_per_core << " " << m.padding_ratio << " " << m.interchip_bytes << " "
+        << m.interchip_seconds << "\n";
+  }
+  return Fnv1a64(out.str());
+}
+
+struct GoldenCase {
+  std::string name;
+  Operator op;
+  SearchConstraints constraints;
+};
+
+std::vector<GoldenCase> GoldenBattery() {
+  SearchConstraints one_dim;
+  one_dim.max_rotating_dims = 1;
+  return {
+      {"MatMul", MatMulOp("mm", 64, 256, 64, DataType::kF16, "A", "B", "C"), {}},
+      {"BatchedMatMul",
+       BatchedMatMulOp("bmm", 4, 32, 64, 48, DataType::kF16, "A", "B", "C"), {}},
+      {"StridedPaddedConv",
+       Conv2dOp("conv", 2, 8, 16, 15, 15, 3, 3, DataType::kF16, "I", "W", "O", /*stride=*/2), {}},
+      {"Binary", BinaryOp("add", {48, 80}, DataType::kF16, "x", "y", "z"), {}},
+      {"Unary", ElementwiseOp("gelu", {30, 64}, DataType::kF16, "x", "y", 8.0), {}},
+      {"Reduce", ReduceOp("sum", {96, 200}, DataType::kF16, "x", "y"), {}},
+      {"MaxRotatingDims1", MatMulOp("mm1", 48, 96, 80, DataType::kF16, "A", "B", "C"), one_dim},
+      {"TinyRelaxation", ElementwiseOp("tiny", {2, 2}, DataType::kF16, "x", "y"), {}},
+  };
+}
+
+// Pins the search output, under both the ground truth and the fitted cost
+// model, so a change to enumeration, costing or the frontier that alters any
+// plan or prediction fails here rather than only in end-to-end fingerprints.
+TEST_F(SearchTest, GoldenFrontierChecksums) {
+  const std::map<std::string, std::uint64_t> golden = {
+      {"MatMul/truth", 0xf0de3cf2048e6d6cULL},
+      {"MatMul/fitted", 0xf69b4a593e79d84fULL},
+      {"BatchedMatMul/truth", 0x122f418e973a7336ULL},
+      {"BatchedMatMul/fitted", 0x3555f355bff61c8fULL},
+      {"StridedPaddedConv/truth", 0x7d3ccd7ee2c1684cULL},
+      {"StridedPaddedConv/fitted", 0x7ccb0c211b503e17ULL},
+      {"Binary/truth", 0xb6e5b6d64e4931b8ULL},
+      {"Binary/fitted", 0x6845d304ffa1eafeULL},
+      {"Unary/truth", 0x98e0cdc4f3e15f0aULL},
+      {"Unary/fitted", 0x10cd027ca1078a45ULL},
+      {"Reduce/truth", 0xf62cc66e391faecaULL},
+      {"Reduce/fitted", 0x58975dda44e32e9bULL},
+      {"MaxRotatingDims1/truth", 0xaae220eb7418b018ULL},
+      {"MaxRotatingDims1/fitted", 0x5a18b1e4406c2449ULL},
+      {"TinyRelaxation/truth", 0x9242ce3bd2a3f096ULL},
+      {"TinyRelaxation/fitted", 0xb405d06407fca50eULL},
+  };
+  const FittedCostModel fitted = FittedCostModel::Fit(KernelGroundTruth(chip_), 100, 3);
+  for (const GoldenCase& c : GoldenBattery()) {
+    for (const auto& [suffix, timing] :
+         {std::pair<std::string, const TimingSource*>{"/truth", &timing_},
+          std::pair<std::string, const TimingSource*>{"/fitted", &fitted}}) {
+      const std::string name = c.name + suffix;
+      SCOPED_TRACE(name);
+      const std::uint64_t sum =
+          ResultChecksum(SearchOperatorPlans(c.op, chip_, *timing, c.constraints));
+      const auto it = golden.find(name);
+      if (it == golden.end()) {
+        ADD_FAILURE() << "no golden checksum; got 0x" << std::hex << sum;
+        continue;
+      }
+      EXPECT_EQ(sum, it->second) << "got 0x" << std::hex << sum;
+    }
+  }
 }
 
 TEST(ParetoFrontierTest, FiltersDominatedPlans) {

@@ -21,7 +21,7 @@ TEST(LinearRegressionTest, RecoversExactLinearModel) {
   EXPECT_NEAR(reg.coefficients()[1], 2.0, 1e-10);
   EXPECT_NEAR(reg.coefficients()[2], -0.5, 1e-10);
   EXPECT_NEAR(reg.RSquared(), 1.0, 1e-12);
-  EXPECT_NEAR(reg.Predict({1.0, 10.0, 4.0}), 3.0 + 20.0 - 2.0, 1e-8);
+  EXPECT_NEAR(reg.Predict(std::vector<double>{1.0, 10.0, 4.0}), 3.0 + 20.0 - 2.0, 1e-8);
 }
 
 TEST(LinearRegressionTest, NoisyFitHasHighRSquared) {
