@@ -1,13 +1,15 @@
 // Google-benchmark microbenchmarks of the compiler's hot paths: plan
-// geometry derivation, plan cost evaluation, intra-op search, and the
-// functional executor. These are the operations Fig 18/19's compile-time
-// numbers are built from. BM_ProgramExecutorRun times the byte-level
-// executor per operator, on the plans the search emits for them.
+// geometry derivation, plan cost evaluation and intra-op search. These are
+// the operations Fig 18/19's compile-time numbers are built from.
+// BM_ProgramExecutorRun times the byte-level executor per operator, on the
+// plans the search emits for them; BM_ProgramExecutorConstructAndRun adds
+// the executor's construction (lowering and placement geometry).
 
 #include <benchmark/benchmark.h>
 
+#include <optional>
+
 #include "src/core/compiler.h"
-#include "src/core/functional.h"
 #include "src/core/program_executor.h"
 #include "src/core/search.h"
 #include "src/fault/campaign.h"
@@ -86,62 +88,109 @@ void BM_IntraOpSearch(benchmark::State& state) {
 }
 BENCHMARK(BM_IntraOpSearch)->Arg(368)->Arg(1472)->Unit(benchmark::kMillisecond);
 
-void BM_FunctionalMatMul(benchmark::State& state) {
-  Operator op = MatMulOp("mm", 8, 24, 6, DataType::kF32, "A", "B", "C");
-  auto plan = ExecutionPlan::Create(op, {4, 3, 1}, {{1, 3}, {2, 1}, {1, 1}});
-  std::vector<HostTensor> inputs = {RandomHostTensor({8, 24}, 1),
-                                    RandomHostTensor({24, 6}, 2)};
-  for (auto _ : state) {
-    HostTensor out = ExecutePlanFunctionally(*plan, inputs);
-    benchmark::DoNotOptimize(out);
-  }
-}
-BENCHMARK(BM_FunctionalMatMul)->Unit(benchmark::kMicrosecond);
-
 // One f32 operator per argument, at the shapes of a small served MLP layer:
-// 0 = matmul, 1 = unary, 2 = conv (compound, strided input dims).
+// 0 = matmul, 1 = unary, 2 = conv (compound, strided input dims), 3 = the
+// matmul of 0 again, run with a fixed plan whose activation rotates on two
+// dims.
 Operator ExecutorOp(std::int64_t index) {
   switch (index) {
-    case 0:
-      return MatMulOp("fc", 16, 32, 32, DataType::kF32, "x", "w", "y");
     case 1:
       return ElementwiseOp("act", {16, 32}, DataType::kF32, "x", "y", /*cost=*/2.0);
-    default:
+    case 2:
       return Conv2dOp("conv", 1, 8, 8, 8, 8, 3, 3, DataType::kF32, "x", "w", "y",
                       /*stride=*/2);
+    default:
+      return MatMulOp("fc", 16, 32, 32, DataType::kF32, "x", "w", "y");
   }
 }
 
-// ProgramExecutor::Run per operator on a 16-core chip, with the plan the
-// serving runtime would pick from the search (fault::PickExecutablePlan).
+// An executor benchmark argument on a 16-core chip: its operator, inputs and
+// plan. Arguments 0-2 take the plan the serving runtime would pick from the
+// search (fault::PickExecutablePlan); argument 3 splits n four ways and
+// rotates x on both m and k, a 2x2 ring per n-slice.
+class ExecutorCase {
+ public:
+  ExecutorCase(std::int64_t index, const ChipSpec& chip) : op_(ExecutorOp(index)) {
+    if (index == 3) {
+      fixed_ = ExecutionPlan::Create(op_, {1, 4, 1}, {{2, 2}, {1, 1}, {1, 1}});
+      plan_ = fixed_.has_value() ? &*fixed_ : nullptr;
+    } else {
+      GroundTruthTiming timing(chip);
+      search_ = SearchOperatorPlans(op_, chip, timing);
+      plan_ = fault::PickExecutablePlan(search_, nullptr);
+    }
+    for (std::size_t i = 0; i < op_.inputs().size(); ++i) {
+      inputs_.push_back(RandomHostTensor(TensorShape(op_.axes(), op_.inputs()[i]), 1 + i));
+    }
+  }
+  ExecutorCase(const ExecutorCase&) = delete;
+  ExecutorCase& operator=(const ExecutorCase&) = delete;
+
+  const ExecutionPlan* plan() const { return plan_; }
+  const std::vector<HostTensor>& inputs() const { return inputs_; }
+  std::string Label() const {
+    return op_.name() + " steps=" + std::to_string(plan_->total_steps());
+  }
+
+ private:
+  const Operator op_;
+  IntraOpResult search_;
+  std::optional<ExecutionPlan> fixed_;
+  const ExecutionPlan* plan_ = nullptr;
+  std::vector<HostTensor> inputs_;
+};
+
+// Runs `executor` once; false (with the benchmark skipped) on error.
+bool RunOnce(benchmark::State& state, ProgramExecutor& executor,
+             const std::vector<HostTensor>& inputs) {
+  StatusOr<HostTensor> out = executor.Run(inputs);
+  if (!out.ok()) {
+    state.SkipWithError(out.status().ToString().c_str());
+    return false;
+  }
+  benchmark::DoNotOptimize(out->data.data());
+  benchmark::ClobberMemory();
+  return true;
+}
+
+// ProgramExecutor::Run per operator on a 16-core chip.
 void BM_ProgramExecutorRun(benchmark::State& state) {
   const ChipSpec chip = ChipSpec::ScaledIpu(16);
-  GroundTruthTiming timing(chip);
-  const Operator op = ExecutorOp(state.range(0));
-  const IntraOpResult search = SearchOperatorPlans(op, chip, timing);
-  const ExecutionPlan* plan = fault::PickExecutablePlan(search, nullptr);
-  if (plan == nullptr) {
+  const ExecutorCase c(state.range(0), chip);
+  if (c.plan() == nullptr) {
     state.SkipWithError("no executable plan");
     return;
   }
-  std::vector<HostTensor> inputs;
-  for (std::size_t i = 0; i < op.inputs().size(); ++i) {
-    inputs.push_back(RandomHostTensor(TensorShape(op.axes(), op.inputs()[i]), 1 + i));
-  }
   Machine machine(chip);
-  ProgramExecutor executor(machine, *plan);
+  ProgramExecutor executor(machine, *c.plan());
   for (auto _ : state) {
-    StatusOr<HostTensor> out = executor.Run(inputs);
-    if (!out.ok()) {
-      state.SkipWithError(out.status().ToString().c_str());
+    if (!RunOnce(state, executor, c.inputs())) {
       return;
     }
-    benchmark::DoNotOptimize(out->data.data());
-    benchmark::ClobberMemory();
   }
-  state.SetLabel(op.name() + " steps=" + std::to_string(plan->total_steps()));
+  state.SetLabel(c.Label());
 }
 BENCHMARK(BM_ProgramExecutorRun)->DenseRange(0, 2)->Unit(benchmark::kMicrosecond);
+
+// ProgramExecutor construction (LowerPlan, PlanGeometry) plus one Run: the
+// per-request cost when an executor is bound afresh for every request.
+void BM_ProgramExecutorConstructAndRun(benchmark::State& state) {
+  const ChipSpec chip = ChipSpec::ScaledIpu(16);
+  const ExecutorCase c(state.range(0), chip);
+  if (c.plan() == nullptr) {
+    state.SkipWithError("no executable plan");
+    return;
+  }
+  Machine machine(chip);
+  for (auto _ : state) {
+    ProgramExecutor executor(machine, *c.plan());
+    if (!RunOnce(state, executor, c.inputs())) {
+      return;
+    }
+  }
+  state.SetLabel(c.Label());
+}
+BENCHMARK(BM_ProgramExecutorConstructAndRun)->DenseRange(0, 3)->Unit(benchmark::kMicrosecond);
 
 }  // namespace
 }  // namespace t10

@@ -129,11 +129,16 @@ class JsonObject {
 };
 
 // T10_BENCH_JSON=<path>: a bench that keeps a BENCH_*.json baseline writes
-// `doc` there; unset, nothing is written.
+// `doc` there; unset, nothing is written. Reduced sweeps are not baselines,
+// so quick mode (T10_BENCH_QUICK=1) never writes.
 inline void WriteJsonBaseline(const JsonObject& doc) {
   // NOLINTNEXTLINE(concurrency-mt-unsafe): benchmarks read the environment single-threaded.
   const char* path = std::getenv("T10_BENCH_JSON");
   if (path == nullptr || path[0] == '\0') {
+    return;
+  }
+  if (QuickMode()) {
+    std::printf("quick mode: baseline %s not written\n", path);
     return;
   }
   std::ofstream out(path);

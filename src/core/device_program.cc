@@ -98,6 +98,7 @@ DeviceProgram LowerPlan(const ExecutionPlan& plan) {
           }
           ShiftSet shift;
           shift.operand = ti;
+          shift.dim = d;
           shift.slab_bytes =
               tp.window_bytes * plan.loops()[i].pace / tp.window[static_cast<std::size_t>(d)];
           step.shifts.push_back(shift);

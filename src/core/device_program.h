@@ -39,10 +39,12 @@ struct ComputeSet {
   std::int64_t vertices = 0;  // Number of cores participating.
 };
 
-// Rotate all rings of one tensor by its per-step slab (rp elements along the
-// rotating dim).
+// Rotate all rings of one tensor by its per-step slab (rp elements along
+// rotating dim `dim`). A tensor rotating on several dims moves, per shift,
+// within the sub-ring of cores that differ only in their `dim` coordinate.
 struct ShiftSet {
   int operand = -1;
+  int dim = -1;                 // The operand dim this shift rotates.
   std::int64_t slab_bytes = 0;  // Bytes each core sends this step.
 };
 

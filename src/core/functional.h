@@ -1,76 +1,10 @@
-// Functional execution of compute-shift plans.
-//
-// This module runs a plan's exact schedule — per-core sub-tasks, per-step
-// window rotation with the initial placement rule of paper §4.4 — over real
-// FP32 data and CHECK-fails if any core ever reads an element that is not in
-// one of its currently-held windows. Combined with a single-core reference
-// evaluation, this validates the two §4.2 alignment constraints and the §4.4
-// placement construction: a misaligned plan either trips the locality check
-// or produces a numerically wrong output.
-//
-// Initial placement: for every rotated axis `a`, all tensors rotating on `a`
-// co-start their windows at phase
-//     phi_a(core) = sum over rotating tensors X of rank_X(core) * w_X  (mod l_a)
-// where rank_X is the core's position in X's rotation ring and w_X is X's
-// window length along `a`. This generalizes Figure 10: every ring covers all
-// partitions exactly once, and every step's sub-task is simultaneously inside
-// every rotating tensor's window (windows of different tensors may have
-// different lengths, as in Figure 7(d)).
+// Forwarding header: HostTensor, ReferenceExecute and RandomHostTensor live
+// in host_tensor.h. Include that instead; this name remains only for
+// existing includers.
 
 #ifndef T10_SRC_CORE_FUNCTIONAL_H_
 #define T10_SRC_CORE_FUNCTIONAL_H_
 
-#include <cstdint>
-#include <vector>
-
-#include "src/core/plan.h"
-#include "src/util/status.h"
-
-namespace t10 {
-
-// A dense row-major FP32 tensor on the host.
-struct HostTensor {
-  std::vector<std::int64_t> shape;
-  std::vector<float> data;
-
-  static HostTensor Zeros(std::vector<std::int64_t> shape);
-  std::int64_t NumElements() const;
-  float& at(const std::vector<std::int64_t>& index);
-  float at(const std::vector<std::int64_t>& index) const;
-};
-
-struct FunctionalStats {
-  std::int64_t steps = 0;
-  // Rotation traffic accounted per core (sum over steps of slab bytes), for
-  // cross-checking against PlanMetrics::shift_bytes_per_core.
-  std::int64_t shift_bytes_per_core = 0;
-  // Elements whose window-locality was verified.
-  std::int64_t locality_checks = 0;
-};
-
-// Executes the plan's compute-shift schedule and returns the operator output.
-// Inputs are the operator's input tensors in order (shapes must match).
-// Supported kinds: kContraction, kElementwise (identity / addition semantics),
-// kReduceSum. CHECK-fails on kGather/kVendor (no tensor-expression
-// semantics) and on any locality violation.
-HostTensor ExecutePlanFunctionally(const ExecutionPlan& plan,
-                                   const std::vector<HostTensor>& inputs,
-                                   FunctionalStats* stats = nullptr);
-
-// Recoverable variant: caller-suppliable preconditions (unsupported operator
-// kind, wrong input arity, shape mismatch) come back as kInvalidArgument
-// instead of aborting. Locality violations remain CHECKs — those indicate a
-// buggy plan, not bad caller data.
-StatusOr<HostTensor> TryExecutePlanFunctionally(const ExecutionPlan& plan,
-                                                const std::vector<HostTensor>& inputs,
-                                                FunctionalStats* stats = nullptr);
-
-// Single-core reference evaluation of the operator with the same semantics.
-HostTensor ReferenceExecute(const Operator& op, const std::vector<HostTensor>& inputs);
-
-// Fills a tensor with a deterministic pseudo-random pattern (tests).
-HostTensor RandomHostTensor(std::vector<std::int64_t> shape, std::uint64_t seed);
-
-}  // namespace t10
+#include "src/core/host_tensor.h"
 
 #endif  // T10_SRC_CORE_FUNCTIONAL_H_

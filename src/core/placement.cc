@@ -3,6 +3,20 @@
 #include "src/util/logging.h"
 
 namespace t10 {
+namespace {
+
+// Ring-position stride of the k-th rotating dim of `tp` (the product of the
+// f_t of the rotating dims after it): that dim's coordinate of ring position
+// p is p / RingStride(tp, k) % f_t.
+std::int64_t RingStride(const RTensorPlan& tp, std::size_t k) {
+  std::int64_t stride = 1;
+  for (std::size_t i = k + 1; i < tp.rotating_dims.size(); ++i) {
+    stride *= tp.temporal[static_cast<std::size_t>(tp.rotating_dims[i])];
+  }
+  return stride;
+}
+
+}  // namespace
 
 PlanGeometry::PlanGeometry(const ExecutionPlan& plan) : plan_(&plan) {
   const Operator& op = plan.op();
@@ -16,6 +30,34 @@ PlanGeometry::PlanGeometry(const ExecutionPlan& plan) : plan_(&plan) {
     operands_.push_back(&input);
   }
   operands_.push_back(&op.output());
+
+  // The co-start phase is a valid partition assignment only if no two
+  // operands share a spatially split missing axis whenever some axis has
+  // several rotating tensors: otherwise ring neighbours of one tensor would
+  // disagree on another's phase contribution.
+  for (std::size_t a = 0; a < num_axes; ++a) {
+    int rotating_users = 0;
+    for (std::size_t ti = 0; ti < operands_.size(); ++ti) {
+      for (int d : plan.tensors()[ti].rotating_dims) {
+        if (operands_[ti]->dims[d].axis == static_cast<int>(a)) {
+          ++rotating_users;
+        }
+      }
+    }
+    if (rotating_users < 2) {
+      continue;
+    }
+    for (std::size_t t1 = 0; t1 < operands_.size(); ++t1) {
+      for (std::size_t t2 = t1 + 1; t2 < operands_.size(); ++t2) {
+        for (std::size_t b = 0; b < num_axes; ++b) {
+          const bool missing1 = !Operator::TensorUsesAxis(*operands_[t1], static_cast<int>(b));
+          const bool missing2 = !Operator::TensorUsesAxis(*operands_[t2], static_cast<int>(b));
+          T10_CHECK(!(missing1 && missing2 && fop[b] > 1))
+              << "co-rotating tensors share missing axis " << axes[b].name << " in " << op.name();
+        }
+      }
+    }
+  }
 
   // Loop lookup tables.
   axis_loop_.assign(num_axes, -1);
@@ -66,19 +108,15 @@ PlanGeometry::PlanGeometry(const ExecutionPlan& plan) : plan_(&plan) {
       if (tp.rotating_dims.empty()) {
         continue;
       }
-      std::int64_t ring_pos = rank % tp.ring_size;
-      std::vector<std::int64_t> pos(tp.rotating_dims.size());
-      for (std::size_t k = tp.rotating_dims.size(); k-- > 0;) {
-        const std::int64_t ft = tp.temporal[static_cast<std::size_t>(tp.rotating_dims[k])];
-        pos[k] = ring_pos % ft;
-        ring_pos /= ft;
-      }
+      const std::int64_t ring_pos = rank % tp.ring_size;
       for (std::size_t k = 0; k < tp.rotating_dims.size(); ++k) {
         const int d = tp.rotating_dims[k];
         const int a = operands_[ti]->dims[d].axis;
         const std::int64_t w = tp.window[static_cast<std::size_t>(d)];
+        const std::int64_t pos =
+            ring_pos / RingStride(tp, k) % tp.temporal[static_cast<std::size_t>(d)];
         phases_[c][static_cast<std::size_t>(a)] =
-            (phases_[c][static_cast<std::size_t>(a)] + pos[k] * w) % slice[a];
+            (phases_[c][static_cast<std::size_t>(a)] + pos * w) % slice[a];
       }
     }
   }
@@ -112,6 +150,14 @@ std::int64_t PlanGeometry::RingPosition(int operand, int core) const {
 
 std::int64_t PlanGeometry::SubTensorIndex(int operand, int core) const {
   return subtensor_idx_[static_cast<std::size_t>(operand)][static_cast<std::size_t>(core)];
+}
+
+std::int64_t PlanGeometry::DownstreamPosition(int operand, std::int64_t position,
+                                              std::size_t k) const {
+  const RTensorPlan& tp = plan_->tensors()[static_cast<std::size_t>(operand)];
+  const std::int64_t stride = RingStride(tp, k);
+  const std::int64_t ft = tp.temporal[static_cast<std::size_t>(tp.rotating_dims[k])];
+  return position / stride % ft > 0 ? position - stride : position + (ft - 1) * stride;
 }
 
 std::vector<std::int64_t> PlanGeometry::StepCounters(std::int64_t step) const {

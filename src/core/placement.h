@@ -1,15 +1,20 @@
 // Sub-tensor placement geometry (paper §4.4, Figure 10).
 //
-// Shared by the locality-checked functional executor and the byte-level
-// program executor so both derive the identical initial placement:
+// Shared by lowering (LowerPlan) and the byte-level ProgramExecutor so both
+// derive the identical initial placement:
 //   - every core's grid coordinate and global axis offsets,
 //   - each tensor's ring rank / ring position per core, and
 //   - the co-start phase phi_a(core): along every rotated axis, all tensors
 //     rotating on that axis start their windows at the same phase
 //         phi_a(core) = sum over rotating tensors X of pos_X(core) * w_X  (mod l_a),
-//     which makes every ring cover all partitions exactly once and keeps
+//     where pos_X is the core's coordinate along X's rotating dim on axis a.
+//     A ring position is row-major over the tensor's rotating dims (the
+//     last one innermost), so a ring of f_t0 x f_t1 cores is a 2-D torus.
+//     The phase makes every ring cover all partitions exactly once and keeps
 //     every step's sub-task inside every window simultaneously (the
-//     construction generalizes Figure 10; see functional.cc's header).
+//     construction generalizes Figure 10). It requires that no two operands
+//     share a spatially split missing axis while some axis has several
+//     rotating tensors; the constructor CHECKs that.
 
 #ifndef T10_SRC_CORE_PLACEMENT_H_
 #define T10_SRC_CORE_PLACEMENT_H_
@@ -46,6 +51,11 @@ class PlanGeometry {
   // Identifier of the sub-tensor the core holds for this operand (cores with
   // equal coordinates on the operand's used axes share a sub-tensor).
   std::int64_t SubTensorIndex(int operand, int core) const;
+
+  // The ring position a core at `position` ships its head slab to when the
+  // operand rotates along its k-th rotating dim: the other rotating dims'
+  // coordinates stay fixed and dim k's decrements (mod its f_t).
+  std::int64_t DownstreamPosition(int operand, std::int64_t position, std::size_t k) const;
 
   // The loop counter values (outer->inner) at global step `s`.
   std::vector<std::int64_t> StepCounters(std::int64_t step) const;

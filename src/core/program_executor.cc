@@ -24,47 +24,50 @@ class ScopeExit {
   F f_;
 };
 
-// Row-major layout of one operand's per-core window, with the (at most one)
-// rotating dim factored out as outer x w_r x inner.
-struct OperandLayout {
-  int rot_dim = -1;
-  int rot_axis = -1;
+// One rotating dim of an operand's window, which factors around it as
+// outer x w_r x inner: a shift along it moves `outer` runs of rp * inner
+// elements.
+struct RotatingDim {
+  int dim = -1;
+  int axis = -1;
   std::int64_t w_r = 1;
   std::int64_t outer = 1;
   std::int64_t inner = 1;
+};
+
+// Row-major layout of one operand's per-core window.
+struct OperandLayout {
+  std::vector<RotatingDim> rotating;  // In RTensorPlan::rotating_dims order.
+  std::vector<bool> dim_rotates;      // Per window dim.
   std::int64_t window_elems = 1;
   std::vector<std::int64_t> strides;  // Row-major strides over window dims.
 };
 
 OperandLayout MakeLayout(const TensorRef& ref, const RTensorPlan& tp) {
   OperandLayout layout;
-  T10_CHECK_LE(tp.rotating_dims.size(), 1u)
-      << "program executor supports one temporally-split dim per tensor";
-  if (!tp.rotating_dims.empty()) {
-    layout.rot_dim = tp.rotating_dims.front();
-    T10_CHECK(!ref.dims[layout.rot_dim].compound()) << "compound dims never rotate";
-    layout.rot_axis = ref.dims[layout.rot_dim].axis;
-    layout.w_r = tp.window[static_cast<std::size_t>(layout.rot_dim)];
-  }
   const std::size_t rank = tp.window.size();
   layout.strides.assign(rank, 1);
   for (std::size_t d = rank; d-- > 0;) {
     if (d + 1 < rank) {
       layout.strides[d] = layout.strides[d + 1] * tp.window[d + 1];
     }
-  }
-  for (std::size_t d = 0; d < rank; ++d) {
     layout.window_elems *= tp.window[d];
-    if (layout.rot_dim >= 0) {
-      if (static_cast<int>(d) < layout.rot_dim) {
-        layout.outer *= tp.window[d];
-      } else if (static_cast<int>(d) > layout.rot_dim) {
-        layout.inner *= tp.window[d];
-      }
-    }
   }
-  if (layout.rot_dim < 0) {
-    layout.inner = layout.window_elems;
+  layout.dim_rotates.assign(rank, false);
+  for (int d : tp.rotating_dims) {
+    const DimRef& dim = ref.dims[static_cast<std::size_t>(d)];
+    T10_CHECK(!dim.compound()) << "compound dims never rotate";
+    for (const RotatingDim& other : layout.rotating) {
+      T10_CHECK_NE(other.axis, dim.axis) << "two rotating dims of " << ref.name << " share an axis";
+    }
+    RotatingDim rot;
+    rot.dim = d;
+    rot.axis = dim.axis;
+    rot.w_r = tp.window[static_cast<std::size_t>(d)];
+    rot.inner = layout.strides[static_cast<std::size_t>(d)];
+    rot.outer = layout.window_elems / (rot.w_r * rot.inner);
+    layout.rotating.push_back(rot);
+    layout.dim_rotates[static_cast<std::size_t>(d)] = true;
   }
   return layout;
 }
@@ -208,6 +211,23 @@ void RunLanes(LaneKernel kernel, float* const* ptr, int operands, const std::int
 
 std::int64_t Align8(std::int64_t bytes) { return (bytes + 7) / 8 * 8; }
 
+// Input arity and shapes are caller data: a mismatch is an operational
+// error, not a bug.
+Status ValidateInputs(const Operator& op, const std::vector<HostTensor>& inputs) {
+  if (inputs.size() != op.inputs().size()) {
+    return InvalidArgumentError("operator '" + op.name() + "' takes " +
+                                std::to_string(op.inputs().size()) + " input(s), got " +
+                                std::to_string(inputs.size()));
+  }
+  for (std::size_t i = 0; i < inputs.size(); ++i) {
+    if (inputs[i].shape != TensorShape(op.axes(), op.inputs()[i])) {
+      return InvalidArgumentError("input " + std::to_string(i) + " shape mismatch for '" +
+                                  op.name() + "'");
+    }
+  }
+  return Status::Ok();
+}
+
 }  // namespace
 
 ProgramExecutor::ProgramExecutor(Machine& machine, const ExecutionPlan& plan,
@@ -260,6 +280,7 @@ void ProgramExecutor::SetTrace(const obs::TraceContext& trace, obs::EventJournal
 
 StatusOr<HostTensor> ProgramExecutor::Run(const std::vector<HostTensor>& inputs,
                                           ProgramRunStats* stats) {
+  T10_RETURN_IF_ERROR(ValidateInputs(plan_.op(), inputs));
   std::vector<BufferHandle> owned;
   StatusOr<HostTensor> result = RunImpl(inputs, stats, owned);
   // Release all device memory, also on error paths (reverse order keeps the
@@ -274,7 +295,6 @@ StatusOr<HostTensor> ProgramExecutor::RunImpl(const std::vector<HostTensor>& inp
                                               ProgramRunStats* stats,
                                               std::vector<BufferHandle>& owned) {
   const Operator& op = plan_.op();
-  T10_CHECK_EQ(inputs.size(), op.inputs().size());
   const std::vector<Axis>& axes = op.axes();
   const std::vector<std::int64_t>& slice = plan_.axis_slices();
   const int cores = geometry_.num_cores();
@@ -384,14 +404,6 @@ StatusOr<HostTensor> ProgramExecutor::RunImpl(const std::vector<HostTensor>& inp
     staging_ptr.push_back(machine_.Data(staging[static_cast<std::size_t>(c)]));
   }
 
-  // Window start along the rotating dim after `advance` elements of rotation.
-  auto window_start = [&](int ti, int core, std::int64_t advance) {
-    const OperandLayout& layout = layouts[static_cast<std::size_t>(ti)];
-    const std::int64_t sub_len = slice[layout.rot_axis];
-    return (geometry_.Phase(core)[static_cast<std::size_t>(layout.rot_axis)] + advance) %
-           sub_len;
-  };
-
   // Host <-> window transfer tables of operand `ti` on `core`: one level per
   // tensor dim, holding the lanes whose global coordinate lies inside
   // `shape` (the rest are padding), each with its window offset (channel 0)
@@ -410,8 +422,11 @@ StatusOr<HostTensor> ProgramExecutor::RunImpl(const std::vector<HostTensor>& inp
       if (dim.compound()) {
         base = dim.stride * base + offset[static_cast<std::size_t>(dim.minor_axis)];
       }
-      const bool rotating = static_cast<int>(d) == layout.rot_dim;
-      const std::int64_t start = rotating ? window_start(ti, core, 0) : 0;
+      // A rotating dim's window starts at the co-start phase of its axis.
+      const bool rotating = layout.dim_rotates[d];
+      const std::int64_t start =
+          rotating ? geometry_.Phase(core)[static_cast<std::size_t>(dim.axis)] % tp.sub_shape[d]
+                   : 0;
       tables.Clear(static_cast<int>(d));
       for (std::int64_t j = 0; j < tp.window[d]; ++j) {
         const std::int64_t global = base + (rotating ? (start + j) % tp.sub_shape[d] : j);
@@ -478,20 +493,30 @@ StatusOr<HostTensor> ProgramExecutor::RunImpl(const std::vector<HostTensor>& inp
   // Step-invariant ComputeSet state: per-axis lane extents and, per (axis,
   // operand), the index coefficient of the axis's local coordinate over the
   // operand's non-rotating dims (a compound dim adds stride * l on its major
-  // axis and l on its minor one). Rotating dims are resolved per step
-  // against the hoisted window start in `rot_start`.
+  // axis and l on its minor one) and the operand's rotating dim on that axis,
+  // if any. Rotating dims are resolved per step against their axis's window
+  // start: all tensors rotating on an axis co-start at its phase.
   const LaneKernel kernel = PickLaneKernel(op.kind(), static_cast<int>(inputs.size()));
   std::vector<std::int64_t> extents(axes.size());
   for (std::size_t a = 0; a < axes.size(); ++a) {
     extents[a] = pace[a] > 0 ? pace[a] : slice[a];
   }
-  std::vector<std::int64_t> coef(axes.size() * static_cast<std::size_t>(operands), 0);
+  const std::size_t slots = axes.size() * static_cast<std::size_t>(operands);
+  std::vector<std::int64_t> coef(slots, 0);
+  struct RotSlot {
+    std::int64_t w_r = 0;     // 0: the operand does not rotate on the axis.
+    std::int64_t stride = 0;  // Window stride of the rotating dim (its inner).
+  };
+  std::vector<RotSlot> rot_slot(slots);
   for (int ti = 0; ti < operands; ++ti) {
     const TensorRef& ref = geometry_.Operand(ti);
     const OperandLayout& layout = layouts[static_cast<std::size_t>(ti)];
+    for (const RotatingDim& rot : layout.rotating) {
+      rot_slot[static_cast<std::size_t>(rot.axis * operands + ti)] = {rot.w_r, rot.inner};
+    }
     for (std::size_t d = 0; d < ref.dims.size(); ++d) {
       const DimRef& dim = ref.dims[d];
-      if (static_cast<int>(d) == layout.rot_dim) {
+      if (layout.dim_rotates[d]) {
         continue;
       }
       if (dim.compound()) {
@@ -504,7 +529,6 @@ StatusOr<HostTensor> ProgramExecutor::RunImpl(const std::vector<HostTensor>& inp
   }
   IndexTables compute_tables(extents, operands);
   std::vector<std::int64_t> advance(axes.size(), 0);
-  std::vector<std::int64_t> rot_start(static_cast<std::size_t>(operands), 0);
   std::vector<float*> run_ptr(static_cast<std::size_t>(operands));
   std::vector<float> outgoing;  // ShiftSet head slabs of one ring, reused.
 
@@ -542,13 +566,6 @@ StatusOr<HostTensor> ProgramExecutor::RunImpl(const std::vector<HostTensor>& inp
     for (int c = 0; c < cores; ++c) {
       const std::vector<std::int64_t>& offset = geometry_.Offset(c);
       const std::vector<std::int64_t>& phase = geometry_.Phase(c);
-      for (int ti = 0; ti < operands; ++ti) {
-        const OperandLayout& layout = layouts[static_cast<std::size_t>(ti)];
-        if (layout.rot_dim >= 0) {
-          rot_start[static_cast<std::size_t>(ti)] =
-              window_start(ti, c, advance[static_cast<std::size_t>(layout.rot_axis)]);
-        }
-      }
       // One level per axis: the step's non-padding local coordinates, each
       // with its physical index contribution to every operand's window.
       struct {
@@ -557,6 +574,10 @@ StatusOr<HostTensor> ProgramExecutor::RunImpl(const std::vector<HostTensor>& inp
       } miss;  // First window miss met while building, if any.
       for (std::size_t a = 0; a < axes.size(); ++a) {
         compute_tables.Clear(static_cast<int>(a));
+        // Rotating dims on this axis are never compound: their sub-tensor
+        // length is the axis slice.
+        const std::int64_t sub_len = slice[a];
+        const std::int64_t rot_start = (phase[a] + advance[a]) % sub_len;
         for (std::int64_t t = 0; t < extents[a]; ++t) {
           const std::int64_t l = pace[a] > 0 ? (phase[a] + advance[a] + t) % slice[a] : t;
           if (offset[a] + l >= axes[a].length) {
@@ -564,20 +585,16 @@ StatusOr<HostTensor> ProgramExecutor::RunImpl(const std::vector<HostTensor>& inp
           }
           std::int64_t* lane = compute_tables.AddLane(static_cast<int>(a));
           for (int ti = 0; ti < operands; ++ti) {
-            const OperandLayout& layout = layouts[static_cast<std::size_t>(ti)];
-            std::int64_t index = coef[a * static_cast<std::size_t>(operands) +
-                                      static_cast<std::size_t>(ti)] *
-                                 l;
-            if (layout.rot_axis == static_cast<int>(a)) {
-              // Rotating dims are never compound: their sub-tensor length
-              // is the axis slice.
-              const std::int64_t sub_len = slice[a];
-              const std::int64_t j =
-                  ((l - rot_start[static_cast<std::size_t>(ti)]) % sub_len + sub_len) % sub_len;
-              if (j >= layout.w_r && miss.j < miss.w_r) {
-                miss = {j, layout.w_r};
+            const std::size_t slot =
+                a * static_cast<std::size_t>(operands) + static_cast<std::size_t>(ti);
+            std::int64_t index = coef[slot] * l;
+            const RotSlot& rot = rot_slot[slot];
+            if (rot.w_r > 0) {
+              const std::int64_t j = ((l - rot_start) % sub_len + sub_len) % sub_len;
+              if (j >= rot.w_r && miss.j < miss.w_r) {
+                miss = {j, rot.w_r};
               }
-              index += j * layout.strides[static_cast<std::size_t>(layout.rot_dim)];
+              index += j * rot.stride;
             }
             lane[ti] = index;
           }
@@ -596,18 +613,25 @@ StatusOr<HostTensor> ProgramExecutor::RunImpl(const std::vector<HostTensor>& inp
           });
     }
 
-    // ShiftSets: every rotating tensor ships its head slab downstream, then
-    // compacts its window and appends the received slab at the tail. With
-    // fault tolerance, every slab chunk goes through the checksummed
-    // reliable-transfer layer; a kDataLoss (retries exhausted) rolls the
-    // ring state back to the last checkpoint and re-executes from there.
+    // ShiftSets: every rotating tensor ships its head slab along the shift's
+    // dim to its downstream ring neighbour, then compacts its window and
+    // appends the received slab at the tail. With fault tolerance, every
+    // slab chunk goes through the checksummed reliable-transfer layer; a
+    // kDataLoss (retries exhausted) rolls the ring state back to the last
+    // checkpoint and re-executes from there.
     Status shift_status = [&]() -> Status {
       for (const ShiftSet& shift : program_.steps[static_cast<std::size_t>(s)].shifts) {
         const int ti = shift.operand;
         const OperandLayout& layout = layouts[static_cast<std::size_t>(ti)];
-        const std::int64_t rp = pace[static_cast<std::size_t>(layout.rot_axis)];
-        const std::int64_t run_elems = rp * layout.inner;
-        const std::int64_t slab_elems = layout.outer * run_elems;
+        const auto rot_it =
+            std::find_if(layout.rotating.begin(), layout.rotating.end(),
+                         [&](const RotatingDim& r) { return r.dim == shift.dim; });
+        T10_CHECK(rot_it != layout.rotating.end()) << "shift of a non-rotating dim";
+        const std::size_t k = static_cast<std::size_t>(rot_it - layout.rotating.begin());
+        const RotatingDim& rot = *rot_it;
+        const std::int64_t rp = pace[static_cast<std::size_t>(rot.axis)];
+        const std::int64_t run_elems = rp * rot.inner;
+        const std::int64_t slab_elems = rot.outer * run_elems;
         T10_CHECK_EQ(slab_elems * 4, shift.slab_bytes);
 
         for (const std::vector<int>& ring : program_.allocations[static_cast<std::size_t>(ti)]
@@ -617,35 +641,36 @@ StatusOr<HostTensor> ProgramExecutor::RunImpl(const std::vector<HostTensor>& inp
           // Phase 1: collect each member's outgoing head slab.
           for (int p = 0; p < n; ++p) {
             const float* buffer = window_ptr[ti][ring[static_cast<std::size_t>(p)]];
-            for (std::int64_t o = 0; o < layout.outer; ++o) {
+            for (std::int64_t o = 0; o < rot.outer; ++o) {
               std::memcpy(outgoing.data() + p * slab_elems + o * run_elems,
-                          buffer + o * layout.w_r * layout.inner,
+                          buffer + o * rot.w_r * rot.inner,
                           static_cast<std::size_t>(run_elems) * 4);
             }
           }
           // Phase 2: local compaction (drop the head, make room at the tail).
           for (int p = 0; p < n; ++p) {
             float* buffer = window_ptr[ti][ring[static_cast<std::size_t>(p)]];
-            for (std::int64_t o = 0; o < layout.outer; ++o) {
-              std::memmove(buffer + o * layout.w_r * layout.inner,
-                           buffer + o * layout.w_r * layout.inner + run_elems,
-                           static_cast<std::size_t>((layout.w_r - rp) * layout.inner) * 4);
+            for (std::int64_t o = 0; o < rot.outer; ++o) {
+              std::memmove(buffer + o * rot.w_r * rot.inner,
+                           buffer + o * rot.w_r * rot.inner + run_elems,
+                           static_cast<std::size_t>((rot.w_r - rp) * rot.inner) * 4);
             }
           }
-          // Phase 3: deliver slabs downstream (position p -> p-1) through the
-          // bounded staging buffer, in as many rounds as needed.
+          // Phase 3: deliver slabs downstream (one step back along dim k of
+          // the ring) through the bounded staging buffer, in as many rounds
+          // as needed.
           const std::int64_t chunk_bytes = machine_.spec().shift_buffer_bytes;
           for (int p = 0; p < n; ++p) {
             const int src_core = ring[static_cast<std::size_t>(p)];
-            const int dst_core = ring[static_cast<std::size_t>((p - 1 + n) % n)];
+            const int dst_core =
+                ring[static_cast<std::size_t>(geometry_.DownstreamPosition(ti, p, k))];
             const BufferHandle& stage = staging[static_cast<std::size_t>(src_core)];
             const BufferHandle& dst_window = windows[ti][static_cast<std::size_t>(dst_core)];
-            for (std::int64_t o = 0; o < layout.outer; ++o) {
+            for (std::int64_t o = 0; o < rot.outer; ++o) {
               const std::byte* src = reinterpret_cast<const std::byte*>(
                   outgoing.data() + p * slab_elems + o * run_elems);
               // Byte offset of the slab row's tail slot in the dst window.
-              const std::int64_t dst_offset =
-                  (o * layout.w_r + (layout.w_r - rp)) * layout.inner * 4;
+              const std::int64_t dst_offset = (o * rot.w_r + (rot.w_r - rp)) * rot.inner * 4;
               std::int64_t done = 0;
               while (done < run_elems * 4) {
                 const std::int64_t len = std::min(chunk_bytes, run_elems * 4 - done);

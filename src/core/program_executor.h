@@ -2,10 +2,9 @@
 // runs it with real bytes — per-core window buffers in the simulated
 // scratchpads, slab shifts through bounded staging buffers, local window
 // compaction, and per-core sub-task vertices reading exclusively from local
-// memory. This is the byte-level counterpart of the locality-checked
-// interpreter in functional.h: where that one asserts locality against
-// global arrays, this one *cannot* cheat, because each vertex only sees its
-// core's buffers.
+// memory. It *cannot* cheat: each vertex only sees its core's buffers, and
+// every element a vertex reads is checked to lie inside the core's current
+// window. Tests compare its output against ReferenceExecute (host_tensor.h).
 //
 // Fault tolerance (FaultToleranceOptions): with a fault::FaultInjector
 // attached to the machine, every slab delivery goes through the checksummed
@@ -17,9 +16,11 @@
 // compiler's degraded re-planning. A core_map lets a plan compiled for the
 // surviving topology run on a machine whose failed cores are skipped.
 //
-// Supported: FP32 operands, kContraction / kElementwise / kReduceSum, at
-// most one temporally-split dim per tensor (all plans the default search
-// emits; multi-dim f_t plans are exercised by the interpreter-level tests).
+// Supported: FP32 operands, kContraction / kElementwise / kReduceSum, and
+// every temporal split the plan space allows — any number of rotating dims
+// per tensor, each on its own axis. A tensor rotating on several dims forms
+// a multi-dimensional ring (placement.h); each ShiftSet rotates one dim,
+// within the sub-ring of cores that differ only in that dim's coordinate.
 // The reduce-scatter epilogue is folded into the host-side output merge; its
 // cost is modelled by ExecutionPlan::Evaluate and its byte mechanics by the
 // ring tests in sim_machine_test.
@@ -30,7 +31,7 @@
 #include <vector>
 
 #include "src/core/device_program.h"
-#include "src/core/functional.h"
+#include "src/core/host_tensor.h"
 #include "src/core/placement.h"
 #include "src/obs/journal.h"
 #include "src/obs/span.h"
@@ -75,7 +76,8 @@ class ProgramExecutor {
   void SetTrace(const obs::TraceContext& trace, obs::EventJournal* journal);
 
   // Executes the program over the operator's inputs; returns the output.
-  // Errors are operational, not bugs: scratchpad exhaustion
+  // Errors are operational, not bugs: wrong input arity or shapes
+  // (kInvalidArgument), scratchpad exhaustion
   // (kResourceExhausted), transient-fault retries and rollbacks exhausted
   // (kDataLoss), persistently failed core/link in the path (kUnavailable).
   StatusOr<HostTensor> Run(const std::vector<HostTensor>& inputs,

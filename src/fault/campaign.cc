@@ -2,14 +2,14 @@
 
 #include <cstring>
 
-#include "src/core/functional.h"
+#include "src/core/host_tensor.h"
 #include "src/sim/machine.h"
 
 namespace t10 {
 namespace fault {
 
 // Executor support envelope (see ProgramExecutor): FP32 and the three
-// byte-level kinds...
+// byte-level kinds.
 std::string OpSkipReason(const Operator& op) {
   if (op.kind() != OpKind::kContraction && op.kind() != OpKind::kElementwise &&
       op.kind() != OpKind::kReduceSum) {
@@ -26,25 +26,10 @@ std::string OpSkipReason(const Operator& op) {
   return "";
 }
 
-// ...with at most one temporally-split dim per tensor.
-bool PlanSupported(const ExecutionPlan& plan) {
-  for (const RTensorPlan& tp : plan.tensors()) {
-    if (tp.rotating_dims.size() > 1) {
-      return false;
-    }
-  }
-  return true;
-}
-
 const ExecutionPlan* PickExecutablePlan(const IntraOpResult& search,
                                         const ExecutionPlan* compiled_active) {
-  const ExecutionPlan* plan =
-      (compiled_active != nullptr && PlanSupported(*compiled_active)) ? compiled_active
-                                                                     : nullptr;
+  const ExecutionPlan* plan = compiled_active;
   for (const PlanCandidate& candidate : search.pareto) {
-    if (!PlanSupported(candidate.plan)) {
-      continue;
-    }
     if (plan == nullptr || candidate.plan.total_steps() > plan->total_steps()) {
       plan = &candidate.plan;
     }
@@ -120,11 +105,6 @@ StatusOr<CampaignResult> RunFaultCampaign(const ChipSpec& chip, const Graph& gra
     }
     IntraOpResult search = planner.SearchOp(op);
     const ExecutionPlan* plan = PickExecutablePlan(search, &compiled.active_plan);
-    if (plan == nullptr) {
-      op_result.skip_reason = "multi-dim temporal split";
-      ++result.skipped;
-      continue;
-    }
     const std::vector<HostTensor> inputs =
         CampaignInputs(op, spec.seed + 7919 * static_cast<std::uint64_t>(compiled.op_index));
 

@@ -69,16 +69,13 @@ struct CampaignResult {
 // when it can (FP32 contraction/elementwise/reduce).
 std::string OpSkipReason(const Operator& op);
 
-// Whether the byte-level executor supports `plan` (at most one
-// temporally-split dim per tensor).
-bool PlanSupported(const ExecutionPlan& plan);
-
 // Picks the plan the campaign / serving runtime actually executes for an op:
-// the supported Pareto candidate with the most rotation steps, falling back
-// to the compiled active plan when that rotates at least as much. The
-// compiler's fastest plan is often pure-spatial — nothing would cross a
-// link, and faults could never bite. Returns nullptr when no supported plan
-// exists; the result points into `search` or at `compiled_active`.
+// the Pareto candidate with the most rotation steps, falling back to the
+// compiled active plan when that rotates at least as much. The compiler's
+// fastest plan is often pure-spatial — nothing would cross a link, and
+// faults could never bite. Returns nullptr only when `search` has no
+// candidate and `compiled_active` is null; the result points into `search`
+// or at `compiled_active`.
 const ExecutionPlan* PickExecutablePlan(const IntraOpResult& search,
                                         const ExecutionPlan* compiled_active);
 

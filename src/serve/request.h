@@ -13,7 +13,7 @@
 #include <chrono>
 #include <cstdint>
 
-#include "src/core/functional.h"
+#include "src/core/host_tensor.h"
 #include "src/obs/span.h"
 #include "src/util/status.h"
 

@@ -502,6 +502,14 @@ VerifyResult Verifier::VerifyProgram(const DeviceProgram& program,
             << "shift of an operand with no rotation ring";
         continue;
       }
+      const std::vector<int>& rotating = plan.tensors()[ti].rotating_dims;
+      if (std::find(rotating.begin(), rotating.end(), shift.dim) == rotating.end()) {
+        DiagnosticBuilder(result, "program.shift-operand", name)
+                .Step(static_cast<int>(s))
+                .Operand(shift.operand)
+            << "shift along dim " << shift.dim << ", which does not rotate";
+        continue;
+      }
       ++shift_count[ti];
       if (std::find(slabs[ti].begin(), slabs[ti].end(), shift.slab_bytes) ==
           slabs[ti].end()) {

@@ -2,7 +2,8 @@
 // initial placement must (a) assign each ring every window partition exactly
 // once, (b) give co-rotating tensors co-starting windows, and (c) keep each
 // core's sub-task inside all of its windows at every step — properties the
-// functional tests exercise end-to-end and these tests check structurally.
+// byte-level executor tests exercise end-to-end and these tests check
+// structurally.
 
 #include "src/core/placement.h"
 
@@ -10,6 +11,7 @@
 
 #include <set>
 
+#include "src/core/device_program.h"
 #include "src/core/search.h"
 #include "src/ir/builder.h"
 
@@ -110,6 +112,35 @@ TEST(PlacementTest, ReplicatedRingsShareStarts) {
 // Every plan the search proposes for a mix of operators must satisfy the
 // structural placement invariants.
 class SearchedPlacements : public ::testing::TestWithParam<int> {};
+
+TEST(PlacementTest, DownstreamPositionStepsOneRingDim) {
+  // A rotates along m and k: ring position p = 2 * pos_m + pos_k.
+  Operator op = MatMulOp("mm", 8, 8, 8, DataType::kF32, "A", "B", "C");
+  auto plan = ExecutionPlan::Create(op, {1, 4, 1}, {{2, 2}, {1, 1}, {1, 1}});
+  ASSERT_TRUE(plan.has_value());
+  CheckGeometry(*plan);
+  PlanGeometry geometry(*plan);
+  const std::vector<std::int64_t> along_m = {2, 3, 0, 1};
+  const std::vector<std::int64_t> along_k = {1, 0, 3, 2};
+  for (std::int64_t p = 0; p < 4; ++p) {
+    EXPECT_EQ(geometry.DownstreamPosition(0, p, 0), along_m[static_cast<std::size_t>(p)]) << p;
+    EXPECT_EQ(geometry.DownstreamPosition(0, p, 1), along_k[static_cast<std::size_t>(p)]) << p;
+  }
+}
+
+TEST(PlacementDeathTest, CoRotatingTensorsSharingASplitMissingAxisAreRejected) {
+  // A[m,k] and B[k] both rotate along k, and both lack n, which is split:
+  // no co-start phase serves both rings.
+  const std::vector<Axis> axes = {{"m", 2, false}, {"k", 4, true}, {"n", 2, false}};
+  Operator op("shared", OpKind::kContraction, axes,
+              {TensorRef{"A", DataType::kF32, {DimRef{0}, DimRef{1}}},
+               TensorRef{"B", DataType::kF32, {DimRef{1}}}},
+              TensorRef{"C", DataType::kF32, {DimRef{0}, DimRef{2}}});
+  auto plan = ExecutionPlan::Create(op, {1, 1, 2}, {{1, 2}, {2}, {1, 1}});
+  ASSERT_TRUE(plan.has_value());
+  EXPECT_DEATH(PlanGeometry{*plan}, "co-rotating tensors share missing axis n");
+  EXPECT_DEATH(LowerPlan(*plan), "co-rotating tensors share missing axis n");
+}
 
 TEST_P(SearchedPlacements, AllParetoPlansValid) {
   ChipSpec chip = ChipSpec::IpuMk2();

@@ -1,14 +1,15 @@
 // Randomized property tests over the plan space: generate hundreds of valid
 // (F_op, f_t) configurations for random operator shapes and check structural
 // invariants of geometry, metrics, lowering, and — for a subsample — full
-// numerical correctness through the interpreter. This is the "fuzzing" layer
-// above the hand-picked cases in core_plan_test / core_functional_test.
+// numerical correctness through the byte-level executor. This is the
+// "fuzzing" layer above the hand-picked cases in core_plan_test /
+// core_program_test.
 
 #include <gtest/gtest.h>
 
 #include "src/core/device_program.h"
-#include "src/core/functional.h"
 #include "src/core/plan.h"
+#include "src/core/program_executor.h"
 #include "src/ir/builder.h"
 #include "src/util/math_util.h"
 #include "src/util/rng.h"
@@ -105,6 +106,10 @@ TEST(PlanPropertyTest, MetricsInvariantsHoldForRandomPlans) {
 
 TEST(PlanPropertyTest, RandomPlansExecuteCorrectly) {
   Rng rng(777);
+  ChipSpec chip = ChipSpec::IpuMk2();
+  chip.num_cores = 16;
+  chip.cores_per_chip = 16;
+  Machine machine(chip);
   int executed = 0;
   for (int trial = 0; trial < 120 && executed < 40; ++trial) {
     Operator op = RandomMatMul(rng, trial);
@@ -116,8 +121,9 @@ TEST(PlanPropertyTest, RandomPlansExecuteCorrectly) {
     std::vector<HostTensor> inputs = {
         RandomHostTensor(TensorShape(op.axes(), op.inputs()[0]), 1000 + trial),
         RandomHostTensor(TensorShape(op.axes(), op.inputs()[1]), 2000 + trial)};
-    FunctionalStats stats;
-    HostTensor got = ExecutePlanFunctionally(*plan, inputs, &stats);
+    StatusOr<HostTensor> run = ProgramExecutor(machine, *plan).Run(inputs);
+    ASSERT_TRUE(run.ok()) << plan->DebugString() << ": " << run.status().ToString();
+    const HostTensor& got = *run;
     HostTensor want = ReferenceExecute(op, inputs);
     ASSERT_EQ(got.shape, want.shape);
     for (std::size_t i = 0; i < got.data.size(); ++i) {

@@ -2,16 +2,13 @@
 // and check the global invariants that the paper's evaluation relies on —
 // memory capacity respected, predicted-vs-measured agreement, T10 at least
 // as good as the no-reconciliation policy, baselines well-formed on the same
-// graphs, and the two executors (locality-checked interpreter and byte-level
-// program executor) agreeing with each other.
+// graphs.
 
 #include <gtest/gtest.h>
 
 #include "src/baselines/vgm.h"
 #include "src/core/compiler.h"
 #include "src/core/memory_planner.h"
-#include "src/core/program_executor.h"
-#include "src/ir/builder.h"
 #include "src/models/zoo.h"
 
 namespace t10 {
@@ -96,36 +93,6 @@ TEST(LlmIntegration, AllLayersCompileAtBatchOne) {
     if (model.fits) {
       // Weight-resident decode: idle memory dominated by weights.
       EXPECT_GT(model.idle_bytes_per_core, 0) << info.name;
-    }
-  }
-}
-
-// The two execution paths — global-view interpreter with locality checks and
-// the byte-level program executor — must agree on the same plan and inputs.
-TEST(ExecutorEquivalence, InterpreterMatchesProgramExecutor) {
-  ChipSpec chip = ChipSpec::IpuMk2();
-  chip.num_cores = 12;
-  chip.cores_per_chip = 12;
-  GroundTruthTiming timing(chip);
-  SearchConstraints constraints;
-  constraints.parallelism_fraction = 0.5;
-  constraints.max_rotating_dims = 1;
-
-  Operator op = MatMulOp("mm", 6, 12, 8, DataType::kF32, "A", "B", "C");
-  IntraOpResult result = SearchOperatorPlans(op, chip, timing, constraints);
-  ASSERT_FALSE(result.pareto.empty());
-  std::vector<HostTensor> inputs = {RandomHostTensor({6, 12}, 100),
-                                    RandomHostTensor({12, 8}, 101)};
-  Machine machine(chip);
-  for (const PlanCandidate& candidate : result.pareto) {
-    FunctionalStats stats;
-    HostTensor interpreted = ExecutePlanFunctionally(candidate.plan, inputs, &stats);
-    ProgramExecutor executor(machine, candidate.plan);
-    HostTensor programmed = *executor.Run(inputs);
-    ASSERT_EQ(interpreted.shape, programmed.shape);
-    for (std::size_t i = 0; i < interpreted.data.size(); ++i) {
-      ASSERT_NEAR(interpreted.data[i], programmed.data[i], 1e-4)
-          << candidate.plan.DebugString();
     }
   }
 }

@@ -7,7 +7,9 @@
 // The binary path is injected by CMake as T10_T10C_BIN.
 
 #include <gtest/gtest.h>
+#include <unistd.h>
 
+#include <cstdio>
 #include <cstdlib>
 #include <fstream>
 #include <sstream>
@@ -27,11 +29,19 @@ std::string ReadFile(const std::string& path) {
 class T10cObservability : public ::testing::Test {
  protected:
   static void SetUpTestSuite() {
-    metrics_path_ = new std::string(::testing::TempDir() + "/t10c_metrics.json");
-    trace_path_ = new std::string(::testing::TempDir() + "/t10c_trace.json");
+    // ctest runs each test of this suite as its own process, in parallel:
+    // per-process file names keep one run from reading another's half-written
+    // output.
+    const std::string prefix = ::testing::TempDir() + "/t10c_" + std::to_string(getpid());
+    metrics_path_ = new std::string(prefix + "_metrics.json");
+    trace_path_ = new std::string(prefix + "_trace.json");
     const std::string command = std::string(T10_T10C_BIN) + " --demo --metrics " +
                                 *metrics_path_ + " --trace " + *trace_path_ + " > /dev/null";
     exit_code_ = std::system(command.c_str());
+  }
+  static void TearDownTestSuite() {
+    std::remove(metrics_path_->c_str());
+    std::remove(trace_path_->c_str());
   }
 
   static std::string* metrics_path_;

@@ -8,7 +8,7 @@
 #include <string>
 #include <vector>
 
-#include "src/core/functional.h"
+#include "src/core/program_executor.h"
 #include "src/fault/fault_plan.h"
 #include "src/ir/builder.h"
 #include "src/ir/parser.h"
@@ -80,15 +80,20 @@ TEST(StatusAuditTest, FaultSpecParseFailuresAreInvalidArgument) {
   }
 }
 
-TEST(StatusAuditTest, FunctionalExecutionPreconditionsAreInvalidArgument) {
+TEST(StatusAuditTest, ProgramExecutorInputPreconditionsAreInvalidArgument) {
   Operator op = MatMulOp("mm", 2, 6, 3, DataType::kF32, "A", "B", "C");
   auto plan = ExecutionPlan::Create(op, {2, 3, 1}, {{1, 3}, {2, 1}, {1, 1}});
   ASSERT_TRUE(plan.has_value());
+  ChipSpec chip = ChipSpec::IpuMk2();
+  chip.num_cores = 6;
+  chip.cores_per_chip = 6;
+  Machine machine(chip);
+  ProgramExecutor executor(machine, *plan);
 
   // Wrong input arity.
   std::vector<HostTensor> one_input = {
       RandomHostTensor(TensorShape(op.axes(), op.inputs()[0]), 1)};
-  StatusOr<HostTensor> arity = TryExecutePlanFunctionally(*plan, one_input);
+  StatusOr<HostTensor> arity = executor.Run(one_input);
   ASSERT_FALSE(arity.ok());
   EXPECT_EQ(arity.status().code(), StatusCode::kInvalidArgument);
 
@@ -96,15 +101,22 @@ TEST(StatusAuditTest, FunctionalExecutionPreconditionsAreInvalidArgument) {
   std::vector<HostTensor> bad_shape = {
       RandomHostTensor(TensorShape(op.axes(), op.inputs()[0]), 1),
       RandomHostTensor(TensorShape(op.axes(), op.inputs()[0]), 2)};
-  StatusOr<HostTensor> shape = TryExecutePlanFunctionally(*plan, bad_shape);
+  StatusOr<HostTensor> shape = executor.Run(bad_shape);
   ASSERT_FALSE(shape.ok());
   EXPECT_EQ(shape.status().code(), StatusCode::kInvalidArgument);
+
+  // Right rank, short reduction axis: rejected, not read as zero padding.
+  std::vector<HostTensor> short_k = {RandomHostTensor({2, 5}, 1),
+                                     RandomHostTensor(TensorShape(op.axes(), op.inputs()[1]), 2)};
+  StatusOr<HostTensor> same_rank = executor.Run(short_k);
+  ASSERT_FALSE(same_rank.ok());
+  EXPECT_EQ(same_rank.status().code(), StatusCode::kInvalidArgument);
 
   // Well-formed inputs still execute after the rejected calls.
   std::vector<HostTensor> good = {
       RandomHostTensor(TensorShape(op.axes(), op.inputs()[0]), 1),
       RandomHostTensor(TensorShape(op.axes(), op.inputs()[1]), 2)};
-  StatusOr<HostTensor> ok = TryExecutePlanFunctionally(*plan, good);
+  StatusOr<HostTensor> ok = executor.Run(good);
   EXPECT_TRUE(ok.ok()) << ok.status().ToString();
 }
 

@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include <functional>
+#include <ostream>
 #include <string>
 #include <vector>
 
@@ -99,6 +100,12 @@ struct ProgramMutationCase {
   const char* expected_rule;
 };
 
+// Without a printer gtest lists the parameter as its raw bytes, which start
+// with the address of the name literal; that address moves whenever the
+// linked code or the build directory changes, so the listed test names
+// would not be stable. Print the case name.
+void PrintTo(const ProgramMutationCase& c, std::ostream* os) { *os << c.name; }
+
 class VerifyProgramMutationTest : public ::testing::TestWithParam<ProgramMutationCase> {};
 
 TEST_P(VerifyProgramMutationTest, FiresExpectedRule) {
@@ -157,6 +164,14 @@ INSTANTIATE_TEST_SUITE_P(
         ProgramMutationCase{"shift_of_static_operand",
                             [](DeviceProgram& p) {
                               p.steps[0].shifts[0].operand = 2;  // Output: no ring.
+                            },
+                            "program.shift-operand"},
+        ProgramMutationCase{"shift_along_static_dim",
+                            [](DeviceProgram& p) {
+                              // Figure 7's A and B each rotate one of their
+                              // two dims; name the other one.
+                              ShiftSet& shift = p.steps[0].shifts[0];
+                              shift.dim = 1 - shift.dim;
                             },
                             "program.shift-operand"},
         ProgramMutationCase{"wrong_compute_vertices",
