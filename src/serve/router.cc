@@ -1,9 +1,8 @@
 #include "src/serve/router.h"
 
-#include <array>
+#include <algorithm>
 #include <chrono>
 #include <limits>
-#include <numeric>
 #include <string_view>
 #include <utility>
 
@@ -16,88 +15,29 @@ namespace serve {
 
 namespace {
 
-obs::Counter& SubmittedCounter() {
-  static obs::Counter& counter =
-      obs::MetricsRegistry::Global().GetCounter("router.submitted.count");
-  return counter;
-}
+// Router instruments, registered together on first use.
+struct RouterMetrics {
+  obs::MetricsRegistry& registry = obs::MetricsRegistry::Global();
+  obs::Counter& submitted = registry.GetCounter("router.submitted.count");
+  obs::Counter& responses = registry.GetCounter("router.responses.count");
+  obs::Counter& redirects = registry.GetCounter("router.redirect.count");
+  obs::Counter& hedges = registry.GetCounter("router.hedge.count");
+  obs::Counter& hedge_wasted = registry.GetCounter("router.hedge.wasted");
+  obs::Counter& brownout_shed = registry.GetCounter("router.brownout.shed");
+  obs::Counter& shard_downs = registry.GetCounter("router.shard_down.count");
+  obs::Counter& rebalances = registry.GetCounter("router.rebalance.count");
+  obs::Gauge& routable = registry.GetGauge("router.shards.routable");
+  obs::Counter& handoffs = registry.GetCounter("router.pipeline.handoff.count");
+  obs::Histogram& handoff_seconds = registry.GetHistogram("router.pipeline.handoff.seconds");
+  obs::Counter& stage_downs = registry.GetCounter("router.pipeline.stage_down.count");
+  obs::Counter& repartitions = registry.GetCounter("router.cluster.repartition.count");
+  obs::Histogram& repartition_seconds =
+      registry.GetHistogram("router.cluster.repartition.seconds");
+};
 
-obs::Counter& ResponsesCounter() {
-  static obs::Counter& counter =
-      obs::MetricsRegistry::Global().GetCounter("router.responses.count");
-  return counter;
-}
-
-obs::Counter& RedirectCounter() {
-  static obs::Counter& counter =
-      obs::MetricsRegistry::Global().GetCounter("router.redirect.count");
-  return counter;
-}
-
-obs::Counter& HedgeCounter() {
-  static obs::Counter& counter =
-      obs::MetricsRegistry::Global().GetCounter("router.hedge.count");
-  return counter;
-}
-
-obs::Counter& HedgeWastedCounter() {
-  static obs::Counter& counter =
-      obs::MetricsRegistry::Global().GetCounter("router.hedge.wasted");
-  return counter;
-}
-
-obs::Counter& BrownoutCounter() {
-  static obs::Counter& counter =
-      obs::MetricsRegistry::Global().GetCounter("router.brownout.shed");
-  return counter;
-}
-
-obs::Counter& ShardDownCounter() {
-  static obs::Counter& counter =
-      obs::MetricsRegistry::Global().GetCounter("router.shard_down.count");
-  return counter;
-}
-
-obs::Counter& RebalanceCounter() {
-  static obs::Counter& counter =
-      obs::MetricsRegistry::Global().GetCounter("router.rebalance.count");
-  return counter;
-}
-
-obs::Gauge& RoutableGauge() {
-  static obs::Gauge& gauge =
-      obs::MetricsRegistry::Global().GetGauge("router.shards.routable");
-  return gauge;
-}
-
-obs::Counter& HandoffCounter() {
-  static obs::Counter& counter =
-      obs::MetricsRegistry::Global().GetCounter("router.pipeline.handoff.count");
-  return counter;
-}
-
-obs::Histogram& HandoffSecondsHistogram() {
-  static obs::Histogram& histogram =
-      obs::MetricsRegistry::Global().GetHistogram("router.pipeline.handoff.seconds");
-  return histogram;
-}
-
-obs::Counter& StageDownCounter() {
-  static obs::Counter& counter =
-      obs::MetricsRegistry::Global().GetCounter("router.pipeline.stage_down.count");
-  return counter;
-}
-
-obs::Counter& RepartitionCounter() {
-  static obs::Counter& counter =
-      obs::MetricsRegistry::Global().GetCounter("router.cluster.repartition.count");
-  return counter;
-}
-
-obs::Histogram& RepartitionSecondsHistogram() {
-  static obs::Histogram& histogram =
-      obs::MetricsRegistry::Global().GetHistogram("router.cluster.repartition.seconds");
-  return histogram;
+RouterMetrics& Metrics() {
+  static RouterMetrics metrics;
+  return metrics;
 }
 
 double SecondsSince(Clock::time_point start) {
@@ -145,31 +85,24 @@ const char* ShardModeName(ShardMode mode) {
   return "unknown";
 }
 
+
 Router::Router(const ChipSpec& chip, const Graph& graph, RouterOptions options)
     : options_(std::move(options)), graph_(graph) {
   // NOLINTNEXTLINE(lint.serve.check): constructor precondition, before any request exists.
   T10_CHECK_GE(options_.num_shards, 1) << "router shard count";
-  shards_.reserve(static_cast<std::size_t>(options_.num_shards));
+  stages_.resize(1);
   for (int i = 0; i < options_.num_shards; ++i) {
-    auto shard = std::make_unique<Shard>();
-    ServerOptions per_shard = options_.shard;
-    per_shard.request_id_base = static_cast<std::int64_t>(i + 1) * kShardIdBlock;
-    per_shard.on_response = [this, i](Response response) {
-      OnShardResponse(i, std::move(response));
-    };
-    shard->token = i;
-    shard->server = std::make_unique<Server>(chip, graph, std::move(per_shard));
-    stage_of_token_[i] = i;
-    shards_.push_back(std::move(shard));
+    shards_.push_back(MakeShard(chip, /*stage_graph=*/nullptr, /*stage=*/0, /*chip_index=*/-1));
   }
-  next_token_ = options_.num_shards;
-  next_id_block_ = options_.num_shards + 1;
+  MutexLock lock(mu_);
+  IndexShardsLocked();
 }
 
 Router::Router(const ClusterSpec& cluster, const Graph& graph, RouterOptions options)
     : options_(std::move(options)),
       graph_(graph),
       mode_(ShardMode::kPipeline),
+      ops_per_request_(graph.num_ops()),
       cluster_(cluster) {
   // NOLINTNEXTLINE(lint.serve.check): constructor precondition, before any request exists.
   T10_CHECK_GE(cluster_.num_chips(), 1) << "pipeline router needs chips";
@@ -177,51 +110,104 @@ Router::Router(const ClusterSpec& cluster, const Graph& graph, RouterOptions opt
   if (!partition_.feasible) {
     return;  // No shards; Start() reports the reason.
   }
-  shards_.reserve(static_cast<std::size_t>(partition_.num_stages));
-  stage_graphs_.reserve(static_cast<std::size_t>(partition_.num_stages));
+  stages_ = ChainStages(partition_, cluster_);
   for (int s = 0; s < partition_.num_stages; ++s) {
-    stage_graphs_.push_back(std::make_unique<Graph>(BuildStageGraph(graph, partition_, s)));
-    stage_op_counts_.push_back(stage_graphs_.back()->num_ops());
-    auto shard = std::make_unique<Shard>();
-    ServerOptions per_stage = options_.shard;
-    per_stage.request_id_base = static_cast<std::int64_t>(s + 1) * kShardIdBlock;
-    per_stage.on_response = [this, s](Response response) {
-      OnShardResponse(s, std::move(response));
-    };
-    shard->token = s;
-    shard->server = std::make_unique<Server>(cluster_.chips[static_cast<std::size_t>(s)],
-                                             *stage_graphs_.back(), std::move(per_stage));
-    stage_of_token_[s] = s;
-    shards_.push_back(std::move(shard));
+    shards_.push_back(MakeShard(cluster_.chips[static_cast<std::size_t>(s)],
+                                std::make_unique<Graph>(BuildStageGraph(graph, partition_, s)),
+                                s, s));
   }
-  // Recovery bookkeeping: stage s starts on chip s; no chip lost yet.
-  stage_chips_.resize(static_cast<std::size_t>(partition_.num_stages));
-  std::iota(stage_chips_.begin(), stage_chips_.end(), 0);
+  MutexLock lock(mu_);
   chip_down_.assign(static_cast<std::size_t>(cluster_.num_chips()), false);
-  next_token_ = partition_.num_stages;
-  next_id_block_ = partition_.num_stages + 1;
-  // Per-cut handoff bill: every boundary tensor relays through each cut
-  // between its producer and consumer stages.
-  cut_bytes_.assign(partition_.num_stages > 0
-                        ? static_cast<std::size_t>(partition_.num_stages - 1)
-                        : 0,
-                    0);
-  for (const StageBoundary& boundary : partition_.boundaries) {
-    for (int cut = boundary.src_stage; cut < boundary.dst_stage; ++cut) {
-      cut_bytes_[static_cast<std::size_t>(cut)] += boundary.bytes;
-    }
-  }
-  cut_seconds_.resize(cut_bytes_.size());
-  for (std::size_t cut = 0; cut < cut_bytes_.size(); ++cut) {
-    cut_seconds_[cut] = cluster_.TransferSeconds(static_cast<int>(cut),
-                                                 static_cast<int>(cut) + 1,
-                                                 cut_bytes_[cut]);
-  }
+  IndexShardsLocked();
 }
 
 Router::~Router() {
   const Status ignored = Shutdown();
   (void)ignored;
+}
+
+std::unique_ptr<Router::Shard> Router::MakeShard(const ChipSpec& chip,
+                                                 std::unique_ptr<Graph> stage_graph, int stage,
+                                                 int chip_index) {
+  auto shard = std::make_unique<Shard>();
+  shard->graph = std::move(stage_graph);
+  ServerOptions per_shard = options_.shard;
+  {
+    MutexLock lock(mu_);
+    shard->token = next_token_++;
+    per_shard.request_id_base = next_id_block_++ * kShardIdBlock;
+  }
+  per_shard.on_response = [this, token = shard->token](Response response) {
+    OnShardResponse(token, std::move(response));
+  };
+  shard->stage = stage;
+  shard->chip = chip_index;
+  shard->server = std::make_unique<Server>(
+      chip, shard->graph != nullptr ? *shard->graph : graph_, std::move(per_shard));
+  return shard;
+}
+
+std::vector<Router::Stage> Router::ChainStages(const GraphPartitionResult& partition,
+                                               const ClusterSpec& chain) const {
+  std::vector<Stage> stages(static_cast<std::size_t>(partition.num_stages));
+  // Per-cut handoff bill: every boundary tensor relays through each cut
+  // between its producer and consumer stages.
+  for (const StageBoundary& boundary : partition.boundaries) {
+    for (int cut = boundary.src_stage; cut < boundary.dst_stage; ++cut) {
+      stages[static_cast<std::size_t>(cut)].cut_bytes += boundary.bytes;
+    }
+  }
+  for (int cut = 0; cut + 1 < partition.num_stages; ++cut) {
+    Stage& stage = stages[static_cast<std::size_t>(cut)];
+    stage.cut_seconds = chain.TransferSeconds(cut, cut + 1, stage.cut_bytes);
+  }
+  return stages;
+}
+
+void Router::IndexShardsLocked() {
+  for (Stage& stage : stages_) {
+    stage.replicas.clear();
+  }
+  shard_of_token_.clear();
+  for (std::size_t i = 0; i < shards_.size(); ++i) {
+    stages_[static_cast<std::size_t>(shards_[i]->stage)].replicas.push_back(
+        static_cast<int>(i));
+    shard_of_token_[shards_[i]->token] = static_cast<int>(i);
+  }
+}
+
+int Router::StageOfOp(int op) const {
+  int stage = 0;
+  while (stage + 1 < static_cast<int>(stages_.size()) &&
+         op >= stages_[static_cast<std::size_t>(stage) + 1].first_op) {
+    ++stage;
+  }
+  return stage;
+}
+
+int Router::LiveReplicasLocked(int stage) const {
+  int live = 0;
+  for (const int r : stages_[static_cast<std::size_t>(stage)].replicas) {
+    if (shards_[static_cast<std::size_t>(r)]->state != ShardState::kDown) {
+      ++live;
+    }
+  }
+  return live;
+}
+
+std::string Router::LayoutLocked() const {
+  std::string layout;
+  for (std::size_t s = 0; s < partition_.stage_ops.size(); ++s) {
+    const int chip = shards_[static_cast<std::size_t>(stages_[s].replicas.front())]->chip;
+    if (!layout.empty()) {
+      layout += " | ";
+    }
+    layout += "stage " + std::to_string(s) + ": ops [" +
+              std::to_string(partition_.stage_ops[s].first) + ", " +
+              std::to_string(partition_.stage_ops[s].second) + "] on " +
+              cluster_.chips[static_cast<std::size_t>(chip)].name;
+  }
+  return layout;
 }
 
 Status Router::Start() {
@@ -245,33 +231,29 @@ Status Router::Start() {
       return started;
     }
   }
+  // Chain positions: stage s covers its replicas' op slots, after stage s-1.
+  int chain_ops = 0;
+  for (Stage& stage : stages_) {
+    stage.first_op = chain_ops;
+    stage.num_ops =
+        shards_[static_cast<std::size_t>(stage.replicas.front())]->server->num_op_slots();
+    chain_ops += stage.num_ops;
+  }
   obs::Log(options_.journal, obs::Severity::kInfo, "router", "router.start",
            /*request_id=*/-1, /*plan_epoch=*/-1,
            std::to_string(num_shards()) + " shard(s), mode " + ShardModeName(mode_));
-  if (mode_ == ShardMode::kPipeline) {
-    std::string layout;
-    for (int s = 0; s < num_shards(); ++s) {
-      if (!layout.empty()) {
-        layout += " | ";
-      }
-      layout += "stage " + std::to_string(s) + ": ops [" +
-                std::to_string(partition_.stage_ops[static_cast<std::size_t>(s)].first) +
-                ", " +
-                std::to_string(partition_.stage_ops[static_cast<std::size_t>(s)].second) +
-                "] on " + cluster_.chips[static_cast<std::size_t>(s)].name;
-    }
+  std::string layout;
+  {
+    MutexLock lock(mu_);
+    num_op_slots_ = chain_ops / ops_per_request_;
+    running_ = true;
+    layout = LayoutLocked();
+  }
+  if (!layout.empty()) {
     obs::Log(options_.journal, obs::Severity::kInfo, "router", "router.pipeline.start",
              /*request_id=*/-1, /*plan_epoch=*/-1, layout);
   }
-  RoutableGauge().Set(static_cast<double>(num_shards()));
-  {
-    MutexLock lock(mu_);
-    // A pipeline request is "run the model": one logical entry point; the
-    // chain expands it into every stage op.
-    num_op_slots_ =
-        mode_ == ShardMode::kPipeline ? 1 : shards_.front()->server->num_op_slots();
-    running_ = true;
-  }
+  Metrics().routable.Set(static_cast<double>(num_shards()));
   monitor_ = std::thread(&Router::MonitorLoop, this);
   return Status::Ok();
 }
@@ -316,6 +298,9 @@ StatusOr<std::int64_t> Router::Submit(const Request& request) {
                                             options_.hedge_fraction *
                                             request.deadline_seconds))
             : Clock::time_point::max();
+    pending.op = request.op_slot * ops_per_request_;
+    pending.last_op = pending.op + ops_per_request_ - 1;
+    pending.stage = StageOfOp(pending.op);
     if (options_.tracer != nullptr) {
       pending.trace = options_.tracer->Root(static_cast<std::uint64_t>(client_id),
                                             "rtr:" + std::to_string(client_id));
@@ -329,11 +314,7 @@ StatusOr<std::int64_t> Router::Submit(const Request& request) {
     ++stats_.submitted;
     pending_.emplace(client_id, std::move(pending));
   }
-  SubmittedCounter().Increment();
-  const Status routed = mode_ == ShardMode::kPipeline
-                            ? SubmitStageAttempt(client_id, /*stage=*/0,
-                                                 /*stage_op=*/0, "route")
-                            : SubmitAttempt(client_id, /*avoid=*/-1, "route");
+  const Status routed = SubmitAttempt(client_id, /*avoid=*/-1, "route");
   if (!routed.ok()) {
     // Synchronous admission failure: withdraw the entry — the caller learns
     // now, no Response will follow.
@@ -345,19 +326,21 @@ StatusOr<std::int64_t> Router::Submit(const Request& request) {
     }
     return routed;
   }
+  Metrics().submitted.Increment();
   return client_id;
 }
 
-int Router::PickShard(int avoid, const std::vector<bool>& exclude) {
-  const int n = static_cast<int>(shards_.size());
+int Router::PickShard(int stage, int avoid, const std::vector<bool>& tried) {
+  const std::vector<int>& replicas = stages_[static_cast<std::size_t>(stage)].replicas;
+  const std::uint64_t n = replicas.size();
   const std::uint64_t rotate = round_robin_++;
   int best = -1;
   double best_load = std::numeric_limits<double>::infinity();
-  for (int k = 0; k < n; ++k) {
-    const int i = static_cast<int>((rotate + static_cast<std::uint64_t>(k)) %
-                                   static_cast<std::uint64_t>(n));
-    const Shard& shard = *shards_[i];
-    if (i == avoid || exclude[static_cast<std::size_t>(i)] || !Routable(shard.state)) {
+  for (std::uint64_t k = 0; k < n; ++k) {
+    const int i = replicas[static_cast<std::size_t>((rotate + k) % n)];
+    const Shard& shard = *shards_[static_cast<std::size_t>(i)];
+    if (i == avoid || (!tried.empty() && tried[static_cast<std::size_t>(i)]) ||
+        !Routable(shard.state)) {
       continue;
     }
     const double load =
@@ -371,22 +354,39 @@ int Router::PickShard(int avoid, const std::vector<bool>& exclude) {
 }
 
 Status Router::SubmitAttempt(std::int64_t client_id, int avoid, const char* kind) {
-  std::vector<bool> exclude(shards_.size(), false);
+  // Only the initial route and a hedge hand their refusal back: Submit()
+  // still owns a route's entry, and a hedge's primary attempt owns the
+  // response. Every later step answers the client here.
+  const std::string_view step(kind);
+  const bool caller_owns_refusal = step == "route" || step == "hedge";
+  std::vector<bool> tried;  // Sized on the first refusal only.
   bool brownout_tried = false;
+  Status refusal;
   while (true) {
     Request request;
+    int stage = 0;
     int target = -1;
+    Server* server = nullptr;
     bool expired = false;
     {
       MutexLock lock(mu_);
       auto it = pending_.find(client_id);
       if (it == pending_.end() || it->second.delivered) {
-        return Status::Ok();  // Resolved while this attempt was being routed.
+        return Status::Ok();  // Resolved while this step was being routed.
       }
-      const Pending& p = it->second;
+      Pending& p = it->second;
+      if (recovering_ && !draining_) {
+        // cluster_draining: the chain parks at this exact position (no
+        // redirect budget burned — the failure is the cluster's, not the
+        // chain's) and resumes after the hot swap with its remaining budget.
+        p.retry_wait = true;
+        return Status::Ok();
+      }
+      stage = p.stage;
       request = p.request;
+      request.op_slot = p.op - stages_[static_cast<std::size_t>(stage)].first_op;
       if (p.has_deadline) {
-        // Every attempt — initial route, redirect, hedge — carries the
+        // Every step — route, handoff, redirect, hedge — carries the
         // REMAINING budget, not the original end-to-end deadline: time spent
         // queued, failing over or parked is charged, so the shard's EDF
         // queue orders this request by its true slack.
@@ -398,369 +398,149 @@ Status Router::SubmitAttempt(std::int64_t client_id, int avoid, const char* kind
           request.deadline_seconds = remaining;
         }
       }
-      target = expired ? -1 : PickShard(avoid, exclude);
+      if (!expired) {
+        // Snapshot under mu_: a hot swap may rewrite shards_, but the
+        // pointed-to server outlives the router (retired_shards_ keeps it).
+        target = PickShard(stage, avoid, tried);
+        server = target >= 0 ? shards_[static_cast<std::size_t>(target)]->server.get()
+                             : nullptr;
+      }
     }
     if (expired) {
       Status why = DeadlineExceededError("deadline budget exhausted before the " +
-                                         std::string(kind));
-      if (std::string_view(kind) == "route") {
-        return why;  // Submit() still owns the entry and withdraws it.
+                                         std::string(kind) + " to stage " +
+                                         std::to_string(stage));
+      if (caller_owns_refusal) {
+        return why;
       }
       FailPending(client_id, std::move(why));
       return Status::Ok();
     }
     if (target < 0) {
-      return UnavailableError("no routable shard");
+      if (refusal.code() == StatusCode::kResourceExhausted && !brownout_tried) {
+        // Every routable replica's queue is full: brownout admission, once.
+        brownout_tried = true;
+        if (TryBrownout(request, stage, avoid)) {
+          tried.clear();  // Retry every replica, the freed one included.
+          continue;
+        }
+      }
+      if (refusal.ok()) {
+        refusal = UnavailableError("no routable replica of stage " + std::to_string(stage));
+      }
+      break;
     }
-    StatusOr<std::int64_t> shard_request_id = shards_[target]->server->Submit(request);
+    StatusOr<std::int64_t> shard_request_id = server->Submit(request);
     if (shard_request_id.ok()) {
-      std::optional<std::pair<int, Response>> ready =
-          RegisterAttempt(client_id, target, *shard_request_id);
-      obs::Log(options_.journal, obs::Severity::kDebug, "router", "router.route",
-               client_id, /*plan_epoch=*/-1,
-               std::string(kind) + " -> shard " + std::to_string(target));
+      std::optional<Response> ready = RegisterAttempt(client_id, target, *shard_request_id);
+      if (options_.journal != nullptr) {
+        obs::Log(options_.journal, obs::Severity::kDebug, "router", "router.route",
+                 client_id, /*plan_epoch=*/-1,
+                 std::string(kind) + " -> shard " + std::to_string(target) + " (stage " +
+                     std::to_string(stage) + " op " + std::to_string(request.op_slot) +
+                     ")");
+      }
       if (ready.has_value()) {
-        ResolveAttempt(ready->first, client_id, std::move(ready->second));
+        ResolveAttempt(target, client_id, std::move(*ready));
       }
       return Status::Ok();
     }
-    exclude[static_cast<std::size_t>(target)] = true;
-    if (shard_request_id.status().code() != StatusCode::kResourceExhausted) {
-      continue;  // Breaker open / draining: try the next shard.
-    }
-    // This shard's queue is full. If every routable shard is now excluded,
-    // overload is global: brownout admission.
-    bool any_left;
-    {
-      MutexLock lock(mu_);
-      any_left = PickShard(avoid, exclude) >= 0;
-    }
-    if (any_left) {
-      continue;
-    }
-    if (brownout_tried) {
-      return shard_request_id.status();
-    }
-    brownout_tried = true;
-    const int freed = TryBrownout(request, avoid);
-    if (freed < 0) {
-      return shard_request_id.status();  // Incoming is the latest; shed it.
-    }
-    exclude.assign(shards_.size(), false);  // Retry, starting with `freed`.
+    refusal = shard_request_id.status();
+    tried.resize(shards_.size());
+    tried[static_cast<std::size_t>(target)] = true;
   }
-}
-
-int Router::TryBrownout(const Request& incoming, int avoid) {
-  if (incoming.deadline_seconds <= 0.0) {
-    return -1;  // A request with no deadline is itself the latest; shed it.
+  if (caller_owns_refusal) {
+    return refusal;
   }
-  std::vector<int> routable;
+  // A later step: the client already holds a ticket. A single-replica
+  // stage refusing kUnavailable is usually its admission circuit open during
+  // a replan — park the chain for the monitor to retry, budget permitting.
+  // Anything else must surface as the one response, never as a lost request.
+  bool parked = false;
   {
     MutexLock lock(mu_);
-    for (std::size_t i = 0; i < shards_.size(); ++i) {
-      if (static_cast<int>(i) != avoid && Routable(shards_[i]->state)) {
-        routable.push_back(static_cast<int>(i));
+    auto it = pending_.find(client_id);
+    if (it != pending_.end() && !it->second.delivered &&
+        stages_[static_cast<std::size_t>(it->second.stage)].replicas.size() == 1) {
+      parked = RetryStepLocked(it->second, refusal.code());
+    }
+  }
+  if (parked) {
+    Metrics().redirects.Increment();
+    obs::Log(options_.journal, obs::Severity::kWarn, "router", "router.redirect",
+             client_id, /*plan_epoch=*/-1,
+             std::string("the ") + kind + " was refused: " + refusal.ToString() +
+                 "; parked for retry");
+    return Status::Ok();
+  }
+  FailPending(client_id, std::move(refusal));
+  return Status::Ok();
+}
+
+bool Router::RetryStepLocked(Pending& p, StatusCode code) {
+  if (code != StatusCode::kUnavailable || draining_ ||
+      p.redirects >= options_.redirect_budget) {
+    return false;
+  }
+  ++p.redirects;
+  ++stats_.redirects;
+  p.retry_wait = stages_[static_cast<std::size_t>(p.stage)].replicas.size() == 1;
+  return true;
+}
+
+bool Router::TryBrownout(const Request& incoming, int stage, int avoid) {
+  if (incoming.deadline_seconds <= 0.0) {
+    return false;  // A request with no deadline is itself the latest; shed it.
+  }
+  std::vector<Server*> routable;
+  {
+    MutexLock lock(mu_);
+    for (const int i : stages_[static_cast<std::size_t>(stage)].replicas) {
+      if (i != avoid && Routable(shards_[static_cast<std::size_t>(i)]->state)) {
+        routable.push_back(shards_[static_cast<std::size_t>(i)]->server.get());
       }
     }
   }
-  // Globally latest victim across all routable queues; a no-deadline victim
+  // Latest victim across the stage's routable queues; a no-deadline victim
   // is "infinitely late" and wins outright.
-  int victim_shard = -1;
+  Server* victim = nullptr;
   bool victim_no_deadline = false;
   Clock::time_point victim_deadline = Clock::time_point::min();
-  for (const int i : routable) {
-    if (shards_[static_cast<std::size_t>(i)]->server->queue_depth() == 0) {
+  for (Server* server : routable) {
+    if (server->queue_depth() == 0) {
       continue;
     }
-    const std::optional<Clock::time_point> deadline =
-        shards_[static_cast<std::size_t>(i)]->server->PeekLatestVictimDeadline();
+    const std::optional<Clock::time_point> deadline = server->PeekLatestVictimDeadline();
     if (!deadline.has_value()) {
-      victim_shard = i;
+      victim = server;
       victim_no_deadline = true;
       break;
     }
-    if (victim_shard < 0 || *deadline > victim_deadline) {
-      victim_shard = i;
+    if (victim == nullptr || *deadline > victim_deadline) {
+      victim = server;
       victim_deadline = *deadline;
     }
-  }
-  if (victim_shard < 0) {
-    return -1;
   }
   const Clock::time_point incoming_deadline =
       Clock::now() + std::chrono::duration_cast<Clock::duration>(
                          std::chrono::duration<double>(incoming.deadline_seconds));
-  if (!victim_no_deadline && victim_deadline <= incoming_deadline) {
-    return -1;  // The incoming request is not earlier than any victim.
+  if (victim == nullptr || (!victim_no_deadline && victim_deadline <= incoming_deadline)) {
+    return false;  // Nothing queued, or the incoming request is not earlier.
   }
-  if (!shards_[static_cast<std::size_t>(victim_shard)]->server->TryShedLatestDeadline()) {
-    return -1;  // Raced with a worker; treat as no capacity freed.
+  if (!victim->TryShedLatestDeadline()) {
+    return false;  // Raced with a worker; treat as no capacity freed.
   }
-  BrownoutCounter().Increment();
+  Metrics().brownout_shed.Increment();
   obs::Log(options_.journal, obs::Severity::kWarn, "router", "router.brownout_shed",
            /*request_id=*/-1, /*plan_epoch=*/-1,
-           "shard " + std::to_string(victim_shard) +
+           "a replica of stage " + std::to_string(stage) +
                " shed its latest-deadline request for an earlier one");
-  {
-    MutexLock lock(mu_);
-    ++stats_.brownout_shed;
-  }
-  return victim_shard;
+  MutexLock lock(mu_);
+  ++stats_.brownout_shed;
+  return true;
 }
 
-Status Router::SubmitStageAttempt(std::int64_t client_id, int stage, int stage_op,
-                                  const char* kind) {
-  // Only the initial route can bounce the error back to Submit(), which
-  // still owns the entry; every later kind (advance/handoff/retry) must
-  // answer the client through FailPending instead.
-  const bool first_step = std::string_view(kind) == "route";
-  Request request;
-  bool stage_routable = false;
-  bool expired = false;
-  Server* server = nullptr;
-  {
-    MutexLock lock(mu_);
-    auto it = pending_.find(client_id);
-    if (it == pending_.end() || it->second.delivered) {
-      return Status::Ok();  // Resolved while this step was being routed.
-    }
-    Pending& p = it->second;
-    p.stage = stage;
-    p.stage_op = stage_op;
-    if (recovering_ && !draining_) {
-      // cluster_draining: the chain parks at this exact position (no
-      // redirect budget burned — the failure is the cluster's, not the
-      // chain's) and is remapped + resubmitted after the hot swap with its
-      // remaining deadline budget.
-      p.retry_wait = true;
-      return Status::Ok();
-    }
-    p.last_attempt_at = Clock::now();
-    request = p.request;
-    request.op_slot = stage_op;  // Stage-local operator index.
-    if (p.has_deadline) {
-      const double remaining =
-          std::chrono::duration<double>(p.deadline - Clock::now()).count();
-      if (remaining <= 0.0) {
-        expired = true;
-      } else {
-        // The handoff carries the remaining budget: the downstream stage's
-        // EDF queue orders this chain by its true slack, not the original
-        // end-to-end deadline re-counted from zero.
-        request.deadline_seconds = remaining;
-      }
-    }
-    stage_routable = Routable(shards_[static_cast<std::size_t>(stage)]->state);
-    // Snapshot under mu_: a concurrent hot swap may rewrite shards_, but the
-    // pointed-to server outlives the router (retired_shards_ keeps it).
-    server = shards_[static_cast<std::size_t>(stage)]->server.get();
-  }
-  if (expired) {
-    Status why = DeadlineExceededError("deadline budget exhausted before stage " +
-                                       std::to_string(stage));
-    if (first_step) {
-      return why;
-    }
-    FailPending(client_id, std::move(why));
-    return Status::Ok();
-  }
-  Status failure;
-  if (!stage_routable) {
-    failure = UnavailableError("stage " + std::to_string(stage) + " is down");
-  } else {
-    StatusOr<std::int64_t> shard_request_id = server->Submit(request);
-    if (shard_request_id.ok()) {
-      std::optional<std::pair<int, Response>> ready =
-          RegisterAttempt(client_id, stage, *shard_request_id);
-      obs::Log(options_.journal, obs::Severity::kDebug, "router", "router.route",
-               client_id, /*plan_epoch=*/-1,
-               std::string(kind) + " -> stage " + std::to_string(stage) + " op " +
-                   std::to_string(stage_op));
-      if (ready.has_value()) {
-        ResolveStageAttempt(ready->first, client_id, std::move(ready->second));
-      }
-      return Status::Ok();
-    }
-    failure = shard_request_id.status();
-  }
-  if (first_step) {
-    return failure;  // Submit() withdraws the entry; the caller learns now.
-  }
-  // Mid-chain: the client already holds a ticket. A kUnavailable here is
-  // usually the stage's admission circuit open during a replan — park the
-  // chain for the monitor to resubmit, budget permitting. Anything else
-  // (or an exhausted budget) must surface as the one response, never as a
-  // lost request.
-  if (failure.code() == StatusCode::kUnavailable) {
-    bool parked = false;
-    {
-      MutexLock lock(mu_);
-      auto it = pending_.find(client_id);
-      if (it != pending_.end() && !it->second.delivered && !draining_ &&
-          it->second.redirects < options_.redirect_budget) {
-        Pending& p = it->second;
-        ++p.redirects;
-        ++stats_.redirects;
-        p.retry_wait = true;  // stage/stage_op already point at this step.
-        parked = true;
-      }
-    }
-    if (parked) {
-      RedirectCounter().Increment();
-      obs::Log(options_.journal, obs::Severity::kWarn, "router", "router.redirect",
-               client_id, /*plan_epoch=*/-1,
-               "stage " + std::to_string(stage) + " rejected the " + kind + ": " +
-                   failure.ToString() + "; parked for retry");
-      return Status::Ok();
-    }
-  }
-  FailPending(client_id, std::move(failure));
-  return Status::Ok();
-}
-
-void Router::ResolveStageAttempt(int stage, std::int64_t client_id, Response response) {
-  bool delivered = false;
-  bool advance = false;
-  bool handoff = false;
-  bool retry = false;
-  int next_stage = 0;
-  int next_op = 0;
-  obs::TraceContext trace;
-  {
-    MutexLock lock(mu_);
-    Shard& sh = *shards_[static_cast<std::size_t>(stage)];
-    --sh.attempts_in_flight;
-    auto it = pending_.find(client_id);
-    if (it == pending_.end()) {
-      return;  // Reaped by shutdown; nothing left to resolve.
-    }
-    Pending& p = it->second;
-    --p.attempts_outstanding;
-    trace = p.trace;
-    if (p.trace.active()) {
-      options_.tracer->AddCompleted(p.trace, "router.attempt", p.last_attempt_at,
-                                    Clock::now(),
-                                    {{"stage", std::to_string(stage)},
-                                     {"stage_op", std::to_string(p.stage_op)},
-                                     {"status", response.status.ToString()}});
-    }
-    p.chain_retries += response.retries;
-    if (p.delivered) {
-      // Shutdown answered this client first; drop the duplicate.
-      if (p.attempts_outstanding == 0) {
-        pending_.erase(it);
-        if (pending_.empty()) {
-          idle_cv_.NotifyAll();
-        }
-      }
-    } else if (recovering_ && !draining_ && !response.status.ok() &&
-               (response.status.code() == StatusCode::kUnavailable ||
-                response.status.code() == StatusCode::kFailedPrecondition)) {
-      // cluster_draining: the dying chip (or a survivor refusing admissions
-      // behind it) failed this step. Park at the same position without
-      // burning redirect budget; the hot swap remaps and resubmits the
-      // chain. Deadline misses and data loss still deliver — those are the
-      // chain's own outcome, not the recovery's.
-      p.stage = stage;  // stage_op already points at the failed operator.
-      p.retry_wait = true;
-    } else if (response.status.code() == StatusCode::kUnavailable && !draining_ &&
-               p.redirects < options_.redirect_budget) {
-      // PR 8's redirect, aimed at the only place the work can go: the same
-      // stage. A kUnavailable here is the replan window (the old epoch's
-      // plan lost a core); an immediate resubmission would race the failover
-      // and burn the budget, so the chain parks and the monitor resubmits
-      // once the stage's server has left kReplanning. Budget-bounded like
-      // any redirect.
-      ++p.redirects;
-      ++stats_.redirects;
-      p.stage = stage;  // stage_op already points at the failed operator.
-      p.retry_wait = true;
-      retry = true;
-    } else if (!response.status.ok()) {
-      // A stage has no substitute: any stage failure terminates the chain
-      // with that stage's error, delivered exactly once.
-      p.delivered = true;
-      response.id = client_id;
-      response.op_slot = 0;
-      response.shard = stage;
-      response.retries = p.chain_retries;
-      response.latency_seconds = SecondsSince(p.admitted_at);
-      DeliverLocked(std::move(response));
-      delivered = true;
-      pending_.erase(it);
-      if (pending_.empty()) {
-        idle_cv_.NotifyAll();
-      }
-    } else {
-      p.chain_identical = p.chain_identical && response.bit_identical;
-      const int ops_in_stage = stage_op_counts_[static_cast<std::size_t>(stage)];
-      if (p.stage_op + 1 < ops_in_stage) {
-        advance = true;
-        next_stage = stage;
-        next_op = p.stage_op + 1;
-      } else if (stage + 1 < static_cast<int>(shards_.size())) {
-        advance = true;
-        handoff = true;
-        next_stage = stage + 1;
-        next_op = 0;
-        ++stats_.handoffs;
-      } else {
-        // Final operator of the final stage: the chain's answer. The audit
-        // bit is the AND over every operator on the chain.
-        p.delivered = true;
-        response.id = client_id;
-        response.op_slot = 0;
-        response.shard = stage;
-        response.retries = p.chain_retries;
-        response.bit_identical = p.chain_identical;
-        response.latency_seconds = SecondsSince(p.admitted_at);
-        DeliverLocked(std::move(response));
-        delivered = true;
-        pending_.erase(it);
-        if (pending_.empty()) {
-          idle_cv_.NotifyAll();
-        }
-      }
-    }
-  }
-  if (handoff) {
-    const std::size_t cut = static_cast<std::size_t>(stage);
-    const double link_seconds = cut < cut_seconds_.size() ? cut_seconds_[cut] : 0.0;
-    const std::int64_t link_bytes = cut < cut_bytes_.size() ? cut_bytes_[cut] : 0;
-    HandoffCounter().Increment();
-    HandoffSecondsHistogram().Record(link_seconds);
-    obs::Log(options_.journal, obs::Severity::kDebug, "router", "router.pipeline.handoff",
-             client_id, /*plan_epoch=*/-1,
-             "stage " + std::to_string(stage) + " -> " + std::to_string(stage + 1) +
-                 " (" + std::to_string(link_bytes) + "B over the link)");
-    if (trace.active()) {
-      const Clock::time_point now = Clock::now();
-      options_.tracer->AddCompleted(trace, "router.handoff", now, now,
-                                    {{"from_stage", std::to_string(stage)},
-                                     {"to_stage", std::to_string(stage + 1)},
-                                     {"link_seconds", std::to_string(link_seconds)}});
-    }
-  }
-  if (retry) {
-    RedirectCounter().Increment();
-    obs::Log(options_.journal, obs::Severity::kWarn, "router", "router.redirect",
-             client_id, /*plan_epoch=*/-1,
-             "stage " + std::to_string(stage) + " attempt failed: " +
-                 response.status.ToString() + "; retrying the stage");
-  }
-  if (advance) {
-    // Mid-chain failures answer the client inside SubmitStageAttempt.
-    const Status next = SubmitStageAttempt(
-        client_id, next_stage, next_op,
-        retry ? "retry" : (handoff ? "handoff" : "advance"));
-    (void)next;
-  }
-  if (delivered) {
-    ResponsesCounter().Increment();
-  }
-}
-
-std::optional<std::pair<int, Response>> Router::RegisterAttempt(
+std::optional<Response> Router::RegisterAttempt(
     std::int64_t client_id, int shard, std::int64_t shard_request_id) {
   MutexLock lock(mu_);
   ++shards_[static_cast<std::size_t>(shard)]->attempts_in_flight;
@@ -772,9 +552,9 @@ std::optional<std::pair<int, Response>> Router::RegisterAttempt(
   }
   auto unmatched = unmatched_.find(shard_request_id);
   if (unmatched != unmatched_.end()) {
-    Response response = std::move(unmatched->second.second);
+    Response response = std::move(unmatched->second);
     unmatched_.erase(unmatched);
-    return std::make_pair(shard, std::move(response));
+    return response;
   }
   attempt_to_client_[shard_request_id] = client_id;
   return std::nullopt;
@@ -786,9 +566,9 @@ void Router::OnShardResponse(int token, Response response) {
   std::int64_t orphaned = -1;
   {
     MutexLock lock(mu_);
-    const auto stage_it = stage_of_token_.find(token);
+    const auto shard_it = shard_of_token_.find(token);
     auto it = attempt_to_client_.find(response.id);
-    if (stage_it == stage_of_token_.end()) {
+    if (shard_it == shard_of_token_.end()) {
       // A retired (post-recovery) server answered. The drain barrier ran
       // before the server was retired, so no live attempt can be waiting on
       // it; if one somehow is, answer the client rather than lose it.
@@ -797,11 +577,11 @@ void Router::OnShardResponse(int token, Response response) {
         attempt_to_client_.erase(it);
       }
     } else {
-      shard = stage_it->second;
+      shard = shard_it->second;
       if (it == attempt_to_client_.end()) {
         // The shard answered before RegisterAttempt ran; park the response
         // for the registration to claim.
-        unmatched_.emplace(response.id, std::make_pair(shard, std::move(response)));
+        unmatched_.emplace(response.id, std::move(response));
         return;
       }
       client_id = it->second;
@@ -819,25 +599,28 @@ void Router::OnShardResponse(int token, Response response) {
 }
 
 void Router::ResolveAttempt(int shard, std::int64_t client_id, Response response) {
-  if (mode_ == ShardMode::kPipeline) {
-    ResolveStageAttempt(shard, client_id, std::move(response));
-    return;
-  }
-  bool redirect = false;
+  const StatusCode code = response.status.code();
+  int stage = 0;
+  const char* next_step = nullptr;  // Resubmits the chain: advance/handoff/redirect.
+  bool handoff = false;
+  bool retry = false;  // A budgeted redirect or park.
   bool delivered = false;
   bool drained_shard = false;
+  obs::TraceContext trace;
   {
     MutexLock lock(mu_);
     Shard& sh = *shards_[static_cast<std::size_t>(shard)];
     --sh.attempts_in_flight;
+    stage = sh.stage;
 
     // Breaker window: count chip-fault-shaped outcomes only — sheds and
-    // deadline misses are load signals and must not trip the breaker.
-    const StatusCode code = response.status.code();
+    // deadline misses are load signals and must not trip the breaker. A
+    // single-replica stage has no other replica to drain to, so it keeps none.
     const bool counted = code == StatusCode::kOk || code == StatusCode::kUnavailable ||
                          code == StatusCode::kDataLoss || code == StatusCode::kInternal;
     const bool failure = counted && code != StatusCode::kOk;
-    if (counted && Routable(sh.state)) {
+    if (counted && Routable(sh.state) &&
+        stages_[static_cast<std::size_t>(stage)].replicas.size() > 1) {
       sh.window.push_back(failure);
       if (failure) {
         ++sh.window_failures;
@@ -869,75 +652,75 @@ void Router::ResolveAttempt(int shard, std::int64_t client_id, Response response
     if (it == pending_.end()) {
       // Orphan attempt: its client request was already resolved and reaped.
       ++stats_.hedge_wasted;
-      HedgeWastedCounter().Increment();
+      Metrics().hedge_wasted.Increment();
     } else {
       Pending& p = it->second;
       --p.attempts_outstanding;
-      if (p.trace.active()) {
-        std::uint64_t flow_out = 0;
-        const std::uint64_t flow_in = p.last_flow;
-        p.last_flow = 0;
-        const bool will_redirect =
-            !p.delivered && !response.status.ok() &&
-            code == StatusCode::kUnavailable && !draining_ &&
-            p.redirects < options_.redirect_budget;
-        if (will_redirect) {
-          flow_out = RedirectFlowId(client_id, ++p.flow_seq);
-          p.last_flow = flow_out;
-        }
-        options_.tracer->AddCompleted(p.trace, "router.attempt", p.last_attempt_at,
-                                      Clock::now(),
-                                      {{"shard", std::to_string(shard)},
-                                       {"status", response.status.ToString()}},
-                                      flow_out, flow_in);
-      }
-      if (p.delivered) {
+      p.chain_retries += response.retries;
+      const int op = p.op;
+      const bool late = p.delivered;
+      bool deliver = false;
+      if (late) {
         // Hedge loser (or late duplicate): dedupe at the router so the
         // client sees exactly one response.
         ++stats_.hedge_wasted;
-        HedgeWastedCounter().Increment();
-        if (p.attempts_outstanding == 0) {
-          pending_.erase(it);
-          if (pending_.empty()) {
-            idle_cv_.NotifyAll();
-          }
-        }
+        Metrics().hedge_wasted.Increment();
       } else if (response.status.ok()) {
-        // First audit-passing response wins.
-        p.delivered = true;
-        response.id = client_id;
-        response.shard = shard;
-        response.latency_seconds = SecondsSince(p.admitted_at);
-        DeliverLocked(std::move(response));
-        delivered = true;
-        if (p.attempts_outstanding == 0) {
-          pending_.erase(it);
-          if (pending_.empty()) {
-            idle_cv_.NotifyAll();
+        p.chain_identical = p.chain_identical && response.bit_identical;
+        if (p.op < p.last_op) {
+          const Stage& at = stages_[static_cast<std::size_t>(p.stage)];
+          next_step = "advance";
+          if (++p.op >= at.first_op + at.num_ops) {
+            ++p.stage;
+            ++stats_.handoffs;
+            next_step = "handoff";
+            handoff = true;
+            trace = p.trace;
           }
+        } else {
+          // The chain's answer, from the first audit-passing attempt of its
+          // last op. The audit bit is the AND over every op on the chain.
+          response.retries = p.chain_retries;
+          response.bit_identical = p.chain_identical;
+          deliver = true;
         }
-      } else if (code == StatusCode::kUnavailable && !draining_ &&
-                 p.redirects < options_.redirect_budget) {
-        // The shard (or its path) failed this request persistently: re-route
-        // to a survivor, bounded by the redirect budget.
-        ++p.redirects;
-        ++stats_.redirects;
-        RedirectCounter().Increment();
-        redirect = true;
-      } else if (p.attempts_outstanding > 0) {
-        // A hedge partner is still out; hold the error in case it wins.
-        p.stashed = std::move(response);
-      } else {
-        p.delivered = true;
-        response.id = client_id;
+      } else if (recovering_ && !draining_ &&
+                 (code == StatusCode::kUnavailable ||
+                  code == StatusCode::kFailedPrecondition)) {
+        // cluster_draining: the dying chip (or a survivor refusing
+        // admissions behind it) failed this step. Park at the same position
+        // without burning redirect budget; the hot swap resumes the chain.
+        // Deadline misses and data loss still deliver — those are the
+        // chain's own outcome, not the recovery's.
+        p.retry_wait = true;
+      } else if (RetryStepLocked(p, code)) {
+        // The replica (or its path) failed this step: re-run it on another
+        // replica, or — with none — park until the stage's replan lands (an
+        // immediate resubmission would race the failover).
+        retry = true;
+        next_step = p.retry_wait ? nullptr : "redirect";
+      } else if (p.attempts_outstanding == 0) {
+        response.retries = p.chain_retries;
+        deliver = true;
+      }
+      // Otherwise a hedge partner is still out and delivers its own outcome.
+      if (p.trace.active()) {
+        const std::uint64_t flow_in = p.last_flow;
+        p.last_flow = retry ? RedirectFlowId(client_id, ++p.flow_seq) : 0;
+        options_.tracer->AddCompleted(p.trace, "router.attempt", p.last_attempt_at,
+                                      Clock::now(),
+                                      {{"shard", std::to_string(shard)},
+                                       {"stage", std::to_string(stage)},
+                                       {"op", std::to_string(op)},
+                                       {"status", response.status.ToString()}},
+                                      p.last_flow, flow_in);
+      }
+      if (deliver) {
         response.shard = shard;
-        response.latency_seconds = SecondsSince(p.admitted_at);
-        DeliverLocked(std::move(response));
+        DeliverLocked(it, std::move(response));
         delivered = true;
-        pending_.erase(it);
-        if (pending_.empty()) {
-          idle_cv_.NotifyAll();
-        }
+      } else if (late) {
+        ReapLocked(it);
       }
     }
   }
@@ -947,63 +730,66 @@ void Router::ResolveAttempt(int shard, std::int64_t client_id, Response response
              "shard " + std::to_string(shard) + " breaker tripped; draining");
     EmitRebalance("breaker");
   }
-  if (redirect) {
-    obs::Log(options_.journal, obs::Severity::kWarn, "router", "router.redirect",
+  if (handoff) {
+    const Stage& from = stages_[static_cast<std::size_t>(stage)];
+    Metrics().handoffs.Increment();
+    Metrics().handoff_seconds.Record(from.cut_seconds);
+    obs::Log(options_.journal, obs::Severity::kDebug, "router", "router.pipeline.handoff",
              client_id, /*plan_epoch=*/-1,
-             "attempt on shard " + std::to_string(shard) + " failed: " +
-                 response.status.ToString());
-    const Status rerouted = SubmitAttempt(client_id, shard, "redirect");
-    if (!rerouted.ok()) {
-      FailPending(client_id,
-                  UnavailableError("redirect failed: " + rerouted.ToString()));
+             "stage " + std::to_string(stage) + " -> " + std::to_string(stage + 1) +
+                 " (" + std::to_string(from.cut_bytes) + "B over the link)");
+    if (trace.active()) {
+      const Clock::time_point now = Clock::now();
+      options_.tracer->AddCompleted(trace, "router.handoff", now, now,
+                                    {{"from_stage", std::to_string(stage)},
+                                     {"to_stage", std::to_string(stage + 1)},
+                                     {"link_seconds", std::to_string(from.cut_seconds)}});
     }
   }
+  if (retry) {
+    Metrics().redirects.Increment();
+    obs::Log(options_.journal, obs::Severity::kWarn, "router", "router.redirect",
+             client_id, /*plan_epoch=*/-1,
+             "attempt on shard " + std::to_string(shard) + " (stage " +
+                 std::to_string(stage) + ") failed: " + response.status.ToString() +
+                 (next_step != nullptr ? "; redirecting" : "; parked for retry"));
+  }
+  if (next_step != nullptr) {
+    // Failures of the next step answer the client inside SubmitAttempt.
+    const Status next = SubmitAttempt(client_id, retry ? shard : -1, next_step);
+    (void)next;
+  }
   if (delivered) {
-    ResponsesCounter().Increment();
+    Metrics().responses.Increment();
   }
 }
 
 void Router::FailPending(std::int64_t client_id, Status status) {
-  bool delivered = false;
   {
     MutexLock lock(mu_);
     auto it = pending_.find(client_id);
-    if (it == pending_.end() || it->second.delivered) {
-      return;
+    if (it == pending_.end() || it->second.delivered ||
+        it->second.attempts_outstanding > 0) {
+      return;  // Answered already, or a live attempt delivers its own outcome.
     }
-    Pending& p = it->second;
-    if (p.attempts_outstanding > 0) {
-      Response stash;
-      stash.id = client_id;
-      stash.op_slot = p.request.op_slot;
-      stash.status = std::move(status);
-      p.stashed = std::move(stash);
-      return;  // A live attempt will resolve (or inherit) this.
-    }
-    p.delivered = true;
     Response out;
-    out.id = client_id;
-    out.op_slot = p.request.op_slot;
     out.status = std::move(status);
-    out.latency_seconds = SecondsSince(p.admitted_at);
-    if (p.trace.active()) {
+    if (it->second.trace.active()) {
       const Clock::time_point now = Clock::now();
-      options_.tracer->AddCompleted(p.trace, "router.attempt", now, now,
+      options_.tracer->AddCompleted(it->second.trace, "router.attempt", now, now,
                                     {{"status", out.status.ToString()}});
     }
-    DeliverLocked(std::move(out));
-    delivered = true;
-    pending_.erase(it);
-    if (pending_.empty()) {
-      idle_cv_.NotifyAll();
-    }
+    DeliverLocked(it, std::move(out));
   }
-  if (delivered) {
-    ResponsesCounter().Increment();
-  }
+  Metrics().responses.Increment();
 }
 
-void Router::DeliverLocked(Response response) {
+void Router::DeliverLocked(PendingMap::iterator it, Response response) {
+  Pending& p = it->second;
+  p.delivered = true;
+  response.id = p.client_id;
+  response.op_slot = p.request.op_slot;
+  response.latency_seconds = SecondsSince(p.admitted_at);
   ++stats_.responses;
   if (response.status.ok()) {
     ++stats_.ok;
@@ -1013,6 +799,17 @@ void Router::DeliverLocked(Response response) {
     ++stats_.failed;
   }
   responses_.push_back(std::move(response));
+  ReapLocked(it);
+}
+
+void Router::ReapLocked(PendingMap::iterator it) {
+  if (it->second.attempts_outstanding > 0) {
+    return;
+  }
+  pending_.erase(it);
+  if (pending_.empty()) {
+    idle_cv_.NotifyAll();
+  }
 }
 
 void Router::MonitorLoop() {
@@ -1038,13 +835,15 @@ void Router::MonitorLoop() {
       Server& server = *shards_[static_cast<std::size_t>(i)]->server;
       const ServerState state = server.state();
       if (state == ServerState::kFailed) {
-        if (mode_ == ShardMode::kPipeline && options_.recover_on_chip_loss) {
+        if (options_.recover_on_chip_loss && cluster_.num_chips() > 0) {
           MutexLock lock(mu_);
-          // stage_down -> cluster_draining: set recovering_ BEFORE the shard
-          // is marked down so no chain fails through the stage-down path in
-          // the gap. A loss during an active recovery folds into it (the
-          // cumulative chip mask is built after the drain).
-          if (shards_[static_cast<std::size_t>(i)]->state != ShardState::kDown &&
+          // A stage losing its last replica: stage_down -> cluster_draining.
+          // Set recovering_ BEFORE the shard is marked down so no chain fails
+          // through the stage-down path in the gap. A loss during an active
+          // recovery folds into it (the cumulative chip mask is built after
+          // the drain).
+          const Shard& sh = *shards_[static_cast<std::size_t>(i)];
+          if (sh.state != ShardState::kDown && LiveReplicasLocked(sh.stage) == 1 &&
               !recovering_ && !cluster_failed_ && !draining_) {
             recovering_ = true;
             recover = true;
@@ -1115,21 +914,43 @@ void Router::MonitorLoop() {
                /*request_id=*/-1, /*plan_epoch=*/-1, "every shard is down");
       DumpFlightRecorder("router: total outage (every shard down)");
     }
-    // Hedge scan: deadline-bearing requests past their hedge point with one
-    // attempt outstanding get a duplicate on a different shard.
+    // One pass over the pending table:
+    //   - parked chains (a single-replica stage's replan window, or a hot
+    //     swap that just landed) resubmit once some replica of their stage
+    //     has left kReplanning. A dead stage or an expired deadline
+    //     resubmits too — SubmitAttempt turns those into the right error,
+    //     answered exactly once;
+    //   - deadline-bearing requests past their hedge point with one attempt
+    //     outstanding on a stage with replicas get a duplicate on another.
     std::vector<std::pair<std::int64_t, int>> hedges;  // (client, avoid).
+    std::vector<std::int64_t> retries;
     {
       MutexLock lock(mu_);
-      // Hedges duplicate a whole-request attempt on another replica; a
-      // pipeline stage has no replica, so the scan is replicated-mode only.
-      if (options_.hedge_fraction > 0.0 && !draining_ &&
-          mode_ == ShardMode::kReplicated) {
-        const Clock::time_point now = Clock::now();
-        for (auto& [client_id, p] : pending_) {
-          if (p.delivered || p.hedged || !p.has_deadline ||
-              p.attempts_outstanding != 1 || now < p.hedge_at || now >= p.deadline) {
-            continue;
+      const Clock::time_point now = Clock::now();
+      const bool hedging = options_.hedge_fraction > 0.0 && !draining_ && !recovering_;
+      for (auto& [client_id, p] : pending_) {
+        if (p.delivered) {
+          continue;
+        }
+        const std::vector<int>& replicas =
+            stages_[static_cast<std::size_t>(p.stage)].replicas;
+        if (p.retry_wait) {
+          if (recovering_) {
+            continue;  // Chains stay parked until the cluster hot swap lands.
           }
+          const bool expired = p.has_deadline && now >= p.deadline;
+          const bool replanning =
+              std::all_of(replicas.begin(), replicas.end(), [&](int r) {
+                return shards_[static_cast<std::size_t>(r)]->server->state() ==
+                       ServerState::kReplanning;
+              });
+          if (replanning && !expired) {
+            continue;  // Still failing over; keep the chain parked.
+          }
+          p.retry_wait = false;
+          retries.push_back(client_id);
+        } else if (hedging && replicas.size() > 1 && !p.hedged && p.has_deadline &&
+                   p.attempts_outstanding == 1 && now >= p.hedge_at && now < p.deadline) {
           p.hedged = true;
           ++stats_.hedges;
           hedges.emplace_back(client_id, p.last_shard);
@@ -1137,7 +958,7 @@ void Router::MonitorLoop() {
       }
     }
     for (const auto& [client_id, avoid] : hedges) {
-      HedgeCounter().Increment();
+      Metrics().hedges.Increment();
       obs::Log(options_.journal, obs::Severity::kInfo, "router", "router.hedge",
                client_id, /*plan_epoch=*/-1,
                "hedging away from shard " + std::to_string(avoid));
@@ -1146,35 +967,8 @@ void Router::MonitorLoop() {
       const Status hedged = SubmitAttempt(client_id, avoid, "hedge");
       (void)hedged;
     }
-    // Parked-retry scan (pipeline mode): chains that hit a stage's replan
-    // window wait here until the server leaves kReplanning, then resubmit
-    // to the new epoch. A stage that went terminal (or a deadline that ran
-    // out) resubmits too — SubmitStageAttempt turns those into the right
-    // error, answered exactly once.
-    std::vector<std::array<std::int64_t, 3>> retries;  // (client, stage, op).
-    if (mode_ == ShardMode::kPipeline) {
-      MutexLock lock(mu_);
-      const Clock::time_point now = Clock::now();
-      for (auto& [client_id, p] : pending_) {
-        if (recovering_) {
-          break;  // Chains stay parked until the cluster hot swap lands.
-        }
-        if (!p.retry_wait || p.delivered) {
-          continue;
-        }
-        const ServerState state =
-            shards_[static_cast<std::size_t>(p.stage)]->server->state();
-        const bool expired = p.has_deadline && now >= p.deadline;
-        if (state == ServerState::kReplanning && !expired) {
-          continue;  // Still failing over; keep the chain parked.
-        }
-        p.retry_wait = false;
-        retries.push_back({client_id, p.stage, p.stage_op});
-      }
-    }
-    for (const auto& r : retries) {
-      const Status resubmitted = SubmitStageAttempt(
-          r[0], static_cast<int>(r[1]), static_cast<int>(r[2]), "retry");
+    for (const std::int64_t client_id : retries) {
+      const Status resubmitted = SubmitAttempt(client_id, /*avoid=*/-1, "retry");
       (void)resubmitted;  // Failures answered the client inside.
     }
   }
@@ -1225,32 +1019,25 @@ void Router::RunClusterRecovery() {
     }
   }
 
-  // repartitioning: cumulative chip mask from every stage marked down (a
+  // repartitioning: cumulative chip mask from every shard marked down (a
   // second loss during the drain folds into this same replan), then one
   // stage DP over the survivors. Survivors keep their ORIGINAL chip index.
   std::vector<bool> chip_down;
-  std::vector<int> old_stage_chips;
-  std::vector<std::pair<int, int>> old_stage_ops;
   int old_epoch = 0;
   {
     MutexLock lock(mu_);
-    for (std::size_t t = 0; t < shards_.size(); ++t) {
-      if (shards_[t]->state == ShardState::kDown) {
-        chip_down_[static_cast<std::size_t>(stage_chips_[t])] = true;
+    for (const auto& sh : shards_) {
+      if (sh->state == ShardState::kDown) {
+        chip_down_[static_cast<std::size_t>(sh->chip)] = true;
       }
     }
     chip_down = chip_down_;
-    old_stage_chips = stage_chips_;
-    old_stage_ops = partition_.stage_ops;
     old_epoch = cluster_epoch_;
   }
-  int lost = 0;
-  for (const bool down : chip_down) {
-    lost += down ? 1 : 0;
-  }
+  const auto lost = std::count(chip_down.begin(), chip_down.end(), true);
   DegradedRepartition plan = RepartitionDegraded(graph_, cluster_, chip_down);
-  RepartitionCounter().Increment();
-  RepartitionSecondsHistogram().Record(SecondsSince(started));
+  Metrics().repartitions.Increment();
+  Metrics().repartition_seconds.Record(SecondsSince(started));
   obs::Log(options_.journal, obs::Severity::kWarn, "router", "router.cluster.repartition",
            /*request_id=*/-1, old_epoch + 1,
            std::to_string(parked) + " chain(s) parked; " + std::to_string(lost) + "/" +
@@ -1280,157 +1067,104 @@ void Router::RunClusterRecovery() {
   obs::Log(options_.journal, obs::Severity::kInfo, "router", "router.cluster.verify_gate",
            /*request_id=*/-1, old_epoch + 1, "verification passed");
 
-  // Stage servers whose operator range and chip are both unchanged keep
-  // serving as-is — no recompile, queue intact. Everything else gets a fresh
+  // Shards whose operator range and chip are both unchanged keep serving
+  // as-is — no recompile, queue intact. Every other stage gets a fresh
   // server (warm-started from the plan cache when the shard options carry
   // one), started BEFORE the swap so the new chain never routes at a stage
-  // that cannot serve.
-  const int new_stages = plan.partition.num_stages;
-  std::vector<int> reuse(static_cast<std::size_t>(new_stages), -1);
+  // that cannot serve. Only this thread rewrites the grid, so its layout
+  // reads need no lock; shard states do.
+  const std::size_t new_stages = static_cast<std::size_t>(plan.partition.num_stages);
+  std::vector<Stage> stages = ChainStages(plan.partition, plan.survivors);
+  std::vector<int> reuse(new_stages, -1);
+  int reused = 0;
   {
     MutexLock lock(mu_);
     std::vector<bool> taken(shards_.size(), false);
-    for (int s = 0; s < new_stages; ++s) {
-      const int chip = plan.stage_chips[static_cast<std::size_t>(s)];
-      for (std::size_t t = 0; t < shards_.size(); ++t) {
-        if (!taken[t] && old_stage_chips[t] == chip && Routable(shards_[t]->state) &&
-            old_stage_ops[t] == plan.partition.stage_ops[static_cast<std::size_t>(s)]) {
-          reuse[static_cast<std::size_t>(s)] = static_cast<int>(t);
+    for (std::size_t s = 0; s < new_stages; ++s) {
+      for (std::size_t t = 0; t < shards_.size() && reuse[s] < 0; ++t) {
+        const Shard& old = *shards_[t];
+        if (!taken[t] && old.chip == plan.stage_chips[s] && Routable(old.state) &&
+            partition_.stage_ops[static_cast<std::size_t>(old.stage)] ==
+                plan.partition.stage_ops[s]) {
+          reuse[s] = static_cast<int>(t);
           taken[t] = true;
-          break;
+          ++reused;
         }
       }
     }
   }
-  struct Fresh {
-    int stage = -1;
-    std::unique_ptr<Graph> graph;
-    std::unique_ptr<Shard> shard;
-  };
-  std::vector<Fresh> fresh;
-  int reused = 0;
-  for (int s = 0; s < new_stages; ++s) {
-    if (reuse[static_cast<std::size_t>(s)] >= 0) {
-      ++reused;
+  std::vector<std::unique_ptr<Shard>> chain(new_stages);  // Fresh shards.
+  for (std::size_t s = 0; s < new_stages; ++s) {
+    if (reuse[s] >= 0) {
       continue;
     }
-    const int chip = plan.stage_chips[static_cast<std::size_t>(s)];
-    Fresh f;
-    f.stage = s;
-    f.graph = std::make_unique<Graph>(BuildStageGraph(graph_, plan.partition, s));
-    auto shard = std::make_unique<Shard>();
-    ServerOptions per_stage = options_.shard;
-    int token = -1;
-    std::int64_t block = 0;
-    {
-      MutexLock lock(mu_);
-      token = next_token_++;
-      block = next_id_block_++;
-    }
-    per_stage.request_id_base = block * kShardIdBlock;
-    per_stage.on_response = [this, token](Response response) {
-      OnShardResponse(token, std::move(response));
-    };
-    shard->token = token;
-    shard->server = std::make_unique<Server>(cluster_.chips[static_cast<std::size_t>(chip)],
-                                             *f.graph, std::move(per_stage));
-    f.shard = std::move(shard);
-    fresh.push_back(std::move(f));
-  }
-  for (std::size_t i = 0; i < fresh.size(); ++i) {
-    const Status started_ok = fresh[i].shard->server->Start();
+    const int chip = plan.stage_chips[s];
+    chain[s] = MakeShard(
+        cluster_.chips[static_cast<std::size_t>(chip)],
+        std::make_unique<Graph>(BuildStageGraph(graph_, plan.partition, static_cast<int>(s))),
+        static_cast<int>(s), chip);
+    const Status started_ok = chain[s]->server->Start();
     if (!started_ok.ok()) {
-      for (std::size_t j = 0; j < i; ++j) {
-        const Status stopped = fresh[j].shard->server->Shutdown();
-        (void)stopped;
+      for (std::size_t j = 0; j < s; ++j) {
+        if (chain[j] != nullptr) {
+          const Status stopped = chain[j]->server->Shutdown();
+          (void)stopped;
+        }
       }
-      EnterClusterFailed("replacement stage " + std::to_string(fresh[i].stage) +
+      EnterClusterFailed("replacement stage " + std::to_string(s) +
                          " failed to start: " + started_ok.ToString());
       return;
     }
   }
+  int chain_ops = 0;
+  for (std::size_t s = 0; s < new_stages; ++s) {
+    stages[s].first_op = chain_ops;
+    stages[s].num_ops =
+        reuse[s] >= 0
+            ? stages_[static_cast<std::size_t>(
+                          shards_[static_cast<std::size_t>(reuse[s])]->stage)]
+                  .num_ops
+            : chain[s]->server->num_op_slots();
+    chain_ops += stages[s].num_ops;
+  }
 
-  // hot_swap: remap the parked chains by global operator index, splice the
-  // new stage tables in, bump the cluster epoch. The parked-retry scan then
-  // resubmits every chain at its exact resume position with its remaining
-  // deadline budget.
+  // hot_swap: splice the new grid in, bump the cluster epoch, and re-seat
+  // every parked chain on the stage now owning its exact next op (chain
+  // positions are preserved across cuts). The parked-retry scan then
+  // resubmits each with its remaining deadline budget.
   std::vector<Server*> newly_retired;
   std::string layout;
   {
     MutexLock lock(mu_);
+    for (std::size_t s = 0; s < new_stages; ++s) {
+      if (reuse[s] >= 0) {
+        chain[s] = std::move(shards_[static_cast<std::size_t>(reuse[s])]);
+      }
+      chain[s]->stage = static_cast<int>(s);
+    }
+    for (auto& old : shards_) {
+      if (old != nullptr) {
+        newly_retired.push_back(old->server.get());
+        retired_shards_.push_back(std::move(old));
+      }
+    }
+    shards_ = std::move(chain);
+    stages_ = std::move(stages);
+    IndexShardsLocked();
     for (auto& [client_id, p] : pending_) {
       (void)client_id;
-      if (p.delivered) {
-        continue;
-      }
-      const int g = old_stage_ops[static_cast<std::size_t>(p.stage)].first + p.stage_op;
-      int ns = 0;
-      while (ns + 1 < new_stages &&
-             g > plan.partition.stage_ops[static_cast<std::size_t>(ns)].second) {
-        ++ns;
-      }
-      p.stage = ns;
-      p.stage_op = g - plan.partition.stage_ops[static_cast<std::size_t>(ns)].first;
-      p.retry_wait = true;
-    }
-    std::vector<std::unique_ptr<Shard>> new_shards;
-    std::vector<std::unique_ptr<Graph>> new_graphs;
-    std::vector<int> new_counts;
-    stage_of_token_.clear();
-    std::size_t next_fresh = 0;
-    for (int s = 0; s < new_stages; ++s) {
-      const int from = reuse[static_cast<std::size_t>(s)];
-      if (from >= 0) {
-        new_shards.push_back(std::move(shards_[static_cast<std::size_t>(from)]));
-        new_graphs.push_back(std::move(stage_graphs_[static_cast<std::size_t>(from)]));
-      } else {
-        Fresh& f = fresh[next_fresh++];
-        new_shards.push_back(std::move(f.shard));
-        new_graphs.push_back(std::move(f.graph));
-      }
-      stage_of_token_[new_shards.back()->token] = s;
-      new_counts.push_back(new_graphs.back()->num_ops());
-    }
-    for (std::size_t t = 0; t < shards_.size(); ++t) {
-      if (shards_[t] != nullptr) {
-        newly_retired.push_back(shards_[t]->server.get());
-        retired_shards_.push_back(std::move(shards_[t]));
-        retired_graphs_.push_back(std::move(stage_graphs_[t]));
+      if (!p.delivered) {
+        p.stage = StageOfOp(p.op);
+        p.retry_wait = true;
       }
     }
-    shards_ = std::move(new_shards);
-    stage_graphs_ = std::move(new_graphs);
-    stage_op_counts_ = std::move(new_counts);
     partition_ = std::move(plan.partition);
-    stage_chips_ = plan.stage_chips;
-    cut_bytes_.assign(partition_.num_stages > 0
-                          ? static_cast<std::size_t>(partition_.num_stages - 1)
-                          : 0,
-                      0);
-    for (const StageBoundary& boundary : partition_.boundaries) {
-      for (int cut = boundary.src_stage; cut < boundary.dst_stage; ++cut) {
-        cut_bytes_[static_cast<std::size_t>(cut)] += boundary.bytes;
-      }
-    }
-    cut_seconds_.resize(cut_bytes_.size());
-    for (std::size_t cut = 0; cut < cut_bytes_.size(); ++cut) {
-      cut_seconds_[cut] = plan.survivors.TransferSeconds(
-          static_cast<int>(cut), static_cast<int>(cut) + 1, cut_bytes_[cut]);
-    }
     cluster_epoch_ = old_epoch + 1;
     stats_.cluster_epoch = cluster_epoch_;
     ++stats_.recoveries;
     recovering_ = false;
     total_outage_announced_ = false;  // The new chain serves again.
-    for (std::size_t s = 0; s < shards_.size(); ++s) {
-      if (!layout.empty()) {
-        layout += " | ";
-      }
-      layout += "stage " + std::to_string(s) + ": ops [" +
-                std::to_string(partition_.stage_ops[s].first) + ", " +
-                std::to_string(partition_.stage_ops[s].second) + "] on " +
-                cluster_.chips[static_cast<std::size_t>(stage_chips_[s])].name;
-    }
+    layout = LayoutLocked();
   }
   obs::Log(options_.journal, obs::Severity::kInfo, "router", "router.cluster.hot_swap",
            /*request_id=*/-1, old_epoch + 1,
@@ -1465,6 +1199,8 @@ void Router::EnterClusterFailed(const std::string& reason) {
 }
 
 void Router::MarkShardDown(int shard, const Status& why) {
+  int stage = 0;
+  bool stage_lost = false;
   {
     MutexLock lock(mu_);
     Shard& sh = *shards_[static_cast<std::size_t>(shard)];
@@ -1475,22 +1211,25 @@ void Router::MarkShardDown(int shard, const Status& why) {
     sh.weight = 0.0;
     ++stats_.shard_downs;
     ++stats_.rebalances;
+    stage = sh.stage;
+    stage_lost = LiveReplicasLocked(stage) == 0;
   }
-  ShardDownCounter().Increment();
+  Metrics().shard_downs.Increment();
   obs::Log(options_.journal, obs::Severity::kError, "router", "router.shard_down",
            /*request_id=*/-1, /*plan_epoch=*/-1,
            "shard " + std::to_string(shard) + " lost: " + why.ToString());
-  if (mode_ == ShardMode::kPipeline) {
-    StageDownCounter().Increment();
+  if (stage_lost) {
+    Metrics().stage_downs.Increment();
     obs::Log(options_.journal, obs::Severity::kError, "router",
              "router.pipeline.stage_down", /*request_id=*/-1, /*plan_epoch=*/-1,
-             "stage " + std::to_string(shard) +
-                 " lost its chip; chains crossing it fail: " + why.ToString());
+             "stage " + std::to_string(stage) + " lost its last replica (shard " +
+                 std::to_string(shard) + "); chains crossing it fail: " + why.ToString());
   } else {
     obs::Log(options_.journal, obs::Severity::kWarn, "router", "router.drain",
              /*request_id=*/-1, /*plan_epoch=*/-1,
              "shard " + std::to_string(shard) +
-                 "'s queue drains; its requests redirect to survivors");
+                 "'s queue drains; its requests redirect to the other replicas of stage " +
+                 std::to_string(stage));
   }
   EmitRebalance("shard_down");
   DumpFlightRecorder("router: shard " + std::to_string(shard) +
@@ -1552,33 +1291,26 @@ void Router::EmitRebalance(const char* cause) {
       }
     }
   }
-  RebalanceCounter().Increment();
-  RoutableGauge().Set(static_cast<double>(routable));
+  Metrics().rebalances.Increment();
+  Metrics().routable.Set(static_cast<double>(routable));
   obs::Log(options_.journal, obs::Severity::kInfo, "router", "router.rebalance",
            /*request_id=*/-1, /*plan_epoch=*/-1,
            std::string(cause) + ": " + weights);
 }
 
+Server* Router::ServerOf(int shard) const {
+  // Snapshot under mu_: a concurrent cluster recovery may rewrite shards_;
+  // the pointed-to server stays alive (retired_shards_).
+  MutexLock lock(mu_);
+  return shards_[static_cast<std::size_t>(shard)]->server.get();
+}
+
 void Router::KillChip(int shard) {
-  Server* server = nullptr;
-  {
-    // Snapshot under mu_: a concurrent cluster recovery may rewrite shards_;
-    // the pointed-to server stays alive (retired_shards_).
-    MutexLock lock(mu_);
-    server = shards_[static_cast<std::size_t>(shard)]->server.get();
-  }
-  server->KillChip();
+  ServerOf(shard)->KillChip();
   monitor_cv_.NotifyAll();
 }
 
-void Router::KillCore(int shard, int core) {
-  Server* server = nullptr;
-  {
-    MutexLock lock(mu_);
-    server = shards_[static_cast<std::size_t>(shard)]->server.get();
-  }
-  server->KillCore(core);
-}
+void Router::KillCore(int shard, int core) { ServerOf(shard)->KillCore(core); }
 
 void Router::WaitIdle() {
   MutexLock lock(mu_);
@@ -1647,8 +1379,8 @@ int Router::num_op_slots() const {
 }
 
 std::string Router::op_slot_name(int slot) const {
-  if (mode_ == ShardMode::kPipeline) {
-    return graph_.name();  // Slot 0 means "run the model".
+  if (ops_per_request_ > 1) {
+    return graph_.name();  // The slot runs the whole model.
   }
   return shards_.front()->server->op_slot_name(slot);
 }

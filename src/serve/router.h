@@ -1,79 +1,78 @@
 // Sharded multi-chip serving tier (DESIGN.md "Sharded serving & chip-level
-// failover").
+// failover" and "Sharded compilation & pipeline serving").
 //
-// A Router owns N per-chip serve::Server shards — the same CompiledModel
-// replicated on every chip; the compiler is untouched — and extends PR 5's
-// failover semantics from core granularity to chip granularity:
+// A Router owns per-chip serve::Server shards arranged as a grid: a chain of
+// stages, each stage a contiguous run of the model's operators served by a
+// set of interchangeable replica shards. Both shapes the router builds are
+// the same grid:
 //
-//   - Routing: each accepted request goes to the routable shard with the
-//     lowest weighted load (outstanding / weight; healthy weight 1.0,
-//     rejoining weight RouterOptions::rejoin_weight), round-robin on ties.
-//   - Per-shard circuit breakers: a shard whose recent-response failure rate
-//     crosses `failure_rate_threshold` over `failure_window` responses is
-//     drained (no new routes) and rejoins at reduced weight after probation
-//     or a fresh plan epoch; a shard that parks in kFailed (its own
-//     verifier-gated replan found no survivable topology) goes kDown
-//     permanently.
-//   - Chip-level failover: a dead shard's queued requests surface as
-//     kUnavailable responses, which the router redirects to survivors with a
-//     bounded per-request budget (`redirect_budget`); weights rebalance and
-//     the journal records router.{shard_down,drain,rebalance}.
-//   - Hedged retries: once `hedge_fraction` of a request's deadline elapses
-//     with exactly one attempt outstanding, a duplicate is sent to a second
-//     shard. The first audit-passing (OK + bit-identical) response wins;
-//     later arrivals are deduped at the router (never re-delivered) and
-//     counted router.hedge.wasted, so the one-response-per-client-request
-//     invariant and the bit-identity audit both hold.
-//   - Brownout admission: when every routable shard's queue is full, the
-//     router sheds latest-deadline-first *globally* — it evicts the queued
-//     request with the latest deadline across all shards (answered
+//   - Replicated (Router(chip, graph)): N replicas x 1 stage. Every shard
+//     runs the whole model on its own copy of the chip; a request names one
+//     operator (op_slot) and its chain is that one step.
+//   - Pipeline (Router(cluster, graph)): 1 replica x S stages, cut by
+//     GraphPartition over the ClusterSpec, stage s on chip s. A request runs
+//     the whole model (op_slot 0) and its chain walks every operator of
+//     every stage, handing off between stages with the remaining deadline
+//     budget and its TraceContext. Bit-identity of the final response is the
+//     AND over every per-op audit on the chain.
+//
+// One lifecycle serves both: a request holds a chain position (stage,
+// current op, last op). Each step goes to a replica of the current stage;
+// on success the router advances to the next op, hands off to the next
+// stage, or delivers the one client response.
+//
+// Replica policies act across the replicas of the request's current stage:
+//   - Routing: the routable replica with the lowest weighted load
+//     (outstanding / weight; healthy weight 1.0, rejoining weight
+//     RouterOptions::rejoin_weight), round-robin on ties.
+//   - Breakers: a replica whose recent-response failure rate crosses
+//     `failure_rate_threshold` over `failure_window` responses is drained
+//     (no new routes) and rejoins at reduced weight after probation or a
+//     fresh plan epoch.
+//   - Redirects: a step that fails kUnavailable re-runs on another replica,
+//     bounded per request by `redirect_budget`.
+//   - Hedges: once `hedge_fraction` of a request's deadline elapses with one
+//     attempt outstanding, a duplicate goes to a second replica. The first
+//     audit-passing response wins; later arrivals are deduped at the router
+//     and counted router.hedge.wasted.
+//   - Brownout: when every routable replica's queue is full, the router
+//     evicts the latest-deadline request queued across them (answered
 //     kResourceExhausted) iff the incoming deadline is earlier, otherwise
-//     the incoming request is shed. Tail overload degrades the latest
-//     deadlines instead of collapsing one shard's tail.
-//   - Total outage: when every shard is down the router journals
-//     router.total_outage, dumps the flight recorder, and keeps answering —
-//     every accepted request still gets exactly one (error) response.
+//     the incoming request is shed.
 //
-// Pipeline mode (ShardMode::kPipeline, DESIGN.md "Sharded compilation &
-// pipeline serving"): the Router is built from a ClusterSpec instead of one
-// chip. It partitions the graph into contiguous stages (GraphPartition),
-// each stage's subgraph served by its own per-chip Server, and a request
-// executes the whole model by flowing through the chain: every operator of
-// stage 0 on chip 0, handoff, every operator of stage 1 on chip 1, ...
-// Each handoff re-derives the remaining deadline budget (the downstream
-// EDF queue sees the true slack) and carries the request's TraceContext;
-// bit-identity of the final response is the AND over every per-op audit on
-// the chain. Hedging, redirects and brownout are replica concepts and are
-// disabled — a stage has no substitute — but per-stage EDF, deadline
-// enforcement, breaker bookkeeping and verifier-gated degraded replans all
-// still run inside each stage's Server, so losing cores on one chip
-// re-plans exactly that stage (its epoch bumps; the others keep epoch 0).
-// A stage chip loss parks that stage kDown: in-flight chains crossing it
-// are answered with its error, never lost or duplicated.
+// A stage with a single replica has no alternative: its breaker never
+// drains it, it is never hedged, and a step failing kUnavailable (the
+// stage's replan window) parks until the server leaves kReplanning, then
+// retries on the same shard under the same redirect budget. Per-stage EDF,
+// deadline enforcement and verifier-gated degraded replans run inside each
+// Server, so losing cores on one chip re-plans exactly that stage.
 //
-// Elastic pipeline recovery (RouterOptions::recover_on_chip_loss, DESIGN.md
-// "Elastic pipeline recovery"): instead of serving degraded forever after a
-// permanent stage chip loss, the router repartitions the cluster online.
-// The recovery state machine runs on the monitor thread:
+// Losing a chip (server kFailed) marks the shard kDown permanently. While
+// its stage keeps a live replica the shard drains (router.drain) and its
+// requests redirect; when the stage loses its last replica
+// (router.pipeline.stage_down) chains that must cross it are answered with
+// its error, never lost or duplicated. When every shard is down the router
+// journals router.total_outage, dumps the flight recorder, and keeps
+// answering.
+//
+// Elastic recovery (RouterOptions::recover_on_chip_loss, DESIGN.md "Elastic
+// pipeline recovery"): on a router built from a ClusterSpec, a stage that
+// loses its last replica starts an online repartition instead. The state
+// machine runs on the monitor thread:
 //
 //   stage_down -> cluster_draining -> repartitioning -> verify_gate
 //              -> hot_swap | park_failed
 //
-// cluster_draining parks every in-flight chain exactly as stage-replan
-// chains park today (no redirect budget burned) and waits until no shard
-// attempt is outstanding. repartitioning re-runs the stage DP over the
-// surviving chips (RepartitionDegraded; survivors keep their original chip
-// index) and the verify_gate re-checks the cut with the cluster.* rules
-// plus the cluster.recovery.* rules (epoch monotonicity, op coverage,
-// surviving-chip assignment). hot_swap bumps the cluster epoch, keeps every
-// stage server whose operator range and chip are unchanged, starts fresh
-// servers for the rest (warm-started from the plan cache when configured),
-// remaps the parked chains onto the new stage map and resubmits them with
-// their remaining deadline budget — the bit-identity audit holds end to
-// end because per-op execution is (op, seed)-deterministic. park_failed
-// (infeasible repartition or a failed gate) browns the cluster out: new
-// admissions are refused kUnavailable while every in-flight chain is still
-// answered exactly once through the stage-down error path.
+// cluster_draining parks every in-flight chain (no redirect budget burned)
+// and waits until no shard attempt is outstanding. repartitioning re-runs
+// the stage DP over the surviving chips (RepartitionDegraded; survivors keep
+// their original chip index) and the verify_gate re-checks the cut with the
+// cluster.* and cluster.recovery.* rules. hot_swap bumps the cluster epoch,
+// keeps every shard whose operator range and chip are unchanged, starts
+// fresh servers for the rest, and resumes the parked chains at their exact
+// operator with their remaining deadline budget. park_failed browns the
+// cluster out: new admissions are refused kUnavailable while every in-flight
+// chain is still answered exactly once.
 //
 // Lock discipline: every Server shares the lock site "serve.server.mu", so
 // the router NEVER holds its own mutex while calling into a shard (and
@@ -118,15 +117,9 @@ enum class ShardState {
 
 const char* ShardStateName(ShardState state);
 
-// What a shard holds, and therefore how requests route:
-//   kReplicated  every shard runs the whole model; a request picks one
-//                replica (weighted least-loaded, hedging, redirects).
-//   kPipeline    shards are a chain of partial-model stages from a
-//                GraphPartition over a ClusterSpec; a request flows through
-//                every stage in order, executing that stage's operators on
-//                its chip and handing off over the inter-chip link with the
-//                remaining deadline budget. One final response per request;
-//                bit-identity is the AND of every per-op audit on the chain.
+// Which constructor built the router: N replicas x 1 stage (kReplicated) or
+// 1 replica x S stages (kPipeline). A label for reports only; routing reads
+// the stage table, never the mode.
 enum class ShardMode {
   kReplicated,
   kPipeline,
@@ -146,8 +139,9 @@ struct RouterOptions {
   // attempt outstanding. <= 0 disables hedging; requests without deadlines
   // are never hedged.
   double hedge_fraction = 0.5;
-  // Redirects (re-routes of a failed attempt to another shard) allowed per
-  // request before the error is returned to the client.
+  // Re-runs of a failed step allowed per request (on another replica, or
+  // parked for retry on a single-replica stage) before the error is
+  // returned to the client.
   int redirect_budget = 2;
   // Weight a rejoining shard routes at, and the consecutive-OK count that
   // promotes it back to kHealthy.
@@ -160,10 +154,10 @@ struct RouterOptions {
   // Seconds a drained (breaker-tripped) shard waits before rejoining when no
   // replan epoch bump arrives first.
   double drain_probation_seconds = 0.1;
-  // Pipeline mode only: on a permanent stage chip loss, drain the pipeline,
-  // repartition the model over the surviving chips and hot-swap the stage
-  // chain under a new cluster epoch instead of failing chains that cross the
-  // dead stage. Off by default — without it a chip loss keeps PR 9's
+  // Routers built from a ClusterSpec only: when a stage loses its last
+  // replica, drain the pipeline, repartition the model over the surviving
+  // chips and hot-swap the stage chain under a new cluster epoch instead of
+  // failing chains that cross the dead stage. Off by default — without it a chip loss keeps PR 9's
   // stage-down semantics byte for byte.
   bool recover_on_chip_loss = false;
 
@@ -190,7 +184,7 @@ struct RouterStats {
   std::int64_t ok = 0;
   std::int64_t deadline_exceeded = 0;
   std::int64_t failed = 0;      // Non-OK, non-deadline responses.
-  std::int64_t redirects = 0;   // Failed attempts re-routed to a survivor.
+  std::int64_t redirects = 0;   // Failed steps re-run (redirected or parked).
   std::int64_t hedges = 0;      // Duplicate attempts launched.
   std::int64_t hedge_wasted = 0;  // Hedge losers (arrived after delivery).
   std::int64_t brownout_shed = 0;  // Queued victims evicted for earlier work.
@@ -206,13 +200,13 @@ struct RouterStats {
 
 class Router {
  public:
-  // Replicated mode: every shard serves `graph` on its own copy of `chip`.
-  // The graph must outlive the router.
+  // N replicas x 1 stage (ShardMode::kReplicated): every shard serves
+  // `graph` on its own copy of `chip`. The graph must outlive the router.
   Router(const ChipSpec& chip, const Graph& graph, RouterOptions options = {});
-  // Pipeline mode: partitions `graph` across `cluster`'s chips (one stage
-  // per chip, ShardMode::kPipeline); shard i serves stage i's subgraph on
-  // cluster.chips[i]. options.num_shards is ignored — the partition decides.
-  // The graph must outlive the router; the cluster is copied.
+  // 1 replica x S stages (ShardMode::kPipeline): partitions `graph` across
+  // `cluster`'s chips, one stage per chip; shard i serves stage i's subgraph
+  // on cluster.chips[i]. options.num_shards is ignored — the partition
+  // decides. The graph must outlive the router; the cluster is copied.
   Router(const ClusterSpec& cluster, const Graph& graph, RouterOptions options = {});
   ~Router();  // Implies Shutdown().
 
@@ -230,7 +224,7 @@ class Router {
   //   kFailedPrecondition not started / shutting down
   //   kInvalidArgument    op_slot out of range
   // On success returns the router-level request id its Response carries.
-  // Pipeline mode: op_slot must be 0 ("run the model"); the chain executes
+  // Pipeline routers have one slot, 0 ("run the model"): the chain executes
   // every operator of every stage and delivers the final stage's response.
   StatusOr<std::int64_t> Submit(const Request& request);
 
@@ -251,8 +245,8 @@ class Router {
   // last shard's failure.
   Status Shutdown();
 
-  // Current stage/replica count. In pipeline mode this can change across a
-  // cluster recovery (the repartitioned chain may be shorter).
+  // Current shard count (replicas x stages). A cluster recovery can change
+  // it (the repartitioned chain may be shorter).
   int num_shards() const {
     MutexLock lock(mu_);
     return static_cast<int>(shards_.size());
@@ -264,17 +258,23 @@ class Router {
   ShardSnapshot shard_snapshot(int shard) const;
   RouterStats stats() const;
   ShardMode mode() const { return mode_; }
-  // Pipeline mode only: the partition the shard chain was built from.
+  // Routers built from a ClusterSpec: the partition the stage chain was
+  // built from (empty otherwise).
   const GraphPartitionResult& partition() const { return partition_; }
 
  private:
   // Per-shard routing state (router-side; the Server holds its own state).
   struct Shard {
+    // The stage subgraph the server borrows (null: it serves graph_).
+    // Declared first so it outlives the server.
+    std::unique_ptr<Graph> graph;
     std::unique_ptr<Server> server;
     // Stable completion-routing token the server's on_response carries;
-    // stage_of_token_ maps it to the shard's CURRENT index, which a cluster
+    // shard_of_token_ maps it to the shard's CURRENT index, which a cluster
     // recovery can change.
     int token = -1;
+    int stage = 0;  // The stage this shard is a replica of.
+    int chip = -1;  // Index into cluster_.chips; -1 on a replicated router.
     ShardState state = ShardState::kHealthy;
     double weight = 1.0;
     std::int64_t attempts_in_flight = 0;  // Router-tracked attempts.
@@ -286,6 +286,18 @@ class Router {
     int consecutive_ok = 0;
     int last_epoch = 0;
     Clock::time_point drained_at{};
+  };
+
+  // One link of the request chain: a contiguous run of the model's operators
+  // and the interchangeable replica shards that serve it.
+  struct Stage {
+    std::vector<int> replicas;  // Indices into shards_.
+    int first_op = 0;           // Chain position of the replicas' op slot 0.
+    int num_ops = 0;            // Op slots every replica serves (set on start).
+    // Bytes / link-seconds crossing the cut to the next stage (every
+    // boundary tensor relays through each cut on its way downstream).
+    std::int64_t cut_bytes = 0;
+    double cut_seconds = 0.0;
   };
 
   // One client request's routing lifecycle.
@@ -304,15 +316,17 @@ class Router {
     Clock::time_point last_attempt_at{};
     int flow_seq = 0;            // Flow-arrow sequence across attempts.
     std::uint64_t last_flow = 0;  // Arrow the next attempt span receives.
-    std::optional<Response> stashed;  // Best non-winning terminal response.
     obs::TraceContext trace;
-    // Pipeline chain position: which stage and which of its ops runs next.
+    // Chain position: the op that runs next (a chain position, see
+    // Stage::first_op), the chain's last op, and the stage serving `op`.
     int stage = 0;
-    int stage_op = 0;
+    int op = 0;
+    int last_op = 0;
     bool chain_identical = true;  // AND of per-op audits so far.
     int chain_retries = 0;        // Summed shard-side retries on the chain.
     bool retry_wait = false;      // Parked until the stage leaves kReplanning.
   };
+  using PendingMap = std::map<std::int64_t, Pending>;
 
   void MonitorLoop();
   // Completion plumbing from shard `token`'s server. The token resolves to
@@ -331,48 +345,51 @@ class Router {
   // recovering_. Must be called WITHOUT mu_ held.
   void EnterClusterFailed(const std::string& reason);
   // Applies one completed shard attempt to its client request: breaker
-  // window, dedupe, delivery, or redirect. Must be called WITHOUT mu_ held.
+  // window, dedupe, then advance, hand off, deliver, redirect or park. Must
+  // be called WITHOUT mu_ held.
   void ResolveAttempt(int shard, std::int64_t client_id, Response response);
-  // Routes one attempt for `client_id` to the best routable shard not equal
-  // to `avoid` (pass -1 to allow all). `kind` labels the journal entry
-  // ("route", "redirect", "hedge"). Applies brownout admission on global
-  // queue-full. Returns the error when no shard accepted. Must be called
-  // WITHOUT mu_ held.
+  // Submits `client_id`'s current chain step to the best routable replica
+  // of its stage other than `avoid` (-1 allows all), with the remaining
+  // deadline budget. `kind` labels the journal entry ("route", "advance",
+  // "handoff", "redirect", "retry", "hedge"). Applies brownout admission
+  // when every replica's queue is full. A "route" or "hedge" step returns
+  // its refusal to the caller; every later step answers the client itself
+  // (or parks a single-replica stage's kUnavailable step for retry). Must
+  // be called WITHOUT mu_ held.
   Status SubmitAttempt(std::int64_t client_id, int avoid, const char* kind);
-  // Pipeline: submits `client_id`'s next chain step — operator `stage_op` of
-  // `stage` — with the remaining deadline budget. Expired budget or a dead
-  // stage answers the client (exactly once) instead of routing. The returned
-  // error is only surfaced to Submit()'s caller for the very first step;
-  // later steps report failure through the response path. Must be called
-  // WITHOUT mu_ held.
-  Status SubmitStageAttempt(std::int64_t client_id, int stage, int stage_op,
-                            const char* kind);
-  // Pipeline counterpart of ResolveAttempt: advance within the stage, hand
-  // off to the next stage, or deliver. Must be called WITHOUT mu_ held.
-  void ResolveStageAttempt(int stage, std::int64_t client_id, Response response);
-  // Brownout admission: evict the globally latest-deadline queued victim if
-  // `incoming`'s deadline is earlier. Returns the shard that freed capacity,
-  // or -1 when the incoming request is itself the latest (shed it). Must be
-  // called WITHOUT mu_ held.
-  int TryBrownout(const Request& incoming, int avoid);
-  // Picks the lowest weighted-load routable shard, excluding `avoid` and
-  // anything in `exclude`; advances the round-robin tie-break. -1 when none.
-  int PickShard(int avoid, const std::vector<bool>& exclude) T10_REQUIRES(mu_);
-  // Delivers the final client response (buffer + stats). Runs under mu_ so
-  // the response is visible before the pending_ erase that follows it wakes
-  // WaitIdle — otherwise TakeResponses could miss the last response.
-  void DeliverLocked(Response response) T10_REQUIRES(mu_);
-  // Answers `client_id` with `status` unless it was already delivered or an
-  // attempt is still outstanding (then the error is stashed). Must be called
-  // WITHOUT mu_ held.
+  // Brownout admission: evict the latest-deadline victim queued on `stage`'s
+  // routable replicas (other than `avoid`) if `incoming`'s deadline is
+  // earlier. Returns false when the incoming request is itself the latest
+  // (shed it). Must be called WITHOUT mu_ held.
+  bool TryBrownout(const Request& incoming, int stage, int avoid);
+  // Picks `stage`'s lowest weighted-load routable replica, excluding `avoid`
+  // and any shard marked in `tried` (empty: none); advances the round-robin
+  // tie-break. -1 when none.
+  int PickShard(int stage, int avoid, const std::vector<bool>& tried) T10_REQUIRES(mu_);
+  // A kUnavailable step failure re-runs the step while the redirect budget
+  // lasts: on another replica when the stage has one, else parked
+  // (retry_wait) until the stage leaves kReplanning. Charges the budget and
+  // returns true when the step will re-run.
+  bool RetryStepLocked(Pending& p, StatusCode code) T10_REQUIRES(mu_);
+  // Delivers `response` as the entry's one client answer (id, op slot and
+  // latency filled in; buffer + stats) and reaps the entry unless an attempt
+  // is still out. Runs under mu_ so the response is visible before the
+  // erase wakes WaitIdle — otherwise TakeResponses could miss it.
+  void DeliverLocked(PendingMap::iterator it, Response response) T10_REQUIRES(mu_);
+  // Erases a delivered entry once no attempt is outstanding.
+  void ReapLocked(PendingMap::iterator it) T10_REQUIRES(mu_);
+  // Answers `client_id` with `status` unless it was already delivered. While
+  // an attempt is still outstanding it does nothing: that attempt delivers
+  // its own outcome. Must be called WITHOUT mu_ held.
   void FailPending(std::int64_t client_id, Status status);
   // Registers a shard attempt for `client_id`, resolving the race where the
   // shard answered before the mapping existed (returns that early response
   // for the caller to resolve).
-  std::optional<std::pair<int, Response>> RegisterAttempt(std::int64_t client_id,
-                                                          int shard,
-                                                          std::int64_t shard_request_id);
-  // Mode transition helpers; all emit journal/rebalance events. Called
+  std::optional<Response> RegisterAttempt(std::int64_t client_id, int shard,
+                                          std::int64_t shard_request_id);
+  // `shard`'s server, snapshot under mu_ (retired servers stay alive).
+  Server* ServerOf(int shard) const;
+  // Shard state transitions; all emit journal/rebalance events. Called
   // without mu_ (they take it).
   void MarkShardDown(int shard, const Status& why);
   void MarkShardRejoining(int shard, const std::string& why);
@@ -380,33 +397,48 @@ class Router {
   void EmitRebalance(const char* cause);
   void DumpFlightRecorder(const std::string& reason);
 
+  // Builds one replica shard of `stage` serving `stage_graph` (null: graph_)
+  // on `chip` (cluster_.chips index `chip_index`, -1 if none) with a fresh
+  // completion token and request-id block. The caller places it in shards_
+  // and re-indexes.
+  std::unique_ptr<Shard> MakeShard(const ChipSpec& chip, std::unique_ptr<Graph> stage_graph,
+                                   int stage, int chip_index);
+  // The stage table of a cut, stage s on chain.chips[s]: cut bytes / link
+  // seconds (op ranges are set once the replicas start).
+  std::vector<Stage> ChainStages(const GraphPartitionResult& partition,
+                                 const ClusterSpec& chain) const;
+  // Rebuilds every stage's replica list and the token map from shards_.
+  void IndexShardsLocked() T10_REQUIRES(mu_);
+  // The stage whose op range holds chain position `op`.
+  int StageOfOp(int op) const;
+  // Replicas of `stage` not kDown.
+  int LiveReplicasLocked(int stage) const T10_REQUIRES(mu_);
+  // "stage s: ops [a, b] on <chip> | ..." for the journal.
+  std::string LayoutLocked() const T10_REQUIRES(mu_);
+
   const RouterOptions options_;
   const Graph& graph_;
   const ShardMode mode_ = ShardMode::kReplicated;
+  // Chain positions one request walks: 1 on a replicated router (a request
+  // names one operator), the model's op count on a pipeline (a request runs
+  // the model through every stage).
+  const int ops_per_request_ = 1;
 
-  // Pipeline mode only. Fixed after construction EXCEPT across a cluster
-  // recovery hot swap, which rewrites the stage tables under mu_ on the
-  // monitor thread (every other thread is parked behind the drain barrier).
-  // Stage subgraphs are owned here because each stage Server borrows its
-  // graph by reference.
+  // The cluster a pipeline router was built from (empty otherwise) and its
+  // current cut.
   const ClusterSpec cluster_;
   GraphPartitionResult partition_;
-  std::vector<std::unique_ptr<Graph>> stage_graphs_;
-  std::vector<int> stage_op_counts_;
-  // Bytes / link-seconds crossing the cut between stage s and s+1 (every
-  // boundary tensor relays through the cut on its way downstream).
-  std::vector<std::int64_t> cut_bytes_;
-  std::vector<double> cut_seconds_;
 
-  std::vector<std::unique_ptr<Shard>> shards_;  // Slots rewritten only by
-                                                // cluster recovery; Shard
-                                                // routing state guarded by
-                                                // mu_, server pointer const.
-  // Stage servers (and their graphs) replaced by a recovery. Kept alive for
-  // the router's lifetime: snapshot readers may still hold their Server
-  // pointers. Mutated only on the monitor thread, after the drain barrier.
+  // The grid. Fixed after construction EXCEPT across a cluster recovery hot
+  // swap, which rewrites both tables under mu_ on the monitor thread (every
+  // other thread is parked behind the drain barrier). Shard routing state is
+  // guarded by mu_; server pointers are const.
+  std::vector<Stage> stages_;
+  std::vector<std::unique_ptr<Shard>> shards_;
+  // Shards replaced by a recovery. Kept alive for the router's lifetime:
+  // snapshot readers may still hold their Server pointers. Mutated only on
+  // the monitor thread, after the drain barrier.
   std::vector<std::unique_ptr<Shard>> retired_shards_;
-  std::vector<std::unique_ptr<Graph>> retired_graphs_;
 
   mutable Mutex mu_{"serve.router.mu"};
   CondVar idle_cv_;     // pending_ empties.
@@ -416,20 +448,18 @@ class Router {
   bool stopped_ T10_GUARDED_BY(mu_) = false;
   bool total_outage_announced_ T10_GUARDED_BY(mu_) = false;
   bool monitor_stop_ T10_GUARDED_BY(mu_) = false;
-  // Cluster recovery state (pipeline mode). While recovering_, every chain
-  // step parks (retry_wait) instead of routing and every failure response
-  // parks instead of burning redirect budget. cluster_failed_ is terminal
-  // brownout: Submit refuses kUnavailable, in-flight chains still answer.
+  // Cluster recovery state. While recovering_, every chain step parks
+  // (retry_wait) instead of routing and every failure response parks instead
+  // of burning redirect budget. cluster_failed_ is terminal brownout: Submit
+  // refuses kUnavailable, in-flight chains still answer.
   bool recovering_ T10_GUARDED_BY(mu_) = false;
   bool cluster_failed_ T10_GUARDED_BY(mu_) = false;
   std::string cluster_failed_reason_ T10_GUARDED_BY(mu_);
   int cluster_epoch_ T10_GUARDED_BY(mu_) = 0;
-  // Current stage index -> ORIGINAL chip index in cluster_ (identity until a
-  // recovery re-cuts), and the cumulative original-chip loss mask.
-  std::vector<int> stage_chips_ T10_GUARDED_BY(mu_);
+  // The cumulative original-chip loss mask (indexes cluster_.chips).
   std::vector<bool> chip_down_ T10_GUARDED_BY(mu_);
   // Completion-token -> current shard index (see Shard::token).
-  std::map<int, int> stage_of_token_ T10_GUARDED_BY(mu_);
+  std::map<int, int> shard_of_token_ T10_GUARDED_BY(mu_);
   int next_token_ T10_GUARDED_BY(mu_) = 0;
   // Request-id block allocator: replacement servers get fresh disjoint id
   // blocks so their ids never collide with a retired server's.
@@ -438,11 +468,11 @@ class Router {
   int num_op_slots_ T10_GUARDED_BY(mu_) = 0;  // Set at Start().
   std::int64_t next_client_id_ T10_GUARDED_BY(mu_) = 1;
   std::uint64_t round_robin_ T10_GUARDED_BY(mu_) = 0;
-  std::map<std::int64_t, Pending> pending_ T10_GUARDED_BY(mu_);
+  PendingMap pending_ T10_GUARDED_BY(mu_);
   // shard request id -> client id, for completion matching.
   std::map<std::int64_t, std::int64_t> attempt_to_client_ T10_GUARDED_BY(mu_);
   // Shard responses that arrived before their attempt was registered.
-  std::map<std::int64_t, std::pair<int, Response>> unmatched_ T10_GUARDED_BY(mu_);
+  std::map<std::int64_t, Response> unmatched_ T10_GUARDED_BY(mu_);
   std::vector<Response> responses_ T10_GUARDED_BY(mu_);
   RouterStats stats_ T10_GUARDED_BY(mu_);
 

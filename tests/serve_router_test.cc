@@ -10,6 +10,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <fstream>
@@ -22,6 +23,7 @@
 
 #include "src/ir/builder.h"
 #include "src/obs/journal.h"
+#include "src/obs/metrics.h"
 #include "src/serve/executor_pool.h"
 
 namespace t10 {
@@ -667,6 +669,72 @@ TEST(RouterTest, ExpiredBudgetIsRefusedBeforeRouting) {
     }
   }
   EXPECT_TRUE(answered);
+  EXPECT_TRUE(router.Shutdown().ok());
+}
+
+TEST(RouterTest, RefusedAdmissionIsNotCountedAsSubmitted) {
+  // router.submitted.count moves only for admissions that routed: a request
+  // refused synchronously (here an already-expired budget) is withdrawn
+  // from stats().submitted, and the counter must agree with it.
+  const Graph graph = SmallModel();
+  Router router(ChipSpec::ScaledIpu(8), graph, FastOptions(2));
+  ASSERT_TRUE(router.Start().ok());
+  const obs::Counter& counter =
+      obs::MetricsRegistry::Global().GetCounter("router.submitted.count");
+  const std::int64_t before = counter.value();
+
+  Request hopeless;
+  hopeless.op_slot = 0;
+  hopeless.deadline_seconds = 1e-12;  // Expired before the route.
+  ASSERT_EQ(router.Submit(hopeless).status().code(), StatusCode::kDeadlineExceeded);
+  Request generous;
+  generous.op_slot = 0;
+  generous.deadline_seconds = 30.0;
+  ASSERT_TRUE(router.Submit(generous).ok());
+  router.WaitIdle();
+
+  EXPECT_EQ(router.stats().submitted, 1);
+  EXPECT_EQ(counter.value() - before, router.stats().submitted);
+  EXPECT_TRUE(router.Shutdown().ok());
+}
+
+TEST(RouterPipelineTest, SingleReplicaStagesAreNeverHedgedOrDrained) {
+  // Hedges and breaker drains act across the replicas of a stage; a pipeline
+  // stage has one replica, so neither may fire even when every chain runs
+  // far past its hedge point.
+  const Graph graph = PipelineModel();
+  RouterOptions options = FastOptions(0);
+  options.shard.num_workers = 1;
+  options.shard.pace_time_scale = 20000.0;  // Slow paced stages.
+  options.hedge_fraction = 0.01;            // Hedge point at 0.2s of 20s.
+  Router router(PipelineCluster(3), graph, options);
+  ASSERT_TRUE(router.Start().ok());
+
+  std::set<std::int64_t> accepted;
+  for (int i = 0; i < 6; ++i) {
+    Request request;
+    request.op_slot = 0;
+    request.input_seed = static_cast<std::uint64_t>(i);
+    request.deadline_seconds = 20.0;
+    StatusOr<std::int64_t> id = router.Submit(request);
+    ASSERT_TRUE(id.ok()) << id.status().ToString();
+    accepted.insert(*id);
+  }
+  router.WaitIdle();
+  const std::map<std::int64_t, Response> by_id =
+      AuditExactlyOnce(accepted, router.TakeResponses());
+  double slowest = 0.0;
+  for (const auto& [id, response] : by_id) {
+    EXPECT_TRUE(response.status.ok()) << response.status.ToString();
+    EXPECT_TRUE(response.bit_identical);
+    slowest = std::max(slowest, response.latency_seconds);
+  }
+  // The premise: chains outlived their hedge point.
+  EXPECT_GT(slowest, 0.01 * 20.0);
+  const RouterStats stats = router.stats();
+  EXPECT_EQ(stats.hedges, 0);
+  EXPECT_EQ(stats.hedge_wasted, 0);
+  EXPECT_EQ(stats.drains, 0);
   EXPECT_TRUE(router.Shutdown().ok());
 }
 
