@@ -209,8 +209,6 @@ void RunLanes(LaneKernel kernel, float* const* ptr, int operands, const std::int
   }
 }
 
-std::int64_t Align8(std::int64_t bytes) { return (bytes + 7) / 8 * 8; }
-
 // Input arity and shapes are caller data: a mismatch is an operational
 // error, not a bug.
 Status ValidateInputs(const Operator& op, const std::vector<HostTensor>& inputs) {
@@ -376,14 +374,9 @@ StatusOr<HostTensor> ProgramExecutor::RunImpl(const std::vector<HostTensor>& inp
   });
   // Cross-check: the verifier's footprint model must match what was just
   // allocated, byte for byte, or capacity checking has drifted from reality.
-  // Fault tolerance adds exactly one spare copy of every window.
   if (!base_used.empty()) {
-    std::int64_t footprint = verify::ProgramFootprintBytes(plan_, machine_.spec());
-    if (ft_.enabled) {
-      for (const RTensorPlan& tp : plan_.tensors()) {
-        footprint += Align8(std::max<std::int64_t>(tp.window_bytes, 8));
-      }
-    }
+    const std::int64_t footprint =
+        verify::ProgramFootprintBytes(plan_, machine_.spec(), ft_.enabled);
     for (int c = 0; c < cores; ++c) {
       T10_CHECK_EQ(machine_.memory(Phys(c)).used_bytes() - base_used[static_cast<std::size_t>(c)],
                    footprint)

@@ -69,13 +69,14 @@ struct CampaignResult {
 // when it can (FP32 contraction/elementwise/reduce).
 std::string OpSkipReason(const Operator& op);
 
-// Picks the plan the campaign / serving runtime actually executes for an op:
-// the Pareto candidate with the most rotation steps, falling back to the
-// compiled active plan when that rotates at least as much. The compiler's
-// fastest plan is often pure-spatial — nothing would cross a link, and
-// faults could never bite. Returns nullptr only when `search` has no
-// candidate and `compiled_active` is null; the result points into `search`
-// or at `compiled_active`.
+// Picks the plan the fault campaign (t10c --faults) executes for an op, and
+// bench_microkernels' rotating plan: the Pareto candidate with the most
+// rotation steps, falling back to the compiled active plan when that rotates
+// at least as much. The compiler's fastest plan is often pure-spatial —
+// nothing would cross a link, and faults could never bite. A campaign
+// heuristic only: the serving runtime runs the compiled active plans.
+// Returns nullptr only when `search` has no candidate and `compiled_active`
+// is null; the result points into `search` or at `compiled_active`.
 const ExecutionPlan* PickExecutablePlan(const IntraOpResult& search,
                                         const ExecutionPlan* compiled_active);
 

@@ -4,6 +4,7 @@
 #include <chrono>
 #include <thread>
 
+#include "src/fault/campaign.h"
 #include "src/obs/metrics.h"
 #include "src/util/logging.h"
 #include "src/verify/verifier.h"
@@ -52,7 +53,8 @@ PlanSet::PlanSet(const ChipSpec& chip, const Graph& graph)
 StatusOr<std::shared_ptr<PlanSet>> PlanSet::Build(const ChipSpec& chip, const Graph& graph,
                                                   const TopologyHealth& health,
                                                   const CompileOptions& compile, int epoch,
-                                                  bool verify, obs::EventJournal* journal) {
+                                                  bool verify, obs::EventJournal* journal,
+                                                  const FaultToleranceOptions& fault_tolerance) {
   std::shared_ptr<PlanSet> set(new PlanSet(chip, graph));
   set->health_ = health;
   set->epoch_ = epoch;
@@ -77,20 +79,26 @@ StatusOr<std::shared_ptr<PlanSet>> PlanSet::Build(const ChipSpec& chip, const Gr
     }
   }
 
-  // Slot table: one executable plan per supported operator.
-  Compiler planner(set->plan_chip_, compile);
+  // Slot table: every supported operator serves its compiled active plan.
+  // The compiler budgets each core for the plan alone; fault tolerance adds
+  // one spare window per operand, so a plan that fits may still be
+  // unrunnable — refuse it here instead of failing every request.
+  const std::int64_t core_bytes = set->plan_chip_.core_memory_bytes;
   for (const CompiledOp& compiled : set->model_.ops) {
     const Operator& op = graph.op(compiled.op_index);
     if (!fault::OpSkipReason(op).empty()) {
       continue;
     }
-    auto slot = std::make_unique<OpSlot>();
-    slot->op_index = compiled.op_index;
-    slot->op_name = op.name();
-    slot->search = planner.SearchOp(op);
-    slot->plan = fault::PickExecutablePlan(slot->search, &compiled.active_plan);
-    slot->simulated_seconds = compiled.measured.total_seconds();
-    set->slots_.push_back(std::move(slot));
+    const std::int64_t footprint = verify::ProgramFootprintBytes(
+        compiled.active_plan, set->plan_chip_, fault_tolerance.enabled);
+    if (footprint > core_bytes) {
+      return ResourceExhaustedError(
+          "op '" + op.name() + "' needs " + std::to_string(footprint) + "B per core" +
+          (fault_tolerance.enabled ? " with fault-tolerance spares" : "") + " but " +
+          set->plan_chip_.name + " cores hold " + std::to_string(core_bytes) + "B");
+    }
+    set->slots_.push_back(OpSlot{compiled.op_index, op.name(), &compiled.active_plan,
+                                 compiled.measured.total_seconds()});
   }
   if (set->slots_.empty()) {
     return FailedPreconditionError("model '" + graph.name() +

@@ -3,11 +3,11 @@
 // A PlanSet is one immutable generation ("epoch") of the served model: the
 // compiled model for the current topology health (epoch 0 on the pristine
 // chip, later epochs via ReplanDegraded on the surviving sub-chip), the
-// logical->physical core map, one executable plan per supported operator
-// (shared with the fault campaign: PickExecutablePlan prefers plans that
-// actually rotate, so faults can bite), and a lazily-populated, bounded
-// cache of fault-free reference outputs used to check every OK response for
-// bit identity. Epochs are handed to workers as shared_ptr snapshots, so a
+// logical->physical core map, one slot per supported operator running that
+// operator's compiled active plan (the program the verifier gate checked and
+// pacing bills; faults bite only where it shifts), and a lazily-populated,
+// bounded cache of fault-free reference outputs used to check every OK
+// response for bit identity. Epochs are handed to workers as shared_ptr snapshots, so a
 // failover can swap the server's current epoch while stragglers finish on
 // the old one.
 //
@@ -30,7 +30,6 @@
 
 #include "src/core/compiler.h"
 #include "src/core/program_executor.h"
-#include "src/fault/campaign.h"
 #include "src/fault/fault_plan.h"
 #include "src/ir/graph.h"
 #include "src/obs/journal.h"
@@ -45,16 +44,13 @@ namespace serve {
 
 // One servable operator of the model. Slot indices are stable across epochs:
 // they are assigned by walking the model's ops in order and keeping exactly
-// the ones the byte-level executor supports, and PlanSet::Build fails rather
-// than silently dropping a slot that no longer has an executable plan on a
-// degraded topology.
+// the ones the byte-level executor supports.
 struct OpSlot {
   int op_index = -1;
   std::string op_name;
-  IntraOpResult search;               // Owns the searched candidate plans.
-  const ExecutionPlan* plan = nullptr;  // Into `search` or the compiled model.
-  double simulated_seconds = 0.0;     // Cost-model time one request occupies
-                                      // the simulated chip (pacing input).
+  const ExecutionPlan* plan = nullptr;  // The compiled op's active_plan.
+  double simulated_seconds = 0.0;       // Cost-model time one request occupies
+                                        // the simulated chip (pacing input).
 };
 
 // Deterministic jittered exponential backoff: base * 2^min(attempt,10),
@@ -80,21 +76,23 @@ class PlanSet {
   };
 
   // Compiles the model for `health` over `chip` (ReplanDegraded when the
-  // mask is non-empty), builds the slot table, and — when `verify` is set —
-  // gates activation on the static verifier passing over the resulting
-  // model. The graph must outlive the PlanSet. Errors:
-  //   kResourceExhausted   model no longer fits the (surviving) memory
+  // mask is non-empty), builds the slot table over the compiled active
+  // plans, and — when `verify` is set — gates activation on the static
+  // verifier passing over the resulting model. The graph must outlive the
+  // PlanSet. Errors:
+  //   kResourceExhausted   model no longer fits the (surviving) memory, or a
+  //                        slot's program does not fit a core once
+  //                        `fault_tolerance` adds its spare windows
   //   kUnavailable         no core survives the mask
-  //   kFailedPrecondition  no servable operator, a slot lost its executable
-  //                        plan on the surviving topology, or verification
-  //                        failed (the degraded model is never activated)
+  //   kFailedPrecondition  no servable operator, or verification failed
+  //                        (the degraded model is never activated)
   // `journal` (nullable) receives the failover.replan / failover.verify_gate
-  // flight-recorder events for degraded rebuilds.
-  static StatusOr<std::shared_ptr<PlanSet>> Build(const ChipSpec& chip, const Graph& graph,
-                                                  const TopologyHealth& health,
-                                                  const CompileOptions& compile, int epoch,
-                                                  bool verify,
-                                                  obs::EventJournal* journal = nullptr);
+  // flight-recorder events for degraded rebuilds; `fault_tolerance` is what
+  // the workers will run the slots with.
+  static StatusOr<std::shared_ptr<PlanSet>> Build(
+      const ChipSpec& chip, const Graph& graph, const TopologyHealth& health,
+      const CompileOptions& compile, int epoch, bool verify,
+      obs::EventJournal* journal = nullptr, const FaultToleranceOptions& fault_tolerance = {});
 
   int epoch() const { return epoch_; }
   const TopologyHealth& health() const { return health_; }
@@ -104,7 +102,7 @@ class PlanSet {
   const Graph& graph() const { return graph_; }
 
   int num_op_slots() const { return static_cast<int>(slots_.size()); }
-  const OpSlot& slot(int index) const { return *slots_[static_cast<std::size_t>(index)]; }
+  const OpSlot& slot(int index) const { return slots_[static_cast<std::size_t>(index)]; }
 
   // Most references the cache holds. Whole-model requests each bring a
   // fresh seed, so an unbounded cache would grow for as long as the server
@@ -126,13 +124,13 @@ class PlanSet {
   PlanSet(const ChipSpec& chip, const Graph& graph);
 
   ChipSpec physical_chip_;
-  ChipSpec plan_chip_;  // What the plans were searched over (surviving spec).
+  ChipSpec plan_chip_;  // What the model was compiled for (surviving spec).
   const Graph& graph_;
   TopologyHealth health_;
   std::vector<int> core_map_;
   int epoch_ = 0;
   CompiledModel model_;
-  std::vector<std::unique_ptr<OpSlot>> slots_;
+  std::vector<OpSlot> slots_;
 
   // Reference execution: a perfect machine (no injector) on the physical
   // chip, serialized by `reference_mu_`. Cached References are shared, so

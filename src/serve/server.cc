@@ -149,7 +149,7 @@ Status Server::Start() {
   T10_ASSIGN_OR_RETURN(plans,
                        PlanSet::Build(chip_, graph_, initial, options_.compile,
                                       /*epoch=*/0, options_.verify_before_activate,
-                                      options_.journal));
+                                      options_.journal, options_.fault_tolerance));
   obs::Log(options_.journal, obs::Severity::kInfo, "serve", "server.start",
            /*request_id=*/-1, /*plan_epoch=*/0);
   {
@@ -634,7 +634,8 @@ void Server::OnDegraded(const TopologyHealth& merged) {
     obs::ScopedTimer timer(ReplanHistogram());
     obs::Span replan_span = obs::StartSpan(failover_span.context(), "failover.replan");
     return PlanSet::Build(chip_, graph_, merged, options_.compile, next_epoch,
-                          options_.verify_before_activate, options_.journal);
+                          options_.verify_before_activate, options_.journal,
+                          options_.fault_tolerance);
   }();
 
   bool swapped = false;

@@ -66,13 +66,16 @@ bool ShapeDominates(const std::vector<std::int64_t>& a, const std::vector<std::i
 
 }  // namespace
 
-std::int64_t ProgramFootprintBytes(const ExecutionPlan& plan, const ChipSpec& chip) {
+std::int64_t ProgramFootprintBytes(const ExecutionPlan& plan, const ChipSpec& chip,
+                                   bool fault_tolerant) {
   // Mirror of ProgramExecutor::Run's allocation pattern: one window buffer
-  // per operand (minimum 8 bytes, allocator-aligned) plus the bounded
-  // staging buffer of the pseudo-shift mechanism.
+  // per operand (minimum 8 bytes, allocator-aligned), doubled by the spare
+  // copy fault tolerance keeps, plus the bounded staging buffer of the
+  // pseudo-shift mechanism.
+  const std::int64_t copies = fault_tolerant ? 2 : 1;
   std::int64_t bytes = RoundUp(std::max<std::int64_t>(chip.shift_buffer_bytes, 1), 8);
   for (const RTensorPlan& tp : plan.tensors()) {
-    bytes += RoundUp(std::max<std::int64_t>(tp.window_bytes, 8), 8);
+    bytes += copies * RoundUp(std::max<std::int64_t>(tp.window_bytes, 8), 8);
   }
   return bytes;
 }

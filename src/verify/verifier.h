@@ -43,11 +43,13 @@ struct VerifyOptions {
 
 // Per-core scratchpad bytes the byte-level ProgramExecutor reserves for a
 // lowered plan: one allocator-aligned window buffer per operand plus the
-// bounded staging buffer (paper §5 pseudo-shift). This mirrors the executor's
-// allocation pattern exactly; its observed LocalMemory high-water mark is
+// bounded staging buffer (paper §5 pseudo-shift), and — when the executor
+// runs `fault_tolerant` — one spare copy of every window. This mirrors the
+// executor's allocation pattern exactly; its observed LocalMemory usage is
 // asserted against this number so capacity checking cannot drift from the
 // simulator.
-std::int64_t ProgramFootprintBytes(const ExecutionPlan& plan, const ChipSpec& chip);
+std::int64_t ProgramFootprintBytes(const ExecutionPlan& plan, const ChipSpec& chip,
+                                   bool fault_tolerant = false);
 
 // True when the in-pipeline verification hooks run. Defaults to on in debug
 // builds (!NDEBUG) and off otherwise; the T10_INTERNAL_VERIFY environment

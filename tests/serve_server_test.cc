@@ -19,6 +19,7 @@
 #include <vector>
 
 #include "src/ir/builder.h"
+#include "src/obs/metrics.h"
 #include "src/serve/executor_pool.h"
 #include "src/serve/health_monitor.h"
 
@@ -36,6 +37,44 @@ Graph SmallModel() {
   g.MarkWeight("w1");
   g.MarkWeight("w2");
   return g;
+}
+
+// A chip and model whose *compiled* plans move bytes: `big` crowds the
+// 512 B scratchpads, so fc1's active plan rotates (2 steps) while every op's
+// fault-tolerant footprint still fits. SmallModel's plans on TinyChip are all
+// 1-step spatial, where no transfer happens and no fault can bite.
+ChipSpec CrampedChip() {
+  ChipSpec chip = ChipSpec::ScaledIpu(8);
+  chip.core_memory_bytes = 512;
+  chip.shift_buffer_bytes = 64;
+  return chip;
+}
+
+Graph RotatingModel() {
+  Graph g("serve-rotating");
+  g.Add(MatMulOp("big", 1, 16, 16, DataType::kF32, "x0", "w0", "y0"));
+  g.Add(MatMulOp("fc1", 8, 16, 8, DataType::kF32, "x", "w1", "h1"));
+  g.MarkWeight("w0");
+  g.MarkWeight("w1");
+  return g;
+}
+
+// The slot serving fc1 in RotatingModel on CrampedChip, asserted to rotate.
+constexpr int kRotatingSlot = 1;
+
+// Steps of the plan `options`' server will run on `slot`: the same
+// deterministic compile Server::Start performs.
+std::int64_t ServedSteps(const ChipSpec& chip, const Graph& graph, const ServerOptions& options,
+                         int slot) {
+  StatusOr<std::shared_ptr<PlanSet>> built =
+      PlanSet::Build(chip, graph, TopologyHealth{}, options.compile, /*epoch=*/0,
+                     /*verify=*/false, /*journal=*/nullptr, options.fault_tolerance);
+  if (!built.ok()) {
+    ADD_FAILURE() << built.status().ToString();
+    return 0;
+  }
+  EXPECT_EQ((*built)->slot(slot).op_name, "fc1");
+  return (*built)->slot(slot).plan->total_steps();
 }
 
 ServerOptions FastOptions() {
@@ -138,6 +177,58 @@ TEST(ServePlanSetTest, ReferenceCacheStaysBoundedOverALongStream) {
   EXPECT_EQ((*again)->data, first_data);
 }
 
+// What is served is what was compiled: every slot runs its compiled op's
+// active plan (the one the verifier gate checked and pacing bills), and
+// building the epoch searches no operator beyond what Compile itself does.
+TEST(ServePlanSetTest, SlotsRunTheCompiledActivePlans) {
+  const Graph graph = SmallModel();
+  const ChipSpec chip = TinyChip(8);
+  obs::Counter& searches = obs::MetricsRegistry::Global().GetCounter("compiler.search.searches");
+
+  std::int64_t before = searches.value();
+  Compiler compiler(chip, CompileOptions{});
+  ASSERT_TRUE(compiler.Compile(graph).fits);
+  const std::int64_t compile_searches = searches.value() - before;
+  ASSERT_GT(compile_searches, 0);
+
+  before = searches.value();
+  StatusOr<std::shared_ptr<PlanSet>> built =
+      PlanSet::Build(chip, graph, TopologyHealth{}, CompileOptions{}, /*epoch=*/0,
+                     /*verify=*/true);
+  ASSERT_TRUE(built.ok()) << built.status().ToString();
+  EXPECT_EQ(searches.value() - before, compile_searches);
+
+  const PlanSet& plans = **built;
+  ASSERT_EQ(plans.num_op_slots(), 3);
+  for (int i = 0; i < plans.num_op_slots(); ++i) {
+    const OpSlot& slot = plans.slot(i);
+    const CompiledOp& compiled = plans.model().ops[static_cast<std::size_t>(slot.op_index)];
+    EXPECT_EQ(slot.plan, &compiled.active_plan) << slot.op_name;
+    EXPECT_EQ(slot.simulated_seconds, compiled.measured.total_seconds()) << slot.op_name;
+  }
+}
+
+// The compiler budgets a core for the plan alone; fault tolerance adds one
+// spare window per operand. A model that compiles but whose fault-tolerant
+// programs overflow a core must be refused at Start(), naming the op, not
+// fail every request with the executor's allocation error.
+TEST(ServeServerTest, StartRejectsSlotsThatOverflowWithFaultToleranceSpares) {
+  const Graph graph = SmallModel();
+  ChipSpec chip = TinyChip(8);
+  chip.core_memory_bytes = 384;
+  chip.shift_buffer_bytes = 64;
+  ASSERT_TRUE(Compiler(chip, CompileOptions{}).Compile(graph).fits);
+  ASSERT_TRUE(PlanSet::Build(chip, graph, TopologyHealth{}, CompileOptions{}, /*epoch=*/0,
+                             /*verify=*/true)
+                  .ok());
+
+  Server server(chip, graph, FastOptions());
+  const Status started = server.Start();
+  EXPECT_EQ(started.code(), StatusCode::kResourceExhausted) << started.ToString();
+  EXPECT_NE(started.message().find("'fc1'"), std::string::npos) << started.ToString();
+  EXPECT_EQ(server.state(), ServerState::kIdle);
+}
+
 TEST(ServeServerTest, LifecycleErrors) {
   const Graph graph = SmallModel();
   Server server(TinyChip(8), graph, FastOptions());
@@ -163,15 +254,21 @@ TEST(ServeServerTest, LifecycleErrors) {
 }
 
 TEST(ServeServerTest, TransientCorruptionIsAbsorbed) {
-  const Graph graph = SmallModel();
+  const Graph graph = RotatingModel();
+  const ChipSpec chip = CrampedChip();
   ServerOptions options = FastOptions();
-  options.faults.corrupt_rate = 0.02;
-  options.faults.seed = 77;
-  Server server(TinyChip(8), graph, options);
+  // The first transfers each worker makes arrive corrupted; the checksummed
+  // retry layer must absorb them.
+  options.faults.burst_corrupt = 2;
+  ASSERT_GT(ServedSteps(chip, graph, options, kRotatingSlot), 1);
+  obs::Counter& fault_retries =
+      obs::MetricsRegistry::Global().GetCounter("sim.fault.retries");
+  const std::int64_t retries_before = fault_retries.value();
+  Server server(chip, graph, options);
   ASSERT_TRUE(server.Start().ok());
   for (int i = 0; i < 6; ++i) {
     Request request;
-    request.op_slot = i % server.num_op_slots();
+    request.op_slot = kRotatingSlot;
     request.input_seed = static_cast<std::uint64_t>(i);
     ASSERT_TRUE(server.Submit(request).ok());
   }
@@ -181,6 +278,7 @@ TEST(ServeServerTest, TransientCorruptionIsAbsorbed) {
     EXPECT_TRUE(response.bit_identical);
   }
   EXPECT_TRUE(server.Shutdown().ok());
+  EXPECT_GT(fault_retries.value(), retries_before) << "no corruption reached a transfer";
 }
 
 TEST(ServeServerTest, DeadlineExpiryDoesNotWedgeTheScheduler) {
@@ -222,7 +320,8 @@ TEST(ServeServerTest, DeadlineExpiryDoesNotWedgeTheScheduler) {
 }
 
 TEST(ServeServerTest, RetryBudgetExhaustionSurfacesUnderlyingStatus) {
-  const Graph graph = SmallModel();
+  const Graph graph = RotatingModel();
+  const ChipSpec chip = CrampedChip();
   ServerOptions options = FastOptions();
   options.num_workers = 1;
   // Corrupt every transfer and give the low-level reliability layer no
@@ -231,11 +330,12 @@ TEST(ServeServerTest, RetryBudgetExhaustionSurfacesUnderlyingStatus) {
   options.fault_tolerance.retry.max_retries = 0;
   options.fault_tolerance.retry.backoff_base_seconds = 1e-9;
   options.fault_tolerance.max_rollbacks = 0;
-  Server server(TinyChip(8), graph, options);
+  ASSERT_GT(ServedSteps(chip, graph, options, kRotatingSlot), 1);
+  Server server(chip, graph, options);
   ASSERT_TRUE(server.Start().ok());
 
   Request request;
-  request.op_slot = 0;  // fc1 rotates, so transfers (and faults) happen.
+  request.op_slot = kRotatingSlot;  // fc1 rotates, so transfers (and faults) happen.
   request.max_retries = 2;
   ASSERT_TRUE(server.Submit(request).ok());
   server.WaitIdle();

@@ -7,6 +7,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <functional>
 #include <ostream>
 #include <string>
@@ -92,6 +93,17 @@ TEST(VerifyPlanTest, FootprintMatchesPlanAccountingPlusStaging) {
   EXPECT_GE(footprint, accounted);
   EXPECT_LE(footprint - accounted,
             8 * static_cast<std::int64_t>(plan.tensors().size() + 1));
+}
+
+TEST(VerifyPlanTest, FaultTolerantFootprintAddsOneSpareWindowPerOperand) {
+  ExecutionPlan plan = Figure7Plan();
+  const ChipSpec chip = SmallChip();
+  std::int64_t spares = 0;
+  for (const RTensorPlan& tp : plan.tensors()) {
+    spares += (std::max<std::int64_t>(tp.window_bytes, 8) + 7) / 8 * 8;
+  }
+  EXPECT_EQ(verify::ProgramFootprintBytes(plan, chip, /*fault_tolerant=*/true),
+            verify::ProgramFootprintBytes(plan, chip) + spares);
 }
 
 struct ProgramMutationCase {
