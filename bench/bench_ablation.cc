@@ -2,12 +2,15 @@
 // calls out:
 //   (a) inter-operator reconciliation on/off (setup-time contribution),
 //   (b) shift-buffer size (paper §5 argues 8 KB is negligible overhead),
-//   (c) multi-dim temporal factors on/off (search-space richness).
+//   (c) multi-dim temporal factors on/off (search-space richness),
+//   (d) liveness-based memory reuse,
+//   (e) full-depth LLMs compiled as multi-chip pipelines.
+// T10_BENCH_QUICK=1 runs fewer models and buffer sizes and only OPT-13B in (e).
 
 #include "bench/common.h"
 #include "src/core/compiler.h"
 #include "src/core/memory_planner.h"
-#include "src/core/pipeline.h"
+#include "src/core/sharded_compiler.h"
 #include "src/models/zoo.h"
 
 namespace t10 {
@@ -18,6 +21,9 @@ void AblateInterOp() {
   ChipSpec chip = ChipSpec::IpuMk2();
   Table table({"Model", "BS", "reconcile ON", "reconcile OFF", "saving"});
   for (const ModelInfo& info : EvaluationModels()) {
+    if (bench::QuickMode() && (info.name == "BERT" || info.name == "ViT")) {
+      continue;  // The transformers take most of the compile time.
+    }
     const std::int64_t batch = info.batch_sizes[info.batch_sizes.size() / 2];
     Graph graph = info.build(batch);
     CompileOptions on;
@@ -39,7 +45,10 @@ void AblateInterOp() {
 void AblateShiftBuffer() {
   std::printf("\n(b) Shift buffer size (paper default 8KiB):\n");
   Table table({"Buffer", "BERT BS4 total", "per-core memory lost to buffer"});
-  for (std::int64_t kib : {1, 4, 8, 32, 128}) {
+  const std::vector<std::int64_t> sizes_kib =
+      bench::QuickMode() ? std::vector<std::int64_t>{8, 128}
+                         : std::vector<std::int64_t>{1, 4, 8, 32, 128};
+  for (const std::int64_t kib : sizes_kib) {
     ChipSpec chip = ChipSpec::IpuMk2();
     chip.shift_buffer_bytes = kib * 1024;
     Compiler compiler(chip);
@@ -97,31 +106,31 @@ void MemoryReuseReport() {
 
 void PipelineReport() {
   std::printf("\n(e) Multi-chip pipelining of full LLMs (paper §6.7/§7):\n");
-  ChipSpec chip = ChipSpec::IpuMk2();
-  Compiler compiler(chip);
+  constexpr int kMaxChips = 64;
+  const ChipSpec chip = ChipSpec::IpuMk2();
   struct Case {
     const char* name;
-    Graph (*build)(std::int64_t);
-    int layers;
+    Graph full;
   };
-  const Case cases[] = {{"OPT-6.7B", BuildOpt6p7b, 32},
-                        {"OPT-13B", BuildOpt13b, 40},
-                        {"Llama2-13B", BuildLlama2_13b, 40}};
-  Table table({"Model", "chips", "layers/chip", "token latency", "tokens/s",
-               "boundary overhead"});
+  std::vector<Case> cases;
+  if (!bench::QuickMode()) {
+    cases.push_back({"OPT-6.7B", BuildOptLayer("OPT-6.7B", 4096, 32, 1, 1024, 32)});
+  }
+  cases.push_back({"OPT-13B", BuildOptLayer("OPT-13B", 5120, 40, 1, 1024, 40)});
+  if (!bench::QuickMode()) {
+    cases.push_back(
+        {"Llama2-13B", BuildLlamaLayer("Llama2-13B", 5120, 40, 13824, 1, 1024, 40)});
+  }
+  Table table({"Model", "chips", "token latency", "tokens/s", "boundary overhead"});
   for (const Case& c : cases) {
-    Graph layer = c.build(1);
-    CompiledModel model = compiler.Compile(layer);
-    PipelineEstimate estimate = EstimatePipeline(model, layer, c.layers, chip);
-    if (!estimate.feasible) {
-      table.AddRow({c.name, "*", "*", "*", "*", "*"});
+    ShardedCompiledModel model = CompileOnFewestChips(c.full, chip, kMaxChips);
+    if (!model.fits) {
+      table.AddRow({c.name, "*", "*", "*", "*"});
       continue;
     }
-    table.AddRow({c.name, std::to_string(estimate.num_chips),
-                  std::to_string(estimate.layers_per_chip),
-                  bench::Ms(estimate.end_to_end_seconds),
-                  FormatDouble(estimate.tokens_per_second, 0),
-                  bench::Pct(estimate.interchip_seconds / estimate.layer_seconds)});
+    table.AddRow({c.name, std::to_string(model.num_stages()), bench::Ms(model.TotalSeconds()),
+                  FormatDouble(1.0 / model.BottleneckSeconds(), 0),
+                  bench::Pct(model.partition.handoff_seconds / model.TotalSeconds())});
   }
   table.Print();
 }

@@ -2,6 +2,8 @@
 // full 1,472-core chip, sweep the batch size, and compare against an
 // A100-style roofline. Shows why inter-core connected chips shine at small
 // decode batches: the weights never leave the distributed on-chip memory.
+// Then compiles the full 40-layer model as a pipeline over the fewest chips
+// that hold it.
 //
 //   $ ./examples/llm_decode [max_batch]
 
@@ -10,7 +12,7 @@
 
 #include "src/baselines/gpu_roofline.h"
 #include "src/core/compiler.h"
-#include "src/core/pipeline.h"
+#include "src/core/sharded_compiler.h"
 #include "src/models/zoo.h"
 #include "src/util/table.h"
 
@@ -58,15 +60,21 @@ int main(int argc, char** argv) {
     // Full 40-layer OPT-13B served as a multi-chip pipeline (paper §6.7:
     // whole-model performance follows from single-layer performance because
     // the boundary activations are tiny).
-    PipelineEstimate pipeline = EstimatePipeline(model, layer, /*num_layers=*/40, chip);
-    if (pipeline.feasible) {
-      std::printf("\nFull OPT-13B (40 layers): %d chips x %d layers, token latency %s, "
-                  "%.0f tokens/s steady-state (boundary %s/token, %.2f%% of layer time)\n",
-                  pipeline.num_chips, pipeline.layers_per_chip,
-                  FormatSeconds(pipeline.end_to_end_seconds).c_str(),
-                  pipeline.tokens_per_second, FormatBytes(pipeline.boundary_bytes).c_str(),
-                  100.0 * pipeline.interchip_seconds / pipeline.layer_seconds);
+    constexpr int kMaxChips = 64;
+    const Graph full = BuildOptLayer("OPT-13B", 5120, 40, /*batch=*/1, /*ctx=*/1024,
+                                     /*num_layers=*/40);
+    const ShardedCompiledModel pipeline = CompileOnFewestChips(full, chip, kMaxChips);
+    if (!pipeline.fits) {
+      std::printf("\nFull OPT-13B (40 layers): does not fit %d chips: %s\n", kMaxChips,
+                  pipeline.unfit_reason.c_str());
+      return 1;
     }
+    std::printf("\nFull OPT-13B (40 layers): %d chips, token latency %s, %.0f tokens/s "
+                "steady-state (boundaries %s/token, %.2f%% of token latency)\n",
+                pipeline.num_stages(), FormatSeconds(pipeline.TotalSeconds()).c_str(),
+                1.0 / pipeline.BottleneckSeconds(),
+                FormatBytes(pipeline.partition.BoundaryBytes()).c_str(),
+                100.0 * pipeline.partition.handoff_seconds / pipeline.TotalSeconds());
   }
   return 0;
 }

@@ -151,9 +151,6 @@ CompiledModel Compiler::CompileFrom(const Graph& graph, const std::string& start
   CompilationContext ctx;
   ctx.graph = &graph;
   ctx.resources = resources_.get();
-  // Per-chip dimension of a sharded compile (null/-1 for single-chip).
-  ctx.cluster = resources_->options().cluster;
-  ctx.chip_index = resources_->options().chip_index;
   ctx.model.model_name = graph.name();
 
   // Root one trace per compile on the "compile" lane; each pass run becomes

@@ -32,7 +32,6 @@ class Tracer;
 }  // namespace obs
 
 class CompilerResources;
-struct ClusterSpec;
 
 struct CompileOptions {
   SearchConstraints constraints;
@@ -52,13 +51,6 @@ struct CompileOptions {
   // a "compile.search.<op>" lane (t10c --trace-spans). Null = no tracing,
   // zero overhead.
   obs::Tracer* tracer = nullptr;
-  // Sharded compilation (src/core/sharded_compiler.*): the cluster this
-  // compile belongs to and which of its chips this pipeline targets. The
-  // ShardedCompiler sets both per stage so every pass sees the per-chip
-  // dimension through the CompilationContext; single-chip compiles leave
-  // the defaults. The ClusterSpec must outlive the Compiler.
-  const ClusterSpec* cluster = nullptr;
-  int chip_index = -1;
 };
 
 struct CompiledOp {

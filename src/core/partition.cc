@@ -23,28 +23,49 @@ double OpSeconds(const Operator& op, const ChipSpec& chip) {
   return compute + fabric_bytes / (chip.link_bandwidth * chip.num_cores);
 }
 
-// Resident-byte estimate of ops [first, last] on one chip: every weight any
-// of them consumes (idle residency) plus the largest single-op working set
-// (active residency). A coarse gate against grossly overweight stages; the
-// memory planner makes the binding decision per stage.
-std::int64_t ResidentBytes(const Graph& graph, int first, int last) {
-  std::int64_t weights = 0;
+// Resident-byte estimate of every contiguous op range on one chip:
+// resident[a][b - a - 1] covers ops [a, b) and is every weight any of them
+// consumes (idle residency) plus the largest single-op working set (active
+// residency). A coarse gate against grossly overweight stages; the memory
+// planner makes the binding decision per stage. Built once per partition:
+// for each `a`, sweeping `b` stamps each weight as its first consumer in
+// the range enters, so the table costs one pass over the weight edges per
+// `a` instead of a rescan of every tensor per range.
+std::vector<std::vector<std::int64_t>> ResidentBytesTable(const Graph& graph) {
+  const int n = graph.num_ops();
+  std::vector<std::int64_t> weight_bytes;
+  std::vector<std::vector<int>> op_weights(n);  // Op -> the weights it consumes.
   for (const auto& [name, info] : graph.tensors()) {
     if (!info.is_weight) {
       continue;
     }
     for (const int consumer : info.consumers) {
-      if (consumer >= first && consumer <= last) {
-        weights += info.bytes;
-        break;
+      op_weights[consumer].push_back(static_cast<int>(weight_bytes.size()));
+    }
+    weight_bytes.push_back(info.bytes);
+  }
+  std::vector<std::int64_t> op_working(n);
+  for (int i = 0; i < n; ++i) {
+    op_working[i] = graph.op(i).InputBytes() + graph.op(i).OutputBytes();
+  }
+  std::vector<std::vector<std::int64_t>> resident(n);
+  std::vector<int> stamp(weight_bytes.size(), -1);
+  for (int a = 0; a < n; ++a) {
+    resident[a].resize(n - a);
+    std::int64_t weights = 0;
+    std::int64_t working = 0;
+    for (int i = a; i < n; ++i) {
+      for (const int w : op_weights[i]) {
+        if (stamp[w] != a) {
+          stamp[w] = a;
+          weights += weight_bytes[w];
+        }
       }
+      working = std::max(working, op_working[i]);
+      resident[a][i - a] = weights + working;
     }
   }
-  std::int64_t working = 0;
-  for (int i = first; i <= last; ++i) {
-    working = std::max(working, graph.op(i).InputBytes() + graph.op(i).OutputBytes());
-  }
-  return weights + working;
+  return resident;
 }
 
 }  // namespace
@@ -105,8 +126,9 @@ GraphPartitionResult PartitionGraph(const Graph& graph, const ClusterSpec& clust
     }
     return cost;
   };
+  const std::vector<std::vector<std::int64_t>> resident = ResidentBytesTable(graph);
   const auto stage_fits = [&](int s, int a, int b) {
-    return ResidentBytes(graph, a, b - 1) <= cluster.chips[s].TotalMemoryBytes();
+    return resident[a][b - a - 1] <= cluster.chips[s].TotalMemoryBytes();
   };
 
   // dp[s][b]: best achievable bottleneck with stages 0..s covering ops
@@ -200,7 +222,7 @@ GraphPartitionResult PartitionGraph(const Graph& graph, const ClusterSpec& clust
     for (int i = first; i <= last; ++i) {
       result.stage_cost_seconds[s] += OpSeconds(graph.op(i), cluster.chips[s]);
     }
-    result.stage_resident_bytes[s] = ResidentBytes(graph, first, last);
+    result.stage_resident_bytes[s] = resident[first][last - first];
   }
   for (const StageBoundary& boundary : result.boundaries) {
     result.stage_cost_seconds[boundary.dst_stage] += boundary.transfer_seconds;

@@ -79,12 +79,10 @@ struct CompilationContext {
   const Graph* graph = nullptr;
   CompilerResources* resources = nullptr;
 
-  // Per-chip dimension of a sharded (multi-chip) compile: the cluster being
-  // targeted, and — for one stage's pipeline — which chip it runs on. A
-  // single-chip compile leaves both at their defaults and every pass behaves
-  // exactly as before.
+  // The cluster a sharded (multi-chip) compile targets, read by the
+  // GraphPartition pass (ShardedCompiler sets it); null for a single-chip
+  // compile.
   const ClusterSpec* cluster = nullptr;
-  int chip_index = -1;
 
   // GraphPartition artifact: the operator -> stage assignment and the
   // boundary transfer program for the whole cluster.

@@ -18,7 +18,9 @@ PassResult GraphPartitionPass::Run(CompilationContext& ctx) {
   metrics.GetGauge("cluster.partition.boundary_bytes")
       .Set(static_cast<double>(ctx.partition.BoundaryBytes()));
   if (!ctx.partition.feasible) {
-    T10_LOG(Warning) << "graph partition infeasible: " << ctx.partition.reason;
+    // Not a warning: the caller gets the reason in the result, and a chip
+    // count search (CompileOnFewestChips) expects to start infeasible.
+    T10_LOG(Info) << "graph partition infeasible: " << ctx.partition.reason;
     ctx.model.fits = false;
     return PassResult::Stop();
   }

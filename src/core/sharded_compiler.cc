@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cstring>
 #include <map>
+#include <numeric>
 #include <sstream>
 #include <utility>
 
@@ -117,39 +118,9 @@ ShardedCompiledModel ShardedCompiler::Compile(const Graph& graph) {
     result.unfit_reason = result.partition.reason;
     return result;
   }
-
-  for (int s = 0; s < result.partition.num_stages; ++s) {
-    CompiledStage stage;
-    stage.chip_index = s;
-    stage.graph = std::make_unique<Graph>(BuildStageGraph(graph, result.partition, s));
-
-    CompileOptions stage_options = options_;
-    stage_options.cluster = &cluster_;
-    stage_options.chip_index = s;
-    Compiler compiler(cluster_.chips[s], std::move(stage_options));
-    stage.model = compiler.Compile(*stage.graph);
-
-    stage.outgoing = result.partition.OutgoingBoundaries(s);
-    for (const StageBoundary& boundary : stage.outgoing) {
-      stage.transfer.interchip_bytes += boundary.bytes;
-      stage.transfer.interchip_seconds += boundary.transfer_seconds;
-    }
-    metrics.GetCounter("cluster.transfer.bytes").Add(stage.transfer.interchip_bytes);
-    metrics.GetHistogram("cluster.transfer.seconds").Record(stage.transfer.interchip_seconds);
-
-    const bool stage_fits = stage.model.fits;
-    result.stages.push_back(std::move(stage));
-    if (!stage_fits) {
-      result.fits = false;
-      std::ostringstream reason;
-      reason << "stage " << s << " (ops " << result.partition.stage_ops[s].first << ".."
-             << result.partition.stage_ops[s].second << ") does not fit chip "
-             << cluster_.chips[s].name;
-      result.unfit_reason = reason.str();
-      return result;
-    }
-  }
-  metrics.GetGauge("cluster.compile.stages").Set(static_cast<double>(result.num_stages()));
+  std::vector<int> stage_chips(static_cast<std::size_t>(result.partition.num_stages));
+  std::iota(stage_chips.begin(), stage_chips.end(), 0);  // Stage s runs on chip s.
+  CompileStages(graph, stage_chips, /*previous=*/nullptr, result);
   return result;
 }
 
@@ -170,36 +141,40 @@ ShardedCompiledModel ShardedCompiler::RecompileDegraded(const Graph& graph,
     result.unfit_reason = result.partition.reason;
     return result;
   }
+  const int reused = CompileStages(graph, replan.stage_chips, &previous, result);
+  if (result.fits) {
+    metrics.GetGauge("cluster.recompile.reused_stages").Set(static_cast<double>(reused));
+  }
+  return result;
+}
 
+int ShardedCompiler::CompileStages(const Graph& graph, const std::vector<int>& stage_chips,
+                                   ShardedCompiledModel* previous, ShardedCompiledModel& result) {
+  obs::MetricsRegistry& metrics = obs::MetricsRegistry::Global();
   int reused = 0;
   for (int s = 0; s < result.partition.num_stages; ++s) {
-    const int chip = replan.stage_chips[static_cast<std::size_t>(s)];
+    const int chip = stage_chips[static_cast<std::size_t>(s)];
     const std::pair<int, int> range = result.partition.stage_ops[static_cast<std::size_t>(s)];
     // A previous stage that compiled exactly this operator range for exactly
     // this chip is still valid — the cut moved around it, not through it.
-    int from = -1;
-    for (int t = 0; t < previous.num_stages(); ++t) {
-      const CompiledStage& candidate = previous.stages[static_cast<std::size_t>(t)];
+    CompiledStage stage;
+    bool from_previous = false;
+    for (int t = 0; previous != nullptr && t < previous->num_stages(); ++t) {
+      CompiledStage& candidate = previous->stages[static_cast<std::size_t>(t)];
       if (candidate.chip_index == chip && candidate.graph != nullptr &&
-          previous.partition.stage_ops[static_cast<std::size_t>(t)] == range) {
-        from = t;
+          previous->partition.stage_ops[static_cast<std::size_t>(t)] == range) {
+        stage = std::move(candidate);
+        stage.outgoing.clear();
+        stage.transfer = PlanMetrics{};
+        from_previous = true;
+        ++reused;
         break;
       }
     }
-    CompiledStage stage;
-    if (from >= 0) {
-      stage = std::move(previous.stages[static_cast<std::size_t>(from)]);
-      stage.outgoing.clear();
-      stage.transfer = PlanMetrics{};
-      ++reused;
-    } else {
+    if (!from_previous) {
       stage.chip_index = chip;
       stage.graph = std::make_unique<Graph>(BuildStageGraph(graph, result.partition, s));
-      CompileOptions stage_options = options_;
-      stage_options.cluster = &cluster_;
-      stage_options.chip_index = chip;
-      Compiler compiler(cluster_.chips[static_cast<std::size_t>(chip)],
-                        std::move(stage_options));
+      Compiler compiler(cluster_.chips[static_cast<std::size_t>(chip)], options_);
       stage.model = compiler.Compile(*stage.graph);
     }
 
@@ -217,15 +192,26 @@ ShardedCompiledModel ShardedCompiler::RecompileDegraded(const Graph& graph,
       result.fits = false;
       std::ostringstream reason;
       reason << "stage " << s << " (ops " << range.first << ".." << range.second
-             << ") does not fit surviving chip "
-             << cluster_.chips[static_cast<std::size_t>(chip)].name;
+             << ") does not fit chip " << cluster_.chips[static_cast<std::size_t>(chip)].name;
       result.unfit_reason = reason.str();
-      return result;
+      return reused;
     }
   }
-  metrics.GetGauge("cluster.recompile.reused_stages").Set(static_cast<double>(reused));
   metrics.GetGauge("cluster.compile.stages").Set(static_cast<double>(result.num_stages()));
-  return result;
+  return reused;
+}
+
+ShardedCompiledModel CompileOnFewestChips(const Graph& graph, const ChipSpec& chip,
+                                          int max_chips) {
+  T10_CHECK_GE(max_chips, 1);
+  ShardedCompiledModel model;
+  for (int n = 1; n <= max_chips; ++n) {
+    model = ShardedCompiler(ClusterSpec::Homogeneous(chip, n)).Compile(graph);
+    if (model.fits) {
+      break;
+    }
+  }
+  return model;
 }
 
 StatusOr<double> SimulateBoundaryTransfers(const ShardedCompiledModel& model) {

@@ -3,9 +3,8 @@
 // The ShardedCompiler drives the pipeline of pipelines the cluster needs:
 // the GraphPartition pass cuts the graph into contiguous per-chip stages,
 // each stage compiles through the standard five-pass pipeline against its
-// own chip (CompilationContext carries the cluster and chip index), and the
-// partition's boundary tensors become explicit cross-chip transfer programs
-// billed in PlanMetrics' inter-chip fields. The result is one
+// own chip, and the partition's boundary tensors become explicit cross-chip
+// transfer programs billed in PlanMetrics' inter-chip fields. The result is one
 // ShardedCompiledModel whose Fingerprint() is deterministic across --jobs
 // values, exactly like CompiledModel::Fingerprint().
 //
@@ -97,9 +96,27 @@ class ShardedCompiler {
   static std::vector<std::string> PassNames();
 
  private:
+  // The stage loop Compile and RecompileDegraded share, over the feasible
+  // result.partition: stage s runs on chip stage_chips[s], reuses a stage of
+  // `previous` (may be null) that compiled exactly its operator range for
+  // that chip or else compiles its subgraph, bills its outgoing boundaries,
+  // and the loop stops at the first stage that does not fit. Returns how many
+  // stages were reused.
+  int CompileStages(const Graph& graph, const std::vector<int>& stage_chips,
+                    ShardedCompiledModel* previous, ShardedCompiledModel& result);
+
   ClusterSpec cluster_;
   CompileOptions options_;
 };
+
+// How many chips a model needs (paper §6.7/§7: full LLMs pipelined across
+// chips): compiles `graph` over ClusterSpec::Homogeneous(chip, n) for n = 1,
+// 2, ... up to max_chips and returns the first model that fits, so n - 1
+// chips do not hold it. An n whose partition is infeasible costs only the
+// partition DP. When no n up to max_chips fits, returns the max_chips
+// attempt (fits = false, unfit_reason set).
+ShardedCompiledModel CompileOnFewestChips(const Graph& graph, const ChipSpec& chip,
+                                          int max_chips);
 
 // Byte-level validation of a sharded model's boundary transfer programs:
 // builds a Machine per involved chip, pushes a deterministic pattern through

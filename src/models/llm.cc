@@ -1,13 +1,17 @@
 // LLM decode-step layers (paper §6.7): one transformer (OPT/Llama2) or
 // retention (RetNet) layer processing one new token per sequence against a
 // KV cache of `ctx` tokens. The paper runs "a subset of layers for each LLM"
-// on one chip; a single layer is the unit these graphs model. KV caches are
-// marked resident (weights) since they live on-chip across decode steps.
+// on one chip; a single layer is the unit these graphs model, and the OPT and
+// Llama2 builders stack `num_layers` of them for the full-depth models a
+// multi-chip pipeline serves (layer l's operators and tensors carry the
+// "l<l>_" prefix and read layer l-1's output). KV caches are marked resident
+// (weights) since they live on-chip across decode steps.
 
 #include <string>
 
 #include "src/ir/builder.h"
 #include "src/models/zoo.h"
+#include "src/util/strings.h"
 
 namespace t10 {
 namespace {
@@ -64,37 +68,47 @@ void AddMatMul(Graph& graph, const std::string& name, const std::string& in,
 }  // namespace
 
 Graph BuildOptLayer(const std::string& name, std::int64_t hidden, std::int64_t heads,
-                    std::int64_t batch, std::int64_t ctx) {
+                    std::int64_t batch, std::int64_t ctx, int num_layers) {
   Graph graph(name);
   const DataType f16 = DataType::kF16;
-  const std::string p = "l0_";
-  graph.Add(ElementwiseOp(p + "ln_in", {batch, hidden}, f16, "tokens", p + "x", kLayerNormCost));
-  AddDecodeAttention(graph, p, batch, hidden, heads, ctx);
-  graph.Add(BinaryOp(p + "residual1", {batch, hidden}, f16, p + "x", p + "attn", p + "r1"));
-  graph.Add(ElementwiseOp(p + "ln2", {batch, hidden}, f16, p + "r1", p + "n2", kLayerNormCost));
-  AddMatMul(graph, p + "ffn1", p + "n2", p + "w1", p + "h1", batch, hidden, 4 * hidden);
-  graph.Add(ElementwiseOp(p + "gelu", {batch, 4 * hidden}, f16, p + "h1", p + "h2", 8.0));
-  AddMatMul(graph, p + "ffn2", p + "h2", p + "w2", p + "ff", batch, 4 * hidden, hidden);
-  graph.Add(BinaryOp(p + "residual2", {batch, hidden}, f16, p + "r1", p + "ff", p + "out"));
+  std::string x = "tokens";
+  for (int layer = 0; layer < num_layers; ++layer) {
+    const std::string p = NumberedName("l", layer) + "_";
+    graph.Add(ElementwiseOp(p + "ln_in", {batch, hidden}, f16, x, p + "x", kLayerNormCost));
+    AddDecodeAttention(graph, p, batch, hidden, heads, ctx);
+    graph.Add(BinaryOp(p + "residual1", {batch, hidden}, f16, p + "x", p + "attn", p + "r1"));
+    graph.Add(
+        ElementwiseOp(p + "ln2", {batch, hidden}, f16, p + "r1", p + "n2", kLayerNormCost));
+    AddMatMul(graph, p + "ffn1", p + "n2", p + "w1", p + "h1", batch, hidden, 4 * hidden);
+    graph.Add(ElementwiseOp(p + "gelu", {batch, 4 * hidden}, f16, p + "h1", p + "h2", 8.0));
+    AddMatMul(graph, p + "ffn2", p + "h2", p + "w2", p + "ff", batch, 4 * hidden, hidden);
+    graph.Add(BinaryOp(p + "residual2", {batch, hidden}, f16, p + "r1", p + "ff", p + "out"));
+    x = p + "out";
+  }
   return graph;
 }
 
 Graph BuildLlamaLayer(const std::string& name, std::int64_t hidden, std::int64_t heads,
-                      std::int64_t ffn, std::int64_t batch, std::int64_t ctx) {
+                      std::int64_t ffn, std::int64_t batch, std::int64_t ctx, int num_layers) {
   Graph graph(name);
   const DataType f16 = DataType::kF16;
-  const std::string p = "l0_";
-  graph.Add(ElementwiseOp(p + "rms_in", {batch, hidden}, f16, "tokens", p + "x", kLayerNormCost));
-  AddDecodeAttention(graph, p, batch, hidden, heads, ctx);
-  graph.Add(BinaryOp(p + "residual1", {batch, hidden}, f16, p + "x", p + "attn", p + "r1"));
-  graph.Add(ElementwiseOp(p + "rms2", {batch, hidden}, f16, p + "r1", p + "n2", kLayerNormCost));
-  // Gated FFN: down(silu(gate(x)) * up(x)).
-  AddMatMul(graph, p + "gate", p + "n2", p + "wg", p + "g", batch, hidden, ffn);
-  AddMatMul(graph, p + "up", p + "n2", p + "wu", p + "u", batch, hidden, ffn);
-  graph.Add(ElementwiseOp(p + "silu", {batch, ffn}, f16, p + "g", p + "gs", kSiluCost));
-  graph.Add(BinaryOp(p + "gatemul", {batch, ffn}, f16, p + "gs", p + "u", p + "gu"));
-  AddMatMul(graph, p + "down", p + "gu", p + "wd", p + "ff", batch, ffn, hidden);
-  graph.Add(BinaryOp(p + "residual2", {batch, hidden}, f16, p + "r1", p + "ff", p + "out"));
+  std::string x = "tokens";
+  for (int layer = 0; layer < num_layers; ++layer) {
+    const std::string p = NumberedName("l", layer) + "_";
+    graph.Add(ElementwiseOp(p + "rms_in", {batch, hidden}, f16, x, p + "x", kLayerNormCost));
+    AddDecodeAttention(graph, p, batch, hidden, heads, ctx);
+    graph.Add(BinaryOp(p + "residual1", {batch, hidden}, f16, p + "x", p + "attn", p + "r1"));
+    graph.Add(
+        ElementwiseOp(p + "rms2", {batch, hidden}, f16, p + "r1", p + "n2", kLayerNormCost));
+    // Gated FFN: down(silu(gate(x)) * up(x)).
+    AddMatMul(graph, p + "gate", p + "n2", p + "wg", p + "g", batch, hidden, ffn);
+    AddMatMul(graph, p + "up", p + "n2", p + "wu", p + "u", batch, hidden, ffn);
+    graph.Add(ElementwiseOp(p + "silu", {batch, ffn}, f16, p + "g", p + "gs", kSiluCost));
+    graph.Add(BinaryOp(p + "gatemul", {batch, ffn}, f16, p + "gs", p + "u", p + "gu"));
+    AddMatMul(graph, p + "down", p + "gu", p + "wd", p + "ff", batch, ffn, hidden);
+    graph.Add(BinaryOp(p + "residual2", {batch, hidden}, f16, p + "r1", p + "ff", p + "out"));
+    x = p + "out";
+  }
   return graph;
 }
 

@@ -33,11 +33,13 @@ Graph BuildNerf(std::int64_t batch, int num_layers = 5);
 
 // One decoder layer at decode time (one new token per sequence) with a KV
 // cache of `ctx` tokens, standard transformer (OPT / Llama2) or RetNet
-// retention. `batch` = concurrent sequences.
+// retention. `batch` = concurrent sequences. The OPT and Llama2 builders
+// stack `num_layers` such layers, each reading the previous one's output.
 Graph BuildOptLayer(const std::string& name, std::int64_t hidden, std::int64_t heads,
-                    std::int64_t batch, std::int64_t ctx = 1024);
+                    std::int64_t batch, std::int64_t ctx = 1024, int num_layers = 1);
 Graph BuildLlamaLayer(const std::string& name, std::int64_t hidden, std::int64_t heads,
-                      std::int64_t ffn, std::int64_t batch, std::int64_t ctx = 1024);
+                      std::int64_t ffn, std::int64_t batch, std::int64_t ctx = 1024,
+                      int num_layers = 1);
 Graph BuildRetNetLayer(std::int64_t batch, std::int64_t ctx = 1024);
 
 // Convenience wrappers for the sizes in Table 2 / Fig 23.

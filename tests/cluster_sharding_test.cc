@@ -13,6 +13,7 @@
 #include "src/fault/fault_plan.h"
 #include "src/hardware/cluster_spec.h"
 #include "src/ir/builder.h"
+#include "src/models/zoo.h"
 #include "src/obs/metrics.h"
 #include "src/sim/machine.h"
 #include "src/verify/cluster_checks.h"
@@ -251,6 +252,41 @@ TEST(PartitionTest, DeterministicAcrossCalls) {
   }
 }
 
+TEST(PartitionTest, GoldenCutsMatchParent) {
+  // Cuts, bottlenecks and resident bytes recorded before the resident-byte
+  // table replaced a rescan of every tensor per candidate range: the DP must
+  // pick the same cuts at the same cost, to the last bit.
+  struct Golden {
+    const char* name;
+    Graph graph;
+    ClusterSpec cluster;
+    std::vector<std::pair<int, int>> stage_ops;
+    double bottleneck_seconds;
+    std::vector<std::int64_t> resident_bytes;
+  };
+  const ClusterSpec mk2x4 = ClusterSpec::Homogeneous(ChipSpec::IpuMk2(), 4);
+  const ClusterSpec mk2x5 = ClusterSpec::Homogeneous(ChipSpec::IpuMk2(), 5);
+  const Golden goldens[] = {
+      {"BERT x2 on 3 scaled chips", BuildBertLarge(1, /*num_layers=*/2),
+       ClusterSpec::Homogeneous(SmallChip(), 3), {{0, 10}, {11, 20}, {21, 27}},
+       0x1.28151b194cc88p-12, {26476544, 26476544, 26476544}},
+      {"OPT-13B x4 on 4 IPU-MK2", BuildOptLayer("OPT-13B", 5120, 40, 1, 1024, 4), mk2x4,
+       {{0, 14}, {15, 27}, {28, 41}, {42, 55}}, 0x1.5cfe11e08223p-14,
+       {859883520, 859883520, 859883520, 859883520}},
+      {"OPT-6.7B x8 on 5 IPU-MK2", BuildOptLayer("OPT-6.7B", 4096, 32, 1, 1024, 8), mk2x5,
+       {{0, 24}, {25, 43}, {44, 67}, {68, 91}, {92, 111}}, 0x1.7b1c3c0edc36cp-14,
+       {838901760, 721461248, 805347328, 838901760, 822124544}},
+  };
+  for (const Golden& golden : goldens) {
+    SCOPED_TRACE(golden.name);
+    const GraphPartitionResult partition = PartitionGraph(golden.graph, golden.cluster);
+    ASSERT_TRUE(partition.feasible) << partition.reason;
+    EXPECT_EQ(partition.stage_ops, golden.stage_ops);
+    EXPECT_EQ(partition.bottleneck_seconds, golden.bottleneck_seconds);
+    EXPECT_EQ(partition.stage_resident_bytes, golden.resident_bytes);
+  }
+}
+
 // ---------------------------------------------------------------------------
 // ShardedCompiler: per-chip pipelines, billing, determinism (the --jobs
 // contract), and the grows-with-chips acceptance property.
@@ -350,6 +386,77 @@ TEST(ShardedCompilerTest, SimulatedBoundaryTransfersArriveBitIdentical) {
   StatusOr<double> seconds = SimulateBoundaryTransfers(model);
   ASSERT_TRUE(seconds.ok()) << seconds.status().ToString();
   EXPECT_GT(*seconds, 0.0);
+}
+
+// Full-depth LLMs pipelined across IPU-MK2 chips (paper §6.7/§7), at 8
+// layers so tier-1 stays fast.
+constexpr int kDepth = 8;
+
+TEST(ShardedCompilerTest, FullDepthLlmFollowsItsSingleLayer) {
+  const ChipSpec chip = ChipSpec::IpuMk2();
+  const std::pair<Graph, Graph> models[] = {
+      {BuildOptLayer("OPT-13B", 5120, 40, 1, 1024, kDepth), BuildOpt13b(1)},
+      {BuildLlamaLayer("Llama2-13B", 5120, 40, 13824, 1, 1024, kDepth), BuildLlama2_13b(1)},
+  };
+  for (const auto& [full, layer] : models) {
+    SCOPED_TRACE(full.name());
+    const ShardedCompiledModel model = CompileOnFewestChips(full, chip, /*max_chips=*/16);
+    ASSERT_TRUE(model.fits) << model.unfit_reason;
+    EXPECT_GT(model.num_stages(), 1);
+    for (const CompiledStage& stage : model.stages) {
+      EXPECT_TRUE(stage.model.fits);
+    }
+    // "The inter-chip communication overhead between pipeline stages is
+    // negligible" (§6.7), so the whole model costs depth x one layer.
+    EXPECT_LT(model.partition.handoff_seconds, 0.1 * model.TotalSeconds());
+    const CompiledModel single = Compiler(chip).Compile(layer);
+    ASSERT_TRUE(single.fits);
+    EXPECT_NEAR(model.TotalSeconds(), kDepth * single.TotalSeconds(),
+                0.15 * model.TotalSeconds());
+  }
+}
+
+TEST(ShardedCompilerTest, CompileOnFewestChipsReturnsTheSmallestFittingCount) {
+  const ChipSpec chip = ChipSpec::IpuMk2();
+  const Graph full = BuildOptLayer("OPT-6.7B", 4096, 32, 1, 1024, kDepth);
+  const ShardedCompiledModel model = CompileOnFewestChips(full, chip, /*max_chips=*/16);
+  ASSERT_TRUE(model.fits) << model.unfit_reason;
+  ASSERT_GT(model.num_stages(), 1);
+  EXPECT_EQ(model.cluster.num_chips(), model.num_stages());
+  const ShardedCompiledModel fewer =
+      ShardedCompiler(ClusterSpec::Homogeneous(chip, model.num_stages() - 1)).Compile(full);
+  EXPECT_FALSE(fewer.fits);
+  EXPECT_FALSE(fewer.unfit_reason.empty());
+}
+
+TEST(ShardedCompilerTest, DeeperLlmTakesMoreChipsAtTheSameStageTime) {
+  const ChipSpec chip = ChipSpec::IpuMk2();
+  const ShardedCompiledModel shallow = CompileOnFewestChips(
+      BuildOptLayer("OPT-6.7B", 4096, 32, 1, 1024, kDepth / 2), chip, /*max_chips=*/16);
+  const ShardedCompiledModel deep = CompileOnFewestChips(
+      BuildOptLayer("OPT-6.7B", 4096, 32, 1, 1024, kDepth), chip, /*max_chips=*/16);
+  ASSERT_TRUE(shallow.fits) << shallow.unfit_reason;
+  ASSERT_TRUE(deep.fits) << deep.unfit_reason;
+  EXPECT_GT(deep.num_stages(), shallow.num_stages());
+  // Steady-state throughput is set by one stage, not by the depth.
+  EXPECT_NEAR(deep.BottleneckSeconds(), shallow.BottleneckSeconds(),
+              0.3 * shallow.BottleneckSeconds());
+  EXPECT_GT(deep.TotalSeconds(), shallow.TotalSeconds());
+}
+
+TEST(ShardedCompilerTest, CompileOnFewestChipsStopsAtTheCap) {
+  const ChipSpec chip = ChipSpec::IpuMk2();
+  // Four OPT-1.3B layers fit one chip.
+  const ShardedCompiledModel small =
+      CompileOnFewestChips(BuildOptLayer("OPT-1.3B", 2048, 32, 1, 1024, 4), chip, 4);
+  ASSERT_TRUE(small.fits) << small.unfit_reason;
+  EXPECT_EQ(small.num_stages(), 1);
+  // Eight OPT-13B layers need more than two chips: the cap reports why.
+  const ShardedCompiledModel capped =
+      CompileOnFewestChips(BuildOptLayer("OPT-13B", 5120, 40, 1, 1024, kDepth), chip, 2);
+  EXPECT_FALSE(capped.fits);
+  EXPECT_FALSE(capped.unfit_reason.empty());
+  EXPECT_EQ(capped.cluster.num_chips(), 2);
 }
 
 // ---------------------------------------------------------------------------

@@ -54,6 +54,45 @@ TEST(ZooTest, Llama2LayerHasGatedFfn) {
   EXPECT_NEAR(Params(g), expected, 0.02 * expected);
 }
 
+// FNV-1a over every operator and every tensor's size and weight flag.
+std::uint64_t GraphChecksum(const Graph& g) {
+  std::string text = g.DebugString();
+  for (const auto& [name, info] : g.tensors()) {
+    text += name + ":" + std::to_string(info.bytes) + ":" + (info.is_weight ? "1" : "0") + ";";
+  }
+  std::uint64_t hash = 0xcbf29ce484222325ULL;
+  for (const unsigned char c : text) {
+    hash = (hash ^ c) * 0x100000001b3ULL;
+  }
+  return hash;
+}
+
+TEST(ZooTest, SingleLayerLlmGraphsAreUnchangedByTheLayerCount) {
+  // Checksums recorded before the builders took `num_layers`: the one-layer
+  // graphs (Fig 23, the single-chip LLM compiles) must not move.
+  EXPECT_EQ(GraphChecksum(BuildOpt13b(1)), 0x292b375b398e2b05ULL);
+  EXPECT_EQ(GraphChecksum(BuildOpt6p7b(1)), 0x50864fc313e85a5cULL);
+  EXPECT_EQ(GraphChecksum(BuildLlama2_13b(1)), 0x12ff929de4d2a24bULL);
+}
+
+TEST(ZooTest, MultiLayerLlmChainsEachLayerToTheNext) {
+  const Graph one = BuildOptLayer("OPT-1.3B", 2048, 32, /*batch=*/1);
+  const Graph three = BuildOptLayer("OPT-1.3B", 2048, 32, /*batch=*/1, /*ctx=*/1024,
+                                    /*num_layers=*/3);
+  EXPECT_EQ(three.num_ops(), 3 * one.num_ops());
+  EXPECT_EQ(three.WeightBytes(), 3 * one.WeightBytes());
+  EXPECT_EQ(three.InputNames(), std::vector<std::string>{"tokens"});
+  EXPECT_TRUE(three.tensor("l2_out").consumers.empty());
+  EXPECT_EQ(three.tensor("l0_out").consumers, std::vector<int>{one.num_ops()});
+  EXPECT_EQ(three.tensor("l1_out").consumers, std::vector<int>{2 * one.num_ops()});
+
+  const Graph llama = BuildLlamaLayer("Llama2-7B", 4096, 32, 11008, /*batch=*/1,
+                                      /*ctx=*/1024, /*num_layers=*/2);
+  EXPECT_EQ(llama.num_ops(), 2 * BuildLlama2_7b(1).num_ops());
+  EXPECT_EQ(llama.tensor("l0_out").consumers,
+            std::vector<int>{BuildLlama2_7b(1).num_ops()});
+}
+
 TEST(ZooTest, RetNetLayerBuilds) {
   Graph g = BuildRetNet1p3b(4);
   EXPECT_GT(g.num_ops(), 10);
