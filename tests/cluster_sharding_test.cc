@@ -444,16 +444,19 @@ TEST(ShardedCompilerTest, DeeperLlmTakesMoreChipsAtTheSameStageTime) {
   EXPECT_GT(deep.TotalSeconds(), shallow.TotalSeconds());
 }
 
-TEST(ShardedCompilerTest, CompileOnFewestChipsStopsAtTheCap) {
-  const ChipSpec chip = ChipSpec::IpuMk2();
-  // Four OPT-1.3B layers fit one chip.
-  const ShardedCompiledModel small =
-      CompileOnFewestChips(BuildOptLayer("OPT-1.3B", 2048, 32, 1, 1024, 4), chip, 4);
+TEST(PipelineTest, SmallModelFitsOneChip) {
+  // Four OPT-1.3B layers fit one chip: the search stops at n = 1.
+  const ShardedCompiledModel small = CompileOnFewestChips(
+      BuildOptLayer("OPT-1.3B", 2048, 32, 1, 1024, 4), ChipSpec::IpuMk2(), /*max_chips=*/4);
   ASSERT_TRUE(small.fits) << small.unfit_reason;
   EXPECT_EQ(small.num_stages(), 1);
+  EXPECT_EQ(small.cluster.num_chips(), 1);
+}
+
+TEST(PipelineTest, InfeasibleWithoutFit) {
   // Eight OPT-13B layers need more than two chips: the cap reports why.
-  const ShardedCompiledModel capped =
-      CompileOnFewestChips(BuildOptLayer("OPT-13B", 5120, 40, 1, 1024, kDepth), chip, 2);
+  const ShardedCompiledModel capped = CompileOnFewestChips(
+      BuildOptLayer("OPT-13B", 5120, 40, 1, 1024, kDepth), ChipSpec::IpuMk2(), /*max_chips=*/2);
   EXPECT_FALSE(capped.fits);
   EXPECT_FALSE(capped.unfit_reason.empty());
   EXPECT_EQ(capped.cluster.num_chips(), 2);
