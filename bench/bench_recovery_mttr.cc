@@ -3,7 +3,7 @@
 // recover_on_chip_loss set (drain -> repartition -> verify gate -> hot
 // swap). The end-to-end episode runs twice against one plan-cache
 // directory (the first recovery populates it, the second recompiles
-// cache-hit), and the recovery-critical RecompileDegraded step is then
+// cache-hit), and the recovery-critical repartition + recompile is then
 // timed in isolation on a larger model — uncached vs warm — where the
 // plan cache's skip-the-search effect is the whole signal. Set
 // T10_BENCH_JSON=<path> to write the results as a JSON baseline
@@ -64,7 +64,7 @@ double SecondsSince(serve::Clock::time_point t0) {
 
 struct MttrResult {
   double mttr_seconds = -1.0;  // Kill -> first OK response submitted after it.
-  double start_seconds = 0.0;  // Router::Start (initial compile of every stage).
+  double start_seconds = 0.0;  // Router construction + Start (the initial compile).
   std::int64_t accepted = 0;
   std::int64_t ok = 0;
   std::int64_t failed = 0;
@@ -86,10 +86,10 @@ MttrResult RunRecovery(const Graph& graph, const std::string& cache_dir) {
   options.shard.compile.plan_cache_dir = cache_dir;
   options.poll_seconds = 0.002;
   options.recover_on_chip_loss = true;
-  serve::Router router(ClusterSpec::Homogeneous(ChipSpec::ScaledIpu(8), 3), graph, options);
 
   MttrResult result;
   const auto t_start = serve::Clock::now();
+  serve::Router router(ClusterSpec::Homogeneous(ChipSpec::ScaledIpu(8), 3), graph, options);
   Status started = router.Start();
   T10_CHECK(started.ok()) << started.ToString();
   result.start_seconds = SecondsSince(t_start);
@@ -145,12 +145,13 @@ MttrResult RunRecovery(const Graph& graph, const std::string& cache_dir) {
   return result;
 }
 
-// The recovery-critical recompile in isolation: RecompileDegraded on the
-// larger model, once with no plan cache attached (every changed stage re-
-// searches its operators from scratch) and once against a cache the baseline
-// compile populated (the search is skipped entirely — same contract the
-// plan-cache CI job pins for t10c). `previous` is consumed, so each scenario
-// compiles its own baseline first.
+// The recovery-critical recompile in isolation: the router's recovery path,
+// RepartitionDegraded then RecompileDegraded, on the larger model, once with
+// no plan cache attached (every changed stage re-searches its operators from
+// scratch) and once against a cache the baseline compile populated (the
+// search is skipped entirely — same contract the plan-cache CI job pins for
+// t10c). RecompileDegraded moves the stages it keeps out of `previous`, so
+// each scenario compiles its own baseline first.
 struct RecompileTiming {
   double uncached_seconds = 0.0;
   double warm_seconds = 0.0;
@@ -177,8 +178,8 @@ RecompileTiming TimeRecompile(const Graph& graph, const std::string& cache_dir) 
     T10_CHECK(previous.fits) << previous.unfit_reason;
     const std::int64_t searches_before = searches.value();
     const auto t0 = serve::Clock::now();
-    ShardedCompiledModel degraded =
-        compiler.RecompileDegraded(graph, std::move(previous), chip_down);
+    ShardedCompiledModel degraded = compiler.RecompileDegraded(
+        graph, previous, RepartitionDegraded(graph, cluster, chip_down));
     const double seconds = SecondsSince(t0);
     T10_CHECK(degraded.fits) << degraded.unfit_reason;
     (warm ? timing.warm_seconds : timing.uncached_seconds) = seconds;

@@ -93,64 +93,52 @@ std::vector<std::string> ShardedCompiler::PassNames() {
 }
 
 ShardedCompiledModel ShardedCompiler::Compile(const Graph& graph) {
-  obs::MetricsRegistry& metrics = obs::MetricsRegistry::Global();
-  metrics.GetCounter("cluster.compile.count").Increment();
-  obs::ScopedTimer timer("cluster.compile.seconds");
-
-  ShardedCompiledModel result;
-  result.model_name = graph.name();
-  result.cluster = cluster_;
-
-  // The partition runs as a real pass so it gets the standard per-pass
-  // metrics, span and Verify() treatment.
-  CompilerResources partition_resources(cluster_.chips.front(), options_);
-  CompilationContext ctx;
-  ctx.graph = &graph;
-  ctx.resources = &partition_resources;
-  ctx.cluster = &cluster_;
-  ctx.model.model_name = graph.name();
-  PassManager partitioner;
-  partitioner.AddPass(std::make_unique<GraphPartitionPass>());
-  partitioner.Run(ctx);
-  result.partition = std::move(ctx.partition);
-  if (!result.partition.feasible) {
-    result.fits = false;
-    result.unfit_reason = result.partition.reason;
-    return result;
-  }
-  std::vector<int> stage_chips(static_cast<std::size_t>(result.partition.num_stages));
-  std::iota(stage_chips.begin(), stage_chips.end(), 0);  // Stage s runs on chip s.
-  CompileStages(graph, stage_chips, /*previous=*/nullptr, result);
-  return result;
+  return CompileStages(graph, /*replan=*/nullptr, /*previous=*/nullptr);
 }
 
 ShardedCompiledModel ShardedCompiler::RecompileDegraded(const Graph& graph,
-                                                        ShardedCompiledModel previous,
-                                                        const std::vector<bool>& chip_down) {
+                                                        ShardedCompiledModel& previous,
+                                                        const DegradedRepartition& replan) {
+  return CompileStages(graph, &replan, &previous);
+}
+
+ShardedCompiledModel ShardedCompiler::CompileStages(const Graph& graph,
+                                                    const DegradedRepartition* replan,
+                                                    ShardedCompiledModel* previous) {
   obs::MetricsRegistry& metrics = obs::MetricsRegistry::Global();
-  metrics.GetCounter("cluster.recompile.count").Increment();
+  metrics.GetCounter(previous == nullptr ? "cluster.compile.count" : "cluster.recompile.count")
+      .Increment();
   obs::ScopedTimer timer("cluster.compile.seconds");
 
   ShardedCompiledModel result;
   result.model_name = graph.name();
   result.cluster = cluster_;
-  DegradedRepartition replan = RepartitionDegraded(graph, cluster_, chip_down);
-  result.partition = std::move(replan.partition);
+  std::vector<int> stage_chips;
+  if (replan != nullptr) {
+    result.partition = replan->partition;
+    stage_chips = replan->stage_chips;
+  } else {
+    // The partition runs as a real pass so it gets the standard per-pass
+    // metrics, span and Verify() treatment.
+    CompilerResources partition_resources(cluster_.chips.front(), options_);
+    CompilationContext ctx;
+    ctx.graph = &graph;
+    ctx.resources = &partition_resources;
+    ctx.cluster = &cluster_;
+    ctx.model.model_name = graph.name();
+    PassManager partitioner;
+    partitioner.AddPass(std::make_unique<GraphPartitionPass>());
+    partitioner.Run(ctx);
+    result.partition = std::move(ctx.partition);
+    stage_chips.resize(static_cast<std::size_t>(result.partition.num_stages));
+    std::iota(stage_chips.begin(), stage_chips.end(), 0);  // Stage s runs on chip s.
+  }
   if (!result.partition.feasible) {
     result.fits = false;
     result.unfit_reason = result.partition.reason;
     return result;
   }
-  const int reused = CompileStages(graph, replan.stage_chips, &previous, result);
-  if (result.fits) {
-    metrics.GetGauge("cluster.recompile.reused_stages").Set(static_cast<double>(reused));
-  }
-  return result;
-}
 
-int ShardedCompiler::CompileStages(const Graph& graph, const std::vector<int>& stage_chips,
-                                   ShardedCompiledModel* previous, ShardedCompiledModel& result) {
-  obs::MetricsRegistry& metrics = obs::MetricsRegistry::Global();
   int reused = 0;
   for (int s = 0; s < result.partition.num_stages; ++s) {
     const int chip = stage_chips[static_cast<std::size_t>(s)];
@@ -194,11 +182,14 @@ int ShardedCompiler::CompileStages(const Graph& graph, const std::vector<int>& s
       reason << "stage " << s << " (ops " << range.first << ".." << range.second
              << ") does not fit chip " << cluster_.chips[static_cast<std::size_t>(chip)].name;
       result.unfit_reason = reason.str();
-      return reused;
+      return result;
     }
   }
   metrics.GetGauge("cluster.compile.stages").Set(static_cast<double>(result.num_stages()));
-  return reused;
+  if (previous != nullptr) {
+    metrics.GetGauge("cluster.recompile.reused_stages").Set(static_cast<double>(reused));
+  }
+  return result;
 }
 
 ShardedCompiledModel CompileOnFewestChips(const Graph& graph, const ChipSpec& chip,

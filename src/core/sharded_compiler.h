@@ -77,17 +77,18 @@ class ShardedCompiler {
   // stage owns its subgraph.
   ShardedCompiledModel Compile(const Graph& graph);
 
-  // Elastic recovery: re-cuts `graph` over the chips of the cluster still up
-  // (RepartitionDegraded; chip_down[i] marks chip i lost) and recompiles
-  // ONLY the stages whose operator range or chip changed, moving every other
-  // compiled stage out of `previous` untouched. With
+  // Elastic recovery: compiles `graph` over `replan`, a cut of the chips of
+  // this cluster still up (RepartitionDegraded). Recompiles ONLY the stages
+  // whose operator range or chip changed and moves every other compiled
+  // stage out of `previous` untouched, so a kept stage still owns the same
+  // Graph; the stages it does not keep stay in `previous`. With
   // CompileOptions::plan_cache_dir set, the changed stages warm-start from
   // the on-disk plan cache, which bounds recovery recompile time. `previous`
-  // must be a fit compile of the same graph over this cluster (it is
-  // consumed). An infeasible repartition returns fits = false with the
-  // reason — the caller browns out instead of crashing.
-  ShardedCompiledModel RecompileDegraded(const Graph& graph, ShardedCompiledModel previous,
-                                         const std::vector<bool>& chip_down);
+  // must be a fit compile of the same graph over this cluster. An infeasible
+  // `replan` returns fits = false with its reason — the caller browns out
+  // instead of crashing.
+  ShardedCompiledModel RecompileDegraded(const Graph& graph, ShardedCompiledModel& previous,
+                                         const DegradedRepartition& replan);
 
   const ClusterSpec& cluster() const { return cluster_; }
 
@@ -96,14 +97,14 @@ class ShardedCompiler {
   static std::vector<std::string> PassNames();
 
  private:
-  // The stage loop Compile and RecompileDegraded share, over the feasible
-  // result.partition: stage s runs on chip stage_chips[s], reuses a stage of
-  // `previous` (may be null) that compiled exactly its operator range for
-  // that chip or else compiles its subgraph, bills its outgoing boundaries,
-  // and the loop stops at the first stage that does not fit. Returns how many
-  // stages were reused.
-  int CompileStages(const Graph& graph, const std::vector<int>& stage_chips,
-                    ShardedCompiledModel* previous, ShardedCompiledModel& result);
+  // The path Compile and RecompileDegraded share: cuts the graph (the
+  // GraphPartition pass, stage s on chip s) unless `replan` supplies the cut,
+  // then compiles stage by stage. Stage s reuses a stage of `previous` (may
+  // be null) that compiled exactly its operator range for its chip or else
+  // compiles its subgraph, bills its outgoing boundaries, and the loop stops
+  // at the first stage that does not fit.
+  ShardedCompiledModel CompileStages(const Graph& graph, const DegradedRepartition* replan,
+                                     ShardedCompiledModel* previous);
 
   ClusterSpec cluster_;
   CompileOptions options_;

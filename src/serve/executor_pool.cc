@@ -54,7 +54,8 @@ StatusOr<std::shared_ptr<PlanSet>> PlanSet::Build(const ChipSpec& chip, const Gr
                                                   const TopologyHealth& health,
                                                   const CompileOptions& compile, int epoch,
                                                   bool verify, obs::EventJournal* journal,
-                                                  const FaultToleranceOptions& fault_tolerance) {
+                                                  const FaultToleranceOptions& fault_tolerance,
+                                                  const CompiledModel* compiled) {
   std::shared_ptr<PlanSet> set(new PlanSet(chip, graph));
   set->health_ = health;
   set->epoch_ = epoch;
@@ -72,8 +73,7 @@ StatusOr<std::shared_ptr<PlanSet>> PlanSet::Build(const ChipSpec& chip, const Gr
     set->core_map_ = std::move(degraded.core_map);
     set->plan_chip_ = std::move(degraded.surviving);
   } else {
-    Compiler compiler(chip, compile);
-    set->model_ = compiler.Compile(graph);
+    set->model_ = compiled != nullptr ? *compiled : Compiler(chip, compile).Compile(graph);
     if (!set->model_.fits) {
       return ResourceExhaustedError("model '" + graph.name() + "' does not fit " + chip.name);
     }

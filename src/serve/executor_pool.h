@@ -76,10 +76,11 @@ class PlanSet {
   };
 
   // Compiles the model for `health` over `chip` (ReplanDegraded when the
-  // mask is non-empty), builds the slot table over the compiled active
-  // plans, and — when `verify` is set — gates activation on the static
-  // verifier passing over the resulting model. The graph must outlive the
-  // PlanSet. Errors:
+  // mask is non-empty; on a healthy chip a non-null `compiled`, the graph
+  // already compiled for `chip` with `compile`, is adopted instead), builds
+  // the slot table over the compiled active plans, and — when `verify` is
+  // set — gates activation on the static verifier passing over the
+  // resulting model. The graph must outlive the PlanSet. Errors:
   //   kResourceExhausted   model no longer fits the (surviving) memory, or a
   //                        slot's program does not fit a core once
   //                        `fault_tolerance` adds its spare windows
@@ -92,7 +93,8 @@ class PlanSet {
   static StatusOr<std::shared_ptr<PlanSet>> Build(
       const ChipSpec& chip, const Graph& graph, const TopologyHealth& health,
       const CompileOptions& compile, int epoch, bool verify,
-      obs::EventJournal* journal = nullptr, const FaultToleranceOptions& fault_tolerance = {});
+      obs::EventJournal* journal = nullptr, const FaultToleranceOptions& fault_tolerance = {},
+      const CompiledModel* compiled = nullptr);
 
   int epoch() const { return epoch_; }
   const TopologyHealth& health() const { return health_; }

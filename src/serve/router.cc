@@ -87,12 +87,14 @@ const char* ShardModeName(ShardMode mode) {
 
 
 Router::Router(const ChipSpec& chip, const Graph& graph, RouterOptions options)
-    : options_(std::move(options)), graph_(graph) {
+    : options_(std::move(options)),
+      graph_(graph),
+      replica_model_(Compiler(chip, options_.shard.compile).Compile(graph)) {
   // NOLINTNEXTLINE(lint.serve.check): constructor precondition, before any request exists.
   T10_CHECK_GE(options_.num_shards, 1) << "router shard count";
   stages_.resize(1);
   for (int i = 0; i < options_.num_shards; ++i) {
-    shards_.push_back(MakeShard(chip, /*stage_graph=*/nullptr, /*stage=*/0, /*chip_index=*/-1));
+    shards_.push_back(MakeShard(chip, graph_, replica_model_, /*stage=*/0, /*chip_index=*/-1));
   }
   MutexLock lock(mu_);
   IndexShardsLocked();
@@ -103,18 +105,14 @@ Router::Router(const ClusterSpec& cluster, const Graph& graph, RouterOptions opt
       graph_(graph),
       mode_(ShardMode::kPipeline),
       ops_per_request_(graph.num_ops()),
-      cluster_(cluster) {
-  // NOLINTNEXTLINE(lint.serve.check): constructor precondition, before any request exists.
-  T10_CHECK_GE(cluster_.num_chips(), 1) << "pipeline router needs chips";
-  partition_ = PartitionGraph(graph, cluster_);
-  if (!partition_.feasible) {
+      cluster_(cluster),
+      compiled_(ShardedCompiler(cluster_, options_.shard.compile).Compile(graph)) {
+  if (!compiled_.fits) {
     return;  // No shards; Start() reports the reason.
   }
-  stages_ = ChainStages(partition_, cluster_);
-  for (int s = 0; s < partition_.num_stages; ++s) {
-    shards_.push_back(MakeShard(cluster_.chips[static_cast<std::size_t>(s)],
-                                std::make_unique<Graph>(BuildStageGraph(graph, partition_, s)),
-                                s, s));
+  stages_ = ChainStages(compiled_);
+  for (int s = 0; s < compiled_.num_stages(); ++s) {
+    shards_.push_back(MakeStageShard(compiled_, s));
   }
   MutexLock lock(mu_);
   chip_down_.assign(static_cast<std::size_t>(cluster_.num_chips()), false);
@@ -126,11 +124,11 @@ Router::~Router() {
   (void)ignored;
 }
 
-std::unique_ptr<Router::Shard> Router::MakeShard(const ChipSpec& chip,
-                                                 std::unique_ptr<Graph> stage_graph, int stage,
+std::unique_ptr<Router::Shard> Router::MakeShard(const ChipSpec& chip, const Graph& graph,
+                                                 const CompiledModel& model, int stage,
                                                  int chip_index) {
   auto shard = std::make_unique<Shard>();
-  shard->graph = std::move(stage_graph);
+  shard->graph = &graph;
   ServerOptions per_shard = options_.shard;
   {
     MutexLock lock(mu_);
@@ -142,24 +140,21 @@ std::unique_ptr<Router::Shard> Router::MakeShard(const ChipSpec& chip,
   };
   shard->stage = stage;
   shard->chip = chip_index;
-  shard->server = std::make_unique<Server>(
-      chip, shard->graph != nullptr ? *shard->graph : graph_, std::move(per_shard));
+  shard->server = std::make_unique<Server>(chip, graph, std::move(per_shard), &model);
   return shard;
 }
 
-std::vector<Router::Stage> Router::ChainStages(const GraphPartitionResult& partition,
-                                               const ClusterSpec& chain) const {
-  std::vector<Stage> stages(static_cast<std::size_t>(partition.num_stages));
-  // Per-cut handoff bill: every boundary tensor relays through each cut
-  // between its producer and consumer stages.
-  for (const StageBoundary& boundary : partition.boundaries) {
-    for (int cut = boundary.src_stage; cut < boundary.dst_stage; ++cut) {
-      stages[static_cast<std::size_t>(cut)].cut_bytes += boundary.bytes;
-    }
-  }
-  for (int cut = 0; cut + 1 < partition.num_stages; ++cut) {
-    Stage& stage = stages[static_cast<std::size_t>(cut)];
-    stage.cut_seconds = chain.TransferSeconds(cut, cut + 1, stage.cut_bytes);
+std::unique_ptr<Router::Shard> Router::MakeStageShard(const ShardedCompiledModel& compiled,
+                                                      int stage) {
+  const CompiledStage& compiled_stage = compiled.stages[static_cast<std::size_t>(stage)];
+  return MakeShard(cluster_.chips[static_cast<std::size_t>(compiled_stage.chip_index)],
+                   *compiled_stage.graph, compiled_stage.model, stage, compiled_stage.chip_index);
+}
+
+std::vector<Router::Stage> Router::ChainStages(const ShardedCompiledModel& compiled) {
+  std::vector<Stage> stages(compiled.stages.size());
+  for (std::size_t s = 0; s < stages.size(); ++s) {
+    stages[s].handoff = compiled.stages[s].transfer;
   }
   return stages;
 }
@@ -197,14 +192,14 @@ int Router::LiveReplicasLocked(int stage) const {
 
 std::string Router::LayoutLocked() const {
   std::string layout;
-  for (std::size_t s = 0; s < partition_.stage_ops.size(); ++s) {
-    const int chip = shards_[static_cast<std::size_t>(stages_[s].replicas.front())]->chip;
+  for (std::size_t s = 0; s < compiled_.stages.size(); ++s) {
+    const int chip = compiled_.stages[s].chip_index;
     if (!layout.empty()) {
       layout += " | ";
     }
     layout += "stage " + std::to_string(s) + ": ops [" +
-              std::to_string(partition_.stage_ops[s].first) + ", " +
-              std::to_string(partition_.stage_ops[s].second) + "] on " +
+              std::to_string(compiled_.partition.stage_ops[s].first) + ", " +
+              std::to_string(compiled_.partition.stage_ops[s].second) + "] on " +
               cluster_.chips[static_cast<std::size_t>(chip)].name;
   }
   return layout;
@@ -218,8 +213,11 @@ Status Router::Start() {
     }
   }
   if (shards_.empty()) {
-    // Pipeline ctor found no feasible partition; nothing can serve.
-    return FailedPreconditionError("pipeline partition infeasible: " + partition_.reason);
+    // The pipeline ctor's sharded compile did not fit; nothing can serve.
+    if (!compiled_.partition.feasible) {
+      return FailedPreconditionError("pipeline partition infeasible: " + compiled_.unfit_reason);
+    }
+    return ResourceExhaustedError(compiled_.unfit_reason);
   }
   for (std::size_t i = 0; i < shards_.size(); ++i) {
     Status started = shards_[i]->server->Start();
@@ -731,19 +729,19 @@ void Router::ResolveAttempt(int shard, std::int64_t client_id, Response response
     EmitRebalance("breaker");
   }
   if (handoff) {
-    const Stage& from = stages_[static_cast<std::size_t>(stage)];
+    const PlanMetrics& bill = stages_[static_cast<std::size_t>(stage)].handoff;
     Metrics().handoffs.Increment();
-    Metrics().handoff_seconds.Record(from.cut_seconds);
+    Metrics().handoff_seconds.Record(bill.interchip_seconds);
     obs::Log(options_.journal, obs::Severity::kDebug, "router", "router.pipeline.handoff",
              client_id, /*plan_epoch=*/-1,
              "stage " + std::to_string(stage) + " -> " + std::to_string(stage + 1) +
-                 " (" + std::to_string(from.cut_bytes) + "B over the link)");
+                 " (" + std::to_string(bill.interchip_bytes) + "B over the link)");
     if (trace.active()) {
       const Clock::time_point now = Clock::now();
       options_.tracer->AddCompleted(trace, "router.handoff", now, now,
                                     {{"from_stage", std::to_string(stage)},
                                      {"to_stage", std::to_string(stage + 1)},
-                                     {"link_seconds", std::to_string(from.cut_seconds)}});
+                                     {"link_seconds", std::to_string(bill.interchip_seconds)}});
     }
   }
   if (retry) {
@@ -1067,42 +1065,38 @@ void Router::RunClusterRecovery() {
   obs::Log(options_.journal, obs::Severity::kInfo, "router", "router.cluster.verify_gate",
            /*request_id=*/-1, old_epoch + 1, "verification passed");
 
-  // Shards whose operator range and chip are both unchanged keep serving
-  // as-is — no recompile, queue intact. Every other stage gets a fresh
-  // server (warm-started from the plan cache when the shard options carry
-  // one), started BEFORE the swap so the new chain never routes at a stage
-  // that cannot serve. Only this thread rewrites the grid, so its layout
-  // reads need no lock; shard states do.
-  const std::size_t new_stages = static_cast<std::size_t>(plan.partition.num_stages);
-  std::vector<Stage> stages = ChainStages(plan.partition, plan.survivors);
+  // Recompile over the gated cut. RecompileDegraded keeps every stage whose
+  // operator range and chip are unchanged, and the shard borrowing that
+  // stage's graph keeps serving as-is — no recompile, queue intact. Every
+  // other stage gets a fresh server adopting its new compile, started
+  // BEFORE the swap so the new chain never routes at a stage that cannot
+  // serve. Old shards may borrow graphs either compile now owns, so neither
+  // is destroyed before Shutdown. Only this thread rewrites the grid, so its
+  // layout reads need no lock.
+  ShardedCompiledModel recompiled =
+      ShardedCompiler(cluster_, options_.shard.compile).RecompileDegraded(graph_, compiled_, plan);
+  if (!recompiled.fits) {
+    const std::string reason = recompiled.unfit_reason;
+    retired_compiles_.push_back(std::move(recompiled));
+    EnterClusterFailed("degraded recompile does not fit: " + reason);
+    return;
+  }
+  const std::size_t new_stages = recompiled.stages.size();
+  std::vector<Stage> stages = ChainStages(recompiled);
   std::vector<int> reuse(new_stages, -1);
   int reused = 0;
-  {
-    MutexLock lock(mu_);
-    std::vector<bool> taken(shards_.size(), false);
-    for (std::size_t s = 0; s < new_stages; ++s) {
-      for (std::size_t t = 0; t < shards_.size() && reuse[s] < 0; ++t) {
-        const Shard& old = *shards_[t];
-        if (!taken[t] && old.chip == plan.stage_chips[s] && Routable(old.state) &&
-            partition_.stage_ops[static_cast<std::size_t>(old.stage)] ==
-                plan.partition.stage_ops[s]) {
-          reuse[s] = static_cast<int>(t);
-          taken[t] = true;
-          ++reused;
-        }
-      }
-    }
-  }
   std::vector<std::unique_ptr<Shard>> chain(new_stages);  // Fresh shards.
   for (std::size_t s = 0; s < new_stages; ++s) {
+    for (std::size_t t = 0; t < shards_.size() && reuse[s] < 0; ++t) {
+      if (shards_[t]->graph == recompiled.stages[s].graph.get()) {
+        reuse[s] = static_cast<int>(t);
+      }
+    }
     if (reuse[s] >= 0) {
+      ++reused;
       continue;
     }
-    const int chip = plan.stage_chips[s];
-    chain[s] = MakeShard(
-        cluster_.chips[static_cast<std::size_t>(chip)],
-        std::make_unique<Graph>(BuildStageGraph(graph_, plan.partition, static_cast<int>(s))),
-        static_cast<int>(s), chip);
+    chain[s] = MakeStageShard(recompiled, static_cast<int>(s));
     const Status started_ok = chain[s]->server->Start();
     if (!started_ok.ok()) {
       for (std::size_t j = 0; j < s; ++j) {
@@ -1111,6 +1105,7 @@ void Router::RunClusterRecovery() {
           (void)stopped;
         }
       }
+      retired_compiles_.push_back(std::move(recompiled));
       EnterClusterFailed("replacement stage " + std::to_string(s) +
                          " failed to start: " + started_ok.ToString());
       return;
@@ -1118,13 +1113,10 @@ void Router::RunClusterRecovery() {
   }
   int chain_ops = 0;
   for (std::size_t s = 0; s < new_stages; ++s) {
+    const Shard& shard =
+        reuse[s] >= 0 ? *shards_[static_cast<std::size_t>(reuse[s])] : *chain[s];
     stages[s].first_op = chain_ops;
-    stages[s].num_ops =
-        reuse[s] >= 0
-            ? stages_[static_cast<std::size_t>(
-                          shards_[static_cast<std::size_t>(reuse[s])]->stage)]
-                  .num_ops
-            : chain[s]->server->num_op_slots();
+    stages[s].num_ops = shard.server->num_op_slots();
     chain_ops += stages[s].num_ops;
   }
 
@@ -1158,7 +1150,8 @@ void Router::RunClusterRecovery() {
         p.retry_wait = true;
       }
     }
-    partition_ = std::move(plan.partition);
+    retired_compiles_.push_back(std::move(compiled_));
+    compiled_ = std::move(recompiled);
     cluster_epoch_ = old_epoch + 1;
     stats_.cluster_epoch = cluster_epoch_;
     ++stats_.recoveries;

@@ -6,15 +6,15 @@
 // set of interchangeable replica shards. Both shapes the router builds are
 // the same grid:
 //
-//   - Replicated (Router(chip, graph)): N replicas x 1 stage. Every shard
-//     runs the whole model on its own copy of the chip; a request names one
-//     operator (op_slot) and its chain is that one step.
-//   - Pipeline (Router(cluster, graph)): 1 replica x S stages, cut by
-//     GraphPartition over the ClusterSpec, stage s on chip s. A request runs
-//     the whole model (op_slot 0) and its chain walks every operator of
-//     every stage, handing off between stages with the remaining deadline
-//     budget and its TraceContext. Bit-identity of the final response is the
-//     AND over every per-op audit on the chain.
+//   - Replicated (Router(chip, graph)): N replicas x 1 stage, each adopting
+//     one compile of the model on its own copy of the chip; a request names
+//     one operator (op_slot) and its chain is that one step.
+//   - Pipeline (Router(cluster, graph)): 1 replica x S stages; shard s serves
+//     CompiledStage s of one ShardedCompiler compile. A request runs the
+//     whole model (op_slot 0) and its chain walks every operator of every
+//     stage, handing off (billed from the stage's outgoing transfer program)
+//     with the remaining deadline budget and its TraceContext. Bit-identity
+//     of the final response is the AND over every per-op audit on the chain.
 //
 // One lifecycle serves both: a request holds a chain position (stage,
 // current op, last op). Each step goes to a replica of the current stage;
@@ -67,9 +67,10 @@
 // and waits until no shard attempt is outstanding. repartitioning re-runs
 // the stage DP over the surviving chips (RepartitionDegraded; survivors keep
 // their original chip index) and the verify_gate re-checks the cut with the
-// cluster.* and cluster.recovery.* rules. hot_swap bumps the cluster epoch,
-// keeps every shard whose operator range and chip are unchanged, starts
-// fresh servers for the rest, and resumes the parked chains at their exact
+// cluster.* and cluster.recovery.* rules. ShardedCompiler::RecompileDegraded
+// then compiles the gated cut, and hot_swap bumps the cluster epoch, keeps
+// exactly the shards whose stage the recompile kept, starts fresh servers
+// adopting the other stages, and resumes the parked chains at their exact
 // operator with their remaining deadline budget. park_failed browns the
 // cluster out: new admissions are refused kUnavailable while every in-flight
 // chain is still answered exactly once.
@@ -93,7 +94,7 @@
 #include <thread>
 #include <vector>
 
-#include "src/core/partition.h"
+#include "src/core/sharded_compiler.h"
 #include "src/hardware/chip_spec.h"
 #include "src/hardware/cluster_spec.h"
 #include "src/ir/graph.h"
@@ -200,21 +201,24 @@ struct RouterStats {
 
 class Router {
  public:
-  // N replicas x 1 stage (ShardMode::kReplicated): every shard serves
-  // `graph` on its own copy of `chip`. The graph must outlive the router.
+  // N replicas x 1 stage (ShardMode::kReplicated): compiles `graph` for
+  // `chip` once; every shard serves that compile on its own copy of `chip`.
+  // The graph must outlive the router.
   Router(const ChipSpec& chip, const Graph& graph, RouterOptions options = {});
-  // 1 replica x S stages (ShardMode::kPipeline): partitions `graph` across
-  // `cluster`'s chips, one stage per chip; shard i serves stage i's subgraph
-  // on cluster.chips[i]. options.num_shards is ignored — the partition
-  // decides. The graph must outlive the router; the cluster is copied.
+  // 1 replica x S stages (ShardMode::kPipeline): compiles `graph` across
+  // `cluster`'s chips with ShardedCompiler; shard i serves CompiledStage i on
+  // its chip. options.num_shards is ignored — the partition decides. The
+  // graph must outlive the router; the cluster is copied.
   Router(const ClusterSpec& cluster, const Graph& graph, RouterOptions options = {});
   ~Router();  // Implies Shutdown().
 
   Router(const Router&) = delete;
   Router& operator=(const Router&) = delete;
 
-  // Starts every shard (each compiles its own epoch 0) and the monitor.
-  // Fails if any shard fails to start; already-started shards are shut down.
+  // Starts every shard on the router's compile and the monitor. Fails if any
+  // shard fails to start (already-started shards are shut down), and on an
+  // unfit pipeline compile: infeasible cut kFailedPrecondition, unfit stage
+  // kResourceExhausted.
   Status Start();
 
   // Admits one request and routes it. Errors:
@@ -258,16 +262,13 @@ class Router {
   ShardSnapshot shard_snapshot(int shard) const;
   RouterStats stats() const;
   ShardMode mode() const { return mode_; }
-  // Routers built from a ClusterSpec: the partition the stage chain was
-  // built from (empty otherwise).
-  const GraphPartitionResult& partition() const { return partition_; }
 
  private:
   // Per-shard routing state (router-side; the Server holds its own state).
   struct Shard {
-    // The stage subgraph the server borrows (null: it serves graph_).
-    // Declared first so it outlives the server.
-    std::unique_ptr<Graph> graph;
+    // The graph the server borrows: graph_, or a compiled stage's subgraph,
+    // which identifies the stage across a recovery's recompile.
+    const Graph* graph = nullptr;
     std::unique_ptr<Server> server;
     // Stable completion-routing token the server's on_response carries;
     // shard_of_token_ maps it to the shard's CURRENT index, which a cluster
@@ -294,10 +295,9 @@ class Router {
     std::vector<int> replicas;  // Indices into shards_.
     int first_op = 0;           // Chain position of the replicas' op slot 0.
     int num_ops = 0;            // Op slots every replica serves (set on start).
-    // Bytes / link-seconds crossing the cut to the next stage (every
-    // boundary tensor relays through each cut on its way downstream).
-    std::int64_t cut_bytes = 0;
-    double cut_seconds = 0.0;
+    // The compiled stage's outgoing transfer bill (interchip_* fields), what
+    // a handoff to the next stage costs.
+    PlanMetrics handoff;
   };
 
   // One client request's routing lifecycle.
@@ -397,16 +397,17 @@ class Router {
   void EmitRebalance(const char* cause);
   void DumpFlightRecorder(const std::string& reason);
 
-  // Builds one replica shard of `stage` serving `stage_graph` (null: graph_)
+  // Builds one replica shard of `stage` serving `graph` compiled as `model`
   // on `chip` (cluster_.chips index `chip_index`, -1 if none) with a fresh
   // completion token and request-id block. The caller places it in shards_
   // and re-indexes.
-  std::unique_ptr<Shard> MakeShard(const ChipSpec& chip, std::unique_ptr<Graph> stage_graph,
-                                   int stage, int chip_index);
-  // The stage table of a cut, stage s on chain.chips[s]: cut bytes / link
-  // seconds (op ranges are set once the replicas start).
-  std::vector<Stage> ChainStages(const GraphPartitionResult& partition,
-                                 const ClusterSpec& chain) const;
+  std::unique_ptr<Shard> MakeShard(const ChipSpec& chip, const Graph& graph,
+                                   const CompiledModel& model, int stage, int chip_index);
+  // The shard serving CompiledStage `stage` of `compiled` on its chip.
+  std::unique_ptr<Shard> MakeStageShard(const ShardedCompiledModel& compiled, int stage);
+  // The stage table of a sharded compile: each stage's handoff bill (op
+  // ranges are set once the replicas start).
+  static std::vector<Stage> ChainStages(const ShardedCompiledModel& compiled);
   // Rebuilds every stage's replica list and the token map from shards_.
   void IndexShardsLocked() T10_REQUIRES(mu_);
   // The stage whose op range holds chain position `op`.
@@ -424,10 +425,13 @@ class Router {
   // the model through every stage).
   const int ops_per_request_ = 1;
 
-  // The cluster a pipeline router was built from (empty otherwise) and its
-  // current cut.
-  const ClusterSpec cluster_;
-  GraphPartitionResult partition_;
+  const ClusterSpec cluster_;  // A pipeline router's cluster (empty otherwise).
+  // The compiles the shards serve, declared first to outlive them: a
+  // replicated router's one, a pipeline router's current one and those a
+  // recovery replaced or abandoned (monitor thread only after Start).
+  const CompiledModel replica_model_;
+  ShardedCompiledModel compiled_;
+  std::vector<ShardedCompiledModel> retired_compiles_;
 
   // The grid. Fixed after construction EXCEPT across a cluster recovery hot
   // swap, which rewrites both tables under mu_ on the monitor thread (every

@@ -107,10 +107,12 @@ const char* ServerStateName(ServerState state) {
   return "unknown";
 }
 
-Server::Server(const ChipSpec& chip, const Graph& graph, ServerOptions options)
+Server::Server(const ChipSpec& chip, const Graph& graph, ServerOptions options,
+               const CompiledModel* compiled)
     : chip_(chip),
       graph_(graph),
       options_(std::move(options)),
+      compiled_(compiled),
       scheduler_(options_.queue_capacity, options_.request_id_base),
       pool_(chip_, options_.faults, options_.fault_tolerance,
             options_.retry_backoff_base_seconds, options_.num_workers),
@@ -149,7 +151,7 @@ Status Server::Start() {
   T10_ASSIGN_OR_RETURN(plans,
                        PlanSet::Build(chip_, graph_, initial, options_.compile,
                                       /*epoch=*/0, options_.verify_before_activate,
-                                      options_.journal, options_.fault_tolerance));
+                                      options_.journal, options_.fault_tolerance, compiled_));
   obs::Log(options_.journal, obs::Severity::kInfo, "serve", "server.start",
            /*request_id=*/-1, /*plan_epoch=*/0);
   {

@@ -147,8 +147,11 @@ class Server {
  public:
   // The graph must outlive the server (compiled models borrow its
   // operators). `chip.health` may already mark failures; they are merged
-  // with the FaultSpec's persistent faults into epoch 0's mask.
-  Server(const ChipSpec& chip, const Graph& graph, ServerOptions options = {});
+  // with the FaultSpec's persistent faults into epoch 0's mask. A healthy
+  // epoch 0 adopts `compiled` (`graph` compiled for `chip`; borrowed until
+  // Start()) when set, instead of compiling.
+  Server(const ChipSpec& chip, const Graph& graph, ServerOptions options = {},
+         const CompiledModel* compiled = nullptr);
   ~Server();  // Implies Shutdown().
 
   Server(const Server&) = delete;
@@ -224,6 +227,7 @@ class Server {
   const ChipSpec chip_;
   const Graph& graph_;
   const ServerOptions options_;
+  const CompiledModel* const compiled_;  // Epoch 0's model when adopted; null: compile.
 
   Scheduler scheduler_;
   ExecutorPool pool_;

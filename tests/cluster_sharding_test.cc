@@ -671,8 +671,8 @@ TEST(RecompileDegradedTest, RecompilesOnlyChangedStagesAndStaysVerifiable) {
   ShardedCompiledModel before = compiler.Compile(graph);
   ASSERT_TRUE(before.fits) << before.unfit_reason;
 
-  ShardedCompiledModel after =
-      compiler.RecompileDegraded(graph, std::move(before), {true, false, false});
+  ShardedCompiledModel after = compiler.RecompileDegraded(
+      graph, before, RepartitionDegraded(graph, cluster, {true, false, false}));
   ASSERT_TRUE(after.fits) << after.unfit_reason;
   EXPECT_EQ(after.num_stages(), 2);
   for (const CompiledStage& stage : after.stages) {
@@ -696,7 +696,7 @@ TEST(RecompileDegradedTest, InfeasibleRepartitionReportsUnfit) {
   ShardedCompiledModel before = compiler.Compile(graph);
   ASSERT_TRUE(before.fits) << before.unfit_reason;
   ShardedCompiledModel after =
-      compiler.RecompileDegraded(graph, std::move(before), {true, true});
+      compiler.RecompileDegraded(graph, before, RepartitionDegraded(graph, cluster, {true, true}));
   EXPECT_FALSE(after.fits);
   EXPECT_FALSE(after.unfit_reason.empty());
 }

@@ -20,6 +20,7 @@
 
 #include "src/ir/builder.h"
 #include "src/obs/journal.h"
+#include "src/obs/metrics.h"
 
 namespace t10 {
 namespace serve {
@@ -145,6 +146,56 @@ TEST(RouterRecoveryTest, ChipLossRepartitionsAndKeepsServing) {
   EXPECT_GE(CountEvents(journal, "router.cluster.drain"), 1);
   // Retiring the dead chip's server frees its simulated scratchpads.
   EXPECT_GE(CountEvents(journal, "server.storage_released"), 1);
+  EXPECT_TRUE(router.Shutdown().ok());
+}
+
+// Recovery recompiles once, through ShardedCompiler::RecompileDegraded, and
+// the hot swap reuses exactly the stage servers whose compiled stage the
+// recompile kept.
+TEST(RouterRecoveryTest, ChipLossReusesTheStagesRecompileKept) {
+  const Graph graph = PipelineModel();
+  obs::EventJournal journal;
+  RouterOptions options = RecoveryOptions();
+  options.journal = &journal;
+  obs::MetricsRegistry& metrics = obs::MetricsRegistry::Global();
+  obs::Counter& recompiles = metrics.GetCounter("cluster.recompile.count");
+  Router router(ClusterSpec::Homogeneous(ChipSpec::ScaledIpu(8), 4), graph, options);
+  ASSERT_TRUE(router.Start().ok());
+  const std::int64_t recompiles_before = recompiles.value();
+
+  // One op per chip; the re-cut over chips 0, 2, 3 merges ops 0-1 onto chip
+  // 0 and keeps the last two stages where they were.
+  router.KillChip(1);
+  ASSERT_TRUE(WaitFor([&] {
+    const RouterStats stats = router.stats();
+    return stats.recoveries >= 1 || stats.recovery_failures >= 1;
+  })) << "cluster recovery never ran";
+  ASSERT_EQ(router.stats().recoveries, 1);
+  EXPECT_EQ(router.num_shards(), 3);
+  EXPECT_EQ(recompiles.value() - recompiles_before, 1);
+
+  const int kept =
+      static_cast<int>(metrics.GetGauge("cluster.recompile.reused_stages").value());
+  EXPECT_EQ(kept, 2);
+  // The hot-swap event is journaled just after the recovery is counted.
+  ASSERT_TRUE(WaitFor([&] { return CountEvents(journal, "router.cluster.hot_swap") == 1; }));
+  std::string hot_swap;
+  for (const obs::Event& event : journal.Snapshot()) {
+    if (event.event == "router.cluster.hot_swap") {
+      hot_swap = event.detail;
+    }
+  }
+  EXPECT_NE(hot_swap.find(std::to_string(kept) + " stage server(s) reused"), std::string::npos)
+      << hot_swap;
+
+  Request request;
+  request.op_slot = 0;
+  ASSERT_TRUE(router.Submit(request).ok());
+  router.WaitIdle();
+  const std::vector<Response> responses = router.TakeResponses();
+  ASSERT_EQ(responses.size(), 1u);
+  EXPECT_TRUE(responses.front().status.ok()) << responses.front().status.ToString();
+  EXPECT_TRUE(responses.front().bit_identical);
   EXPECT_TRUE(router.Shutdown().ok());
 }
 

@@ -21,6 +21,8 @@
 #include <thread>
 #include <vector>
 
+#include "src/core/compiler.h"
+#include "src/core/sharded_compiler.h"
 #include "src/ir/builder.h"
 #include "src/obs/journal.h"
 #include "src/obs/metrics.h"
@@ -129,6 +131,25 @@ TEST(RouterTest, SubmitValidatesStateAndArguments) {
   request.max_retries = 2;
   EXPECT_EQ(router.Submit(request).status().code(), StatusCode::kFailedPrecondition);
   // Shutdown is idempotent.
+  EXPECT_TRUE(router.Shutdown().ok());
+}
+
+// A replicated router compiles its model once and every replica adopts
+// that compile: starting three replicas costs the searches of one compile.
+TEST(RouterTest, ReplicasShareOneCompile) {
+  const Graph graph = SmallModel();
+  obs::Counter& searches = obs::MetricsRegistry::Global().GetCounter("compiler.search.searches");
+  std::int64_t before = searches.value();
+  const CompiledModel bare = Compiler(ChipSpec::ScaledIpu(8)).Compile(graph);
+  ASSERT_TRUE(bare.fits);
+  const std::int64_t one_compile = searches.value() - before;
+  ASSERT_GT(one_compile, 0);
+
+  before = searches.value();
+  Router router(ChipSpec::ScaledIpu(8), graph, FastOptions(3));
+  ASSERT_TRUE(router.Start().ok());
+  EXPECT_EQ(router.num_shards(), 3);
+  EXPECT_EQ(searches.value() - before, one_compile);
   EXPECT_TRUE(router.Shutdown().ok());
 }
 
@@ -470,6 +491,45 @@ TEST(RouterPipelineTest, ChainsDeliverExactlyOnceWithHandoffs) {
   }
   // Every chain crosses every cut exactly once: 16 requests x 3 handoffs.
   EXPECT_EQ(router.stats().handoffs, 16 * 3);
+  EXPECT_TRUE(router.Shutdown().ok());
+}
+
+// The pipeline router serves exactly what ShardedCompiler produced: one
+// sharded compile (no per-stage compile at Start), one shard per compiled
+// stage, and every handoff billed from the stage's outgoing transfer program.
+TEST(RouterPipelineTest, StagesServeTheShardedCompile) {
+  const Graph graph = PipelineModel();
+  obs::MetricsRegistry& metrics = obs::MetricsRegistry::Global();
+  obs::Counter& compiles = metrics.GetCounter("cluster.compile.count");
+  obs::Counter& searches = metrics.GetCounter("compiler.search.searches");
+  obs::Histogram& handoff_seconds = metrics.GetHistogram("router.pipeline.handoff.seconds");
+  std::int64_t before = searches.value();
+  const ShardedCompiledModel bare = ShardedCompiler(PipelineCluster(4)).Compile(graph);
+  ASSERT_TRUE(bare.fits) << bare.unfit_reason;
+  const std::int64_t one_compile = searches.value() - before;
+
+  const std::int64_t compiles_before = compiles.value();
+  before = searches.value();
+  Router router(PipelineCluster(4), graph, FastOptions(0));
+  ASSERT_TRUE(router.Start().ok());
+  EXPECT_EQ(compiles.value() - compiles_before, 1);
+  EXPECT_EQ(searches.value() - before, one_compile);
+  ASSERT_EQ(router.num_shards(), bare.num_stages());
+
+  const double billed_before = handoff_seconds.sum();
+  Request request;
+  request.op_slot = 0;
+  ASSERT_TRUE(router.Submit(request).ok());
+  router.WaitIdle();
+  ASSERT_EQ(router.TakeResponses().size(), 1u);
+  double one_chain = 0.0;
+  for (int s = 0; s + 1 < bare.num_stages(); ++s) {
+    one_chain += bare.stages[static_cast<std::size_t>(s)].transfer.interchip_seconds;
+  }
+  EXPECT_GT(one_chain, 0.0);
+  // The histogram sum may already hold earlier tests' handoffs: compare the
+  // delta up to its rounding.
+  EXPECT_NEAR(handoff_seconds.sum() - billed_before, one_chain, 1e-9 * one_chain);
   EXPECT_TRUE(router.Shutdown().ok());
 }
 
