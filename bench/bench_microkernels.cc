@@ -1,12 +1,14 @@
 // Google-benchmark microbenchmarks of the compiler's hot paths: plan
-// geometry derivation, plan cost evaluation and intra-op search. These are
-// the operations Fig 18/19's compile-time numbers are built from.
+// geometry derivation, plan cost evaluation, one search candidate's filter
+// and cost, and intra-op search. These are the operations Fig 18/19's
+// compile-time numbers are built from.
 // BM_ProgramExecutorRun times the byte-level executor per operator, on the
 // plans the search emits for them; BM_ProgramExecutorConstructAndRun adds
 // the executor's construction (lowering and placement geometry).
 
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
 #include <optional>
 
 #include "src/core/compiler.h"
@@ -61,6 +63,40 @@ void BM_PlanEvaluate(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_PlanEvaluate);
+
+// One search candidate, BenchPlan()'s: the filter (validity and per-core
+// bytes) and the cost, from its F_op's base plus its options' deltas, as
+// SearchOperatorPlans costs every candidate.
+void BM_CandidateEvaluate(benchmark::State& state) {
+  ChipSpec chip = ChipSpec::IpuMk2();
+  GroundTruthTiming timing(chip);
+  const ExecutionPlan& plan = BenchPlan();
+  FopCandidates candidates;
+  if (!candidates.Reset(BenchOp(), plan.fop(), SearchConstraints{}, timing, chip)) {
+    state.SkipWithError("searched F_op no longer passes the filters");
+    return;
+  }
+  std::vector<std::size_t> choice(candidates.num_tensors(), 0);
+  for (std::size_t t = 0; t < choice.size(); ++t) {
+    const std::vector<std::int64_t>& want = plan.tensors()[t].temporal;
+    while (choice[t] < candidates.num_options(t) &&
+           !std::ranges::equal(candidates.temporal(t, choice[t]), want)) {
+      ++choice[t];
+    }
+    if (choice[t] == candidates.num_options(t)) {
+      state.SkipWithError("searched temporal factors are no longer an option");
+      return;
+    }
+  }
+  for (auto _ : state) {
+    const bool passes =
+        candidates.Valid(choice) && candidates.PerCoreBytes(choice) <= chip.core_memory_bytes;
+    benchmark::DoNotOptimize(passes);
+    PlanMetrics metrics = candidates.Metrics(choice);
+    benchmark::DoNotOptimize(metrics);
+  }
+}
+BENCHMARK(BM_CandidateEvaluate);
 
 void BM_CostModelPredict(benchmark::State& state) {
   KernelGroundTruth truth(ChipSpec::IpuMk2());

@@ -37,16 +37,18 @@
 
 namespace t10 {
 
-// Derived partitioning geometry of one tensor operand under a plan.
+// Derived partitioning geometry of one tensor operand under a plan. F_op
+// alone fixes the first four fields (FopBase::Reset); the tensor's temporal
+// factors fix the rest (ApplyTemporal).
 struct RTensorPlan {
   std::vector<std::int64_t> spatial;    // f_s per dim (compound dims: product).
-  std::vector<std::int64_t> temporal;   // f_t per dim.
   std::vector<std::int64_t> sub_shape;  // Sub-tensor lengths per dim (padded).
-  std::vector<std::int64_t> window;     // Per-core held window per dim.
   std::int64_t share_cores = 1;         // P: cores sharing one sub-tensor.
+  std::int64_t sub_bytes = 0;           // Bytes of one sub-tensor.
+  std::vector<std::int64_t> temporal;   // f_t per dim.
+  std::vector<std::int64_t> window;     // Per-core held window per dim.
   std::int64_t ring_size = 1;           // prod(f_t): cores per rotation ring.
   std::int64_t replicas = 1;            // P / ring_size: rings (= data copies).
-  std::int64_t sub_bytes = 0;           // Bytes of one sub-tensor.
   std::int64_t window_bytes = 0;        // Bytes held per core.
   std::vector<int> rotating_dims;       // Dims with f_t > 1.
 };
@@ -88,6 +90,67 @@ struct PlanMetrics {
   }
 };
 
+// The part of a plan that F_op alone fixes: axis slices, padding, cores, the
+// reduce group, and each tensor's spatial fields (RTensorPlan's first four).
+// ExecutionPlan::Rebuild() derives every plan from one; the search builds one
+// per F_op and costs each temporal option against it without building a plan.
+struct FopBase {
+  const Operator* op = nullptr;
+  std::vector<std::int64_t> fop;
+  std::vector<std::int64_t> axis_slice;  // l_a per axis.
+  std::int64_t cores_used = 0;
+  std::int64_t reduce_group = 1;         // G: cores holding partial outputs.
+  double padding_ratio = 1.0;
+  // Inputs in operator order, then the output. The temporal fields hold what
+  // ApplyTemporal() last wrote into each.
+  std::vector<RTensorPlan> tensors;
+
+  // Re-derives the base in place, reusing its vectors' storage. Returns false
+  // if some factor lies outside [1, axis length].
+  bool Reset(const Operator& op, std::span<const std::int64_t> fop);
+};
+
+// Tensor `ti` in tensors() order: inputs in operator order, then the output.
+const TensorRef& Operand(const Operator& op, std::size_t ti);
+
+// One rotating tensor dim, with what the pace, the loop order and the shift
+// cost need of its tensor.
+struct Rotation {
+  int axis = -1;                  // Operator axis the dim runs along.
+  std::int64_t window_len = 0;    // Window length along the dim.
+  std::int64_t window_bytes = 0;  // The tensor's per-core window.
+  std::int64_t sub_bytes = 0;     // The tensor's sub-tensor.
+};
+
+// Fills the temporal fields of `tp`, whose spatial fields are set, from the
+// tensor's temporal factors `ft`, and appends one Rotation per rotating dim
+// to `rotations`. Returns false, appending nothing, if the factors break an
+// alignment rule: a split compound dim, a split output, a window that does
+// not tile the sub-tensor, or rings that do not evenly cover the sharing
+// cores.
+bool ApplyTemporal(const TensorRef& tensor, bool is_output, std::span<const std::int64_t> ft,
+                   RTensorPlan& tp, std::vector<Rotation>& rotations);
+
+// Derives the rotating pace of every axis (the minimum window among the dims
+// rotating along it; 0 = not rotated) and the loop nest over rotated axes,
+// outermost first, reusing the storage of both outputs.
+void DeriveLoops(std::span<const std::int64_t> axis_slice, std::span<const Rotation> rotations,
+                 std::vector<std::int64_t>& axis_pace, std::vector<RotationLoop>& loops);
+
+// The reduce-scatter epilogue that merges G partial outputs: F_op fixes it.
+struct EpilogueCost {
+  double seconds = 0.0;
+  std::int64_t bytes_per_core = 0;
+};
+EpilogueCost Epilogue(const FopBase& base, const TimingSource& timing);
+
+// Costs a plan from its base, rotations and derived loops: the one cost
+// formula behind ExecutionPlan::Evaluate() and the search's candidates.
+PlanMetrics CostPlan(const FopBase& base, std::span<const Rotation> rotations,
+                     std::span<const std::int64_t> axis_pace,
+                     std::span<const RotationLoop> loops, std::int64_t per_core_bytes,
+                     const EpilogueCost& epilogue, const TimingSource& timing);
+
 class ExecutionPlan {
  public:
   // Builds a plan from F_op (one factor per operator axis) and per-tensor
@@ -100,24 +163,24 @@ class ExecutionPlan {
       const std::vector<std::vector<std::int64_t>>& temporal_factors);
 
   // Re-derives this plan in place, reusing the storage of its vectors: the
-  // search rebuilds one scratch plan per candidate and allocates nothing once
-  // that storage has grown. Returns false on the same rule violations as
-  // Create(); the plan is then unusable until the next successful Rebuild().
+  // F_op base, then each tensor's temporal factors, then the loop nest.
+  // Returns false on the same rule violations as Create(); the plan is then
+  // unusable until the next successful Rebuild().
   bool Rebuild(const Operator& op, std::span<const std::int64_t> fop,
                std::span<const std::vector<std::int64_t>> temporal_factors);
 
-  const Operator& op() const { return *op_; }
-  const std::vector<std::int64_t>& fop() const { return fop_; }
+  const Operator& op() const { return *base_.op; }
+  const std::vector<std::int64_t>& fop() const { return base_.fop; }
   // Padded per-core slice length of each axis: l_a = ceil(L_a / F_op[a]).
-  const std::vector<std::int64_t>& axis_slices() const { return axis_slice_; }
+  const std::vector<std::int64_t>& axis_slices() const { return base_.axis_slice; }
   // Tensor plans: inputs in operator order, then the output.
-  const std::vector<RTensorPlan>& tensors() const { return tensors_; }
-  const RTensorPlan& output_plan() const { return tensors_.back(); }
+  const std::vector<RTensorPlan>& tensors() const { return base_.tensors; }
+  const RTensorPlan& output_plan() const { return base_.tensors.back(); }
   const std::vector<RotationLoop>& loops() const { return loops_; }
-  std::int64_t cores_used() const { return cores_used_; }
-  double padding_ratio() const { return padding_ratio_; }
+  std::int64_t cores_used() const { return base_.cores_used; }
+  double padding_ratio() const { return base_.padding_ratio; }
   // G: number of cores holding partial outputs that the epilogue merges.
-  std::int64_t reduce_group() const { return reduce_group_; }
+  std::int64_t reduce_group() const { return base_.reduce_group; }
   std::int64_t total_steps() const;
 
   // The shape of the per-step sub-task each core executes.
@@ -142,15 +205,10 @@ class ExecutionPlan {
   ExecutionPlan() = default;
 
  private:
-  const Operator* op_ = nullptr;
-  std::vector<std::int64_t> fop_;
-  std::vector<std::int64_t> axis_slice_;  // l_a per axis.
-  std::vector<RTensorPlan> tensors_;
-  std::vector<RotationLoop> loops_;
+  FopBase base_;  // Its tensors' temporal fields are this plan's.
+  std::vector<Rotation> rotations_;
   std::vector<std::int64_t> axis_pace_;  // rp per axis (0 = not rotated).
-  std::int64_t cores_used_ = 0;
-  std::int64_t reduce_group_ = 1;
-  double padding_ratio_ = 1.0;
+  std::vector<RotationLoop> loops_;
 };
 
 }  // namespace t10

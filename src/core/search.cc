@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <chrono>
 #include <cmath>
+#include <functional>
 #include <limits>
 #include <optional>
 
@@ -29,18 +30,25 @@ std::vector<std::int64_t> AxisFactorCandidates(std::int64_t length, std::int64_t
   return out;
 }
 
-// All temporal factor vectors for one tensor: all-ones, plus every way of
-// splitting at most `max_dims` (0, 1 or 2) non-compound dims by divisors of
-// the sharing count P that also tile the sub-tensor exactly.
-std::vector<std::vector<std::int64_t>> TemporalOptions(const TensorRef& tensor,
-                                                       const std::vector<std::int64_t>& sub_shape,
-                                                       std::int64_t share_cores, int max_dims) {
+// Appends to `out` every temporal factor vector for one tensor, rank values
+// each: all-ones, plus every way of splitting at most `max_dims` (0, 1 or 2)
+// non-compound dims by divisors of the sharing count P that also tile the
+// sub-tensor exactly. Returns how many it appended.
+std::size_t AppendTemporalOptions(const TensorRef& tensor,
+                                  const std::vector<std::int64_t>& sub_shape,
+                                  std::int64_t share_cores, int max_dims,
+                                  std::vector<std::int64_t>& out) {
   const std::size_t rank = tensor.dims.size();
-  std::vector<std::vector<std::int64_t>> options;
-  options.emplace_back(rank, 1);  // Full replication across rings of one core.
+  out.insert(out.end(), rank, 1);  // Full replication across rings of one core.
+  std::size_t count = 1;
   if (max_dims == 0 || share_cores <= 1 || rank == 0) {
-    return options;
+    return count;
   }
+  auto append = [&](std::size_t d, std::int64_t f) {
+    out.insert(out.end(), rank, 1);
+    out[out.size() - rank + d] = f;
+    ++count;
+  };
   for (std::size_t d = 0; d < rank; ++d) {
     if (tensor.dims[d].compound()) {
       continue;
@@ -49,27 +57,23 @@ std::vector<std::vector<std::int64_t>> TemporalOptions(const TensorRef& tensor,
       if (f == 1) {
         continue;
       }
-      std::vector<std::int64_t> ft(rank, 1);
-      ft[d] = f;
-      options.push_back(ft);
+      append(d, f);
       if (max_dims >= 2) {
         for (std::size_t d2 = d + 1; d2 < rank; ++d2) {
           if (tensor.dims[d2].compound()) {
             continue;
           }
           for (std::int64_t f2 : Divisors(Gcd(share_cores / f, sub_shape[d2]))) {
-            if (f2 == 1) {
-              continue;
+            if (f2 != 1) {
+              append(d, f);
+              out[out.size() - rank + d2] = f2;
             }
-            std::vector<std::int64_t> ft2 = ft;
-            ft2[d2] = f2;
-            options.push_back(ft2);
           }
         }
       }
     }
   }
-  return options;
+  return count;
 }
 
 // log10 of the unconstrained configuration count: every F_op value per axis,
@@ -112,142 +116,94 @@ ExecutionPlan VendorPlan(const Operator& op, const ChipSpec& chip) {
   return *plan;
 }
 
-// A visited F_op and the temporal options of each of its inputs, stored once
-// and shared by every surviving candidate of that F_op.
-struct FopOptions {
-  std::vector<std::int64_t> fop;
-  std::vector<std::vector<std::vector<std::int64_t>>> per_input;  // [input][option] = f_t.
+// A candidate that passed every filter, kept compactly: what the frontier
+// compares and what rebuilds its plan. Only frontier members are rebuilt.
+struct Survivor {
+  std::int64_t per_core_bytes = 0;
+  double total_seconds = 0.0;
+  std::uint32_t fop = 0;      // Offset of its F_op in EnumerationState::fops.
+  std::uint32_t options = 0;  // Offset of its per-tensor option indices in
+                              // EnumerationState::survivor_options.
 };
 
-// A candidate that passed every filter, kept compactly: its predicted
-// metrics and what rebuilds its plan. Only frontier members are rebuilt.
-struct Survivor {
-  PlanMetrics predicted;
-  std::size_t fop_id = 0;   // Index into EnumerationState::fops.
-  std::size_t options = 0;  // Offset of its per-input option indices in
-                            // EnumerationState::survivor_options.
-};
+std::int64_t FrontierBytes(const PlanCandidate& c) { return c.predicted.per_core_bytes; }
+double FrontierSeconds(const PlanCandidate& c) { return c.predicted.total_seconds(); }
+std::int64_t FrontierBytes(const Survivor& s) { return s.per_core_bytes; }
+double FrontierSeconds(const Survivor& s) { return s.total_seconds; }
 
 struct EnumerationState {
   const Operator* op = nullptr;
   const ChipSpec* chip = nullptr;
   const TimingSource* cost = nullptr;
   const SearchConstraints* constraints = nullptr;
-  std::vector<std::vector<std::int64_t>> axis_candidates;
-  std::vector<std::int64_t> suffix_max_product;
-  std::int64_t min_cores = 1;
-  std::vector<std::int64_t> fop;
-  // The candidate being costed: its temporal factors (output last, all
-  // ones), the index of each input's option, and the plan rebuilt in place
-  // from them. Reused for every candidate, so costing allocates nothing.
-  std::vector<std::vector<std::int64_t>> chosen;
-  std::vector<std::size_t> chosen_option;
-  ExecutionPlan scratch;
-  std::vector<FopOptions> fops;
+  FopCandidates candidates;         // The F_op being visited.
+  std::vector<std::size_t> choice;  // One option index per tensor.
+  std::vector<std::int64_t> fops;   // Each F_op with a survivor, flat.
   std::vector<Survivor> survivors;
-  std::vector<std::size_t> survivor_options;  // Per survivor, one index per input.
+  std::vector<std::size_t> survivor_options;  // Per survivor, one index per tensor.
   std::int64_t evaluations = 0;  // Enumeration attempts (budget control).
   std::int64_t fop_count = 0;
-  // Phase wall-time split, accumulated per evaluation and published once per
+  // Phase wall-time split, accumulated per F_op and published once per
   // search (compiler.phase.{filtering,cost_eval}.seconds).
   double filter_seconds = 0.0;
   double cost_eval_seconds = 0.0;
 };
 
-void EvaluateFop(EnumerationState& state) {
-  const Operator& op = *state.op;
-  ++state.fop_count;
-
-  // Derived sub-shapes and sharing counts, needed to enumerate f_t.
-  std::vector<std::int64_t> slice(op.axes().size());
-  double padding_ratio = 1.0;
-  for (std::size_t a = 0; a < op.axes().size(); ++a) {
-    slice[a] = CeilDiv(op.axes()[a].length, state.fop[a]);
-    padding_ratio *= static_cast<double>(op.axes()[a].length) /
-                     static_cast<double>(slice[a] * state.fop[a]);
+// Steps `choice` to the next option per tensor, the last tensor fastest: the
+// enumeration order, which the frontier's exact ties depend on. Returns false
+// after the last choice.
+bool NextChoice(const FopCandidates& candidates, std::vector<std::size_t>& choice) {
+  for (std::size_t t = choice.size(); t-- > 0;) {
+    if (++choice[t] < candidates.num_options(t)) {
+      return true;
+    }
+    choice[t] = 0;
   }
-  if (padding_ratio < state.constraints->padding_threshold) {
-    return;
-  }
-
-  const std::size_t fop_id = state.fops.size();
-  FopOptions& entry = state.fops.emplace_back();
-  entry.fop = state.fop;
-  for (const TensorRef& input : op.inputs()) {
-    std::vector<std::int64_t> sub_shape;
-    for (const DimRef& dim : input.dims) {
-      std::int64_t sub = slice[dim.axis];
-      if (dim.compound()) {
-        sub += slice[dim.minor_axis] - 1;
-      }
-      sub_shape.push_back(sub);
-    }
-    std::int64_t share = 1;
-    for (std::size_t a = 0; a < op.axes().size(); ++a) {
-      if (!Operator::TensorUsesAxis(input, static_cast<int>(a))) {
-        share *= state.fop[a];
-      }
-    }
-    entry.per_input.push_back(TemporalOptions(input, sub_shape, share,
-                                              state.constraints->max_rotating_dims));
-  }
-
-  // Cartesian product of per-input temporal options.
-  auto recurse = [&](auto&& self, std::size_t input_index) -> void {
-    if (state.evaluations >= state.constraints->max_evaluations) {
-      return;
-    }
-    if (input_index == op.inputs().size()) {
-      ++state.evaluations;
-      const auto t0 = std::chrono::steady_clock::now();
-      const bool filtered = !state.scratch.Rebuild(op, state.fop, state.chosen) ||
-                            state.scratch.PerCoreBytes(*state.chip) > state.chip->core_memory_bytes;
-      const auto t1 = std::chrono::steady_clock::now();
-      state.filter_seconds += std::chrono::duration<double>(t1 - t0).count();
-      if (filtered) {
-        return;
-      }
-      state.survivors.push_back(Survivor{state.scratch.Evaluate(*state.cost, *state.chip), fop_id,
-                                         state.survivor_options.size()});
-      state.survivor_options.insert(state.survivor_options.end(), state.chosen_option.begin(),
-                                    state.chosen_option.end());
-      state.cost_eval_seconds +=
-          std::chrono::duration<double>(std::chrono::steady_clock::now() - t1).count();
-      return;
-    }
-    const auto& options = entry.per_input[input_index];
-    for (std::size_t o = 0; o < options.size(); ++o) {
-      state.chosen[input_index] = options[o];
-      state.chosen_option[input_index] = o;
-      self(self, input_index + 1);
-    }
-  };
-  recurse(recurse, 0);
+  return false;
 }
 
-void EnumerateFop(EnumerationState& state, std::size_t axis, std::int64_t product) {
-  if (state.evaluations >= state.constraints->max_evaluations) {
+// Filters every choice of temporal options under one F_op (padding, then
+// validity and per-core memory), then costs the ones that pass; each of the
+// two loops is timed once.
+void EvaluateFop(EnumerationState& state, std::span<const std::int64_t> fop) {
+  ++state.fop_count;
+  FopCandidates& candidates = state.candidates;
+  const std::size_t first = state.survivor_options.size();
+  const auto t0 = std::chrono::steady_clock::now();
+  if (candidates.Reset(*state.op, fop, *state.constraints, *state.cost, *state.chip)) {
+    state.choice.assign(candidates.num_tensors(), 0);
+    do {
+      if (state.evaluations >= state.constraints->max_evaluations) {
+        break;
+      }
+      ++state.evaluations;
+      if (candidates.Valid(state.choice) &&
+          candidates.PerCoreBytes(state.choice) <= state.chip->core_memory_bytes) {
+        state.survivor_options.insert(state.survivor_options.end(), state.choice.begin(),
+                                      state.choice.end());
+      }
+    } while (NextChoice(candidates, state.choice));
+  }
+  const auto t1 = std::chrono::steady_clock::now();
+  state.filter_seconds += std::chrono::duration<double>(t1 - t0).count();
+  if (state.survivor_options.size() == first) {
     return;
   }
-  if (axis == state.axis_candidates.size()) {
-    if (product >= state.min_cores) {
-      EvaluateFop(state);
-    }
-    return;
+
+  // Survivors hold 32-bit offsets into these flat vectors.
+  T10_CHECK_LE(state.survivor_options.size(), std::numeric_limits<std::uint32_t>::max());
+  T10_CHECK_LE(state.fops.size(), std::numeric_limits<std::uint32_t>::max());
+  const auto fop_offset = static_cast<std::uint32_t>(state.fops.size());
+  state.fops.insert(state.fops.end(), fop.begin(), fop.end());
+  const std::size_t n = candidates.num_tensors();
+  for (std::size_t offset = first; offset < state.survivor_options.size(); offset += n) {
+    const PlanMetrics m =
+        candidates.Metrics(std::span<const std::size_t>(&state.survivor_options[offset], n));
+    state.survivors.push_back(Survivor{m.per_core_bytes, m.total_seconds(), fop_offset,
+                                       static_cast<std::uint32_t>(offset)});
   }
-  const std::int64_t cores = state.chip->num_cores;
-  for (std::int64_t s : state.axis_candidates[axis]) {
-    const std::int64_t next = product * s;
-    if (next > cores) {
-      break;  // Candidates ascend; all further values overflow the chip.
-    }
-    if (next * state.suffix_max_product[axis + 1] < state.min_cores) {
-      continue;  // Even maxing the remaining axes cannot reach the band.
-    }
-    state.fop[axis] = s;
-    EnumerateFop(state, axis + 1, next);
-  }
-  state.fop[axis] = 1;
+  state.cost_eval_seconds +=
+      std::chrono::duration<double>(std::chrono::steady_clock::now() - t1).count();
 }
 
 // Sorts by (per-core bytes, time) and keeps each item faster than every one
@@ -257,16 +213,16 @@ void EnumerateFop(EnumerationState& state, std::size_t axis, std::int64_t produc
 template <typename T>
 std::vector<T> Frontier(std::vector<T> items) {
   std::sort(items.begin(), items.end(), [](const T& x, const T& y) {
-    if (x.predicted.per_core_bytes != y.predicted.per_core_bytes) {
-      return x.predicted.per_core_bytes < y.predicted.per_core_bytes;
+    if (FrontierBytes(x) != FrontierBytes(y)) {
+      return FrontierBytes(x) < FrontierBytes(y);
     }
-    return x.predicted.total_seconds() < y.predicted.total_seconds();
+    return FrontierSeconds(x) < FrontierSeconds(y);
   });
   std::vector<T> frontier;
   double best_time = std::numeric_limits<double>::infinity();
   for (T& item : items) {
-    if (item.predicted.total_seconds() < best_time) {
-      best_time = item.predicted.total_seconds();
+    if (FrontierSeconds(item) < best_time) {
+      best_time = FrontierSeconds(item);
       frontier.push_back(std::move(item));
     }
   }
@@ -274,21 +230,29 @@ std::vector<T> Frontier(std::vector<T> items) {
 }
 
 // Reduces the search's survivors to the frontier and builds a full plan for
-// each frontier member only.
+// each frontier member only: its options are derived again from its F_op,
+// then the plan is created and evaluated.
 std::vector<PlanCandidate> FrontierPlans(EnumerationState& state) {
   const Operator& op = *state.op;
-  std::vector<std::vector<std::int64_t>> temporal = state.chosen;  // Output entry: all ones.
+  FopCandidates& candidates = state.candidates;
+  std::vector<std::vector<std::int64_t>> temporal(op.inputs().size() + 1);
   const std::vector<Survivor> frontier = Frontier(std::move(state.survivors));
   std::vector<PlanCandidate> plans;
   plans.reserve(frontier.size());
   for (const Survivor& survivor : frontier) {
-    const FopOptions& entry = state.fops[survivor.fop_id];
-    for (std::size_t i = 0; i < op.inputs().size(); ++i) {
-      temporal[i] = entry.per_input[i][state.survivor_options[survivor.options + i]];
+    const auto fop_begin = state.fops.begin() + survivor.fop;
+    const std::vector<std::int64_t> fop(fop_begin, fop_begin + std::ssize(op.axes()));
+    const bool kept = candidates.Reset(op, fop, *state.constraints, *state.cost, *state.chip);
+    T10_CHECK(kept) << op.name() << ": a costed F_op failed the filters";
+    for (std::size_t t = 0; t < temporal.size(); ++t) {
+      const std::span<const std::int64_t> ft =
+          candidates.temporal(t, state.survivor_options[survivor.options + t]);
+      temporal[t].assign(ft.begin(), ft.end());
     }
-    std::optional<ExecutionPlan> plan = ExecutionPlan::Create(op, entry.fop, temporal);
+    std::optional<ExecutionPlan> plan = ExecutionPlan::Create(op, fop, temporal);
     T10_CHECK(plan.has_value()) << op.name() << ": a costed candidate failed to rebuild";
-    plans.push_back(PlanCandidate{*std::move(plan), survivor.predicted});
+    const PlanMetrics predicted = plan->Evaluate(*state.cost, *state.chip);
+    plans.push_back(PlanCandidate{*std::move(plan), predicted});
   }
   return plans;
 }
@@ -297,6 +261,129 @@ std::vector<PlanCandidate> FrontierPlans(EnumerationState& state) {
 
 std::vector<PlanCandidate> ParetoFrontier(std::vector<PlanCandidate> candidates) {
   return Frontier(std::move(candidates));
+}
+
+void ForEachSearchedFop(const Operator& op, const ChipSpec& chip,
+                        const SearchConstraints& constraints,
+                        const std::function<bool(std::span<const std::int64_t>)>& visit) {
+  const std::vector<Axis>& axes = op.axes();
+  const std::int64_t cores = chip.num_cores;
+  double achievable = 1.0;
+  for (const Axis& axis : axes) {
+    achievable *= static_cast<double>(std::min(axis.length, cores));
+    achievable = std::min(achievable, static_cast<double>(cores));
+  }
+  const std::int64_t min_cores = std::max<std::int64_t>(
+      1, static_cast<std::int64_t>(constraints.parallelism_fraction * achievable));
+
+  std::vector<std::vector<std::int64_t>> axis_candidates;
+  for (const Axis& axis : axes) {
+    axis_candidates.push_back(
+        AxisFactorCandidates(axis.length, cores, constraints.padding_threshold));
+  }
+  std::vector<std::int64_t> suffix_max_product(axes.size() + 1, 1);
+  for (std::size_t a = axes.size(); a-- > 0;) {
+    const std::int64_t axis_max = axis_candidates[a].back();
+    const std::int64_t tail = suffix_max_product[a + 1];
+    suffix_max_product[a] =
+        tail > cores / std::max<std::int64_t>(axis_max, 1) ? cores + 1 : tail * axis_max;
+  }
+
+  std::vector<std::int64_t> fop(axes.size(), 1);
+  auto walk = [&](auto&& self, std::size_t axis, std::int64_t product) -> bool {
+    if (axis == axes.size()) {
+      return product < min_cores || visit(fop);
+    }
+    for (std::int64_t s : axis_candidates[axis]) {
+      const std::int64_t next = product * s;
+      if (next > cores) {
+        break;  // Candidates ascend; all further values overflow the chip.
+      }
+      if (next * suffix_max_product[axis + 1] < min_cores) {
+        continue;  // Even maxing the remaining axes cannot reach the band.
+      }
+      fop[axis] = s;
+      if (!self(self, axis + 1, next)) {
+        return false;
+      }
+    }
+    fop[axis] = 1;
+    return true;
+  };
+  walk(walk, 0, 1);
+}
+
+bool FopCandidates::Reset(const Operator& op, std::span<const std::int64_t> fop,
+                          const SearchConstraints& constraints, const TimingSource& timing,
+                          const ChipSpec& chip) {
+  if (!base_.Reset(op, fop) || base_.padding_ratio < constraints.padding_threshold) {
+    return false;
+  }
+  timing_ = &timing;
+  chip_ = &chip;
+  epilogue_ = Epilogue(base_, timing);
+  temporal_.clear();
+  options_.clear();
+  tensor_options_.clear();
+  option_rotations_.clear();
+  for (std::size_t t = 0; t < base_.tensors.size(); ++t) {
+    const TensorRef& tensor = Operand(op, t);
+    const bool is_output = t + 1 == base_.tensors.size();
+    RTensorPlan& tp = base_.tensors[t];
+    const std::size_t rank = tensor.dims.size();
+    std::size_t offset = temporal_.size();
+    // The output is never split in time: its one option is all ones.
+    const std::size_t count =
+        AppendTemporalOptions(tensor, tp.sub_shape, tp.share_cores,
+                              is_output ? 0 : constraints.max_rotating_dims, temporal_);
+    tensor_options_.push_back(options_.size());
+    for (std::size_t o = 0; o < count; ++o, offset += rank) {
+      Option& option = options_.emplace_back();
+      option.temporal = offset;
+      option.rotations_begin = option_rotations_.size();
+      option.valid = ApplyTemporal(tensor, is_output, {temporal_.data() + offset, rank}, tp,
+                                   option_rotations_);
+      option.window_bytes = tp.window_bytes;
+      option.rotations_end = option_rotations_.size();
+    }
+  }
+  tensor_options_.push_back(options_.size());
+  return true;
+}
+
+std::span<const std::int64_t> FopCandidates::temporal(std::size_t tensor,
+                                                      std::size_t option) const {
+  return {temporal_.data() + this->option(tensor, option).temporal,
+          Operand(*base_.op, tensor).dims.size()};
+}
+
+bool FopCandidates::Valid(std::span<const std::size_t> choice) const {
+  for (std::size_t t = 0; t < choice.size(); ++t) {
+    if (!option(t, choice[t]).valid) {
+      return false;
+    }
+  }
+  return true;
+}
+
+std::int64_t FopCandidates::PerCoreBytes(std::span<const std::size_t> choice) const {
+  std::int64_t bytes = chip_->shift_buffer_bytes;
+  for (std::size_t t = 0; t < choice.size(); ++t) {
+    bytes += option(t, choice[t]).window_bytes;
+  }
+  return bytes;
+}
+
+PlanMetrics FopCandidates::Metrics(std::span<const std::size_t> choice) {
+  rotations_.clear();
+  for (std::size_t t = 0; t < choice.size(); ++t) {
+    const Option& o = option(t, choice[t]);
+    rotations_.insert(rotations_.end(), option_rotations_.begin() + o.rotations_begin,
+                      option_rotations_.begin() + o.rotations_end);
+  }
+  DeriveLoops(base_.axis_slice, rotations_, axis_pace_, loops_);
+  return CostPlan(base_, rotations_, axis_pace_, loops_, PerCoreBytes(choice), epilogue_,
+                  *timing_);
 }
 
 IntraOpResult SearchOperatorPlans(const Operator& op, const ChipSpec& chip,
@@ -325,34 +412,14 @@ IntraOpResult SearchOperatorPlans(const Operator& op, const ChipSpec& chip,
     state.chip = &chip;
     state.cost = &cost_model;
     state.constraints = &active;
-    state.fop.assign(op.axes().size(), 1);
-    state.chosen.resize(op.inputs().size());
-    state.chosen.emplace_back(op.output().dims.size(), 1);
-    state.chosen_option.resize(op.inputs().size());
-
-    double achievable = 1.0;
-    for (const Axis& axis : op.axes()) {
-      achievable *= static_cast<double>(std::min(axis.length, static_cast<std::int64_t>(chip.num_cores)));
-      achievable = std::min(achievable, static_cast<double>(chip.num_cores));
-    }
-    state.min_cores = std::max<std::int64_t>(
-        1, static_cast<std::int64_t>(active.parallelism_fraction * achievable));
-
-    for (const Axis& axis : op.axes()) {
-      state.axis_candidates.push_back(
-          AxisFactorCandidates(axis.length, chip.num_cores, active.padding_threshold));
-    }
-    state.suffix_max_product.assign(op.axes().size() + 1, 1);
-    for (std::size_t a = op.axes().size(); a-- > 0;) {
-      const std::int64_t axis_max = state.axis_candidates[a].back();
-      const std::int64_t tail = state.suffix_max_product[a + 1];
-      state.suffix_max_product[a] =
-          tail > chip.num_cores / std::max<std::int64_t>(axis_max, 1) ? chip.num_cores + 1
-                                                                      : tail * axis_max;
-    }
-
     const auto enum_start = std::chrono::steady_clock::now();
-    EnumerateFop(state, 0, 1);
+    ForEachSearchedFop(op, chip, active, [&state](std::span<const std::int64_t> fop) {
+      if (state.evaluations >= state.constraints->max_evaluations) {
+        return false;
+      }
+      EvaluateFop(state, fop);
+      return true;
+    });
     const double enum_total =
         std::chrono::duration<double>(std::chrono::steady_clock::now() - enum_start).count();
     // The filtered space is the set of *valid* plans that passed every
@@ -367,8 +434,8 @@ IntraOpResult SearchOperatorPlans(const Operator& op, const ChipSpec& chip,
     metrics.GetCounter("compiler.search.filtered_plans").Add(result.filtered_count);
     metrics.GetHistogram("compiler.phase.filtering.seconds").Record(state.filter_seconds);
     metrics.GetHistogram("compiler.phase.cost_eval.seconds").Record(state.cost_eval_seconds);
-    // Pure enumeration time = walking the F_op/f_t tree minus the per-plan
-    // filter and cost work accounted above.
+    // Pure enumeration time = walking the F_op tree minus the per-F_op
+    // filter and cost loops accounted above.
     metrics.GetHistogram("compiler.phase.enumeration.seconds")
         .Record(std::max(0.0, enum_total - state.filter_seconds - state.cost_eval_seconds));
 

@@ -15,6 +15,8 @@
 #define T10_SRC_CORE_SEARCH_H_
 
 #include <cstdint>
+#include <functional>
+#include <span>
 #include <vector>
 
 #include "src/core/plan.h"
@@ -61,6 +63,70 @@ struct IntraOpResult {
 IntraOpResult SearchOperatorPlans(const Operator& op, const ChipSpec& chip,
                                   const TimingSource& cost_model,
                                   const SearchConstraints& constraints = {});
+
+// Calls `visit` with each F_op the search enumerates for `op` under
+// `constraints`, in search order: every product of per-axis factors that
+// passes the per-axis padding prefilter and lands in the parallelism band.
+// Stops once `visit` returns false. Exposed for testing.
+void ForEachSearchedFop(const Operator& op, const ChipSpec& chip,
+                        const SearchConstraints& constraints,
+                        const std::function<bool(std::span<const std::int64_t>)>& visit);
+
+// What the search costs under one F_op: the plan's F_op base, built once,
+// and for each tensor (inputs, then the output) the temporal options it
+// tries, each reduced to its delta on the base: validity, window bytes and
+// rotating (axis, window length) pairs. A choice of one option per tensor is
+// then filtered and costed without building a plan, through the helpers
+// ExecutionPlan::Rebuild() and Evaluate() are made of. Reset() reuses all
+// storage. Exposed for testing.
+class FopCandidates {
+ public:
+  // Derives the base and every option's delta for `fop`. Returns false if
+  // F_op fails the padding filter; the options are then unusable until the
+  // next successful Reset(). `timing` and `chip` must outlive the next Reset().
+  bool Reset(const Operator& op, std::span<const std::int64_t> fop,
+             const SearchConstraints& constraints, const TimingSource& timing,
+             const ChipSpec& chip);
+
+  std::size_t num_tensors() const { return base_.tensors.size(); }
+  std::size_t num_options(std::size_t tensor) const {
+    return tensor_options_[tensor + 1] - tensor_options_[tensor];
+  }
+  // The temporal factors of option `option` of tensor `tensor`.
+  std::span<const std::int64_t> temporal(std::size_t tensor, std::size_t option) const;
+
+  // `choice` holds one option index per tensor. Valid() agrees with whether
+  // ExecutionPlan::Create() succeeds on those factors; PerCoreBytes() and
+  // Metrics() equal what the created plan reports.
+  bool Valid(std::span<const std::size_t> choice) const;
+  std::int64_t PerCoreBytes(std::span<const std::size_t> choice) const;
+  PlanMetrics Metrics(std::span<const std::size_t> choice);
+
+ private:
+  struct Option {
+    std::size_t temporal = 0;  // Offset of its f_t in temporal_.
+    bool valid = false;
+    std::int64_t window_bytes = 0;
+    std::size_t rotations_begin = 0;  // Its range in option_rotations_.
+    std::size_t rotations_end = 0;
+  };
+  const Option& option(std::size_t tensor, std::size_t index) const {
+    return options_[tensor_options_[tensor] + index];
+  }
+
+  FopBase base_;
+  const TimingSource* timing_ = nullptr;
+  const ChipSpec* chip_ = nullptr;
+  EpilogueCost epilogue_;
+  std::vector<std::int64_t> temporal_;       // Every option's f_t, flat.
+  std::vector<Option> options_;              // Per tensor, contiguous.
+  std::vector<std::size_t> tensor_options_;  // Tensor t's options start here.
+  std::vector<Rotation> option_rotations_;
+  // Scratch of one Metrics() call.
+  std::vector<Rotation> rotations_;
+  std::vector<std::int64_t> axis_pace_;
+  std::vector<RotationLoop> loops_;
+};
 
 // Reduces candidates to the Pareto frontier over (per_core_bytes, time):
 // keeps a plan iff no other plan is at least as good on both axes (and

@@ -192,7 +192,7 @@ TEST(ExecutionPlanTest, LoopOrderPutsSmallerTensorInner) {
   EXPECT_EQ(plan->loops().back().axis, op.FindAxis("k"));
 }
 
-// The search rebuilds one plan in place for every candidate: each Rebuild
+// Rebuild re-derives a plan in place, reusing its storage: each Rebuild
 // must leave nothing of the previous configuration behind (vectors shrink,
 // loops reorder, a failed Rebuild in between is harmless), so the result
 // equals a fresh Create of the same configuration, down to its cost.

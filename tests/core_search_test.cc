@@ -4,12 +4,15 @@
 
 #include <cmath>
 #include <map>
+#include <optional>
 #include <sstream>
 #include <string>
 
 #include "src/core/cost_model.h"
 #include "src/core/pass/plan_cache.h"
 #include "src/ir/builder.h"
+#include "src/models/zoo.h"
+#include "src/obs/metrics.h"
 
 namespace t10 {
 namespace {
@@ -145,6 +148,16 @@ TEST_F(SearchDeathTest, MoreThanTwoRotatingDimsIsRejected) {
   EXPECT_DEATH(SearchOperatorPlans(op, chip_, timing_, constraints), "max_rotating_dims");
 }
 
+// Every PlanMetrics field, floats in hexfloat so any bit of drift shows.
+std::string MetricsString(const PlanMetrics& m) {
+  std::ostringstream out;
+  out << std::hexfloat << " " << m.cores_used << " " << m.steps << " " << m.compute_seconds
+      << " " << m.exchange_seconds << " " << m.epilogue_seconds << " " << m.per_core_bytes << " "
+      << m.shift_bytes_per_core << " " << m.padding_ratio << " " << m.interchip_bytes << " "
+      << m.interchip_seconds;
+  return out.str();
+}
+
 // FNV checksum of everything a search returns: each frontier plan's F_op,
 // every tensor's temporal factors and the predicted metrics (hexfloat, so
 // any bit of drift shows), plus the space statistics.
@@ -162,11 +175,7 @@ std::uint64_t ResultChecksum(const IntraOpResult& result) {
         out << f << ",";
       }
     }
-    const PlanMetrics& m = c.predicted;
-    out << " " << m.cores_used << " " << m.steps << " " << m.compute_seconds << " "
-        << m.exchange_seconds << " " << m.epilogue_seconds << " " << m.per_core_bytes << " "
-        << m.shift_bytes_per_core << " " << m.padding_ratio << " " << m.interchip_bytes << " "
-        << m.interchip_seconds << "\n";
+    out << MetricsString(c.predicted) << "\n";
   }
   return Fnv1a64(out.str());
 }
@@ -231,6 +240,122 @@ TEST_F(SearchTest, GoldenFrontierChecksums) {
         continue;
       }
       EXPECT_EQ(sum, it->second) << "got 0x" << std::hex << sum;
+    }
+  }
+}
+
+// Checks every candidate the search enumerates for `op` under `constraints`:
+// the base + delta path (FopCandidates) must agree with ExecutionPlan::Create
+// on validity, and with Create(...)->Evaluate(...) on every metric, bit for
+// bit. Stops at the first mismatch. Returns the candidates checked and sets
+// `fitting` to how many of them fit the chip.
+std::int64_t CheckCandidates(const Operator& op, const ChipSpec& chip, const TimingSource& timing,
+                             const SearchConstraints& constraints, std::int64_t& fitting) {
+  std::int64_t checked = 0;
+  FopCandidates candidates;
+  std::vector<std::vector<std::int64_t>> temporal(op.inputs().size() + 1);
+  ForEachSearchedFop(op, chip, constraints, [&](std::span<const std::int64_t> fop_span) {
+    if (!candidates.Reset(op, fop_span, constraints, timing, chip)) {
+      return true;  // Fails the padding filter: no candidates.
+    }
+    const std::vector<std::int64_t> fop(fop_span.begin(), fop_span.end());
+    std::vector<std::size_t> choice(candidates.num_tensors(), 0);
+    for (;;) {
+      for (std::size_t t = 0; t < temporal.size(); ++t) {
+        const std::span<const std::int64_t> ft = candidates.temporal(t, choice[t]);
+        temporal[t].assign(ft.begin(), ft.end());
+      }
+      ++checked;
+      const std::optional<ExecutionPlan> plan = ExecutionPlan::Create(op, fop, temporal);
+      if (candidates.Valid(choice) != plan.has_value()) {
+        ADD_FAILURE() << op.name() << ": validity disagrees with Create, candidate " << checked;
+        return false;
+      }
+      if (plan.has_value()) {
+        const PlanMetrics want = plan->Evaluate(timing, chip);
+        const std::int64_t bytes = candidates.PerCoreBytes(choice);
+        const std::string got = MetricsString(candidates.Metrics(choice));
+        if (bytes != want.per_core_bytes || got != MetricsString(want)) {
+          ADD_FAILURE() << plan->DebugString() << "\n  base+delta:" << got << " (" << bytes
+                        << " B)\n  Evaluate:  " << MetricsString(want);
+          return false;
+        }
+        fitting += bytes <= chip.core_memory_bytes ? 1 : 0;
+      }
+      std::size_t t = choice.size();
+      while (t > 0 && ++choice[t - 1] == candidates.num_options(t - 1)) {
+        choice[--t] = 0;
+      }
+      if (t == 0) {
+        return true;
+      }
+    }
+  });
+  return checked;
+}
+
+// Checks every candidate SearchOperatorPlans(op) costs, relaxed attempts
+// included, and that they are exactly the ones it counts.
+void ExpectSearchCandidatesMatchCreate(const Operator& op, const ChipSpec& chip,
+                                       const TimingSource& timing,
+                                       const SearchConstraints& constraints) {
+  obs::Counter& evaluations =
+      obs::MetricsRegistry::Global().GetCounter("compiler.search.evaluations");
+  const std::int64_t before = evaluations.value();
+  SearchOperatorPlans(op, chip, timing, constraints);
+  const std::int64_t searched = evaluations.value() - before;
+
+  std::int64_t checked = 0;
+  SearchConstraints active = constraints;
+  for (int attempt = 0; attempt < 4; ++attempt) {
+    std::int64_t fitting = 0;
+    checked += CheckCandidates(op, chip, timing, active, fitting);
+    if (fitting > 0 || ::testing::Test::HasFailure()) {
+      break;
+    }
+    active.parallelism_fraction *= 0.5;  // SearchOperatorPlans' relaxation.
+    active.padding_threshold *= 0.8;
+  }
+  if (!::testing::Test::HasFailure()) {
+    EXPECT_GT(checked, 0);
+    EXPECT_EQ(checked, searched) << "the check must cover exactly the searched candidates";
+  }
+}
+
+// The search filters and costs candidates from a per-F_op base plus
+// per-option deltas, never building their plans: pin that this agrees with
+// building each plan, under both timing sources, on the golden battery and on
+// one operator of each zoo model (its first contraction) on a full chip.
+TEST_F(SearchTest, CandidateMetricsMatchCreateEvaluate) {
+  const FittedCostModel fitted = FittedCostModel::Fit(KernelGroundTruth(chip_), 100, 3);
+  auto check = [&](const std::string& name, const Operator& op, const ChipSpec& chip,
+                   const SearchConstraints& constraints) {
+    for (const TimingSource* timing : {static_cast<const TimingSource*>(&timing_),
+                                       static_cast<const TimingSource*>(&fitted)}) {
+      SCOPED_TRACE(name + (timing == &timing_ ? "/truth" : "/fitted"));
+      ExpectSearchCandidatesMatchCreate(op, chip, *timing, constraints);
+    }
+    return !HasFailure();
+  };
+  for (const GoldenCase& c : GoldenBattery()) {
+    if (!check(c.name, c.op, chip_, c.constraints)) {
+      return;
+    }
+  }
+  const ChipSpec full_chip = ChipSpec::IpuMk2();
+  for (const std::vector<ModelInfo>* zoo : {&EvaluationModels(), &LlmModels()}) {
+    for (const ModelInfo& info : *zoo) {
+      const Graph graph = info.build(info.batch_sizes.front());
+      const Operator* pick = &graph.ops().front();
+      for (const Operator& op : graph.ops()) {
+        if (op.kind() == OpKind::kContraction) {
+          pick = &op;
+          break;
+        }
+      }
+      if (!check(info.name + "/" + pick->name(), *pick, full_chip, {})) {
+        return;
+      }
     }
   }
 }
