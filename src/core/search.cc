@@ -207,12 +207,13 @@ void EvaluateFop(EnumerationState& state, std::span<const std::int64_t> fop) {
 }
 
 // Sorts by (per-core bytes, time) and keeps each item faster than every one
-// before it: the Pareto frontier, memory ascending. The one frontier routine,
-// shared by ParetoFrontier() and the search's compact survivors, so both pick
-// the same plans, exact ties included.
+// before it: the Pareto frontier, memory ascending. The sort is stable, so of
+// exact (bytes, time) ties the item that came first wins. The one frontier
+// routine, shared by ParetoFrontier() and the search's compact survivors, so
+// both pick the same plans, exact ties included.
 template <typename T>
 std::vector<T> Frontier(std::vector<T> items) {
-  std::sort(items.begin(), items.end(), [](const T& x, const T& y) {
+  std::stable_sort(items.begin(), items.end(), [](const T& x, const T& y) {
     if (FrontierBytes(x) != FrontierBytes(y)) {
       return FrontierBytes(x) < FrontierBytes(y);
     }

@@ -209,11 +209,11 @@ std::vector<GoldenCase> GoldenBattery() {
 TEST_F(SearchTest, GoldenFrontierChecksums) {
   const std::map<std::string, std::uint64_t> golden = {
       {"MatMul/truth", 0xf0de3cf2048e6d6cULL},
-      {"MatMul/fitted", 0xf69b4a593e79d84fULL},
+      {"MatMul/fitted", 0xb7749262e98b317fULL},
       {"BatchedMatMul/truth", 0x122f418e973a7336ULL},
       {"BatchedMatMul/fitted", 0x3555f355bff61c8fULL},
       {"StridedPaddedConv/truth", 0x7d3ccd7ee2c1684cULL},
-      {"StridedPaddedConv/fitted", 0x7ccb0c211b503e17ULL},
+      {"StridedPaddedConv/fitted", 0x96ebffacbfbb0967ULL},
       {"Binary/truth", 0xb6e5b6d64e4931b8ULL},
       {"Binary/fitted", 0x6845d304ffa1eafeULL},
       {"Unary/truth", 0x98e0cdc4f3e15f0aULL},
@@ -378,6 +378,40 @@ TEST(ParetoFrontierTest, FiltersDominatedPlans) {
   EXPECT_EQ(frontier[1].predicted.per_core_bytes, 100);
   EXPECT_EQ(frontier[2].predicted.per_core_bytes, 150);
   EXPECT_EQ(frontier[3].predicted.per_core_bytes, 300);
+}
+
+// Of candidates tied exactly on (bytes, seconds) the frontier keeps the one
+// that came first, whatever the input size: 64 candidates with distinct
+// F_ops fall into 16 tie groups of 4, each group's members 16 apart.
+TEST(ParetoFrontierTest, ExactTiesKeepTheFirstCandidate) {
+  Operator op = MatMulOp("mm", 8, 8, 8, DataType::kF16, "A", "B", "C");
+  constexpr int kCandidates = 64;
+  constexpr int kGroups = 16;
+  auto group = [](int i) { return (i * 7) % kGroups; };
+  std::vector<PlanCandidate> candidates;
+  for (int i = 0; i < kCandidates; ++i) {
+    const std::vector<std::int64_t> fop = {1 << (i % 4), 1 << (i / 4 % 4), 1 << (i / 16)};
+    auto plan = ExecutionPlan::Create(op, fop, {{1, 1}, {1, 1}, {1, 1}});
+    ASSERT_TRUE(plan.has_value()) << i;
+    PlanCandidate c;
+    c.plan = *std::move(plan);
+    c.predicted.per_core_bytes = 100 + 10 * group(i);
+    c.predicted.compute_seconds = 64.0 - group(i);
+    candidates.push_back(std::move(c));
+  }
+  std::vector<std::vector<std::int64_t>> first_fop(kGroups);
+  for (const PlanCandidate& c : candidates) {
+    std::vector<std::int64_t>& first = first_fop[(c.predicted.per_core_bytes - 100) / 10];
+    if (first.empty()) {
+      first = c.plan.fop();
+    }
+  }
+  const std::vector<PlanCandidate> frontier = ParetoFrontier(candidates);
+  ASSERT_EQ(frontier.size(), static_cast<std::size_t>(kGroups));
+  for (int g = 0; g < kGroups; ++g) {
+    EXPECT_EQ(frontier[g].predicted.per_core_bytes, 100 + 10 * g);
+    EXPECT_EQ(frontier[g].plan.fop(), first_fop[g]) << "tie group " << g;
+  }
 }
 
 }  // namespace
