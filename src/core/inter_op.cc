@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
+#include <utility>
 
 #include "src/obs/metrics.h"
 #include "src/util/logging.h"
@@ -12,47 +13,126 @@ namespace {
 
 constexpr double kInfinity = std::numeric_limits<double>::infinity();
 
-// Total idle weight bytes under the current idle choices.
-std::int64_t TotalIdleBytes(const std::vector<InterOpOperator>& ops,
-                            const std::vector<int>& idle) {
-  std::int64_t total = 0;
-  for (std::size_t i = 0; i < ops.size(); ++i) {
-    total += ops[i].options[static_cast<std::size_t>(idle[i])].weight_bytes;
+// Algorithm 1's view of one operator, kept across greedy steps. An option's
+// active time exec + SetupSeconds(idle, option) moves only when the idle
+// option does, so it is tabled per operator and re-tabled only for the
+// operator whose idle layout a step moved.
+class OpState {
+ public:
+  explicit OpState(const InterOpOperator& op) : options_(&op.options) {
+    const std::size_t n = op.options.size();
+    by_bytes_.resize(n);
+    for (std::size_t j = 0; j < n; ++j) {
+      by_bytes_[j] = static_cast<int>(j);
+    }
+    std::stable_sort(by_bytes_.begin(), by_bytes_.end(), [&](int a, int b) {
+      return option(a).active_bytes < option(b).active_bytes;
+    });
+    sorted_bytes_.resize(n);
+    for (std::size_t k = 0; k < n; ++k) {
+      sorted_bytes_[k] = option(by_bytes_[k]).active_bytes;
+    }
+    prefix_time_.resize(n);
+    prefix_option_.resize(n);
   }
-  return total;
-}
+
+  const OpPlanOption& option(int j) const { return (*options_)[static_cast<std::size_t>(j)]; }
+
+  // Re-tables active times for idle option `idle`: entry k is the fastest of
+  // the k+1 options with the least active bytes, the lowest index among
+  // equal times (-1 while none has a finite time).
+  void SetIdle(int idle, const ChipSpec& chip) {
+    idle_ = idle;
+    const OpPlanOption& idle_opt = option(idle);
+    double best_time = kInfinity;
+    int best = -1;
+    for (std::size_t k = 0; k < by_bytes_.size(); ++k) {
+      const int j = by_bytes_[k];
+      const double time = option(j).exec_seconds + SetupSeconds(idle_opt, option(j), chip);
+      if (time < best_time || (time == best_time && best >= 0 && j < best)) {
+        best_time = time;
+        best = j;
+      }
+      prefix_time_[k] = best_time;
+      prefix_option_[k] = best;
+    }
+  }
+  int idle() const { return idle_; }
+
+  // The fastest option whose active footprint fits `available` bytes (the
+  // lowest index among equal times) and its time; -1 if none fits.
+  int BestActive(std::int64_t available, double& time) const {
+    const auto fits = std::upper_bound(sorted_bytes_.begin(), sorted_bytes_.end(), available);
+    if (fits == sorted_bytes_.begin()) {
+      return -1;
+    }
+    const std::size_t k = static_cast<std::size_t>(fits - sorted_bytes_.begin()) - 1;
+    time = prefix_time_[k];
+    return prefix_option_[k];
+  }
+
+  // Line 13 for this operator: the larger idle layout that buys the most
+  // setup time per byte while `active` runs, the first of equal ratios.
+  // Returns -1 if none buys any; cached on the (idle, active) pair.
+  int BestUpgrade(int active, const ChipSpec& chip, double& ratio) {
+    if (upgrade_key_ != std::pair{idle_, active}) {
+      upgrade_key_ = {idle_, active};
+      upgrade_ratio_ = -1.0;
+      upgrade_option_ = -1;
+      const OpPlanOption& current_idle = option(idle_);
+      const OpPlanOption& current_active = option(active);
+      const double current_setup = SetupSeconds(current_idle, current_active, chip);
+      for (std::size_t j = 0; j < options_->size(); ++j) {
+        const OpPlanOption& candidate = (*options_)[j];
+        const std::int64_t delta_mem = candidate.weight_bytes - current_idle.weight_bytes;
+        if (delta_mem <= 0) {
+          continue;
+        }
+        const double delta_setup = current_setup - SetupSeconds(candidate, current_active, chip);
+        if (delta_setup <= 0.0) {
+          continue;
+        }
+        const double r = delta_setup / static_cast<double>(delta_mem);
+        if (r > upgrade_ratio_) {
+          upgrade_ratio_ = r;
+          upgrade_option_ = static_cast<int>(j);
+        }
+      }
+    }
+    ratio = upgrade_ratio_;
+    return upgrade_option_;
+  }
+
+ private:
+  const std::vector<OpPlanOption>* options_;
+  std::vector<int> by_bytes_;                // Option indices, active bytes ascending.
+  std::vector<std::int64_t> sorted_bytes_;   // Their active bytes.
+  std::vector<double> prefix_time_;          // See SetIdle().
+  std::vector<int> prefix_option_;
+  int idle_ = -1;
+  std::pair<int, int> upgrade_key_{-1, -1};  // (idle, active) of the cached upgrade.
+  double upgrade_ratio_ = -1.0;
+  int upgrade_option_ = -1;
+};
 
 // For every operator, picks the fastest active plan that fits in
 // budget - (idle bytes of all *other* operators), and computes the end-to-end
-// time. Returns infinity if some operator has no fitting plan.
-double AssignActivePlans(const std::vector<InterOpOperator>& ops, const ChipSpec& chip,
-                         std::int64_t budget, const std::vector<int>& idle,
-                         std::vector<int>& active_out) {
-  const std::int64_t total_idle = TotalIdleBytes(ops, idle);
+// time. Returns infinity at the first operator with no fitting plan, leaving
+// it and every later operator at -1.
+double AssignActivePlans(const std::vector<OpState>& states, std::int64_t budget,
+                         std::int64_t total_idle, std::vector<int>& active_out) {
   double total_seconds = 0.0;
-  active_out.assign(ops.size(), -1);
-  for (std::size_t i = 0; i < ops.size(); ++i) {
-    const OpPlanOption& idle_opt = ops[i].options[static_cast<std::size_t>(idle[i])];
-    const std::int64_t others_idle = total_idle - idle_opt.weight_bytes;
-    const std::int64_t available = budget - others_idle;
-    double best_time = kInfinity;
-    int best = -1;
-    for (std::size_t j = 0; j < ops[i].options.size(); ++j) {
-      const OpPlanOption& option = ops[i].options[j];
-      if (option.active_bytes > available) {
-        continue;
-      }
-      const double time = option.exec_seconds + SetupSeconds(idle_opt, option, chip);
-      if (time < best_time) {
-        best_time = time;
-        best = static_cast<int>(j);
-      }
-    }
+  active_out.assign(states.size(), -1);
+  for (std::size_t i = 0; i < states.size(); ++i) {
+    const OpState& state = states[i];
+    const std::int64_t others_idle = total_idle - state.option(state.idle()).weight_bytes;
+    double time = kInfinity;
+    const int best = state.BestActive(budget - others_idle, time);
     if (best < 0) {
       return kInfinity;
     }
     active_out[i] = best;
-    total_seconds += best_time;
+    total_seconds += time;
   }
   return total_seconds;
 }
@@ -94,88 +174,91 @@ InterOpSchedule ReconcileInterOp(const std::vector<InterOpOperator>& ops, const 
   }
 
   // Line 2-3: start every operator at its most memory-efficient idle layout.
-  std::vector<int> idle(ops.size());
-  for (std::size_t i = 0; i < ops.size(); ++i) {
+  std::vector<OpState> states;
+  states.reserve(ops.size());
+  std::int64_t idle_bytes = 0;
+  for (const InterOpOperator& op : ops) {
     int best = 0;
-    for (std::size_t j = 1; j < ops[i].options.size(); ++j) {
-      if (ops[i].options[j].weight_bytes <
-          ops[i].options[static_cast<std::size_t>(best)].weight_bytes) {
+    for (std::size_t j = 1; j < op.options.size(); ++j) {
+      if (op.options[j].weight_bytes < op.options[static_cast<std::size_t>(best)].weight_bytes) {
         best = static_cast<int>(j);
       }
     }
-    idle[i] = best;
+    states.emplace_back(op).SetIdle(best, chip);
+    idle_bytes += op.options[static_cast<std::size_t>(best)].weight_bytes;
   }
+
+  obs::MetricsRegistry& metrics = obs::MetricsRegistry::Global();
+  obs::Counter& step_count = metrics.GetCounter("compiler.reconcile.steps");
+  obs::Gauge& delta_idle_gauge = metrics.GetGauge("compiler.reconcile.delta_idle_bytes");
+  obs::Histogram& delta_idle_dist =
+      metrics.GetHistogram("compiler.reconcile.delta_idle_bytes.dist");
+  obs::Gauge& delta_seconds_gauge = metrics.GetGauge("compiler.reconcile.delta_seconds");
+  obs::Histogram& delta_seconds_dist =
+      metrics.GetHistogram("compiler.reconcile.delta_seconds.dist");
 
   double best_time = kInfinity;
   std::vector<int> best_idle;
   std::vector<int> best_active;
+  std::int64_t best_idle_bytes = 0;
 
   std::vector<int> active;
   int steps_taken = 0;
   while (max_steps < 0 || steps_taken++ < max_steps) {
-    const std::int64_t idle_bytes = TotalIdleBytes(ops, idle);
     if (idle_bytes > memory_budget_per_core) {
       break;  // Line 6 guard.
     }
     // Lines 7-9: refit active plans, estimate end-to-end time.
-    const double time = AssignActivePlans(ops, chip, memory_budget_per_core, idle, active);
+    const double time = AssignActivePlans(states, memory_budget_per_core, idle_bytes, active);
     // Per-step ΔT/ΔM telemetry: how much end-to-end time the last idle-layout
     // upgrade bought, and how much idle memory it spent (Fig 20's slope).
     if (!schedule.trajectory.empty()) {
       const ReconcileStep& prev = schedule.trajectory.back();
-      obs::MetricsRegistry& metrics = obs::MetricsRegistry::Global();
-      metrics.GetCounter("compiler.reconcile.steps").Increment();
+      step_count.Increment();
       const double delta_m = static_cast<double>(idle_bytes - prev.idle_bytes_per_core);
-      metrics.GetGauge("compiler.reconcile.delta_idle_bytes").Set(delta_m);
-      metrics.GetHistogram("compiler.reconcile.delta_idle_bytes.dist").Record(delta_m);
+      delta_idle_gauge.Set(delta_m);
+      delta_idle_dist.Record(delta_m);
       if (std::isfinite(time) && std::isfinite(prev.total_seconds)) {
         const double delta_t = prev.total_seconds - time;  // Positive = faster.
-        obs::MetricsRegistry::Global().GetGauge("compiler.reconcile.delta_seconds").Set(delta_t);
-        metrics.GetHistogram("compiler.reconcile.delta_seconds.dist").Record(std::abs(delta_t));
+        delta_seconds_gauge.Set(delta_t);
+        delta_seconds_dist.Record(std::abs(delta_t));
       }
     }
     schedule.trajectory.push_back(ReconcileStep{idle_bytes, time, time < kInfinity});
     if (time < best_time) {  // Lines 10-12.
       best_time = time;
-      best_idle = idle;
+      best_idle.resize(states.size());
+      for (std::size_t i = 0; i < states.size(); ++i) {
+        best_idle[i] = states[i].idle();
+      }
       best_active = active;
+      best_idle_bytes = idle_bytes;
     }
 
     // Line 13: the operator whose next idle layout buys the most setup time
-    // per byte of idle memory.
+    // per byte of idle memory (the first of equal ratios).
     double best_ratio = -1.0;
     std::size_t best_op = ops.size();
     int best_option = -1;
-    for (std::size_t i = 0; i < ops.size(); ++i) {
-      if (active.empty() || active[i] < 0) {
+    for (std::size_t i = 0; i < states.size(); ++i) {
+      if (active[i] < 0) {
         continue;
       }
-      const OpPlanOption& current_idle = ops[i].options[static_cast<std::size_t>(idle[i])];
-      const OpPlanOption& current_active = ops[i].options[static_cast<std::size_t>(active[i])];
-      const double current_setup = SetupSeconds(current_idle, current_active, chip);
-      for (std::size_t j = 0; j < ops[i].options.size(); ++j) {
-        const OpPlanOption& candidate = ops[i].options[j];
-        const std::int64_t delta_mem = candidate.weight_bytes - current_idle.weight_bytes;
-        if (delta_mem <= 0) {
-          continue;
-        }
-        const double delta_setup =
-            current_setup - SetupSeconds(candidate, current_active, chip);
-        if (delta_setup <= 0.0) {
-          continue;
-        }
-        const double ratio = delta_setup / static_cast<double>(delta_mem);
-        if (ratio > best_ratio) {
-          best_ratio = ratio;
-          best_op = i;
-          best_option = static_cast<int>(j);
-        }
+      double ratio = -1.0;
+      const int option = states[i].BestUpgrade(active[i], chip, ratio);
+      if (ratio > best_ratio) {
+        best_ratio = ratio;
+        best_op = i;
+        best_option = option;
       }
     }
     if (best_op == ops.size()) {
       break;  // No operator can trade memory for setup time any more.
     }
-    idle[best_op] = best_option;  // Lines 14-15.
+    // Lines 14-15.
+    OpState& moved = states[best_op];
+    idle_bytes += moved.option(best_option).weight_bytes - moved.option(moved.idle()).weight_bytes;
+    moved.SetIdle(best_option, chip);
   }
 
   if (best_time == kInfinity) {
@@ -184,7 +267,7 @@ InterOpSchedule ReconcileInterOp(const std::vector<InterOpOperator>& ops, const 
   }
   schedule.feasible = true;
   schedule.total_seconds = best_time;
-  schedule.idle_bytes_per_core = TotalIdleBytes(ops, best_idle);
+  schedule.idle_bytes_per_core = best_idle_bytes;
   schedule.per_op.resize(ops.size());
   for (std::size_t i = 0; i < ops.size(); ++i) {
     OpSchedule& s = schedule.per_op[i];

@@ -4,7 +4,7 @@
 #include <chrono>
 #include <cmath>
 #include <functional>
-#include <limits>
+#include <iterator>
 #include <optional>
 
 #include "src/obs/metrics.h"
@@ -116,20 +116,53 @@ ExecutionPlan VendorPlan(const Operator& op, const ChipSpec& chip) {
   return *plan;
 }
 
-// A candidate that passed every filter, kept compactly: what the frontier
-// compares and what rebuilds its plan. Only frontier members are rebuilt.
-struct Survivor {
+// A member of the search's running frontier: what the frontier compares and
+// what rebuilds its plan. Only frontier members are rebuilt.
+struct FrontierMember {
   std::int64_t per_core_bytes = 0;
   double total_seconds = 0.0;
-  std::uint32_t fop = 0;      // Offset of its F_op in EnumerationState::fops.
-  std::uint32_t options = 0;  // Offset of its per-tensor option indices in
-                              // EnumerationState::survivor_options.
+  std::size_t fop = 0;      // Offset of its F_op in EnumerationState::fops.
+  std::size_t options = 0;  // Offset of its per-tensor option indices in
+                            // EnumerationState::member_options.
 };
 
 std::int64_t FrontierBytes(const PlanCandidate& c) { return c.predicted.per_core_bytes; }
 double FrontierSeconds(const PlanCandidate& c) { return c.predicted.total_seconds(); }
-std::int64_t FrontierBytes(const Survivor& s) { return s.per_core_bytes; }
-double FrontierSeconds(const Survivor& s) { return s.total_seconds; }
+std::int64_t FrontierBytes(const FrontierMember& m) { return m.per_core_bytes; }
+double FrontierSeconds(const FrontierMember& m) { return m.total_seconds; }
+
+// Adds `item` to `frontier`, the Pareto frontier of the items added before
+// it: per-core bytes strictly ascending, seconds strictly descending. An item
+// that some member matches or beats on both axes is dropped, so of exact
+// (bytes, seconds) ties the one added first stays; otherwise the item goes in
+// and the members it dominates go out. Returns whether it went in. The one
+// frontier routine: ParetoFrontier() and the search both fold through it.
+template <typename T>
+bool InsertIntoFrontier(std::vector<T>& frontier, T item) {
+  const std::int64_t bytes = FrontierBytes(item);
+  const double seconds = FrontierSeconds(item);
+  // The member before `above` is the fastest one with at most `bytes`.
+  const auto above = std::upper_bound(
+      frontier.begin(), frontier.end(), bytes,
+      [](std::int64_t b, const T& member) { return b < FrontierBytes(member); });
+  if (above != frontier.begin() && FrontierSeconds(*std::prev(above)) <= seconds) {
+    return false;
+  }
+  // The members it dominates: from the first with at least `bytes` on, while
+  // they are no faster.
+  const auto first = std::lower_bound(
+      frontier.begin(), above, bytes,
+      [](const T& member, std::int64_t b) { return FrontierBytes(member) < b; });
+  const auto last = std::partition_point(
+      first, frontier.end(), [&](const T& member) { return FrontierSeconds(member) >= seconds; });
+  if (first == last) {
+    frontier.insert(first, std::move(item));
+  } else {
+    *first = std::move(item);
+    frontier.erase(first + 1, last);
+  }
+  return true;
+}
 
 struct EnumerationState {
   const Operator* op = nullptr;
@@ -138,10 +171,13 @@ struct EnumerationState {
   const SearchConstraints* constraints = nullptr;
   FopCandidates candidates;         // The F_op being visited.
   std::vector<std::size_t> choice;  // One option index per tensor.
-  std::vector<std::int64_t> fops;   // Each F_op with a survivor, flat.
-  std::vector<Survivor> survivors;
-  std::vector<std::size_t> survivor_options;  // Per survivor, one index per tensor.
-  std::int64_t evaluations = 0;  // Enumeration attempts (budget control).
+  // The visited F_op's choices that passed the filters, one index per tensor.
+  std::vector<std::size_t> passed;
+  std::vector<FrontierMember> frontier;     // Bytes ascending.
+  std::vector<std::int64_t> fops;           // Each F_op ever in the frontier, flat.
+  std::vector<std::size_t> member_options;  // Per member ever inserted, one index per tensor.
+  std::int64_t filtered_count = 0;  // Candidates that passed the filters and were costed.
+  std::int64_t evaluations = 0;     // Enumeration attempts (budget control).
   std::int64_t fop_count = 0;
   // Phase wall-time split, accumulated per F_op and published once per
   // search (compiler.phase.{filtering,cost_eval}.seconds).
@@ -150,7 +186,7 @@ struct EnumerationState {
 };
 
 // Steps `choice` to the next option per tensor, the last tensor fastest: the
-// enumeration order, which the frontier's exact ties depend on. Returns false
+// enumeration order, which decides the frontier's exact ties. Returns false
 // after the last choice.
 bool NextChoice(const FopCandidates& candidates, std::vector<std::size_t>& choice) {
   for (std::size_t t = choice.size(); t-- > 0;) {
@@ -163,12 +199,12 @@ bool NextChoice(const FopCandidates& candidates, std::vector<std::size_t>& choic
 }
 
 // Filters every choice of temporal options under one F_op (padding, then
-// validity and per-core memory), then costs the ones that pass; each of the
-// two loops is timed once.
+// validity and per-core memory), then costs the ones that pass and folds
+// them into the frontier; each of the two loops is timed once.
 void EvaluateFop(EnumerationState& state, std::span<const std::int64_t> fop) {
   ++state.fop_count;
   FopCandidates& candidates = state.candidates;
-  const std::size_t first = state.survivor_options.size();
+  state.passed.clear();
   const auto t0 = std::chrono::steady_clock::now();
   if (candidates.Reset(*state.op, fop, *state.constraints, *state.cost, *state.chip)) {
     state.choice.assign(candidates.num_tensors(), 0);
@@ -179,75 +215,51 @@ void EvaluateFop(EnumerationState& state, std::span<const std::int64_t> fop) {
       ++state.evaluations;
       if (candidates.Valid(state.choice) &&
           candidates.PerCoreBytes(state.choice) <= state.chip->core_memory_bytes) {
-        state.survivor_options.insert(state.survivor_options.end(), state.choice.begin(),
-                                      state.choice.end());
+        state.passed.insert(state.passed.end(), state.choice.begin(), state.choice.end());
       }
     } while (NextChoice(candidates, state.choice));
   }
   const auto t1 = std::chrono::steady_clock::now();
   state.filter_seconds += std::chrono::duration<double>(t1 - t0).count();
-  if (state.survivor_options.size() == first) {
+  if (state.passed.empty()) {
     return;
   }
 
-  // Survivors hold 32-bit offsets into these flat vectors.
-  T10_CHECK_LE(state.survivor_options.size(), std::numeric_limits<std::uint32_t>::max());
-  T10_CHECK_LE(state.fops.size(), std::numeric_limits<std::uint32_t>::max());
-  const auto fop_offset = static_cast<std::uint32_t>(state.fops.size());
-  state.fops.insert(state.fops.end(), fop.begin(), fop.end());
   const std::size_t n = candidates.num_tensors();
-  for (std::size_t offset = first; offset < state.survivor_options.size(); offset += n) {
-    const PlanMetrics m =
-        candidates.Metrics(std::span<const std::size_t>(&state.survivor_options[offset], n));
-    state.survivors.push_back(Survivor{m.per_core_bytes, m.total_seconds(), fop_offset,
-                                       static_cast<std::uint32_t>(offset)});
+  const std::size_t fop_offset = state.fops.size();  // Where F_op goes once a member needs it.
+  for (std::size_t offset = 0; offset < state.passed.size(); offset += n) {
+    const std::span<const std::size_t> choice(&state.passed[offset], n);
+    const PlanMetrics m = candidates.Metrics(choice);
+    ++state.filtered_count;
+    if (InsertIntoFrontier(state.frontier,
+                           FrontierMember{m.per_core_bytes, m.total_seconds(), fop_offset,
+                                          state.member_options.size()})) {
+      state.member_options.insert(state.member_options.end(), choice.begin(), choice.end());
+      if (state.fops.size() == fop_offset) {
+        state.fops.insert(state.fops.end(), fop.begin(), fop.end());
+      }
+    }
   }
   state.cost_eval_seconds +=
       std::chrono::duration<double>(std::chrono::steady_clock::now() - t1).count();
 }
 
-// Sorts by (per-core bytes, time) and keeps each item faster than every one
-// before it: the Pareto frontier, memory ascending. The sort is stable, so of
-// exact (bytes, time) ties the item that came first wins. The one frontier
-// routine, shared by ParetoFrontier() and the search's compact survivors, so
-// both pick the same plans, exact ties included.
-template <typename T>
-std::vector<T> Frontier(std::vector<T> items) {
-  std::stable_sort(items.begin(), items.end(), [](const T& x, const T& y) {
-    if (FrontierBytes(x) != FrontierBytes(y)) {
-      return FrontierBytes(x) < FrontierBytes(y);
-    }
-    return FrontierSeconds(x) < FrontierSeconds(y);
-  });
-  std::vector<T> frontier;
-  double best_time = std::numeric_limits<double>::infinity();
-  for (T& item : items) {
-    if (FrontierSeconds(item) < best_time) {
-      best_time = FrontierSeconds(item);
-      frontier.push_back(std::move(item));
-    }
-  }
-  return frontier;
-}
-
-// Reduces the search's survivors to the frontier and builds a full plan for
-// each frontier member only: its options are derived again from its F_op,
-// then the plan is created and evaluated.
+// Builds a full plan for each frontier member only: its options are derived
+// again from its F_op, then the plan is created and evaluated.
 std::vector<PlanCandidate> FrontierPlans(EnumerationState& state) {
   const Operator& op = *state.op;
   FopCandidates& candidates = state.candidates;
   std::vector<std::vector<std::int64_t>> temporal(op.inputs().size() + 1);
-  const std::vector<Survivor> frontier = Frontier(std::move(state.survivors));
   std::vector<PlanCandidate> plans;
-  plans.reserve(frontier.size());
-  for (const Survivor& survivor : frontier) {
-    const auto fop_begin = state.fops.begin() + survivor.fop;
+  plans.reserve(state.frontier.size());
+  for (const FrontierMember& member : state.frontier) {
+    const auto fop_begin = state.fops.begin() + static_cast<std::ptrdiff_t>(member.fop);
     const std::vector<std::int64_t> fop(fop_begin, fop_begin + std::ssize(op.axes()));
     const bool kept = candidates.Reset(op, fop, *state.constraints, *state.cost, *state.chip);
     T10_CHECK(kept) << op.name() << ": a costed F_op failed the filters";
     for (std::size_t t = 0; t < temporal.size(); ++t) {
       const std::span<const std::int64_t> ft =
-          candidates.temporal(t, state.survivor_options[survivor.options + t]);
+          candidates.temporal(t, state.member_options[member.options + t]);
       temporal[t].assign(ft.begin(), ft.end());
     }
     std::optional<ExecutionPlan> plan = ExecutionPlan::Create(op, fop, temporal);
@@ -261,7 +273,11 @@ std::vector<PlanCandidate> FrontierPlans(EnumerationState& state) {
 }  // namespace
 
 std::vector<PlanCandidate> ParetoFrontier(std::vector<PlanCandidate> candidates) {
-  return Frontier(std::move(candidates));
+  std::vector<PlanCandidate> frontier;
+  for (PlanCandidate& candidate : candidates) {
+    InsertIntoFrontier(frontier, std::move(candidate));
+  }
+  return frontier;
 }
 
 void ForEachSearchedFop(const Operator& op, const ChipSpec& chip,
@@ -427,7 +443,7 @@ IntraOpResult SearchOperatorPlans(const Operator& op, const ChipSpec& chip,
     // rule-based constraint and were costed (Fig 18's middle bar);
     // enumeration attempts that fail an alignment/divisibility rule are not
     // plans.
-    result.filtered_count = static_cast<std::int64_t>(state.survivors.size());
+    result.filtered_count = state.filtered_count;
     result.fop_count = state.fop_count;
 
     metrics.GetCounter("compiler.search.evaluations").Add(state.evaluations);
@@ -440,7 +456,7 @@ IntraOpResult SearchOperatorPlans(const Operator& op, const ChipSpec& chip,
     metrics.GetHistogram("compiler.phase.enumeration.seconds")
         .Record(std::max(0.0, enum_total - state.filter_seconds - state.cost_eval_seconds));
 
-    if (!state.survivors.empty()) {
+    if (!state.frontier.empty()) {
       obs::ScopedTimer pareto_timer("compiler.phase.pareto.seconds");
       result.pareto = FrontierPlans(state);
       metrics.GetCounter("compiler.search.pareto_plans")

@@ -2,6 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
+#include <limits>
+#include <random>
+
 namespace t10 {
 namespace {
 
@@ -122,6 +127,156 @@ TEST(ReconcileTest, EmptyModelIsFeasible) {
   InterOpSchedule schedule = ReconcileInterOp({}, TestChip(), 1000);
   EXPECT_TRUE(schedule.feasible);
   EXPECT_DOUBLE_EQ(schedule.total_seconds, 0.0);
+}
+
+// Algorithm 1 as a full rescan: every step re-prices every option of every
+// operator. The reference the incremental ReconcileInterOp() must match.
+InterOpSchedule FullRescanReconcile(const std::vector<InterOpOperator>& ops, const ChipSpec& chip,
+                                    std::int64_t budget, int max_steps) {
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  const std::size_t n = ops.size();
+  auto opt = [&](std::size_t i, int j) -> const OpPlanOption& {
+    return ops[i].options[static_cast<std::size_t>(j)];
+  };
+  std::vector<int> idle(n, 0), active, best_idle, best_active;
+  for (std::size_t i = 0; i < n; ++i) {
+    for (int j = 1; j < static_cast<int>(ops[i].options.size()); ++j) {
+      idle[i] = opt(i, j).weight_bytes < opt(i, idle[i]).weight_bytes ? j : idle[i];
+    }
+  }
+  InterOpSchedule schedule;
+  double best_time = kInf;
+  for (int step = 0; max_steps < 0 || step < max_steps; ++step) {
+    std::int64_t idle_bytes = 0;
+    for (std::size_t i = 0; i < n; ++i) {
+      idle_bytes += opt(i, idle[i]).weight_bytes;
+    }
+    if (idle_bytes > budget) {
+      break;
+    }
+    double time = 0.0;
+    active.assign(n, -1);
+    for (std::size_t i = 0; i < n && time < kInf; ++i) {
+      double op_time = kInf;
+      for (int j = 0; j < static_cast<int>(ops[i].options.size()); ++j) {
+        const double t = opt(i, j).exec_seconds + SetupSeconds(opt(i, idle[i]), opt(i, j), chip);
+        if (opt(i, j).active_bytes <= budget - idle_bytes + opt(i, idle[i]).weight_bytes &&
+            t < op_time) {
+          op_time = t;
+          active[i] = j;
+        }
+      }
+      time = active[i] < 0 ? kInf : time + op_time;
+    }
+    schedule.trajectory.push_back(ReconcileStep{idle_bytes, time, time < kInf});
+    if (time < best_time) {
+      best_time = time;
+      best_idle = idle;
+      best_active = active;
+      schedule.idle_bytes_per_core = idle_bytes;
+    }
+    double best_ratio = -1.0;
+    std::size_t best_op = n;
+    int best_option = -1;
+    for (std::size_t i = 0; i < n; ++i) {
+      for (int j = 0; active[i] >= 0 && j < static_cast<int>(ops[i].options.size()); ++j) {
+        const std::int64_t delta_mem = opt(i, j).weight_bytes - opt(i, idle[i]).weight_bytes;
+        const double delta_setup = SetupSeconds(opt(i, idle[i]), opt(i, active[i]), chip) -
+                                   SetupSeconds(opt(i, j), opt(i, active[i]), chip);
+        if (delta_mem > 0 && delta_setup > 0.0 &&
+            delta_setup / static_cast<double>(delta_mem) > best_ratio) {
+          best_ratio = delta_setup / static_cast<double>(delta_mem);
+          best_op = i;
+          best_option = j;
+        }
+      }
+    }
+    if (best_op == n) {
+      break;
+    }
+    idle[best_op] = best_option;
+  }
+  schedule.feasible = best_time < kInf;
+  if (!schedule.feasible) {
+    schedule.idle_bytes_per_core = 0;
+    return schedule;
+  }
+  schedule.total_seconds = best_time;
+  for (std::size_t i = 0; i < n; ++i) {
+    const double setup = SetupSeconds(opt(i, best_idle[i]), opt(i, best_active[i]), chip);
+    schedule.per_op.push_back(
+        OpSchedule{best_idle[i], best_active[i], setup, opt(i, best_active[i]).exec_seconds});
+    schedule.setup_seconds += setup;
+  }
+  return schedule;
+}
+
+std::uint64_t Bits(double x) { return std::bit_cast<std::uint64_t>(x); }
+
+// Seeded random operator sets built to hit ties: few distinct byte and time
+// values (so exact duplicates are common), options in no particular order,
+// one or two weight operands. Budgets range from below the smallest idle
+// footprint (infeasible) through tight to roomy.
+TEST(ReconcileTest, IncrementalMatchesFullRescan) {
+  const ChipSpec chip = ChipSpec::IpuMk2();
+  std::mt19937_64 rng(23);
+  auto pick = [&](int lo, int hi) { return std::uniform_int_distribution<int>(lo, hi)(rng); };
+  int feasible = 0;
+  int infeasible = 0;
+  for (int trial = 0; trial < 400; ++trial) {
+    std::vector<InterOpOperator> ops(static_cast<std::size_t>(pick(1, 6)));
+    std::int64_t min_idle = 0;
+    std::int64_t max_active = 0;
+    for (InterOpOperator& op : ops) {
+      const int weights = pick(1, 2);
+      const int count = pick(1, 7);
+      std::int64_t op_min_idle = std::numeric_limits<std::int64_t>::max();
+      for (int j = 0; j < count; ++j) {
+        OpPlanOption o;
+        o.plan_index = j;
+        o.exec_seconds = 1e-6 * pick(1, 4);
+        for (int w = 0; w < weights; ++w) {
+          o.weight_windows.push_back(4096 * pick(0, 3));
+          o.weight_bytes += o.weight_windows.back();
+        }
+        o.active_bytes = o.weight_bytes + 8192 * pick(0, 3);
+        op_min_idle = std::min(op_min_idle, o.weight_bytes);
+        max_active = std::max(max_active, o.active_bytes);
+        op.options.push_back(std::move(o));
+      }
+      min_idle += op_min_idle;
+    }
+    const std::int64_t budget = min_idle - 4096 + 4096 * pick(0, 12) + max_active * pick(0, 1);
+    for (const int max_steps : {1, -1}) {
+      SCOPED_TRACE("trial " + std::to_string(trial) + " max_steps " + std::to_string(max_steps));
+      const InterOpSchedule want = FullRescanReconcile(ops, chip, budget, max_steps);
+      const InterOpSchedule got = ReconcileInterOp(ops, chip, budget, max_steps);
+      (want.feasible ? feasible : infeasible) += 1;
+      ASSERT_EQ(got.feasible, want.feasible);
+      EXPECT_EQ(Bits(got.total_seconds), Bits(want.total_seconds));
+      EXPECT_EQ(Bits(got.setup_seconds), Bits(want.setup_seconds));
+      EXPECT_EQ(got.idle_bytes_per_core, want.idle_bytes_per_core);
+      ASSERT_EQ(got.per_op.size(), want.per_op.size());
+      for (std::size_t i = 0; i < want.per_op.size(); ++i) {
+        EXPECT_EQ(got.per_op[i].idle_option, want.per_op[i].idle_option) << "op " << i;
+        EXPECT_EQ(got.per_op[i].active_option, want.per_op[i].active_option) << "op " << i;
+        EXPECT_EQ(Bits(got.per_op[i].setup_seconds), Bits(want.per_op[i].setup_seconds));
+        EXPECT_EQ(Bits(got.per_op[i].exec_seconds), Bits(want.per_op[i].exec_seconds));
+      }
+      ASSERT_EQ(got.trajectory.size(), want.trajectory.size());
+      for (std::size_t s = 0; s < want.trajectory.size(); ++s) {
+        EXPECT_EQ(got.trajectory[s].idle_bytes_per_core, want.trajectory[s].idle_bytes_per_core);
+        EXPECT_EQ(Bits(got.trajectory[s].total_seconds), Bits(want.trajectory[s].total_seconds));
+        EXPECT_EQ(got.trajectory[s].feasible, want.trajectory[s].feasible);
+      }
+      if (HasFailure()) {
+        return;
+      }
+    }
+  }
+  // The battery reaches both outcomes.
+  EXPECT_GT(feasible, 100);
+  EXPECT_GT(infeasible, 20);
 }
 
 }  // namespace
