@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
+#include <numeric>
 #include <utility>
 
 #include "src/obs/metrics.h"
@@ -19,21 +20,15 @@ constexpr double kInfinity = std::numeric_limits<double>::infinity();
 // operator whose idle layout a step moved.
 class OpState {
  public:
-  explicit OpState(const InterOpOperator& op) : options_(&op.options) {
-    const std::size_t n = op.options.size();
-    by_bytes_.resize(n);
-    for (std::size_t j = 0; j < n; ++j) {
-      by_bytes_[j] = static_cast<int>(j);
-    }
+  explicit OpState(const InterOpOperator& op)
+      : options_(&op.options),
+        by_bytes_(op.options.size()),
+        prefix_time_(op.options.size()),
+        prefix_option_(op.options.size()) {
+    std::iota(by_bytes_.begin(), by_bytes_.end(), 0);
     std::stable_sort(by_bytes_.begin(), by_bytes_.end(), [&](int a, int b) {
       return option(a).active_bytes < option(b).active_bytes;
     });
-    sorted_bytes_.resize(n);
-    for (std::size_t k = 0; k < n; ++k) {
-      sorted_bytes_[k] = option(by_bytes_[k]).active_bytes;
-    }
-    prefix_time_.resize(n);
-    prefix_option_.resize(n);
   }
 
   const OpPlanOption& option(int j) const { return (*options_)[static_cast<std::size_t>(j)]; }
@@ -62,11 +57,13 @@ class OpState {
   // The fastest option whose active footprint fits `available` bytes (the
   // lowest index among equal times) and its time; -1 if none fits.
   int BestActive(std::int64_t available, double& time) const {
-    const auto fits = std::upper_bound(sorted_bytes_.begin(), sorted_bytes_.end(), available);
-    if (fits == sorted_bytes_.begin()) {
+    const auto fits =
+        std::upper_bound(by_bytes_.begin(), by_bytes_.end(), available,
+                         [&](std::int64_t bytes, int j) { return bytes < option(j).active_bytes; });
+    if (fits == by_bytes_.begin()) {
       return -1;
     }
-    const std::size_t k = static_cast<std::size_t>(fits - sorted_bytes_.begin()) - 1;
+    const std::size_t k = static_cast<std::size_t>(fits - by_bytes_.begin()) - 1;
     time = prefix_time_[k];
     return prefix_option_[k];
   }
@@ -106,7 +103,6 @@ class OpState {
  private:
   const std::vector<OpPlanOption>* options_;
   std::vector<int> by_bytes_;                // Option indices, active bytes ascending.
-  std::vector<std::int64_t> sorted_bytes_;   // Their active bytes.
   std::vector<double> prefix_time_;          // See SetIdle().
   std::vector<int> prefix_option_;
   int idle_ = -1;
