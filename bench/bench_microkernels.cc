@@ -1,7 +1,8 @@
 // Google-benchmark microbenchmarks of the compiler's hot paths: plan
 // geometry derivation, plan cost evaluation, one search candidate's filter
-// and cost, and intra-op search. These are the operations Fig 18/19's
-// compile-time numbers are built from.
+// and cost, the Pareto frontier over one search's candidates, intra-op
+// search and the inter-op reconcile (Algorithm 1). These are the operations
+// Fig 16/18/19's compile-time numbers are built from.
 // BM_ProgramExecutorRun times the byte-level executor per operator, on the
 // plans the search emits for them; BM_ProgramExecutorConstructAndRun adds
 // the executor's construction (lowering and placement geometry).
@@ -12,10 +13,16 @@
 #include <optional>
 
 #include "src/core/compiler.h"
+#include "src/core/inter_op.h"
+#include "src/core/pass/compilation_context.h"
+#include "src/core/pass/fit_cost_model.h"
+#include "src/core/pass/inter_op_reconcile.h"
+#include "src/core/pass/intra_op_search.h"
 #include "src/core/program_executor.h"
 #include "src/core/search.h"
 #include "src/fault/campaign.h"
 #include "src/ir/builder.h"
+#include "src/models/zoo.h"
 
 namespace t10 {
 namespace {
@@ -112,6 +119,90 @@ void BM_CostModelPredict(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_CostModelPredict);
+
+// BenchOp()'s candidate stream on the IPU Mk2: every candidate the search
+// costs, in its order, with its predicted metrics and an empty plan (the
+// frontier reads only the metrics).
+const std::vector<PlanCandidate>& CandidateStream() {
+  static const std::vector<PlanCandidate>* stream = [] {
+    const ChipSpec chip = ChipSpec::IpuMk2();
+    GroundTruthTiming timing(chip);
+    const SearchConstraints constraints;
+    auto* out = new std::vector<PlanCandidate>;
+    FopCandidates candidates;
+    ForEachSearchedFop(BenchOp(), chip, constraints, [&](std::span<const std::int64_t> fop) {
+      if (!candidates.Reset(BenchOp(), fop, constraints, timing, chip)) {
+        return true;
+      }
+      std::vector<std::size_t> choice(candidates.num_tensors(), 0);
+      for (;;) {
+        if (candidates.Valid(choice) &&
+            candidates.PerCoreBytes(choice) <= chip.core_memory_bytes) {
+          out->push_back(PlanCandidate{ExecutionPlan(), candidates.Metrics(choice)});
+        }
+        std::size_t t = choice.size();
+        while (t > 0 && ++choice[t - 1] == candidates.num_options(t - 1)) {
+          choice[--t] = 0;
+        }
+        if (t == 0) {
+          return true;
+        }
+      }
+    });
+    return out;
+  }();
+  return *stream;
+}
+
+// ParetoFrontier() over one search's candidate stream; copying the stream
+// into the call is not timed.
+void BM_FrontierInsert(benchmark::State& state) {
+  const std::vector<PlanCandidate>& stream = CandidateStream();
+  std::size_t frontier_size = 0;
+  for (auto _ : state) {
+    state.PauseTiming();
+    std::vector<PlanCandidate> input = stream;
+    state.ResumeTiming();
+    const std::vector<PlanCandidate> frontier = ParetoFrontier(std::move(input));
+    benchmark::DoNotOptimize(frontier.data());
+    frontier_size = frontier.size();
+  }
+  state.SetItemsProcessed(state.iterations() * static_cast<std::int64_t>(stream.size()));
+  state.SetLabel(std::to_string(stream.size()) + " candidates, " +
+                 std::to_string(frontier_size) + " on the frontier");
+}
+BENCHMARK(BM_FrontierInsert)->Unit(benchmark::kMicrosecond);
+
+// Algorithm 1 on the operators a compile of BERT at batch 1 on the IPU Mk2
+// hands it (one Pareto set per operator), under the whole core memory.
+void BM_ReconcileInterOp(benchmark::State& state) {
+  const Graph graph = BuildBertLarge(1);
+  CompilerResources resources(ChipSpec::IpuMk2(), CompileOptions{});
+  CompilationContext ctx;
+  ctx.graph = &graph;
+  ctx.resources = &resources;
+  ctx.model.model_name = graph.name();
+  FitCostModelPass fit;
+  IntraOpSearchPass search;
+  InterOpReconcilePass reconcile;
+  for (Pass* pass : {static_cast<Pass*>(&fit), static_cast<Pass*>(&search),
+                     static_cast<Pass*>(&reconcile)}) {
+    if (pass->Run(ctx).action != PassResult::Action::kContinue) {
+      state.SkipWithError("BERT does not compile through the reconcile");
+      return;
+    }
+  }
+  const ChipSpec& chip = resources.chip();
+  std::size_t steps = 0;
+  for (auto _ : state) {
+    const InterOpSchedule schedule = ReconcileInterOp(ctx.inter_ops, chip, chip.core_memory_bytes);
+    benchmark::DoNotOptimize(schedule.total_seconds);
+    steps = schedule.trajectory.size();
+  }
+  state.SetLabel(std::to_string(ctx.inter_ops.size()) + " ops, " + std::to_string(steps) +
+                 " steps");
+}
+BENCHMARK(BM_ReconcileInterOp)->Unit(benchmark::kMicrosecond);
 
 void BM_IntraOpSearch(benchmark::State& state) {
   ChipSpec chip = ChipSpec::ScaledIpu(static_cast<int>(state.range(0)));
