@@ -128,9 +128,12 @@ class FopCandidates {
   std::vector<RotationLoop> loops_;
 };
 
-// Reduces candidates to the Pareto frontier over (per_core_bytes, time):
-// keeps a plan iff no other plan is at least as good on both axes (and
-// strictly better on one). Exposed for testing and for the baselines.
+// Reduces candidates to the Pareto frontier over (per_core_bytes, time),
+// sorted by bytes ascending: keeps a plan iff no other plan is at least as
+// good on both axes (and strictly better on one). Of plans tied exactly on
+// (bytes, time) the one earliest in `candidates` is kept. The search folds
+// its candidates through the same routine, in enumeration order. Exposed for
+// testing.
 std::vector<PlanCandidate> ParetoFrontier(std::vector<PlanCandidate> candidates);
 
 }  // namespace t10

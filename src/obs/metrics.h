@@ -159,7 +159,7 @@ class MetricsRegistry {
 // RAII timer recording elapsed wall seconds into a histogram on
 // destruction. Name the histogram with a ".seconds" suffix by convention:
 //
-//   { ScopedTimer t("compiler.phase.pareto.seconds"); ParetoFrontier(...); }
+//   { ScopedTimer t("compiler.phase.pareto.seconds"); FrontierPlans(...); }
 class ScopedTimer {
  public:
   explicit ScopedTimer(const std::string& histogram_name,
