@@ -1,7 +1,6 @@
 #include "src/core/compiler.h"
 
 #include <atomic>
-#include <chrono>
 #include <cstdint>
 #include <sstream>
 #include <utility>
@@ -144,7 +143,6 @@ IntraOpResult Compiler::SearchOp(const Operator& op) { return SearchOneOp(op, *r
 CompiledModel Compiler::Compile(const Graph& graph) { return CompileFrom(graph, ""); }
 
 CompiledModel Compiler::CompileFrom(const Graph& graph, const std::string& start_pass) {
-  const auto start = std::chrono::steady_clock::now();
   obs::MetricsRegistry& metrics = obs::MetricsRegistry::Global();
   metrics.GetCounter("compiler.compiles").Increment();
 
@@ -156,26 +154,26 @@ CompiledModel Compiler::CompileFrom(const Graph& graph, const std::string& start
   // Root one trace per compile on the "compile" lane; each pass run becomes
   // a child span (and the intra-op search's tasks grandchildren on their own
   // per-op lanes). Distinct compiles of one tracer get distinct trace ids.
-  obs::Span compile_span;
+  // Traced or not, the span times the compile.
+  obs::TraceContext root;
   if (resources_->options().tracer != nullptr) {
     static std::atomic<std::uint64_t> next_compile_id{1};
-    const obs::TraceContext root = resources_->options().tracer->Root(
+    root = resources_->options().tracer->Root(
         next_compile_id.fetch_add(1, std::memory_order_relaxed), "compile");
-    compile_span = obs::StartSpan(root, "compile");
+  }
+  obs::Span compile_span =
+      obs::StartSpan(root, "compile", &metrics.GetHistogram("compiler.phase.total.seconds"));
+  if (compile_span.active()) {
     compile_span.AddAttr("graph", graph.name());
     if (!start_pass.empty()) {
       compile_span.AddAttr("start_pass", start_pass);
     }
-    ctx.trace = compile_span.context();
   }
+  ctx.trace = compile_span.context();
 
   const PassManager pipeline = BuildCompilerPipeline();
   pipeline.Run(ctx, start_pass);
-  compile_span.End();
-
-  ctx.model.compile_wall_seconds =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() - start).count();
-  metrics.GetHistogram("compiler.phase.total.seconds").Record(ctx.model.compile_wall_seconds);
+  ctx.model.compile_wall_seconds = compile_span.End();
   return std::move(ctx.model);
 }
 

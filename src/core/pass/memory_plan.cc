@@ -4,6 +4,7 @@
 #include <utility>
 
 #include "src/obs/metrics.h"
+#include "src/obs/span.h"
 #include "src/util/logging.h"
 #include "src/util/math_util.h"
 #include "src/verify/pass_checks.h"
@@ -79,12 +80,15 @@ void MaterializeOps(CompilationContext& ctx) {
 PassResult MemoryPlanPass::Run(CompilationContext& ctx) {
   const ChipSpec& chip = ctx.resources->chip();
   ctx.model.ops.clear();
+  obs::MetricsRegistry& metrics = obs::MetricsRegistry::Global();
   {
-    obs::ScopedTimer timer("compiler.phase.materialize.seconds");
+    obs::Span span = obs::StartSpan(ctx.trace, "phase.materialize",
+                                    &metrics.GetHistogram("compiler.phase.materialize.seconds"));
     MaterializeOps(ctx);
   }
   {
-    obs::ScopedTimer timer("compiler.phase.memory_plan.seconds");
+    obs::Span span = obs::StartSpan(ctx.trace, "phase.memory_plan",
+                                    &metrics.GetHistogram("compiler.phase.memory_plan.seconds"));
     ctx.memory_plan = PlanMemory(ctx.model, *ctx.graph, chip);
   }
   ctx.model.memory_peak_bytes = ctx.memory_plan.peak_bytes;

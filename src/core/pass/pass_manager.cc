@@ -59,11 +59,12 @@ void PassManager::Run(CompilationContext& ctx, const std::string& start_pass) co
     {
       const std::string prefix = std::string("compiler.pass.") + pass.name();
       metrics.GetCounter(prefix + ".runs").Increment();
-      obs::ScopedTimer timer(prefix + ".seconds");
-      // Each pass run gets its own span, and the context is re-parented to
-      // it for the duration so work the pass fans out (the intra-op search
+      // Each pass run gets its own span, which also times the run into
+      // compiler.pass.<name>.seconds, and the context is re-parented to it
+      // for the duration so work the pass fans out (the intra-op search
       // tasks) nests under the right pass — including retried runs.
-      obs::Span pass_span = obs::StartSpan(ctx.trace, pass.name());
+      obs::Span pass_span =
+          obs::StartSpan(ctx.trace, pass.name(), &metrics.GetHistogram(prefix + ".seconds"));
       const obs::TraceContext saved_trace = ctx.trace;
       if (pass_span.active()) {
         ctx.trace = pass_span.context();

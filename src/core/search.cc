@@ -8,6 +8,7 @@
 #include <optional>
 
 #include "src/obs/metrics.h"
+#include "src/obs/span.h"
 #include "src/util/logging.h"
 #include "src/util/math_util.h"
 
@@ -457,7 +458,8 @@ IntraOpResult SearchOperatorPlans(const Operator& op, const ChipSpec& chip,
         .Record(std::max(0.0, enum_total - state.filter_seconds - state.cost_eval_seconds));
 
     if (!state.frontier.empty()) {
-      obs::ScopedTimer pareto_timer("compiler.phase.pareto.seconds");
+      obs::Span pareto_span = obs::StartSpan(obs::TraceContext(), "phase.pareto",
+                                             &metrics.GetHistogram("compiler.phase.pareto.seconds"));
       result.pareto = FrontierPlans(state);
       metrics.GetCounter("compiler.search.pareto_plans")
           .Add(static_cast<std::int64_t>(result.pareto.size()));

@@ -11,6 +11,7 @@
 #include "src/core/pass/graph_partition.h"
 #include "src/core/pass/pass.h"
 #include "src/obs/metrics.h"
+#include "src/obs/span.h"
 #include "src/sim/machine.h"
 #include "src/util/logging.h"
 
@@ -108,7 +109,8 @@ ShardedCompiledModel ShardedCompiler::CompileStages(const Graph& graph,
   obs::MetricsRegistry& metrics = obs::MetricsRegistry::Global();
   metrics.GetCounter(previous == nullptr ? "cluster.compile.count" : "cluster.recompile.count")
       .Increment();
-  obs::ScopedTimer timer("cluster.compile.seconds");
+  obs::Span compile_span = obs::StartSpan(obs::TraceContext(), "cluster.compile",
+                                          &metrics.GetHistogram("cluster.compile.seconds"));
 
   ShardedCompiledModel result;
   result.model_name = graph.name();

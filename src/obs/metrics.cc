@@ -285,17 +285,5 @@ int MetricsRegistry::num_instruments() const {
   return static_cast<int>(kinds_.size());
 }
 
-ScopedTimer::ScopedTimer(const std::string& histogram_name, MetricsRegistry& registry)
-    : ScopedTimer(registry.GetHistogram(histogram_name)) {}
-
-ScopedTimer::ScopedTimer(Histogram& histogram)
-    : histogram_(histogram), start_(std::chrono::steady_clock::now()) {}
-
-ScopedTimer::~ScopedTimer() { histogram_.Record(ElapsedSeconds()); }
-
-double ScopedTimer::ElapsedSeconds() const {
-  return std::chrono::duration<double>(std::chrono::steady_clock::now() - start_).count();
-}
-
 }  // namespace obs
 }  // namespace t10

@@ -1,5 +1,5 @@
 // Process-wide observability: a thread-safe metrics registry with counters,
-// gauges, histograms and RAII scoped timers, plus JSON snapshot export.
+// gauges and histograms, plus JSON snapshot export.
 //
 // T10's determinism thesis (paper §4.3) only pays off if compiles and
 // simulated runs are measurable: the compiler reports per-phase wall time
@@ -20,13 +20,22 @@
 // (`ToJson`/`WriteFile`) serialize every instrument sorted by name; t10c
 // exposes them via `--metrics out.json` and every bench dumps one when
 // T10_METRICS is set.
+//
+// Intervals are timed by one mechanism only: an obs::Span bound to a
+// histogram (span.h) records its duration when it ends, with or without a
+// tracer. Name the histogram with a ".seconds" suffix by convention:
+//
+//   {
+//     obs::Span span = obs::StartSpan(ctx, "phase.pareto",
+//                                     &registry.GetHistogram("compiler.phase.pareto.seconds"));
+//     FrontierPlans(...);
+//   }
 
 #ifndef T10_SRC_OBS_METRICS_H_
 #define T10_SRC_OBS_METRICS_H_
 
 #include <array>
 #include <atomic>
-#include <chrono>
 #include <cstdint>
 #include <map>
 #include <memory>
@@ -154,28 +163,6 @@ class MetricsRegistry {
   std::map<std::string, std::unique_ptr<Counter>> counters_ T10_GUARDED_BY(mu_);
   std::map<std::string, std::unique_ptr<Gauge>> gauges_ T10_GUARDED_BY(mu_);
   std::map<std::string, std::unique_ptr<Histogram>> histograms_ T10_GUARDED_BY(mu_);
-};
-
-// RAII timer recording elapsed wall seconds into a histogram on
-// destruction. Name the histogram with a ".seconds" suffix by convention:
-//
-//   { ScopedTimer t("compiler.phase.pareto.seconds"); FrontierPlans(...); }
-class ScopedTimer {
- public:
-  explicit ScopedTimer(const std::string& histogram_name,
-                       MetricsRegistry& registry = MetricsRegistry::Global());
-  explicit ScopedTimer(Histogram& histogram);
-  ~ScopedTimer();
-
-  ScopedTimer(const ScopedTimer&) = delete;
-  ScopedTimer& operator=(const ScopedTimer&) = delete;
-
-  // Seconds elapsed so far (without stopping the timer).
-  double ElapsedSeconds() const;
-
- private:
-  Histogram& histogram_;
-  std::chrono::steady_clock::time_point start_;
 };
 
 }  // namespace obs

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 
+#include "src/obs/metrics.h"
 #include "src/util/logging.h"
 
 namespace t10 {
@@ -11,10 +12,13 @@ Span& Span::operator=(Span&& other) noexcept {
   if (this != &other) {
     End();
     tracer_ = other.tracer_;
+    histogram_ = other.histogram_;
+    start_ = other.start_;
     span_id_ = other.span_id_;
     trace_id_ = other.trace_id_;
     track_ = std::move(other.track_);
     other.tracer_ = nullptr;
+    other.histogram_ = nullptr;
   }
   return *this;
 }
@@ -48,18 +52,46 @@ TraceContext Span::context() const {
   return ctx;
 }
 
-void Span::End() {
-  if (tracer_ != nullptr) {
-    tracer_->EndSpan(span_id_);
-    tracer_ = nullptr;
+double Span::ElapsedSeconds() const {
+  if (tracer_ == nullptr && histogram_ == nullptr) {
+    return 0.0;
   }
+  return std::max(0.0,
+                  std::chrono::duration<double>(std::chrono::steady_clock::now() - start_).count());
 }
 
-Span StartSpan(const TraceContext& ctx, const char* name) {
-  if (ctx.tracer == nullptr) {
+double Span::End() {
+  const double seconds = ElapsedSeconds();
+  if (histogram_ != nullptr) {
+    histogram_->Record(seconds);
+    histogram_ = nullptr;
+  }
+  if (tracer_ != nullptr) {
+    tracer_->EndSpan(span_id_, seconds);
+    tracer_ = nullptr;
+  }
+  return seconds;
+}
+
+Span StartSpan(const TraceContext& ctx, const char* name, Histogram* histogram) {
+  if (ctx.tracer == nullptr && histogram == nullptr) {
     return Span();
   }
-  return ctx.tracer->Begin(ctx, name);
+  return StartSpanAt(ctx, name, std::chrono::steady_clock::now(), histogram);
+}
+
+Span StartSpanAt(const TraceContext& ctx, const char* name,
+                 std::chrono::steady_clock::time_point start, Histogram* histogram) {
+  Span span;
+  span.histogram_ = histogram;
+  span.start_ = start;
+  if (ctx.tracer != nullptr) {
+    span.tracer_ = ctx.tracer;
+    span.span_id_ = ctx.tracer->Open(ctx, name, start);
+    span.trace_id_ = ctx.trace_id;
+    span.track_ = ctx.track;
+  }
+  return span;
 }
 
 Tracer::Tracer() : epoch_(std::chrono::steady_clock::now()) {}
@@ -73,28 +105,21 @@ TraceContext Tracer::Root(std::uint64_t trace_id, std::string track) {
   return ctx;
 }
 
-Span Tracer::Begin(const TraceContext& ctx, const char* name) {
+std::uint64_t Tracer::Open(const TraceContext& ctx, const char* name,
+                           std::chrono::steady_clock::time_point start) {
   T10_CHECK(ctx.tracer == this) << "span started under a foreign trace context";
-  const auto now = std::chrono::steady_clock::now();
-  Span span;
-  span.tracer_ = this;
-  span.span_id_ = next_span_id_.fetch_add(1, std::memory_order_relaxed);
-  span.trace_id_ = ctx.trace_id;
-  span.track_ = ctx.track;
-
+  const std::uint64_t span_id = next_span_id_.fetch_add(1, std::memory_order_relaxed);
   OpenSpan open;
-  open.started_at = now;
-  open.record.span_id = span.span_id_;
+  open.started_at = start;
+  open.record.span_id = span_id;
   open.record.parent_id = ctx.parent_span;
   open.record.trace_id = ctx.trace_id;
   open.record.name = name;
   open.record.track = ctx.track;
-  open.record.start_seconds = SecondsSinceEpoch(now);
-  {
-    MutexLock lock(mu_);
-    open_.emplace(span.span_id_, std::move(open));
-  }
-  return span;
+  open.record.start_seconds = SecondsSinceEpoch(start);
+  MutexLock lock(mu_);
+  open_.emplace(span_id, std::move(open));
+  return span_id;
 }
 
 std::uint64_t Tracer::AddCompleted(const TraceContext& ctx, const char* name,
@@ -181,14 +206,12 @@ std::int64_t Tracer::num_open() const {
   return static_cast<std::int64_t>(open_.size());
 }
 
-void Tracer::EndSpan(std::uint64_t span_id) {
-  const auto now = std::chrono::steady_clock::now();
+void Tracer::EndSpan(std::uint64_t span_id, double duration_seconds) {
   MutexLock lock(mu_);
   auto it = open_.find(span_id);
   T10_CHECK(it != open_.end()) << "span " << span_id << " ended twice";
   SpanRecord record = std::move(it->second.record);
-  record.duration_seconds =
-      std::max(0.0, std::chrono::duration<double>(now - it->second.started_at).count());
+  record.duration_seconds = duration_seconds;
   open_.erase(it);
   finished_.push_back(std::move(record));
 }

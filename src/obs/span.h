@@ -11,12 +11,15 @@
 // arrows linking requeues across failover epochs) merged with the existing
 // counter tracks via AppendTracer (src/sim/trace.h).
 //
+// A span is also the only interval timer: bound to a Histogram, it records
+// there the same duration it exports, tracer or not.
+//
 // Cost discipline: tracing is opt-in per subsystem through a Tracer pointer.
-// A null tracer makes every span an inert no-op — StartSpan on an inactive
-// context performs no allocation and no locking, so the request hot path is
-// untouched when tracing is off. Call sites that format attribute values
-// guard on span.active() first. With tracing on, a span costs one mutex
-// acquisition at start and one at end.
+// A null tracer makes every unbound span an inert no-op — StartSpan on an
+// inactive context performs no allocation and no locking, so the request hot
+// path is untouched when tracing is off. Call sites that format attribute
+// values guard on span.active() first. With tracing on, a span costs one
+// mutex acquisition at start and one at end.
 
 #ifndef T10_SRC_OBS_SPAN_H_
 #define T10_SRC_OBS_SPAN_H_
@@ -34,6 +37,7 @@
 namespace t10 {
 namespace obs {
 
+class Histogram;
 class Tracer;
 
 // One key=value attribute on a span.
@@ -87,7 +91,8 @@ struct TraceContext {
 
 // RAII span handle. Obtain via StartSpan(ctx, name); the span ends (and its
 // record becomes exportable) on destruction or an explicit End(). Movable,
-// not copyable. A default-constructed or inactive span no-ops everywhere.
+// not copyable. A default-constructed or inactive unbound span no-ops
+// everywhere.
 class Span {
  public:
   Span() = default;
@@ -112,21 +117,35 @@ class Span {
   // Context for children of this span (inherits this span's track).
   TraceContext context() const;
 
-  // Ends the span now (idempotent; the destructor calls it).
-  void End();
+  // Seconds since the span started; 0 for an inert or ended span.
+  double ElapsedSeconds() const;
+
+  // Ends the span now (idempotent; the destructor calls it) and returns the
+  // seconds the histogram recorded and the tracer exported; 0 if inert.
+  double End();
 
  private:
-  friend class Tracer;
+  friend Span StartSpanAt(const TraceContext& ctx, const char* name,
+                          std::chrono::steady_clock::time_point start, Histogram* histogram);
+
   Tracer* tracer_ = nullptr;
+  Histogram* histogram_ = nullptr;
+  std::chrono::steady_clock::time_point start_;
   std::uint64_t span_id_ = 0;
   std::uint64_t trace_id_ = 0;
   std::string track_;
 };
 
-// Starts a span under `ctx`, or an inert span when the context is inactive.
-// The name is a string literal by convention; it is only copied when tracing
-// is on.
-Span StartSpan(const TraceContext& ctx, const char* name);
+// Starts a span under `ctx`, or an inert span when the context is inactive
+// and no `histogram` is bound. A bound span records its duration there when
+// it ends. The name is a string literal by convention; it is only copied
+// when tracing is on.
+Span StartSpan(const TraceContext& ctx, const char* name, Histogram* histogram = nullptr);
+
+// As StartSpan, for an interval that began at `start` (queue wait is only
+// known at pop time).
+Span StartSpanAt(const TraceContext& ctx, const char* name,
+                 std::chrono::steady_clock::time_point start, Histogram* histogram = nullptr);
 
 class Tracer {
  public:
@@ -139,12 +158,8 @@ class Tracer {
   // lane child spans default to.
   TraceContext Root(std::uint64_t trace_id, std::string track);
 
-  // Starts an open span; prefer the free StartSpan(ctx, name) which handles
-  // inactive contexts.
-  Span Begin(const TraceContext& ctx, const char* name);
-
-  // Records an already-measured interval as a finished span (queue wait is
-  // only known at pop time). Returns the span id (flow linkage).
+  // Records an already-measured interval as a finished span. Returns the
+  // span id (flow linkage).
   std::uint64_t AddCompleted(const TraceContext& ctx, const char* name,
                              std::chrono::steady_clock::time_point start,
                              std::chrono::steady_clock::time_point end,
@@ -169,13 +184,18 @@ class Tracer {
 
  private:
   friend class Span;
+  friend Span StartSpanAt(const TraceContext& ctx, const char* name,
+                          std::chrono::steady_clock::time_point start, Histogram* histogram);
 
   struct OpenSpan {
     SpanRecord record;
     std::chrono::steady_clock::time_point started_at;
   };
 
-  void EndSpan(std::uint64_t span_id);
+  // The span passes its own start and measured duration.
+  std::uint64_t Open(const TraceContext& ctx, const char* name,
+                     std::chrono::steady_clock::time_point start);
+  void EndSpan(std::uint64_t span_id, double duration_seconds);
   void Attr(std::uint64_t span_id, const char* key, std::string value);
   void Flow(std::uint64_t span_id, std::uint64_t flow_id, bool out);
 

@@ -426,22 +426,20 @@ void Server::Process(int worker, AdmittedRequest admitted,
   };
 
   // The time between admission (or the last requeue) and this pop is queue
-  // wait; it is only known now, so it is recorded as an already-measured
-  // span. A requeued request receives the flow arrow its pre-failover
-  // execution emitted.
-  const Clock::time_point popped_at = Clock::now();
-  QueueWaitHistogram().Record(
-      std::chrono::duration<double>(popped_at - admitted.admitted_at).count());
-  if (trace.active()) {
-    trace.tracer->AddCompleted(
-        trace, "queue.wait", admitted.admitted_at, popped_at,
-        {{"requeues", std::to_string(admitted.requeues)}},
-        /*flow_out=*/0,
-        /*flow_in=*/admitted.requeues > 0 ? RequeueFlowId(admitted.id, admitted.requeues)
-                                          : 0);
+  // wait; it is only known now, so its span starts in the past. A requeued
+  // request receives the flow arrow its pre-failover execution emitted.
+  {
+    obs::Span wait_span =
+        obs::StartSpanAt(trace, "queue.wait", admitted.admitted_at, &QueueWaitHistogram());
+    if (wait_span.active()) {
+      wait_span.AddAttr("requeues", std::to_string(admitted.requeues));
+      if (admitted.requeues > 0) {
+        wait_span.SetFlowIn(RequeueFlowId(admitted.id, admitted.requeues));
+      }
+    }
   }
 
-  if (admitted.ExpiredAt(popped_at)) {
+  if (admitted.ExpiredAt(Clock::now())) {
     DeadlineCounter().Increment();
     obs::Log(options_.journal, obs::Severity::kWarn, "serve", "request.deadline_exceeded",
              admitted.id, plans->epoch(), "expired in queue");
@@ -450,12 +448,11 @@ void Server::Process(int worker, AdmittedRequest admitted,
     return;
   }
 
-  obs::Span execute_span = obs::StartSpan(trace, "execute");
+  obs::Span execute_span = obs::StartSpan(trace, "execute", &ExecuteHistogram());
   if (execute_span.active()) {
     execute_span.AddAttr("worker", std::to_string(worker));
     execute_span.AddAttr("plan_epoch", std::to_string(plans->epoch()));
   }
-  const Clock::time_point execute_start = Clock::now();
   ExecuteOutcome outcome =
       pool_.Execute(worker, *plans, admitted.request.op_slot, admitted.request.input_seed,
                     admitted.request.max_retries, admitted.has_deadline, admitted.deadline,
@@ -466,33 +463,31 @@ void Server::Process(int worker, AdmittedRequest admitted,
     // capacity (slower degraded epochs naturally serve fewer QPS).
     const double target = options_.pace_time_scale *
                           plans->slot(admitted.request.op_slot).simulated_seconds;
-    const double elapsed =
-        std::chrono::duration<double>(Clock::now() - execute_start).count();
+    const double elapsed = execute_span.ElapsedSeconds();
     if (elapsed < target) {
       std::this_thread::sleep_for(std::chrono::duration<double>(target - elapsed));
     }
   }
-  const double execute_seconds =
-      std::chrono::duration<double>(Clock::now() - execute_start).count();
-  ExecuteHistogram().Record(execute_seconds);
   if (execute_span.active()) {
     execute_span.AddAttr("status", outcome.status.ToString());
     execute_span.AddAttr("retries", std::to_string(outcome.retries_used));
   }
   response.retries = outcome.retries_used;
+  // Persistent fault in the path: park the request back in the queue so it
+  // completes under the post-failover plan instead of failing. Bounded, in
+  // case no failover materializes.
+  const bool requeue = outcome.status.code() == StatusCode::kUnavailable &&
+                       admitted.requeues < kMaxRequeues;
+  if (requeue) {
+    // The flow arrow starts at this (still open) execute span and lands on
+    // the post-failover queue.wait span — the visual link across the epoch.
+    execute_span.SetFlowOut(RequeueFlowId(admitted.id, admitted.requeues + 1));
+  }
+  const double execute_seconds = execute_span.End();
 
   if (outcome.status.code() == StatusCode::kUnavailable) {
-    // Persistent fault in the path: wake the health monitor, and park the
-    // request back in the queue so it completes under the post-failover plan
-    // instead of failing. Bounded, in case no failover materializes.
     monitor_.NotifySuspicion();
-    if (admitted.requeues < kMaxRequeues) {
-      const std::int64_t id = admitted.id;
-      const int next_round = admitted.requeues + 1;
-      // The flow arrow starts at this (failed) execute span and lands on the
-      // post-failover queue.wait span — the visual link across the epoch.
-      execute_span.SetFlowOut(RequeueFlowId(id, next_round));
-      execute_span.End();
+    if (requeue) {
       Status requeued = scheduler_.Requeue(std::move(admitted));
       if (requeued.ok()) {
         RequeueCounter().Increment();
@@ -500,13 +495,12 @@ void Server::Process(int worker, AdmittedRequest admitted,
         ++stats_.requeued;
         return;  // Response deferred to the re-execution.
       }
-      (void)id;  // Scheduler closed mid-drain; fall through and answer now.
+      // Scheduler closed mid-drain; fall through and answer now.
     }
     response.status = outcome.status;
     deliver();
     return;
   }
-  execute_span.End();
 
   if (!outcome.status.ok()) {
     if (outcome.status.code() == StatusCode::kDeadlineExceeded) {
@@ -633,8 +627,8 @@ void Server::OnDegraded(const TopologyHealth& merged) {
   }
 
   StatusOr<std::shared_ptr<PlanSet>> built = [&] {
-    obs::ScopedTimer timer(ReplanHistogram());
-    obs::Span replan_span = obs::StartSpan(failover_span.context(), "failover.replan");
+    obs::Span replan_span =
+        obs::StartSpan(failover_span.context(), "failover.replan", &ReplanHistogram());
     return PlanSet::Build(chip_, graph_, merged, options_.compile, next_epoch,
                           options_.verify_before_activate, options_.journal,
                           options_.fault_tolerance);

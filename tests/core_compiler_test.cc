@@ -30,6 +30,10 @@ Graph Mlp(std::int64_t batch = 32) {
 }
 
 TEST(CompilerTest, CompilesMlpEndToEnd) {
+  obs::MetricsRegistry& metrics = obs::MetricsRegistry::Global();
+  metrics.Reset();
+  const obs::Histogram& total = metrics.GetHistogram("compiler.phase.total.seconds");
+  const obs::Counter& compiles = metrics.GetCounter("compiler.compiles");
   Compiler compiler(SmallChip());
   Graph graph = Mlp();
   CompiledModel model = compiler.Compile(graph);
@@ -38,6 +42,11 @@ TEST(CompilerTest, CompilesMlpEndToEnd) {
   EXPECT_GT(model.TotalSeconds(), 0.0);
   EXPECT_GT(model.ComputeSeconds(), 0.0);
   EXPECT_GT(model.compile_wall_seconds, 0.0);
+  // One compile span times the compile: its one sample is the reported wall
+  // time, and each compile records exactly one sample.
+  EXPECT_EQ(total.count(), compiles.value());
+  ASSERT_EQ(total.count(), 1);
+  EXPECT_EQ(total.sum(), model.compile_wall_seconds);
   for (const CompiledOp& op : model.ops) {
     EXPECT_LE(op.measured.per_core_bytes, SmallChip().core_memory_bytes);
     EXPECT_GT(op.pareto_count, 0);

@@ -217,11 +217,41 @@ TEST(PassPipelineTest, PipelineRecordsPerPassRunCounters) {
         .GetCounter("compiler.pass." + pass + ".runs")
         .value();
   };
+  // The pass span times every run, retried ones included: one sample each.
+  auto expect_one_sample_per_run = []() {
+    for (const std::string& pass : Compiler::PassNames()) {
+      const std::string prefix = "compiler.pass." + pass;
+      EXPECT_EQ(obs::MetricsRegistry::Global().GetHistogram(prefix + ".seconds").count(),
+                obs::MetricsRegistry::Global().GetCounter(prefix + ".runs").value())
+          << pass;
+    }
+  };
   EXPECT_EQ(runs(pass_names::kFitCostModel), 1);
   EXPECT_EQ(runs(pass_names::kIntraOpSearch), 1);
   EXPECT_GE(runs(pass_names::kInterOpReconcile), 1);
   EXPECT_GE(runs(pass_names::kMemoryPlan), 1);
   EXPECT_EQ(runs(pass_names::kFinalize), 1);
+  expect_one_sample_per_run();
+
+  // A residual block on 128 KiB cores: h1 stays live across fc2 and fc3, so
+  // the first memory plan overshoots and the pipeline loops back to
+  // InterOpReconcile before it fits.
+  obs::MetricsRegistry::Global().Reset();
+  ChipSpec tight = SmallChip(16);
+  tight.core_memory_bytes = 128 * 1024;
+  Graph residual("residual");
+  residual.Add(MatMulOp("fc1", 256, 256, 256, DataType::kF16, "x", "w1", "h1"));
+  residual.Add(MatMulOp("fc2", 256, 256, 256, DataType::kF16, "h1", "w2", "h2"));
+  residual.Add(MatMulOp("fc3", 256, 256, 256, DataType::kF16, "h2", "w3", "h3"));
+  residual.Add(BinaryOp("add", {256, 256}, DataType::kF16, "h1", "h3", "y"));
+  residual.MarkWeight("w1");
+  residual.MarkWeight("w2");
+  residual.MarkWeight("w3");
+  Compiler retrying(tight);
+  ASSERT_TRUE(retrying.Compile(residual).fits);
+  EXPECT_GT(runs(pass_names::kMemoryPlan), 1);
+  EXPECT_GT(runs(pass_names::kInterOpReconcile), 1);
+  expect_one_sample_per_run();
   obs::MetricsRegistry::Global().Reset();
 }
 

@@ -17,6 +17,7 @@
 #include <thread>
 #include <vector>
 
+#include "src/obs/metrics.h"
 #include "src/sim/trace.h"
 #include "src/util/thread_pool.h"
 
@@ -154,6 +155,47 @@ TEST(SpanTest, AttrsAndFlowsLandOnTheRecord) {
   EXPECT_EQ(spans[0].attrs[1].key, "status");
   EXPECT_EQ(spans[0].flow_out, 48u);
   EXPECT_EQ(spans[0].flow_in, 47u);
+}
+
+TEST(SpanTest, BoundHistogramSampleEqualsExportedDuration) {
+  Tracer tracer;
+  MetricsRegistry registry;
+  Histogram& histogram = registry.GetHistogram("test.span.seconds");
+  const TraceContext root = tracer.Root(1, "t");
+  double ended = 0.0;
+  {
+    Span span = StartSpan(root, "bound", &histogram);
+    ASSERT_TRUE(span.active());
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    EXPECT_GT(span.ElapsedSeconds(), 0.0);
+    ended = span.End();
+    EXPECT_EQ(span.End(), 0.0);  // Idempotent: no second sample.
+  }
+  const std::vector<SpanRecord> spans = tracer.FinishedSpans();
+  ASSERT_EQ(spans.size(), 1u);
+  ASSERT_EQ(histogram.count(), 1);
+  // One pair of clock reads: the histogram sample, the exported duration and
+  // End()'s return value are the same double.
+  EXPECT_EQ(histogram.sum(), spans[0].duration_seconds);
+  EXPECT_EQ(ended, spans[0].duration_seconds);
+  EXPECT_GT(ended, 0.0);
+}
+
+TEST(SpanTest, StartSpanAtBackdatesTheInterval) {
+  Tracer tracer;
+  MetricsRegistry registry;
+  Histogram& histogram = registry.GetHistogram("test.wait.seconds");
+  const TraceContext root = tracer.Root(2, "req:2");
+  const auto start = std::chrono::steady_clock::now() - std::chrono::milliseconds(10);
+  Span span = StartSpanAt(root, "queue.wait", start, &histogram);
+  span.SetFlowIn(33);
+  const double seconds = span.End();
+  EXPECT_GE(seconds, 0.010);
+  const std::vector<SpanRecord> spans = tracer.FinishedSpans();
+  ASSERT_EQ(spans.size(), 1u);
+  EXPECT_EQ(spans[0].duration_seconds, seconds);
+  EXPECT_EQ(spans[0].flow_in, 33u);
+  EXPECT_EQ(histogram.sum(), seconds);
 }
 
 TEST(SpanTest, AddCompletedRecordsInterval) {

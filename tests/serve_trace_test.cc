@@ -19,6 +19,7 @@
 
 #include "src/ir/builder.h"
 #include "src/obs/journal.h"
+#include "src/obs/metrics.h"
 #include "src/obs/plan_timings.h"
 #include "src/obs/span.h"
 #include "src/serve/server.h"
@@ -55,8 +56,24 @@ int IndexOf(const std::vector<obs::Event>& events, const std::string& name, int 
   return -1;
 }
 
+// Finished spans named `name`.
+std::int64_t SpanCount(const obs::Tracer& tracer, const std::string& name) {
+  std::int64_t count = 0;
+  for (const obs::SpanRecord& span : tracer.FinishedSpans()) {
+    count += span.name == name ? 1 : 0;
+  }
+  return count;
+}
+
+// Samples so far in the process-wide histogram `name`.
+std::int64_t SampleCount(const std::string& name) {
+  return obs::MetricsRegistry::Global().GetHistogram(name).count();
+}
+
 TEST(ServeTraceTest, EveryRequestGetsAFullSpanTree) {
   const Graph graph = SmallModel();
+  const std::int64_t waits_before = SampleCount("serve.queue_wait.seconds");
+  const std::int64_t executes_before = SampleCount("serve.execute.seconds");
   obs::Tracer tracer;
   obs::EventJournal journal;
   ServerOptions options;
@@ -96,6 +113,10 @@ TEST(ServeTraceTest, EveryRequestGetsAFullSpanTree) {
     }
   }
   EXPECT_EQ(tracer.num_open(), 0);
+  // The spans are the timers: one histogram sample per span.
+  EXPECT_EQ(SpanCount(tracer, "queue.wait"),
+            SampleCount("serve.queue_wait.seconds") - waits_before);
+  EXPECT_EQ(SpanCount(tracer, "execute"), SampleCount("serve.execute.seconds") - executes_before);
 
   // Executor step groups live on a worker lane, children of the attempt.
   bool exec_lane_seen = false;
@@ -134,6 +155,8 @@ TEST(ServeTraceTest, ChaosKillProducesFlightRecorderAndFlowLinkedRequeue) {
     obs::EventJournal journal;
     obs::PlanTimings plan_timings;
     std::remove(dump_path.c_str());
+    const std::int64_t waits_before = SampleCount("serve.queue_wait.seconds");
+    const std::int64_t executes_before = SampleCount("serve.execute.seconds");
 
     ServerOptions options;
     options.num_workers = 2;
@@ -247,6 +270,12 @@ TEST(ServeTraceTest, ChaosKillProducesFlightRecorderAndFlowLinkedRequeue) {
     }
     requeue_observed = true;
     EXPECT_GE(IndexOf(events, "request.requeued"), 0);
+    // A requeued request waits and executes twice; each span still records
+    // exactly one sample.
+    EXPECT_EQ(SpanCount(tracer, "queue.wait"),
+              SampleCount("serve.queue_wait.seconds") - waits_before);
+    EXPECT_EQ(SpanCount(tracer, "execute"),
+              SampleCount("serve.execute.seconds") - executes_before);
 
     // Spans: the requeued request's interrupted execute emits a flow id that
     // a later queue.wait receives — the arrow linking the two epochs.

@@ -62,10 +62,6 @@ TEST(LintFixtureTest, FixturesProduceExactFindings) {
        {{13, "lint.obs.name-grammar"},
         {14, "lint.obs.unregistered-name"},
         {20, "lint.obs.unregistered-name"}}},
-      {"scoped_timer.cc",
-       {{12, "lint.obs.unregistered-name"},
-        {13, "lint.obs.name-grammar"},
-        {14, "lint.obs.unregistered-name"}}},
       {"nolint.cc",
        {{6, "lint.nolint.missing-reason"},
         {7, "lint.nolint.missing-reason"},
@@ -87,9 +83,9 @@ TEST(LintFixtureTest, DirectoryWalkAggregatesEveryFixture) {
   }
   EXPECT_EQ(by_rule["lint.sync.raw-primitive"], 5) << Dump(findings);
   EXPECT_EQ(by_rule["lint.nolint.missing-reason"], 2);
-  EXPECT_EQ(by_rule["lint.obs.name-grammar"], 2);
-  EXPECT_EQ(by_rule["lint.obs.unregistered-name"], 4);
-  EXPECT_EQ(findings.size(), 13u);
+  EXPECT_EQ(by_rule["lint.obs.name-grammar"], 1);
+  EXPECT_EQ(by_rule["lint.obs.unregistered-name"], 2);
+  EXPECT_EQ(findings.size(), 10u);
 }
 
 // ---------------------------------------------------------------------------

@@ -438,9 +438,6 @@ void CheckObsNames(const std::string& path, const Views& views,
     const char* token;
     int arg;  // Which argument carries the name.
     NameKind kind;
-    // A type whose constructor takes the name: a variable name may sit
-    // between token and arguments (`ScopedTimer t("...")`, `t{"..."}`).
-    bool declaration = false;
   };
   // EventJournal::Append(severity, subsystem, event, ...) — obs::Log is the
   // same shape shifted by the journal pointer.
@@ -448,7 +445,6 @@ void CheckObsNames(const std::string& path, const Views& views,
       {"GetCounter", 0, NameKind::kMetric},
       {"GetGauge", 0, NameKind::kMetric},
       {"GetHistogram", 0, NameKind::kMetric},
-      {"ScopedTimer", 0, NameKind::kMetric, /*declaration=*/true},
       {"Log", 2, NameKind::kJournalSubsystem},
       {"Log", 3, NameKind::kJournalEvent},
       {"Append", 1, NameKind::kJournalSubsystem},
@@ -461,28 +457,18 @@ void CheckObsNames(const std::string& path, const Views& views,
     const std::string token = call.token;
     while ((pos = scrubbed.find(token, pos)) != std::string::npos) {
       if (!TokenAt(scrubbed, pos, token) &&
-          // obs::Log and obs::ScopedTimer are colon-qualified; allow the
-          // obs:: qualifier through the boundary.
+          // obs::Log is colon-qualified; allow the obs:: qualifier through
+          // the boundary.
           !(pos >= 5 && scrubbed.compare(pos - 5, 5, "obs::") == 0)) {
         pos += token.size();
         continue;
       }
-      auto skip_space = [&](std::size_t i) {
-        while (i < scrubbed.size() &&
-               (scrubbed[i] == ' ' || scrubbed[i] == '\t' || scrubbed[i] == '\n')) {
-          ++i;
-        }
-        return i;
-      };
-      std::size_t open = skip_space(pos + token.size());
-      if (call.declaration) {
-        while (open < scrubbed.size() && IsIdentChar(scrubbed[open])) {
-          ++open;  // The declared variable's name.
-        }
-        open = skip_space(open);
+      std::size_t open = pos + token.size();
+      while (open < scrubbed.size() &&
+             (scrubbed[open] == ' ' || scrubbed[open] == '\t' || scrubbed[open] == '\n')) {
+        ++open;
       }
-      if (open >= scrubbed.size() ||
-          !(scrubbed[open] == '(' || (call.declaration && scrubbed[open] == '{'))) {
+      if (open >= scrubbed.size() || scrubbed[open] != '(') {
         pos += token.size();
         continue;
       }
