@@ -78,8 +78,9 @@ struct CompiledModel {
   bool fits = true;  // False if the model cannot fit the distributed memory.
   std::vector<CompiledOp> ops;
   std::int64_t idle_bytes_per_core = 0;
-  // Peak per-core usage from the liveness-based memory plan (§4.4); the
-  // compiler iterates the reconciliation budget until this fits.
+  // Peak per-core usage from the liveness-based memory plan (§4.4) of the
+  // final schedule; the memory_plan pass lowers Algorithm 1's budget until
+  // this fits the core.
   std::int64_t memory_peak_bytes = 0;
   std::vector<ReconcileStep> reconcile_trajectory;  // Fig 20.
   double compile_wall_seconds = 0.0;

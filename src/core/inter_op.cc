@@ -113,12 +113,16 @@ class OpState {
 
 // For every operator, picks the fastest active plan that fits in
 // budget - (idle bytes of all *other* operators), and computes the end-to-end
-// time. Returns infinity at the first operator with no fitting plan, leaving
-// it and every later operator at -1.
+// time. charged_out[i] is what that pick charges against the budget: its
+// active bytes plus the other operators' idle bytes. Returns infinity at the
+// first operator with no fitting plan, leaving it and every later operator at
+// -1 with no charge.
 double AssignActivePlans(const std::vector<OpState>& states, std::int64_t budget,
-                         std::int64_t total_idle, std::vector<int>& active_out) {
+                         std::int64_t total_idle, std::vector<int>& active_out,
+                         std::vector<std::int64_t>& charged_out) {
   double total_seconds = 0.0;
   active_out.assign(states.size(), -1);
+  charged_out.assign(states.size(), 0);
   for (std::size_t i = 0; i < states.size(); ++i) {
     const OpState& state = states[i];
     const std::int64_t others_idle = total_idle - state.option(state.idle()).weight_bytes;
@@ -128,6 +132,7 @@ double AssignActivePlans(const std::vector<OpState>& states, std::int64_t budget
       return kInfinity;
     }
     active_out[i] = best;
+    charged_out[i] = state.option(best).active_bytes + others_idle;
     total_seconds += time;
   }
   return total_seconds;
@@ -196,16 +201,23 @@ InterOpSchedule ReconcileInterOp(const std::vector<InterOpOperator>& ops, const 
   double best_time = kInfinity;
   std::vector<int> best_idle;
   std::vector<int> best_active;
+  std::vector<std::int64_t> best_charged;
   std::int64_t best_idle_bytes = 0;
 
   std::vector<int> active;
+  std::vector<std::int64_t> charged;
   int steps_taken = 0;
   while (max_steps < 0 || steps_taken++ < max_steps) {
     if (idle_bytes > memory_budget_per_core) {
       break;  // Line 6 guard.
     }
     // Lines 7-9: refit active plans, estimate end-to-end time.
-    const double time = AssignActivePlans(states, memory_budget_per_core, idle_bytes, active);
+    const double time =
+        AssignActivePlans(states, memory_budget_per_core, idle_bytes, active, charged);
+    // A smaller budget that still covers this step's idle bytes and every
+    // charge keeps every pick here, and so the whole trajectory.
+    schedule.stable_budget = std::max(
+        {schedule.stable_budget, idle_bytes, *std::max_element(charged.begin(), charged.end())});
     // Per-step ΔT/ΔM telemetry: how much end-to-end time the last idle-layout
     // upgrade bought, and how much idle memory it spent (Fig 20's slope).
     if (!schedule.trajectory.empty()) {
@@ -228,6 +240,7 @@ InterOpSchedule ReconcileInterOp(const std::vector<InterOpOperator>& ops, const 
         best_idle[i] = states[i].idle();
       }
       best_active = active;
+      best_charged = charged;
       best_idle_bytes = idle_bytes;
     }
 
@@ -273,6 +286,7 @@ InterOpSchedule ReconcileInterOp(const std::vector<InterOpOperator>& ops, const 
     const OpPlanOption& active_opt = ops[i].options[static_cast<std::size_t>(s.active_option)];
     s.setup_seconds = SetupSeconds(idle_opt, active_opt, chip);
     s.exec_seconds = active_opt.exec_seconds;
+    s.charged_bytes = best_charged[i];
     schedule.setup_seconds += s.setup_seconds;
   }
   return schedule;

@@ -43,6 +43,9 @@ struct OpSchedule {
   int active_option = -1;  // Execution plan while active.
   double setup_seconds = 0.0;
   double exec_seconds = 0.0;
+  // Bytes the active plan charged against the budget at the chosen step:
+  // its active bytes plus every other operator's idle weights.
+  std::int64_t charged_bytes = 0;
 };
 
 // One point of the greedy search trajectory (Fig 20 plots these).
@@ -59,6 +62,11 @@ struct InterOpSchedule {
   std::int64_t idle_bytes_per_core = 0;
   bool feasible = false;
   std::vector<ReconcileStep> trajectory;
+  // The largest of every evaluated step's idle bytes and every assigned
+  // operator's charge. Any budget in [stable_budget, the budget given]
+  // returns this same schedule, so a caller that must change it has to go
+  // below stable_budget.
+  std::int64_t stable_budget = 0;
 };
 
 // Per-core bytes a core must fetch to morph a weight layout from `idle` to
@@ -70,8 +78,9 @@ std::int64_t SetupFetchBytes(const OpPlanOption& idle, const OpPlanOption& activ
 double SetupSeconds(const OpPlanOption& idle, const OpPlanOption& active, const ChipSpec& chip);
 
 // Algorithm 1. `memory_budget_per_core` is the scratchpad capacity available
-// to this model (normally chip.core_memory_bytes). Returns the best schedule
-// found; `feasible` is false if even minimal layouts exceed memory.
+// to this model (chip.core_memory_bytes, or less when the liveness plan needs
+// room Algorithm 1 does not see). Returns the best schedule found;
+// `feasible` is false if even minimal layouts exceed memory.
 // `max_steps` bounds the greedy loop: 1 evaluates only the all-minimal-idle
 // configuration (the Roller-style policy, used for ablation), < 0 runs to
 // convergence.

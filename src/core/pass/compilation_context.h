@@ -11,7 +11,6 @@
 #ifndef T10_SRC_CORE_PASS_COMPILATION_CONTEXT_H_
 #define T10_SRC_CORE_PASS_COMPILATION_CONTEXT_H_
 
-#include <cstdint>
 #include <memory>
 #include <optional>
 #include <vector>
@@ -103,19 +102,14 @@ struct CompilationContext {
   std::vector<bool> search_from_cache;
 
   // InterOpReconcile artifacts: Algorithm 1's per-operator option lists and
-  // the latest schedule it produced.
+  // the latest schedule it produced (MemoryPlan replaces the schedule when
+  // it reruns the reconciliation under a smaller budget).
   std::vector<InterOpOperator> inter_ops;
   InterOpSchedule schedule;
 
-  // MemoryPlan artifact: the latest liveness-based per-core memory plan.
+  // MemoryPlan artifact: the liveness-based per-core memory plan of the
+  // final schedule.
   MemoryPlan memory_plan;
-
-  // Fixpoint state of the reconcile<->memory-plan loop: the reconciliation
-  // budget (0 = not yet initialised; InterOpReconcile seeds it with the chip
-  // capacity), the last budget shrink, and how many memory plans have failed.
-  std::int64_t budget_bytes = 0;
-  std::int64_t last_shrink = 0;
-  int memory_retries = 0;
 };
 
 }  // namespace t10

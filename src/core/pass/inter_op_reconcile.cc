@@ -41,24 +41,23 @@ std::vector<InterOpOperator> BuildInterOpOptions(const Graph& graph,
 
 }  // namespace
 
-PassResult InterOpReconcilePass::Run(CompilationContext& ctx) {
-  const ChipSpec& chip = ctx.resources->chip();
-  if (ctx.inter_ops.empty()) {
-    ctx.inter_ops = BuildInterOpOptions(*ctx.graph, ctx.searches);
-  }
-  if (ctx.budget_bytes == 0) {
-    ctx.budget_bytes = chip.core_memory_bytes;
-  }
-  ctx.schedule = ReconcileInterOp(ctx.inter_ops, chip, ctx.budget_bytes,
+bool ReconcileUnderBudget(CompilationContext& ctx, std::int64_t budget_bytes) {
+  ctx.schedule = ReconcileInterOp(ctx.inter_ops, ctx.resources->chip(), budget_bytes,
                                   ctx.resources->options().inter_op_reconcile ? -1 : 1);
   ctx.model.fits = ctx.schedule.feasible;
   ctx.model.reconcile_trajectory = ctx.schedule.trajectory;
   ctx.model.idle_bytes_per_core = ctx.schedule.idle_bytes_per_core;
   if (!ctx.schedule.feasible) {
     ctx.model.ops.clear();
-    return PassResult::Stop();
   }
-  return PassResult::Continue();
+  return ctx.schedule.feasible;
+}
+
+PassResult InterOpReconcilePass::Run(CompilationContext& ctx) {
+  ctx.inter_ops = BuildInterOpOptions(*ctx.graph, ctx.searches);
+  return ReconcileUnderBudget(ctx, ctx.resources->chip().core_memory_bytes)
+             ? PassResult::Continue()
+             : PassResult::Stop();
 }
 
 verify::VerifyResult InterOpReconcilePass::Verify(const CompilationContext& ctx) const {

@@ -49,12 +49,6 @@ PassResult IntraOpSearchPass::Run(CompilationContext& ctx) {
   const int num_ops = graph.num_ops();
   ctx.searches.assign(static_cast<std::size_t>(num_ops), IntraOpResult{});
   ctx.search_from_cache.assign(static_cast<std::size_t>(num_ops), false);
-  // A restart (CompileFrom / memory retry state from a previous compile)
-  // must not leak stale downstream artifacts into this one.
-  ctx.inter_ops.clear();
-  ctx.budget_bytes = 0;
-  ctx.last_shrink = 0;
-  ctx.memory_retries = 0;
 
   // Serial stage, in op order: resolve every operator against the cache, so
   // hit/miss accounting is schedule-independent. Distinct missing signatures

@@ -1,8 +1,10 @@
 #include "src/core/pass/memory_plan.h"
 
 #include <algorithm>
+#include <cstdint>
 #include <utility>
 
+#include "src/core/pass/inter_op_reconcile.h"
 #include "src/obs/metrics.h"
 #include "src/obs/span.h"
 #include "src/util/logging.h"
@@ -75,12 +77,10 @@ void MaterializeOps(CompilationContext& ctx) {
   }
 }
 
-}  // namespace
-
-PassResult MemoryPlanPass::Run(CompilationContext& ctx) {
-  const ChipSpec& chip = ctx.resources->chip();
-  ctx.model.ops.clear();
+// Materializes the current schedule and plans its memory.
+void PlanSchedule(CompilationContext& ctx) {
   obs::MetricsRegistry& metrics = obs::MetricsRegistry::Global();
+  ctx.model.ops.clear();
   {
     obs::Span span = obs::StartSpan(ctx.trace, "phase.materialize",
                                     &metrics.GetHistogram("compiler.phase.materialize.seconds"));
@@ -89,34 +89,77 @@ PassResult MemoryPlanPass::Run(CompilationContext& ctx) {
   {
     obs::Span span = obs::StartSpan(ctx.trace, "phase.memory_plan",
                                     &metrics.GetHistogram("compiler.phase.memory_plan.seconds"));
-    ctx.memory_plan = PlanMemory(ctx.model, *ctx.graph, chip);
+    ctx.memory_plan = PlanMemory(ctx.model, *ctx.graph, ctx.resources->chip());
   }
   ctx.model.memory_peak_bytes = ctx.memory_plan.peak_bytes;
-  if (ctx.memory_plan.fits) {
-    return PassResult::Continue();
+}
+
+// The largest charge Algorithm 1 put on the operators at the peak: the peak
+// operator and the producer and consumers of every activation live there.
+std::int64_t PeakCharge(const CompilationContext& ctx) {
+  const Graph& graph = *ctx.graph;
+  const int peak_op = ctx.memory_plan.peak_op;
+  auto charge = [&](int op) {
+    return ctx.schedule.per_op[static_cast<std::size_t>(op)].charged_bytes;
+  };
+  std::int64_t largest = charge(peak_op);
+  for (const MemoryInterval& interval : ctx.memory_plan.intervals) {
+    if (interval.persistent || interval.first_op > peak_op || interval.last_op < peak_op ||
+        !graph.HasTensor(interval.label)) {
+      continue;
+    }
+    const TensorInfo& info = graph.tensor(interval.label);
+    if (info.producer >= 0) {
+      largest = std::max(largest, charge(info.producer));
+    }
+    for (const int consumer : info.consumers) {
+      largest = std::max(largest, charge(consumer));
+    }
   }
-  // Shrink by at least twice the previous shrink so sub-granularity
-  // overshoots (smaller than any plan-size delta) cannot stall the loop.
-  const std::int64_t overshoot = ctx.memory_plan.peak_bytes - chip.core_memory_bytes;
-  const std::int64_t shrink = std::max(overshoot, 2 * ctx.last_shrink);
-  ctx.last_shrink = shrink;
-  ctx.budget_bytes -= shrink;
-  ++ctx.memory_retries;
-  T10_LOG(Info) << ctx.graph->name() << ": memory plan overshoots by " << overshoot
-                << "B, retrying with budget " << ctx.budget_bytes;
-  if (ctx.memory_retries >= kMaxMemoryRetries || ctx.budget_bytes <= 0) {
-    ctx.model.fits = false;
-    ctx.model.ops.clear();
-    return PassResult::Stop();
+  return largest;
+}
+
+}  // namespace
+
+PassResult MemoryPlanPass::Run(CompilationContext& ctx) {
+  const std::int64_t capacity = ctx.resources->chip().core_memory_bytes;
+  obs::Histogram& reconcile_seconds =
+      obs::MetricsRegistry::Global().GetHistogram("compiler.phase.reconcile.seconds");
+  std::int64_t budget = capacity;  // The budget InterOpReconcile ran under.
+  std::int64_t previous_peak = -1;
+  PlanSchedule(ctx);
+  while (!ctx.memory_plan.fits) {
+    // Algorithm 1 does not see activations held for later consumers. Give
+    // up at least the overshoot, and go below the budgets that return the
+    // same schedule. If the last smaller budget left the peak where it was,
+    // also take away what the peak's operators were charged, so one of
+    // them must pick a smaller plan.
+    const std::int64_t peak = ctx.memory_plan.peak_bytes;
+    std::int64_t next = std::min(budget - (peak - capacity), ctx.schedule.stable_budget - 1);
+    if (peak == previous_peak) {
+      next = std::min(next, PeakCharge(ctx) - 1);
+    }
+    T10_LOG(Info) << ctx.graph->name() << ": memory plan overshoots by " << peak - capacity
+                  << "B, retrying with budget " << next;
+    budget = next;
+    previous_peak = peak;
+    {
+      obs::Span span = obs::StartSpan(ctx.trace, "phase.reconcile", &reconcile_seconds);
+      if (!ReconcileUnderBudget(ctx, budget)) {
+        return PassResult::Stop();
+      }
+    }
+    PlanSchedule(ctx);
   }
-  return PassResult::RetryFrom(pass_names::kInterOpReconcile);
+  return PassResult::Continue();
 }
 
 verify::VerifyResult MemoryPlanPass::Verify(const CompilationContext& ctx) const {
-  if (ctx.memory_plan.intervals.empty()) {
-    return {};
+  verify::VerifyResult result = verify::CheckReconcileSchedule(ctx);
+  if (!ctx.memory_plan.intervals.empty()) {
+    result.Merge(verify::Verifier(ctx.resources->chip()).VerifyMemoryPlan(ctx.memory_plan));
   }
-  return verify::Verifier(ctx.resources->chip()).VerifyMemoryPlan(ctx.memory_plan);
+  return result;
 }
 
 }  // namespace t10

@@ -2,10 +2,18 @@
 //
 // Builds the CompiledOps the schedule selected (active/idle plans, ground
 // truth metrics, setup and layout-transition costs) and runs the
-// liveness-based memory planner over them. If the true peak overshoots the
-// scratchpad, the pass shrinks the reconciliation budget — by at least twice
-// the previous shrink, so sub-granularity overshoots cannot stall — and
-// retries the pipeline from InterOpReconcile, for at most 7 rounds.
+// liveness-based memory planner over them. Algorithm 1 does not see
+// activations held for later consumers, so the true peak can overshoot the
+// scratchpad. The pass then reruns the reconciliation under a smaller budget
+// and plans again, until the plan fits or no schedule fits the budget. Each
+// next budget comes from numbers the last attempt measured:
+//   - it is at most the last budget minus the overshoot;
+//   - it is below the schedule's stable_budget, so the schedule changes;
+//   - if the peak did not move, it is below the largest charge of the peak's
+//     operators (the peak operator and the producer and consumers of every
+//     activation live there), so one of them must pick a smaller plan.
+// The budget falls on every attempt, and Algorithm 1 finds no schedule once
+// it is below the all-idle minimum, so the loop ends.
 
 #ifndef T10_SRC_CORE_PASS_MEMORY_PLAN_H_
 #define T10_SRC_CORE_PASS_MEMORY_PLAN_H_
@@ -16,10 +24,6 @@ namespace t10 {
 
 class MemoryPlanPass final : public Pass {
  public:
-  // Maximum reconcile rounds the budget fixpoint may take (the monolithic
-  // compiler's `attempt >= 6` bound: 7 reconciles total).
-  static constexpr int kMaxMemoryRetries = 7;
-
   const char* name() const override { return pass_names::kMemoryPlan; }
   PassResult Run(CompilationContext& ctx) override;
   verify::VerifyResult Verify(const CompilationContext& ctx) const override;

@@ -6,10 +6,10 @@
 //
 // Each pass reads the artifacts earlier passes left in the context and writes
 // its own; it never calls into another pass. Control flow is explicit in the
-// returned PassResult: continue to the next pass, stop the pipeline (the
-// model does not fit), or retry from an earlier pass (MemoryPlan sends the
-// pipeline back to InterOpReconcile with a shrunk budget until the liveness
-// plan fits — the fixpoint the paper's §4.3.2/§4.4 interplay requires).
+// returned PassResult: continue to the next pass, or stop the pipeline (the
+// model does not fit). The pipeline runs each pass at most once; the one
+// loop in compilation, fitting Algorithm 1's schedule to the liveness plan
+// (§4.3.2/§4.4), lives inside MemoryPlan.
 //
 // The PassManager owns the cross-cutting concerns the monolithic compiler
 // used to hard-code: every pass run is timed (compiler.pass.<name>.seconds)
@@ -40,19 +40,14 @@ inline constexpr char kFinalize[] = "finalize";
 
 struct PassResult {
   enum class Action {
-    kContinue,   // Proceed to the next pass.
-    kStop,       // End the pipeline; the context holds the final model.
-    kRetryFrom,  // Jump back to the named (earlier) pass.
+    kContinue,  // Proceed to the next pass.
+    kStop,      // End the pipeline; the context holds the final model.
   };
 
   Action action = Action::kContinue;
-  std::string retry_from;  // Pass name, only for kRetryFrom.
 
   static PassResult Continue() { return {}; }
-  static PassResult Stop() { return {Action::kStop, {}}; }
-  static PassResult RetryFrom(std::string pass_name) {
-    return {Action::kRetryFrom, std::move(pass_name)};
-  }
+  static PassResult Stop() { return {Action::kStop}; }
 };
 
 class Pass {
@@ -60,7 +55,7 @@ class Pass {
   virtual ~Pass() = default;
 
   // Stable name (a pass_names constant); used for metrics, --print-passes
-  // and RetryFrom targets.
+  // and CompileFrom start passes.
   virtual const char* name() const = 0;
 
   virtual PassResult Run(CompilationContext& ctx) = 0;
@@ -73,17 +68,12 @@ class Pass {
 
 class PassManager {
  public:
-  // Safety cap on total pass executions of one Run (the reconcile<->memory
-  // fixpoint is bounded at 7 rounds, so a healthy pipeline stays far below).
-  static constexpr int kMaxPassRuns = 64;
-
   void AddPass(std::unique_ptr<Pass> pass);
 
   std::vector<std::string> PassNames() const;
 
   // Runs the pipeline over `ctx`, starting at `start_pass` (empty = first).
-  // CHECK-fails on an unknown start or retry target, a retry target at or
-  // after the requesting pass, or a pipeline exceeding kMaxPassRuns.
+  // CHECK-fails on an unknown start pass.
   void Run(CompilationContext& ctx, const std::string& start_pass = "") const;
 
  private:

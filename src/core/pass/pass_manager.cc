@@ -47,14 +47,9 @@ void PassManager::Run(CompilationContext& ctx, const std::string& start_pass) co
   T10_CHECK(!passes_.empty()) << "empty pass pipeline";
   T10_CHECK(ctx.graph != nullptr && ctx.resources != nullptr);
   obs::MetricsRegistry& metrics = obs::MetricsRegistry::Global();
-  int index = start_pass.empty() ? 0 : IndexOf(start_pass);
-  int runs = 0;
-  while (index < static_cast<int>(passes_.size())) {
-    Pass& pass = *passes_[static_cast<std::size_t>(index)];
-    ++runs;
-    T10_CHECK(runs <= kMaxPassRuns)
-        << "pass pipeline did not converge after " << kMaxPassRuns << " pass runs (at '"
-        << pass.name() << "' for " << ctx.graph->name() << ")";
+  const int first = start_pass.empty() ? 0 : IndexOf(start_pass);
+  for (std::size_t index = static_cast<std::size_t>(first); index < passes_.size(); ++index) {
+    Pass& pass = *passes_[index];
     PassResult result;
     {
       const std::string prefix = std::string("compiler.pass.") + pass.name();
@@ -62,7 +57,7 @@ void PassManager::Run(CompilationContext& ctx, const std::string& start_pass) co
       // Each pass run gets its own span, which also times the run into
       // compiler.pass.<name>.seconds, and the context is re-parented to it
       // for the duration so work the pass fans out (the intra-op search
-      // tasks) nests under the right pass — including retried runs.
+      // tasks) nests under the right pass.
       obs::Span pass_span =
           obs::StartSpan(ctx.trace, pass.name(), &metrics.GetHistogram(prefix + ".seconds"));
       const obs::TraceContext saved_trace = ctx.trace;
@@ -78,19 +73,8 @@ void PassManager::Run(CompilationContext& ctx, const std::string& start_pass) co
                             << ctx.graph->name() << ":\n"
                             << check.Listing();
     }
-    switch (result.action) {
-      case PassResult::Action::kContinue:
-        ++index;
-        break;
-      case PassResult::Action::kStop:
-        return;
-      case PassResult::Action::kRetryFrom: {
-        const int target = IndexOf(result.retry_from);
-        T10_CHECK(target < index) << "pass '" << pass.name() << "' may only retry from an "
-                                  << "earlier pass, not '" << result.retry_from << "'";
-        index = target;
-        break;
-      }
+    if (result.action == PassResult::Action::kStop) {
+      return;
     }
   }
 }

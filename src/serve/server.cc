@@ -473,34 +473,32 @@ void Server::Process(int worker, AdmittedRequest admitted,
     execute_span.AddAttr("retries", std::to_string(outcome.retries_used));
   }
   response.retries = outcome.retries_used;
-  // Persistent fault in the path: park the request back in the queue so it
-  // completes under the post-failover plan instead of failing. Bounded, in
-  // case no failover materializes.
-  const bool requeue = outcome.status.code() == StatusCode::kUnavailable &&
-                       admitted.requeues < kMaxRequeues;
-  if (requeue) {
-    // The flow arrow starts at this (still open) execute span and lands on
-    // the post-failover queue.wait span — the visual link across the epoch.
-    execute_span.SetFlowOut(RequeueFlowId(admitted.id, admitted.requeues + 1));
-  }
-  const double execute_seconds = execute_span.End();
-
   if (outcome.status.code() == StatusCode::kUnavailable) {
     monitor_.NotifySuspicion();
-    if (requeue) {
-      Status requeued = scheduler_.Requeue(std::move(admitted));
-      if (requeued.ok()) {
+    // Persistent fault in the path: park the request back in the queue so it
+    // completes under the post-failover plan instead of failing. Bounded, in
+    // case no failover materializes.
+    if (admitted.requeues < kMaxRequeues) {
+      const std::uint64_t flow_id = RequeueFlowId(admitted.id, admitted.requeues + 1);
+      if (scheduler_.Requeue(std::move(admitted)).ok()) {
+        // The flow arrow starts at this (still open) execute span and lands
+        // on the post-failover queue.wait span — the visual link across the
+        // epoch. A requeue the closed scheduler refuses gets no arrow.
+        execute_span.SetFlowOut(flow_id);
+        execute_span.End();
         RequeueCounter().Increment();
         MutexLock lock(mu_);
         ++stats_.requeued;
         return;  // Response deferred to the re-execution.
       }
-      // Scheduler closed mid-drain; fall through and answer now.
+      // Scheduler closed mid-drain; answer now.
     }
+    execute_span.End();
     response.status = outcome.status;
     deliver();
     return;
   }
+  const double execute_seconds = execute_span.End();
 
   if (!outcome.status.ok()) {
     if (outcome.status.code() == StatusCode::kDeadlineExceeded) {

@@ -1,5 +1,6 @@
-// PassManager mechanics (Continue/Stop/RetryFrom, run caps, verify hooks)
-// and pipeline equivalence with the Compiler driver.
+// PassManager mechanics (Continue/Stop, start passes, verify hooks),
+// pipeline equivalence with the Compiler driver, and the memory_plan pass's
+// fit of Algorithm 1's schedule to the liveness plan.
 
 #include "src/core/pass/pass.h"
 
@@ -14,6 +15,7 @@
 #include "src/core/compiler.h"
 #include "src/core/pass/compilation_context.h"
 #include "src/ir/builder.h"
+#include "src/models/zoo.h"
 #include "src/obs/metrics.h"
 #include "src/verify/verifier.h"
 
@@ -24,6 +26,26 @@ ChipSpec SmallChip(int cores = 64) {
   ChipSpec chip = ChipSpec::IpuMk2();
   chip.num_cores = cores;
   chip.cores_per_chip = cores;
+  return chip;
+}
+
+// Three matmuls and a skip add: h1 stays live across fc2 and fc3, which
+// Algorithm 1's budget does not see, so small cores make the memory plan
+// overshoot its first schedule.
+Graph ResidualBlock(std::int64_t batch) {
+  Graph g("residual");
+  g.Add(MatMulOp("fc1", batch, 256, 256, DataType::kF16, "x", "w1", "h1"));
+  g.Add(MatMulOp("fc2", batch, 256, 256, DataType::kF16, "h1", "w2", "h2"));
+  g.Add(MatMulOp("fc3", batch, 256, 256, DataType::kF16, "h2", "w3", "h3"));
+  g.Add(BinaryOp("add", {batch, 256}, DataType::kF16, "h1", "h3", "y"));
+  g.MarkWeight("w1");
+  g.MarkWeight("w2");
+  g.MarkWeight("w3");
+  return g;
+}
+
+ChipSpec WithCoreMemory(ChipSpec chip, std::int64_t kib) {
+  chip.core_memory_bytes = kib * 1024;
   return chip;
 }
 
@@ -108,20 +130,6 @@ TEST(PassManagerTest, StopEndsThePipelineEarly) {
   EXPECT_EQ(trace, (std::vector<std::string>{"a", "b"}));
 }
 
-TEST(PassManagerTest, RetryFromJumpsBackToEarlierPass) {
-  std::vector<std::string> trace;
-  PassManager pm;
-  pm.AddPass(std::make_unique<FakePass>("a", &trace));
-  pm.AddPass(std::make_unique<FakePass>("b", &trace));
-  // First run retries from "b", second run continues.
-  pm.AddPass(std::make_unique<FakePass>(
-      "c", &trace,
-      std::vector<PassResult>{PassResult::RetryFrom("b"), PassResult::Continue()}));
-  TestContext t;
-  pm.Run(t.ctx);
-  EXPECT_EQ(trace, (std::vector<std::string>{"a", "b", "c", "b", "c"}));
-}
-
 TEST(PassManagerTest, StartPassSkipsEarlierPasses) {
   std::vector<std::string> trace;
   PassManager pm;
@@ -133,35 +141,12 @@ TEST(PassManagerTest, StartPassSkipsEarlierPasses) {
   EXPECT_EQ(trace, (std::vector<std::string>{"b", "c"}));
 }
 
-TEST(PassManagerDeathTest, RetryFromLaterPassIsFatal) {
-  std::vector<std::string> trace;
-  PassManager pm;
-  pm.AddPass(std::make_unique<FakePass>(
-      "a", &trace, std::vector<PassResult>{PassResult::RetryFrom("b")}));
-  pm.AddPass(std::make_unique<FakePass>("b", &trace));
-  TestContext t;
-  EXPECT_DEATH(pm.Run(t.ctx), "earlier pass");
-}
-
 TEST(PassManagerDeathTest, UnknownStartPassIsFatal) {
   std::vector<std::string> trace;
   PassManager pm;
   pm.AddPass(std::make_unique<FakePass>("a", &trace));
   TestContext t;
   EXPECT_DEATH(pm.Run(t.ctx, "nonexistent"), "unknown pass");
-}
-
-TEST(PassManagerDeathTest, EndlessRetryLoopHitsTheRunCap) {
-  std::vector<std::string> trace;
-  PassManager pm;
-  pm.AddPass(std::make_unique<FakePass>("a", &trace));
-  // "b" always retries from "a": without the cap this would never end.
-  std::vector<PassResult> forever(
-      static_cast<std::size_t>(PassManager::kMaxPassRuns) + 2,
-      PassResult::RetryFrom("a"));
-  pm.AddPass(std::make_unique<FakePass>("b", &trace, std::move(forever)));
-  TestContext t;
-  EXPECT_DEATH(pm.Run(t.ctx), "did not converge");
 }
 
 // A pass whose verification always reports an error diagnostic.
@@ -226,32 +211,28 @@ TEST(PassPipelineTest, PipelineRecordsPerPassRunCounters) {
           << pass;
     }
   };
-  EXPECT_EQ(runs(pass_names::kFitCostModel), 1);
-  EXPECT_EQ(runs(pass_names::kIntraOpSearch), 1);
-  EXPECT_GE(runs(pass_names::kInterOpReconcile), 1);
-  EXPECT_GE(runs(pass_names::kMemoryPlan), 1);
-  EXPECT_EQ(runs(pass_names::kFinalize), 1);
-  expect_one_sample_per_run();
+  auto samples = [](const char* histogram) {
+    return obs::MetricsRegistry::Global().GetHistogram(histogram).count();
+  };
+  auto expect_one_run_per_pass = [&]() {
+    for (const std::string& pass : Compiler::PassNames()) {
+      EXPECT_EQ(runs(pass), 1) << pass;
+    }
+    expect_one_sample_per_run();
+  };
+  expect_one_run_per_pass();
+  EXPECT_EQ(samples("compiler.phase.materialize.seconds"), 1);
+  EXPECT_EQ(samples("compiler.phase.reconcile.seconds"), 0);
 
-  // A residual block on 128 KiB cores: h1 stays live across fc2 and fc3, so
-  // the first memory plan overshoots and the pipeline loops back to
-  // InterOpReconcile before it fits.
+  // A residual block on 128 KiB cores: the first memory plan overshoots, so
+  // memory_plan reconciles again within its one run before the plan fits.
   obs::MetricsRegistry::Global().Reset();
-  ChipSpec tight = SmallChip(16);
-  tight.core_memory_bytes = 128 * 1024;
-  Graph residual("residual");
-  residual.Add(MatMulOp("fc1", 256, 256, 256, DataType::kF16, "x", "w1", "h1"));
-  residual.Add(MatMulOp("fc2", 256, 256, 256, DataType::kF16, "h1", "w2", "h2"));
-  residual.Add(MatMulOp("fc3", 256, 256, 256, DataType::kF16, "h2", "w3", "h3"));
-  residual.Add(BinaryOp("add", {256, 256}, DataType::kF16, "h1", "h3", "y"));
-  residual.MarkWeight("w1");
-  residual.MarkWeight("w2");
-  residual.MarkWeight("w3");
-  Compiler retrying(tight);
-  ASSERT_TRUE(retrying.Compile(residual).fits);
-  EXPECT_GT(runs(pass_names::kMemoryPlan), 1);
-  EXPECT_GT(runs(pass_names::kInterOpReconcile), 1);
-  expect_one_sample_per_run();
+  Compiler retrying(WithCoreMemory(SmallChip(16), 128));
+  ASSERT_TRUE(retrying.Compile(ResidualBlock(256)).fits);
+  expect_one_run_per_pass();
+  EXPECT_GT(samples("compiler.phase.materialize.seconds"), 1);
+  EXPECT_EQ(samples("compiler.phase.reconcile.seconds"),
+            samples("compiler.phase.materialize.seconds") - 1);
   obs::MetricsRegistry::Global().Reset();
 }
 
@@ -269,6 +250,54 @@ TEST(PassPipelineTest, CompileFromIntraOpSearchMatchesFullCompile) {
       restarted.CompileFrom(graph, pass_names::kIntraOpSearch);
   ASSERT_TRUE(restarted_model.fits);
   EXPECT_EQ(restarted_model.Fingerprint(), full_model.Fingerprint());
+}
+
+// A residual block at batch 32 fits 40 and 56 KiB cores; shrinking
+// Algorithm 1's budget by doubling steps once lost it on the sizes between.
+TEST(MemoryFitTest, ResidualBlockFits48And64KiBCores) {
+  for (const std::int64_t kib : {48, 64}) {
+    Compiler compiler(WithCoreMemory(SmallChip(16), kib));
+    const CompiledModel model = compiler.Compile(ResidualBlock(32));
+    EXPECT_TRUE(model.fits) << kib << " KiB";
+    EXPECT_LE(model.memory_peak_bytes, kib * 1024) << kib << " KiB";
+  }
+}
+
+// Once a graph fits cores of some size, it fits every larger size.
+void ExpectFitsMonotoneInCoreMemory(const ChipSpec& chip, const Graph& graph,
+                                    const std::vector<std::int64_t>& kibs) {
+  bool fitted = false;
+  for (const std::int64_t kib : kibs) {
+    CompileOptions options;
+    options.jobs = 2;
+    Compiler compiler(WithCoreMemory(chip, kib), options);
+    const CompiledModel model = compiler.Compile(graph);
+    EXPECT_TRUE(model.fits || !fitted) << graph.name() << " fits a smaller core but not " << kib
+                                       << " KiB";
+    if (model.fits) {
+      EXPECT_LE(model.memory_peak_bytes, kib * 1024) << graph.name() << " at " << kib << " KiB";
+    }
+    fitted = fitted || model.fits;
+  }
+}
+
+TEST(MemoryFitPropertyTest, ResidualBlockFitsMonotoneInCoreMemory) {
+  std::vector<std::int64_t> kibs;
+  for (std::int64_t kib = 40; kib <= 128; kib += 8) {
+    kibs.push_back(kib);
+  }
+  for (const std::int64_t batch : {16, 32, 64, 128, 256}) {
+    SCOPED_TRACE("batch " + std::to_string(batch));
+    ExpectFitsMonotoneInCoreMemory(SmallChip(16), ResidualBlock(batch), kibs);
+  }
+}
+
+TEST(MemoryFitPropertyTest, OneLayerBertFitsMonotoneInCoreMemory) {
+  ExpectFitsMonotoneInCoreMemory(ChipSpec::IpuMk2(), BuildBertLarge(4, 1), {176, 192, 208, 224});
+}
+
+TEST(MemoryFitPropertyTest, OneLayerVitFitsMonotoneInCoreMemory) {
+  ExpectFitsMonotoneInCoreMemory(ChipSpec::IpuMk2(), BuildVitBase(32, 1), {320, 384, 448});
 }
 
 }  // namespace

@@ -39,6 +39,25 @@ Graph SmallModel() {
   return g;
 }
 
+// Cores small enough that RotatingModel's fc1 (slot kRotatingSlot) rotates,
+// so its execution moves data over links.
+ChipSpec CrampedChip() {
+  ChipSpec chip = ChipSpec::ScaledIpu(8);
+  chip.core_memory_bytes = 512;
+  chip.shift_buffer_bytes = 64;
+  return chip;
+}
+
+Graph RotatingModel() {
+  Graph g("serve-rotating");
+  g.Add(MatMulOp("big", 1, 16, 16, DataType::kF32, "x0", "w0", "y0"));
+  g.Add(MatMulOp("fc1", 8, 16, 8, DataType::kF32, "x", "w1", "h1"));
+  g.MarkWeight("w0");
+  g.MarkWeight("w1");
+  return g;
+}
+constexpr int kRotatingSlot = 1;
+
 std::string ReadFile(const std::string& path) {
   std::ifstream in(path);
   std::stringstream buffer;
@@ -309,6 +328,60 @@ TEST(ServeTraceTest, ChaosKillProducesFlightRecorderAndFlowLinkedRequeue) {
   }
   EXPECT_TRUE(requeue_observed)
       << "no attempt out of " << kAttempts << " re-queued a request across the failover";
+}
+
+TEST(ServeTraceTest, RequeueRefusedByClosedSchedulerEmitsNoFlow) {
+  // Every transfer is damaged, so the request's first execution loses data
+  // and sleeps out a long retry backoff. Meanwhile Shutdown closes the
+  // scheduler and a core dies; the retry fails kUnavailable, and its requeue
+  // is refused. The request is answered at once, and no flow arrow may
+  // start at its execute span, because no queue.wait will ever receive it.
+  const Graph graph = RotatingModel();
+  obs::Tracer tracer;
+  obs::EventJournal journal;
+  ServerOptions options;
+  options.num_workers = 1;
+  options.health_poll_seconds = 60.0;
+  options.retry_backoff_base_seconds = 0.4;
+  options.faults.burst_corrupt = 1000000;
+  options.tracer = &tracer;
+  options.journal = &journal;
+  Server server(CrampedChip(), graph, options);
+  ASSERT_TRUE(server.Start().ok());
+  Request request;
+  request.op_slot = kRotatingSlot;
+  request.max_retries = 1;
+  ASSERT_TRUE(server.Submit(request).ok());
+  while (IndexOf(journal.Snapshot(), "exec.retry") < 0) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  // Shutdown's status says whether the replan around the dead core fit the
+  // cramped chip; only the refused requeue matters here.
+  std::thread stopper([&server] { (void)server.Shutdown(); });
+  while (server.state() == ServerState::kServing) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  // Shutdown closes the scheduler right after it leaves kServing.
+  std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  server.KillCore(0);
+  stopper.join();
+
+  const std::vector<Response> responses = server.TakeResponses();
+  ASSERT_EQ(responses.size(), 1u);
+  EXPECT_EQ(responses[0].status.code(), StatusCode::kUnavailable)
+      << responses[0].status.ToString();
+  EXPECT_EQ(server.stats().requeued, 0);
+  std::multiset<std::uint64_t> flow_starts;
+  std::multiset<std::uint64_t> flow_ends;
+  for (const obs::SpanRecord& span : tracer.FinishedSpans()) {
+    if (span.flow_out != 0) {
+      flow_starts.insert(span.flow_out);
+    }
+    if (span.flow_in != 0) {
+      flow_ends.insert(span.flow_in);
+    }
+  }
+  EXPECT_EQ(flow_starts, flow_ends);
 }
 
 TEST(ServeTraceTest, UnsurvivableFailureDumpsParkEvent) {
