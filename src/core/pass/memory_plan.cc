@@ -129,20 +129,15 @@ PassResult MemoryPlanPass::Run(CompilationContext& ctx) {
   std::int64_t previous_peak = -1;
   PlanSchedule(ctx);
   while (!ctx.memory_plan.fits) {
-    // Algorithm 1 does not see activations held for later consumers. Give
-    // up at least the overshoot, and go below the budgets that return the
-    // same schedule. If the last smaller budget left the peak where it was,
-    // also take away what the peak's operators were charged, so one of
-    // them must pick a smaller plan.
+    // The next budget, from the bounds the header lists.
     const std::int64_t peak = ctx.memory_plan.peak_bytes;
-    std::int64_t next = std::min(budget - (peak - capacity), ctx.schedule.stable_budget - 1);
+    budget = std::min(budget - (peak - capacity), ctx.schedule.stable_budget - 1);
     if (peak == previous_peak) {
-      next = std::min(next, PeakCharge(ctx) - 1);
+      budget = std::min(budget, PeakCharge(ctx) - 1);
     }
-    T10_LOG(Info) << ctx.graph->name() << ": memory plan overshoots by " << peak - capacity
-                  << "B, retrying with budget " << next;
-    budget = next;
     previous_peak = peak;
+    T10_LOG(Info) << ctx.graph->name() << ": memory plan overshoots by " << peak - capacity
+                  << "B, retrying with budget " << budget;
     {
       obs::Span span = obs::StartSpan(ctx.trace, "phase.reconcile", &reconcile_seconds);
       if (!ReconcileUnderBudget(ctx, budget)) {

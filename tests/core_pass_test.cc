@@ -197,28 +197,17 @@ TEST(PassPipelineTest, PipelineRecordsPerPassRunCounters) {
   const Graph graph = Mlp();
   Compiler compiler(SmallChip());
   ASSERT_TRUE(compiler.Compile(graph).fits);
-  auto runs = [](const std::string& pass) {
-    return obs::MetricsRegistry::Global()
-        .GetCounter("compiler.pass." + pass + ".runs")
-        .value();
-  };
-  // The pass span times every run, retried ones included: one sample each.
-  auto expect_one_sample_per_run = []() {
+  obs::MetricsRegistry& metrics = obs::MetricsRegistry::Global();
+  // Every pass runs once, and its span times that run: one sample.
+  auto expect_one_run_per_pass = [&metrics]() {
     for (const std::string& pass : Compiler::PassNames()) {
       const std::string prefix = "compiler.pass." + pass;
-      EXPECT_EQ(obs::MetricsRegistry::Global().GetHistogram(prefix + ".seconds").count(),
-                obs::MetricsRegistry::Global().GetCounter(prefix + ".runs").value())
-          << pass;
+      EXPECT_EQ(metrics.GetCounter(prefix + ".runs").value(), 1) << pass;
+      EXPECT_EQ(metrics.GetHistogram(prefix + ".seconds").count(), 1) << pass;
     }
   };
-  auto samples = [](const char* histogram) {
-    return obs::MetricsRegistry::Global().GetHistogram(histogram).count();
-  };
-  auto expect_one_run_per_pass = [&]() {
-    for (const std::string& pass : Compiler::PassNames()) {
-      EXPECT_EQ(runs(pass), 1) << pass;
-    }
-    expect_one_sample_per_run();
+  auto samples = [&metrics](const char* histogram) {
+    return metrics.GetHistogram(histogram).count();
   };
   expect_one_run_per_pass();
   EXPECT_EQ(samples("compiler.phase.materialize.seconds"), 1);
@@ -226,14 +215,14 @@ TEST(PassPipelineTest, PipelineRecordsPerPassRunCounters) {
 
   // A residual block on 128 KiB cores: the first memory plan overshoots, so
   // memory_plan reconciles again within its one run before the plan fits.
-  obs::MetricsRegistry::Global().Reset();
+  metrics.Reset();
   Compiler retrying(WithCoreMemory(SmallChip(16), 128));
   ASSERT_TRUE(retrying.Compile(ResidualBlock(256)).fits);
   expect_one_run_per_pass();
   EXPECT_GT(samples("compiler.phase.materialize.seconds"), 1);
   EXPECT_EQ(samples("compiler.phase.reconcile.seconds"),
             samples("compiler.phase.materialize.seconds") - 1);
-  obs::MetricsRegistry::Global().Reset();
+  metrics.Reset();
 }
 
 TEST(PassPipelineTest, CompileFromIntraOpSearchMatchesFullCompile) {
@@ -252,8 +241,8 @@ TEST(PassPipelineTest, CompileFromIntraOpSearchMatchesFullCompile) {
   EXPECT_EQ(restarted_model.Fingerprint(), full_model.Fingerprint());
 }
 
-// A residual block at batch 32 fits 40 and 56 KiB cores; shrinking
-// Algorithm 1's budget by doubling steps once lost it on the sizes between.
+// A residual block at batch 32 fits 40 and 56 KiB cores, so it must fit the
+// sizes around them too.
 TEST(MemoryFitTest, ResidualBlockFits48And64KiBCores) {
   for (const std::int64_t kib : {48, 64}) {
     Compiler compiler(WithCoreMemory(SmallChip(16), kib));
@@ -292,6 +281,8 @@ TEST(MemoryFitPropertyTest, ResidualBlockFitsMonotoneInCoreMemory) {
   }
 }
 
+// The BERT and ViT sizes bracket the points where a budget search that
+// gives up more memory than the overshoot stops fitting.
 TEST(MemoryFitPropertyTest, OneLayerBertFitsMonotoneInCoreMemory) {
   ExpectFitsMonotoneInCoreMemory(ChipSpec::IpuMk2(), BuildBertLarge(4, 1), {176, 192, 208, 224});
 }
