@@ -186,9 +186,15 @@ struct GoldenCase {
   SearchConstraints constraints;
 };
 
+// The evaluation cap of the "CappedMidFop" golden case: it stops the search
+// inside an F_op, part way through that F_op's choices.
+constexpr std::int64_t kMidFopCap = 500;
+
 std::vector<GoldenCase> GoldenBattery() {
   SearchConstraints one_dim;
   one_dim.max_rotating_dims = 1;
+  SearchConstraints capped;
+  capped.max_evaluations = kMidFopCap;
   return {
       {"MatMul", MatMulOp("mm", 64, 256, 64, DataType::kF16, "A", "B", "C"), {}},
       {"BatchedMatMul",
@@ -200,6 +206,7 @@ std::vector<GoldenCase> GoldenBattery() {
       {"Reduce", ReduceOp("sum", {96, 200}, DataType::kF16, "x", "y"), {}},
       {"MaxRotatingDims1", MatMulOp("mm1", 48, 96, 80, DataType::kF16, "A", "B", "C"), one_dim},
       {"TinyRelaxation", ElementwiseOp("tiny", {2, 2}, DataType::kF16, "x", "y"), {}},
+      {"CappedMidFop", MatMulOp("mmcap", 64, 256, 64, DataType::kF16, "A", "B", "C"), capped},
   };
 }
 
@@ -224,6 +231,8 @@ TEST_F(SearchTest, GoldenFrontierChecksums) {
       {"MaxRotatingDims1/fitted", 0x5a18b1e4406c2449ULL},
       {"TinyRelaxation/truth", 0x9242ce3bd2a3f096ULL},
       {"TinyRelaxation/fitted", 0xb405d06407fca50eULL},
+      {"CappedMidFop/truth", 0xf79b0235536a259cULL},
+      {"CappedMidFop/fitted", 0x0841cbb93d71e30dULL},
   };
   const FittedCostModel fitted = FittedCostModel::Fit(KernelGroundTruth(chip_), 100, 3);
   for (const GoldenCase& c : GoldenBattery()) {
@@ -247,7 +256,8 @@ TEST_F(SearchTest, GoldenFrontierChecksums) {
 // Checks every candidate the search enumerates for `op` under `constraints`:
 // the base + delta path (FopCandidates) must agree with ExecutionPlan::Create
 // on validity, and with Create(...)->Evaluate(...) on every metric, bit for
-// bit. Stops at the first mismatch. Returns the candidates checked and sets
+// bit. Stops at the first mismatch, or once `constraints.max_evaluations`
+// candidates are checked. Returns the candidates checked and sets
 // `fitting` to how many of them fit the chip.
 std::int64_t CheckCandidates(const Operator& op, const ChipSpec& chip, const TimingSource& timing,
                              const SearchConstraints& constraints, std::int64_t& fitting) {
@@ -261,6 +271,9 @@ std::int64_t CheckCandidates(const Operator& op, const ChipSpec& chip, const Tim
     const std::vector<std::int64_t> fop(fop_span.begin(), fop_span.end());
     std::vector<std::size_t> choice(candidates.num_tensors(), 0);
     for (;;) {
+      if (checked >= constraints.max_evaluations) {
+        return false;  // The search's evaluation cap.
+      }
       for (std::size_t t = 0; t < temporal.size(); ++t) {
         const std::span<const std::int64_t> ft = candidates.temporal(t, choice[t]);
         temporal[t].assign(ft.begin(), ft.end());
@@ -292,6 +305,30 @@ std::int64_t CheckCandidates(const Operator& op, const ChipSpec& chip, const Tim
     }
   });
   return checked;
+}
+
+// The "CappedMidFop" golden case pins a cap that lands inside an F_op: some
+// F_op has choices on both sides of it.
+TEST_F(SearchTest, MidFopCapLandsInsideAnFop) {
+  const std::vector<GoldenCase> battery = GoldenBattery();
+  const GoldenCase& c = battery.back();
+  ASSERT_EQ(c.name, "CappedMidFop");
+  FopCandidates candidates;
+  std::int64_t before = 0;
+  bool inside = false;
+  ForEachSearchedFop(c.op, chip_, c.constraints, [&](std::span<const std::int64_t> fop) {
+    if (!candidates.Reset(c.op, fop, c.constraints, timing_, chip_)) {
+      return true;
+    }
+    std::int64_t choices = 1;
+    for (std::size_t t = 0; t < candidates.num_tensors(); ++t) {
+      choices *= static_cast<std::int64_t>(candidates.num_options(t));
+    }
+    inside = before < kMidFopCap && kMidFopCap < before + choices;
+    before += choices;
+    return before < kMidFopCap;
+  });
+  EXPECT_TRUE(inside) << "the cap falls between F_ops after " << before << " choices";
 }
 
 // Checks every candidate SearchOperatorPlans(op) costs, relaxed attempts
