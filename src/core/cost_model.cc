@@ -1,6 +1,7 @@
 #include "src/core/cost_model.h"
 
 #include <algorithm>
+#include <limits>
 
 #include "src/util/logging.h"
 #include "src/util/math_util.h"
@@ -181,6 +182,30 @@ double FittedCostModel::SubTaskSeconds(const SubTaskShape& shape) const {
   }
   double predicted = kernel_models_[static_cast<std::size_t>(cls)].Predict(Features(shape));
   return std::max(predicted, kMinPrediction);
+}
+
+double FittedCostModel::SplitSecondsFloor(const SubTaskShape& floor) const {
+  auto class_floor = [&](KernelClass cls) {
+    const auto c = static_cast<std::size_t>(cls);
+    if (custom_[c]) {
+      return -std::numeric_limits<double>::infinity();  // Its function is opaque.
+    }
+    // Every step is clamped to at least kMinPrediction. With no coefficient
+    // below 0, k >= 1 steps also predict at least one intercept plus the
+    // flops and bytes terms of their summed work, so at least the floor's
+    // prediction. A negative coefficient (a fit can give one: the bytes of
+    // gather, conv and reduce have) breaks that, leaving the clamp.
+    const std::vector<double>& coefficients = kernel_models_[c].coefficients();
+    if (std::any_of(coefficients.begin(), coefficients.end(), [](double v) { return v < 0.0; })) {
+      return kMinPrediction;
+    }
+    return std::max(kernel_models_[c].Predict(Features(floor)), kMinPrediction);
+  };
+  const KernelClass cls = ClassifySubTask(floor);
+  // A step of a conv whose kernel volume shrinks to 1 is costed as a matmul.
+  return cls == KernelClass::kConv
+             ? std::min(class_floor(cls), class_floor(KernelClass::kMatMul))
+             : class_floor(cls);
 }
 
 double FittedCostModel::ShiftSeconds(std::int64_t bytes) const {

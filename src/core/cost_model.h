@@ -50,6 +50,10 @@ class FittedCostModel final : public TimingSource {
   // TimingSource: regression predictions (clamped to a small positive floor).
   double SubTaskSeconds(const SubTaskShape& shape) const override;
   double ShiftSeconds(std::int64_t bytes) const override;
+  // Per class the steps can fall in: the 100 ns floor every prediction is
+  // clamped to, or, if the class's coefficients are all >= 0, the clamped
+  // prediction for the floor's features; -infinity for a custom kernel.
+  double SplitSecondsFloor(const SubTaskShape& floor) const override;
 
   // Training-set goodness of fit per class (Fig 8 reports these).
   double RSquared(KernelClass cls) const;

@@ -25,7 +25,10 @@ std::int64_t SlabExtent(const DimRef& dim, const AxisExtent& axis_extent) {
 SubTaskShape StepSubTaskOf(const Operator& op, std::span<const std::int64_t> axis_slice,
                            std::span<const std::int64_t> axis_pace) {
   const std::vector<Axis>& axes = op.axes();
-  auto extent = [&](std::size_t a) { return axis_pace[a] > 0 ? axis_pace[a] : axis_slice[a]; };
+  // An empty `axis_pace` rotates no axis.
+  auto extent = [&](std::size_t a) {
+    return !axis_pace.empty() && axis_pace[a] > 0 ? axis_pace[a] : axis_slice[a];
+  };
 
   SubTaskShape shape;
   shape.kind = op.kind();
@@ -75,6 +78,38 @@ SubTaskShape StepSubTaskOf(const Operator& op, std::span<const std::int64_t> axi
     shape.kernel_volume = static_cast<std::int64_t>(reduction);
   }
   return shape;
+}
+
+// Bytes of `tensor` that a sub-task over `axis_slice` touches. Each dim
+// indexes its axis slice; a compound dim indexes {stride * i + j}, which skips
+// elements when the stride exceeds the minor extent. When no axis feeds two
+// dims the touched set is the product of the per-dim sets; otherwise it is
+// not counted (0).
+std::int64_t TouchedBytes(const TensorRef& tensor, std::span<const std::int64_t> axis_slice) {
+  auto feeds = [](const DimRef& dim, int axis) {
+    return dim.axis == axis || dim.minor_axis == axis;
+  };
+  std::int64_t bytes = DataTypeSize(tensor.dtype);
+  for (std::size_t d = 0; d < tensor.dims.size(); ++d) {
+    const DimRef& dim = tensor.dims[d];
+    for (std::size_t e = 0; e < d; ++e) {
+      if (feeds(tensor.dims[e], dim.axis) ||
+          (dim.compound() && feeds(tensor.dims[e], dim.minor_axis))) {
+        return 0;
+      }
+    }
+    const std::int64_t major = axis_slice[static_cast<std::size_t>(dim.axis)];
+    if (!dim.compound()) {
+      bytes *= major;
+      continue;
+    }
+    if (dim.stride < 0 || dim.axis == dim.minor_axis) {
+      return 0;
+    }
+    const std::int64_t minor = axis_slice[static_cast<std::size_t>(dim.minor_axis)];
+    bytes *= std::min(major * minor, dim.stride * (major - 1) + minor);
+  }
+  return bytes;
 }
 
 std::int64_t TotalSteps(std::span<const RotationLoop> loops) {
@@ -145,40 +180,62 @@ bool FopBase::Reset(const Operator& op_in, std::span<const std::int64_t> fop_in)
   return true;
 }
 
-bool ApplyTemporal(const TensorRef& tensor, bool is_output, std::span<const std::int64_t> ft,
-                   RTensorPlan& tp, std::vector<Rotation>& rotations) {
+std::int64_t TemporalWindowBytes(const TensorRef& tensor, bool is_output,
+                                 std::span<const std::int64_t> ft, const RTensorPlan& tp) {
   T10_CHECK_EQ(ft.size(), tensor.dims.size()) << tensor.name;
+  std::int64_t ring_size = 1;
+  std::int64_t window_bytes = DataTypeSize(tensor.dtype);
+  for (std::size_t d = 0; d < ft.size(); ++d) {
+    if (ft[d] < 1) {
+      return -1;
+    }
+    // Alignment rules: no temporal split of compound dims, no temporal split
+    // of the output (reduce-scatter epilogue instead), and the window length
+    // must tile the sub-tensor exactly.
+    if (ft[d] > 1 &&
+        (tensor.dims[d].compound() || is_output || tp.sub_shape[d] % ft[d] != 0)) {
+      return -1;
+    }
+    window_bytes *= tp.sub_shape[d] / ft[d];
+    ring_size *= ft[d];
+  }
+  if (tp.share_cores % ring_size != 0) {
+    return -1;  // Rings must evenly cover the sharing cores.
+  }
+  return window_bytes;
+}
+
+bool ApplyTemporal(const TensorRef& tensor, bool is_output, std::span<const std::int64_t> ft,
+                   RTensorPlan& tp) {
+  const std::int64_t window_bytes = TemporalWindowBytes(tensor, is_output, ft, tp);
+  if (window_bytes < 0) {
+    return false;
+  }
   tp.temporal.assign(ft.begin(), ft.end());
   tp.ring_size = 1;
   tp.window.clear();
   tp.rotating_dims.clear();
   for (std::size_t d = 0; d < ft.size(); ++d) {
-    if (ft[d] < 1) {
-      return false;
-    }
     if (ft[d] > 1) {
-      // Alignment rules: no temporal split of compound dims, no temporal
-      // split of the output (reduce-scatter epilogue instead), and the
-      // window length must tile the sub-tensor exactly.
-      if (tensor.dims[d].compound() || is_output || tp.sub_shape[d] % ft[d] != 0) {
-        return false;
-      }
       tp.rotating_dims.push_back(static_cast<int>(d));
     }
     tp.window.push_back(tp.sub_shape[d] / ft[d]);
     tp.ring_size *= ft[d];
   }
-  if (tp.share_cores % tp.ring_size != 0) {
-    return false;  // Rings must evenly cover the sharing cores.
-  }
   tp.replicas = tp.share_cores / tp.ring_size;
-  tp.window_bytes = Product(tp.window) * DataTypeSize(tensor.dtype);
-  for (int d : tp.rotating_dims) {
-    const auto dim = static_cast<std::size_t>(d);
-    rotations.push_back(
-        Rotation{tensor.dims[dim].axis, tp.window[dim], tp.window_bytes, tp.sub_bytes});
-  }
+  tp.window_bytes = window_bytes;
   return true;
+}
+
+void AppendRotations(const TensorRef& tensor, std::span<const std::int64_t> ft,
+                     const RTensorPlan& tp, std::int64_t window_bytes,
+                     std::vector<Rotation>& rotations) {
+  for (std::size_t d = 0; d < ft.size(); ++d) {
+    if (ft[d] > 1) {
+      rotations.push_back(
+          Rotation{tensor.dims[d].axis, tp.sub_shape[d] / ft[d], window_bytes, tp.sub_bytes});
+    }
+  }
 }
 
 void DeriveLoops(std::span<const std::int64_t> axis_slice, std::span<const Rotation> rotations,
@@ -244,6 +301,17 @@ EpilogueCost Epilogue(const FopBase& base, const TimingSource& timing) {
   return cost;
 }
 
+SubTaskShape SplitFloorShape(const FopBase& base) {
+  const Operator& op = *base.op;
+  SubTaskShape floor = StepSubTaskOf(op, base.axis_slice, {});
+  floor.in_bytes = 0;
+  for (const TensorRef& input : op.inputs()) {
+    floor.in_bytes += TouchedBytes(input, base.axis_slice);
+  }
+  floor.out_bytes = TouchedBytes(op.output(), base.axis_slice);
+  return floor;
+}
+
 PlanMetrics CostPlan(const FopBase& base, std::span<const Rotation> rotations,
                      std::span<const std::int64_t> axis_pace,
                      std::span<const RotationLoop> loops, std::int64_t per_core_bytes,
@@ -297,10 +365,13 @@ bool ExecutionPlan::Rebuild(const Operator& op, std::span<const std::int64_t> fo
   }
   rotations_.clear();
   for (std::size_t ti = 0; ti < base_.tensors.size(); ++ti) {
-    if (!ApplyTemporal(Operand(op, ti), ti + 1 == base_.tensors.size(), temporal_factors[ti],
-                       base_.tensors[ti], rotations_)) {
+    const TensorRef& tensor = Operand(op, ti);
+    if (!ApplyTemporal(tensor, ti + 1 == base_.tensors.size(), temporal_factors[ti],
+                       base_.tensors[ti])) {
       return false;
     }
+    const RTensorPlan& tp = base_.tensors[ti];
+    AppendRotations(tensor, tp.temporal, tp, tp.window_bytes, rotations_);
   }
   DeriveLoops(base_.axis_slice, rotations_, axis_pace_, loops_);
   return true;

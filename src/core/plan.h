@@ -122,14 +122,25 @@ struct Rotation {
   std::int64_t sub_bytes = 0;     // The tensor's sub-tensor.
 };
 
+// The per-core window bytes of the tensor's temporal factors `ft` on `tp`,
+// whose spatial fields are set, or -1 if the factors break an alignment
+// rule: a split compound dim, a split output, a window that does not tile
+// the sub-tensor, or rings that do not evenly cover the sharing cores.
+std::int64_t TemporalWindowBytes(const TensorRef& tensor, bool is_output,
+                                 std::span<const std::int64_t> ft, const RTensorPlan& tp);
+
 // Fills the temporal fields of `tp`, whose spatial fields are set, from the
-// tensor's temporal factors `ft`, and appends one Rotation per rotating dim
-// to `rotations`. Returns false, appending nothing, if the factors break an
-// alignment rule: a split compound dim, a split output, a window that does
-// not tile the sub-tensor, or rings that do not evenly cover the sharing
-// cores.
+// tensor's temporal factors `ft`. Returns false, leaving `tp` as it was, if
+// TemporalWindowBytes() rejects the factors.
 bool ApplyTemporal(const TensorRef& tensor, bool is_output, std::span<const std::int64_t> ft,
-                   RTensorPlan& tp, std::vector<Rotation>& rotations);
+                   RTensorPlan& tp);
+
+// Appends to `rotations` one Rotation per dim that the temporal factors
+// `ft` split, given `tp`'s spatial fields and the window bytes
+// TemporalWindowBytes() accepted `ft` with.
+void AppendRotations(const TensorRef& tensor, std::span<const std::int64_t> ft,
+                     const RTensorPlan& tp, std::int64_t window_bytes,
+                     std::vector<Rotation>& rotations);
 
 // Derives the rotating pace of every axis (the minimum window among the dims
 // rotating along it; 0 = not rotated) and the loop nest over rotated axes,
@@ -143,6 +154,15 @@ struct EpilogueCost {
   std::int64_t bytes_per_core = 0;
 };
 EpilogueCost Epilogue(const FopBase& base, const TimingSource& timing);
+
+// What every plan on `base` keeps of its compute, whatever it rotates: the
+// steps of its compute-shift loop split the unrotated sub-task, so they share
+// this shape's kind, each has a kernel_volume of at most this one's, their
+// flops sum to at least its flops and their bytes to at least its in_bytes +
+// out_bytes. Its bytes count the elements the sub-task touches, not the slabs
+// it spans: a strided compound dim skips elements its slab spans, and a split
+// of that dim can skip them. TimingSource::SplitSecondsFloor() prices it.
+SubTaskShape SplitFloorShape(const FopBase& base);
 
 // Costs a plan from its base, rotations and derived loops: the one cost
 // formula behind ExecutionPlan::Evaluate() and the search's candidates.

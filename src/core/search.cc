@@ -5,6 +5,7 @@
 #include <cmath>
 #include <functional>
 #include <iterator>
+#include <numeric>
 #include <optional>
 
 #include "src/obs/metrics.h"
@@ -54,25 +55,26 @@ std::size_t AppendTemporalOptions(const TensorRef& tensor,
     if (tensor.dims[d].compound()) {
       continue;
     }
-    for (std::int64_t f : Divisors(Gcd(share_cores, sub_shape[d]))) {
+    ForEachDivisor(std::gcd(share_cores, sub_shape[d]), [&](std::int64_t f) {
       if (f == 1) {
-        continue;
+        return;
       }
       append(d, f);
-      if (max_dims >= 2) {
-        for (std::size_t d2 = d + 1; d2 < rank; ++d2) {
-          if (tensor.dims[d2].compound()) {
-            continue;
-          }
-          for (std::int64_t f2 : Divisors(Gcd(share_cores / f, sub_shape[d2]))) {
-            if (f2 != 1) {
-              append(d, f);
-              out[out.size() - rank + d2] = f2;
-            }
-          }
-        }
+      if (max_dims < 2) {
+        return;
       }
-    }
+      for (std::size_t d2 = d + 1; d2 < rank; ++d2) {
+        if (tensor.dims[d2].compound()) {
+          continue;
+        }
+        ForEachDivisor(std::gcd(share_cores / f, sub_shape[d2]), [&](std::int64_t f2) {
+          if (f2 != 1) {
+            append(d, f);
+            out[out.size() - rank + d2] = f2;
+          }
+        });
+      }
+    });
   }
   return count;
 }
@@ -132,6 +134,23 @@ double FrontierSeconds(const PlanCandidate& c) { return c.predicted.total_second
 std::int64_t FrontierBytes(const FrontierMember& m) { return m.per_core_bytes; }
 double FrontierSeconds(const FrontierMember& m) { return m.total_seconds; }
 
+// The first member of `frontier` (bytes ascending) with more than `bytes`;
+// the one before it, if any, is the fastest with at most `bytes`.
+template <typename T>
+typename std::vector<T>::iterator FirstAbove(std::vector<T>& frontier, std::int64_t bytes) {
+  return std::upper_bound(
+      frontier.begin(), frontier.end(), bytes,
+      [](std::int64_t b, const T& member) { return b < FrontierBytes(member); });
+}
+
+// Whether a member of `frontier` matches or beats (bytes, seconds) on both
+// axes.
+template <typename T>
+bool Covered(std::vector<T>& frontier, std::int64_t bytes, double seconds) {
+  const auto above = FirstAbove(frontier, bytes);
+  return above != frontier.begin() && FrontierSeconds(*std::prev(above)) <= seconds;
+}
+
 // Adds `item` to `frontier`, the Pareto frontier of the items added before
 // it: per-core bytes strictly ascending, seconds strictly descending. An item
 // that some member matches or beats on both axes is dropped, so of exact
@@ -142,10 +161,7 @@ template <typename T>
 bool InsertIntoFrontier(std::vector<T>& frontier, T item) {
   const std::int64_t bytes = FrontierBytes(item);
   const double seconds = FrontierSeconds(item);
-  // The member before `above` is the fastest one with at most `bytes`.
-  const auto above = std::upper_bound(
-      frontier.begin(), frontier.end(), bytes,
-      [](std::int64_t b, const T& member) { return b < FrontierBytes(member); });
+  const auto above = FirstAbove(frontier, bytes);
   if (above != frontier.begin() && FrontierSeconds(*std::prev(above)) <= seconds) {
     return false;
   }
@@ -177,9 +193,10 @@ struct EnumerationState {
   std::vector<FrontierMember> frontier;     // Bytes ascending.
   std::vector<std::int64_t> fops;           // Each F_op ever in the frontier, flat.
   std::vector<std::size_t> member_options;  // Per member ever inserted, one index per tensor.
-  std::int64_t filtered_count = 0;  // Candidates that passed the filters and were costed.
+  std::int64_t filtered_count = 0;  // Candidates that passed the filters.
   std::int64_t evaluations = 0;     // Enumeration attempts (budget control).
   std::int64_t fop_count = 0;
+  std::int64_t fops_dominated = 0;  // F_ops whose cost loop the frontier skipped.
   // Phase wall-time split, accumulated per F_op and published once per
   // search (compiler.phase.{filtering,cost_eval}.seconds).
   double filter_seconds = 0.0;
@@ -201,11 +218,16 @@ bool NextChoice(const FopCandidates& candidates, std::vector<std::size_t>& choic
 
 // Filters every choice of temporal options under one F_op (padding, then
 // validity and per-core memory), then costs the ones that pass and folds
-// them into the frontier; each of the two loops is timed once.
+// them into the frontier; each of the two loops is timed once. The cost loop
+// is skipped when a frontier member matches or beats the F_op's corner: the
+// smallest bytes of its passed choices and a lower bound on their seconds.
+// That member was enumerated earlier, so the frontier's tie rule would drop
+// every one of them.
 void EvaluateFop(EnumerationState& state, std::span<const std::int64_t> fop) {
   ++state.fop_count;
   FopCandidates& candidates = state.candidates;
   state.passed.clear();
+  std::int64_t corner_bytes = INT64_MAX;
   const auto t0 = std::chrono::steady_clock::now();
   if (candidates.Reset(*state.op, fop, *state.constraints, *state.cost, *state.chip)) {
     state.choice.assign(candidates.num_tensors(), 0);
@@ -214,9 +236,13 @@ void EvaluateFop(EnumerationState& state, std::span<const std::int64_t> fop) {
         break;
       }
       ++state.evaluations;
-      if (candidates.Valid(state.choice) &&
-          candidates.PerCoreBytes(state.choice) <= state.chip->core_memory_bytes) {
+      if (!candidates.Valid(state.choice)) {
+        continue;
+      }
+      const std::int64_t bytes = candidates.PerCoreBytes(state.choice);
+      if (bytes <= state.chip->core_memory_bytes) {
         state.passed.insert(state.passed.end(), state.choice.begin(), state.choice.end());
+        corner_bytes = std::min(corner_bytes, bytes);
       }
     } while (NextChoice(candidates, state.choice));
   }
@@ -227,17 +253,21 @@ void EvaluateFop(EnumerationState& state, std::span<const std::int64_t> fop) {
   }
 
   const std::size_t n = candidates.num_tensors();
-  const std::size_t fop_offset = state.fops.size();  // Where F_op goes once a member needs it.
-  for (std::size_t offset = 0; offset < state.passed.size(); offset += n) {
-    const std::span<const std::size_t> choice(&state.passed[offset], n);
-    const PlanMetrics m = candidates.Metrics(choice);
-    ++state.filtered_count;
-    if (InsertIntoFrontier(state.frontier,
-                           FrontierMember{m.per_core_bytes, m.total_seconds(), fop_offset,
-                                          state.member_options.size()})) {
-      state.member_options.insert(state.member_options.end(), choice.begin(), choice.end());
-      if (state.fops.size() == fop_offset) {
-        state.fops.insert(state.fops.end(), fop.begin(), fop.end());
+  state.filtered_count += static_cast<std::int64_t>(state.passed.size() / n);
+  if (Covered(state.frontier, corner_bytes, candidates.SecondsFloor())) {
+    ++state.fops_dominated;
+  } else {
+    const std::size_t fop_offset = state.fops.size();  // Where F_op goes once a member needs it.
+    for (std::size_t offset = 0; offset < state.passed.size(); offset += n) {
+      const std::span<const std::size_t> choice(&state.passed[offset], n);
+      const PlanMetrics m = candidates.Metrics(choice);
+      if (InsertIntoFrontier(state.frontier,
+                             FrontierMember{m.per_core_bytes, m.total_seconds(), fop_offset,
+                                            state.member_options.size()})) {
+        state.member_options.insert(state.member_options.end(), choice.begin(), choice.end());
+        if (state.fops.size() == fop_offset) {
+          state.fops.insert(state.fops.end(), fop.begin(), fop.end());
+        }
       }
     }
   }
@@ -246,18 +276,29 @@ void EvaluateFop(EnumerationState& state, std::span<const std::int64_t> fop) {
 }
 
 // Builds a full plan for each frontier member only: its options are derived
-// again from its F_op, then the plan is created and evaluated.
+// again from its F_op, once per F_op the members share, then the plan is
+// created and evaluated.
 std::vector<PlanCandidate> FrontierPlans(EnumerationState& state) {
   const Operator& op = *state.op;
   FopCandidates& candidates = state.candidates;
   std::vector<std::vector<std::int64_t>> temporal(op.inputs().size() + 1);
-  std::vector<PlanCandidate> plans;
-  plans.reserve(state.frontier.size());
-  for (const FrontierMember& member : state.frontier) {
-    const auto fop_begin = state.fops.begin() + static_cast<std::ptrdiff_t>(member.fop);
-    const std::vector<std::int64_t> fop(fop_begin, fop_begin + std::ssize(op.axes()));
-    const bool kept = candidates.Reset(op, fop, *state.constraints, *state.cost, *state.chip);
-    T10_CHECK(kept) << op.name() << ": a costed F_op failed the filters";
+  std::vector<std::size_t> by_fop(state.frontier.size());
+  std::iota(by_fop.begin(), by_fop.end(), std::size_t{0});
+  std::stable_sort(by_fop.begin(), by_fop.end(), [&](std::size_t a, std::size_t b) {
+    return state.frontier[a].fop < state.frontier[b].fop;
+  });
+  std::vector<PlanCandidate> plans(state.frontier.size());
+  std::vector<std::int64_t> fop;
+  std::size_t reset_fop = SIZE_MAX;  // Offset of the F_op `candidates` holds.
+  for (const std::size_t i : by_fop) {
+    const FrontierMember& member = state.frontier[i];
+    if (member.fop != reset_fop) {
+      reset_fop = member.fop;
+      const auto fop_begin = state.fops.begin() + static_cast<std::ptrdiff_t>(member.fop);
+      fop.assign(fop_begin, fop_begin + std::ssize(op.axes()));
+      const bool kept = candidates.Reset(op, fop, *state.constraints, *state.cost, *state.chip);
+      T10_CHECK(kept) << op.name() << ": a costed F_op failed the filters";
+    }
     for (std::size_t t = 0; t < temporal.size(); ++t) {
       const std::span<const std::int64_t> ft =
           candidates.temporal(t, state.member_options[member.options + t]);
@@ -266,7 +307,7 @@ std::vector<PlanCandidate> FrontierPlans(EnumerationState& state) {
     std::optional<ExecutionPlan> plan = ExecutionPlan::Create(op, fop, temporal);
     T10_CHECK(plan.has_value()) << op.name() << ": a costed candidate failed to rebuild";
     const PlanMetrics predicted = plan->Evaluate(*state.cost, *state.chip);
-    plans.push_back(PlanCandidate{*std::move(plan), predicted});
+    plans[i] = PlanCandidate{*std::move(plan), predicted};
   }
   return plans;
 }
@@ -347,7 +388,7 @@ bool FopCandidates::Reset(const Operator& op, std::span<const std::int64_t> fop,
   for (std::size_t t = 0; t < base_.tensors.size(); ++t) {
     const TensorRef& tensor = Operand(op, t);
     const bool is_output = t + 1 == base_.tensors.size();
-    RTensorPlan& tp = base_.tensors[t];
+    const RTensorPlan& tp = base_.tensors[t];
     const std::size_t rank = tensor.dims.size();
     std::size_t offset = temporal_.size();
     // The output is never split in time: its one option is all ones.
@@ -358,11 +399,8 @@ bool FopCandidates::Reset(const Operator& op, std::span<const std::int64_t> fop,
     for (std::size_t o = 0; o < count; ++o, offset += rank) {
       Option& option = options_.emplace_back();
       option.temporal = offset;
-      option.rotations_begin = option_rotations_.size();
-      option.valid = ApplyTemporal(tensor, is_output, {temporal_.data() + offset, rank}, tp,
-                                   option_rotations_);
-      option.window_bytes = tp.window_bytes;
-      option.rotations_end = option_rotations_.size();
+      option.window_bytes =
+          TemporalWindowBytes(tensor, is_output, {temporal_.data() + offset, rank}, tp);
     }
   }
   tensor_options_.push_back(options_.size());
@@ -377,7 +415,7 @@ std::span<const std::int64_t> FopCandidates::temporal(std::size_t tensor,
 
 bool FopCandidates::Valid(std::span<const std::size_t> choice) const {
   for (std::size_t t = 0; t < choice.size(); ++t) {
-    if (!option(t, choice[t]).valid) {
+    if (option(t, choice[t]).window_bytes < 0) {
       return false;
     }
   }
@@ -395,13 +433,28 @@ std::int64_t FopCandidates::PerCoreBytes(std::span<const std::size_t> choice) co
 PlanMetrics FopCandidates::Metrics(std::span<const std::size_t> choice) {
   rotations_.clear();
   for (std::size_t t = 0; t < choice.size(); ++t) {
-    const Option& o = option(t, choice[t]);
+    Option& o = options_[tensor_options_[t] + choice[t]];
+    if (!o.rotations_derived) {
+      o.rotations_begin = option_rotations_.size();
+      AppendRotations(Operand(*base_.op, t), temporal(t, choice[t]), base_.tensors[t],
+                      o.window_bytes, option_rotations_);
+      o.rotations_end = option_rotations_.size();
+      o.rotations_derived = true;
+    }
     rotations_.insert(rotations_.end(), option_rotations_.begin() + o.rotations_begin,
                       option_rotations_.begin() + o.rotations_end);
   }
   DeriveLoops(base_.axis_slice, rotations_, axis_pace_, loops_);
   return CostPlan(base_, rotations_, axis_pace_, loops_, PerCoreBytes(choice), epilogue_,
                   *timing_);
+}
+
+double FopCandidates::SecondsFloor() const {
+  // Both sides sum a few non-negative terms, so each is within a few ulps of
+  // its exact value; 1e-12 covers that many times over.
+  constexpr double kRoundingSlack = 1e-12;
+  return (epilogue_.seconds + timing_->SplitSecondsFloor(SplitFloorShape(base_))) *
+         (1.0 - kRoundingSlack);
 }
 
 IntraOpResult SearchOperatorPlans(const Operator& op, const ChipSpec& chip,
@@ -441,7 +494,7 @@ IntraOpResult SearchOperatorPlans(const Operator& op, const ChipSpec& chip,
     const double enum_total =
         std::chrono::duration<double>(std::chrono::steady_clock::now() - enum_start).count();
     // The filtered space is the set of *valid* plans that passed every
-    // rule-based constraint and were costed (Fig 18's middle bar);
+    // rule-based constraint (Fig 18's middle bar), costed or dominated;
     // enumeration attempts that fail an alignment/divisibility rule are not
     // plans.
     result.filtered_count = state.filtered_count;
@@ -450,6 +503,7 @@ IntraOpResult SearchOperatorPlans(const Operator& op, const ChipSpec& chip,
     metrics.GetCounter("compiler.search.evaluations").Add(state.evaluations);
     metrics.GetCounter("compiler.search.fop_visited").Add(state.fop_count);
     metrics.GetCounter("compiler.search.filtered_plans").Add(result.filtered_count);
+    metrics.GetCounter("compiler.search.fops_dominated").Add(state.fops_dominated);
     metrics.GetHistogram("compiler.phase.filtering.seconds").Record(state.filter_seconds);
     metrics.GetHistogram("compiler.phase.cost_eval.seconds").Record(state.cost_eval_seconds);
     // Pure enumeration time = walking the F_op tree minus the per-F_op

@@ -50,7 +50,8 @@ struct IntraOpResult {
   std::vector<PlanCandidate> pareto;
   // log10 of the estimated complete configuration space (Fig 18).
   double complete_space_log10 = 0.0;
-  // Plans that survived the rule-based filters and were cost-evaluated.
+  // Plans that survived the rule-based filters: cost-evaluated, or dropped
+  // unpriced because a frontier member already dominated their F_op.
   std::int64_t filtered_count = 0;
   // Valid F_op vectors visited.
   std::int64_t fop_count = 0;
@@ -74,16 +75,17 @@ void ForEachSearchedFop(const Operator& op, const ChipSpec& chip,
 
 // What the search costs under one F_op: the plan's F_op base, built once,
 // and for each tensor (inputs, then the output) the temporal options it
-// tries, each reduced to its delta on the base: validity, window bytes and
-// rotating (axis, window length) pairs. A choice of one option per tensor is
-// then filtered and costed without building a plan, through the helpers
-// ExecutionPlan::Rebuild() and Evaluate() are made of. Reset() reuses all
-// storage. Exposed for testing.
+// tries, each reduced to its delta on the base: validity and window bytes,
+// and, once a choice holding it is costed, its rotating (axis, window length)
+// pairs. A choice of one option per tensor is then filtered and costed
+// without building a plan, through the helpers ExecutionPlan::Rebuild() and
+// Evaluate() are made of. Reset() reuses all storage. Exposed for testing.
 class FopCandidates {
  public:
-  // Derives the base and every option's delta for `fop`. Returns false if
-  // F_op fails the padding filter; the options are then unusable until the
-  // next successful Reset(). `timing` and `chip` must outlive the next Reset().
+  // Derives the base and every option's validity and window bytes for `fop`.
+  // Returns false if F_op fails the padding filter; the options are then
+  // unusable until the next successful Reset(). `timing` and `chip` must
+  // outlive the next Reset().
   bool Reset(const Operator& op, std::span<const std::int64_t> fop,
              const SearchConstraints& constraints, const TimingSource& timing,
              const ChipSpec& chip);
@@ -102,11 +104,17 @@ class FopCandidates {
   std::int64_t PerCoreBytes(std::span<const std::size_t> choice) const;
   PlanMetrics Metrics(std::span<const std::size_t> choice);
 
+  // A lower bound on Metrics(choice).total_seconds() of every valid choice:
+  // the epilogue plus TimingSource::SplitSecondsFloor() of the F_op's
+  // SplitFloorShape(), as shifts cost >= 0, less a relative slack for the
+  // rounding of either side.
+  double SecondsFloor() const;
+
  private:
   struct Option {
-    std::size_t temporal = 0;  // Offset of its f_t in temporal_.
-    bool valid = false;
-    std::int64_t window_bytes = 0;
+    std::size_t temporal = 0;       // Offset of its f_t in temporal_.
+    std::int64_t window_bytes = -1;  // -1: its f_t breaks an alignment rule.
+    bool rotations_derived = false;   // By the first Metrics() that holds it.
     std::size_t rotations_begin = 0;  // Its range in option_rotations_.
     std::size_t rotations_end = 0;
   };

@@ -17,6 +17,9 @@ constexpr double kScalarVertexOverhead = 0.8e-6;
 constexpr double kAmpEfficiency = 0.88;
 constexpr double kScalarEfficiency = 0.22;
 
+// Span of the multiplicative measurement noise: +/-1.5%.
+constexpr double kNoiseSpan = 0.03;
+
 std::uint64_t HashCombine(std::uint64_t h, std::uint64_t v) {
   h ^= v + 0x9e3779b97f4a7c15ULL + (h << 6) + (h >> 2);
   return h;
@@ -39,47 +42,52 @@ double KernelGroundTruth::NoiseFactor(const SubTaskShape& shape) const {
   h = HashCombine(h, static_cast<std::uint64_t>(shape.kernel_volume));
   // Map the hash to a +/-1.5% multiplicative perturbation.
   double unit = static_cast<double>(h % 10007) / 10006.0;
-  return 1.0 + (unit - 0.5) * 0.03;
+  return 1.0 + (unit - 0.5) * kNoiseSpan;
+}
+
+double KernelGroundTruth::AffineSeconds(const SubTaskShape& shape) const {
+  const double bytes = static_cast<double>(shape.in_bytes + shape.out_bytes);
+  const double memory_time = bytes / chip_.local_memory_bandwidth;
+  switch (shape.kind) {
+    case OpKind::kContraction:
+      return kMatrixVertexOverhead + shape.flops / (chip_.core_flops * kAmpEfficiency) +
+             memory_time;
+    case OpKind::kElementwise:
+    case OpKind::kReduceSum:
+      return kScalarVertexOverhead + shape.flops / (chip_.core_flops * kScalarEfficiency) +
+             memory_time;
+    case OpKind::kGather:
+      // Dominated by local memory movement.
+      return kScalarVertexOverhead + 2.0 * memory_time;
+    case OpKind::kVendor:
+      return 4.0 * kScalarVertexOverhead +
+             1.5 * (shape.flops / (chip_.core_flops * kScalarEfficiency)) + memory_time;
+  }
+  return 0.0;
 }
 
 double KernelGroundTruth::SubTaskSeconds(const SubTaskShape& shape) const {
-  const double bytes = static_cast<double>(shape.in_bytes + shape.out_bytes);
-  const double memory_time = bytes / chip_.local_memory_bandwidth;
-  double time = 0.0;
-  switch (shape.kind) {
-    case OpKind::kContraction: {
-      double compute = shape.flops / (chip_.core_flops * kAmpEfficiency);
-      time = kMatrixVertexOverhead + compute + memory_time;
-      if (shape.kernel_volume > 1) {
-        // Convolution path: the vendor kernel applies black-box optimizations
-        // that depend on the kernel window in a way no affine model captures
-        // (im2col thresholds, winograd-like fast paths, register blocking).
-        std::uint64_t h = HashCombine(0x13198a2e03707344ULL,
-                                      static_cast<std::uint64_t>(shape.kernel_volume));
-        h = HashCombine(h, static_cast<std::uint64_t>(shape.inner_length));
-        double blackbox = static_cast<double>(h % 997) / 996.0;  // [0, 1].
-        time += compute * (0.15 + 0.55 * blackbox);
-      }
-      break;
-    }
-    case OpKind::kElementwise:
-    case OpKind::kReduceSum: {
-      double compute = shape.flops / (chip_.core_flops * kScalarEfficiency);
-      time = kScalarVertexOverhead + compute + memory_time;
-      break;
-    }
-    case OpKind::kGather: {
-      // Dominated by local memory movement.
-      time = kScalarVertexOverhead + 2.0 * memory_time;
-      break;
-    }
-    case OpKind::kVendor: {
-      double compute = shape.flops / (chip_.core_flops * kScalarEfficiency);
-      time = 4.0 * kScalarVertexOverhead + 1.5 * compute + memory_time;
-      break;
-    }
+  double time = AffineSeconds(shape);
+  if (shape.kind == OpKind::kContraction && shape.kernel_volume > 1) {
+    // Convolution path: the vendor kernel applies black-box optimizations
+    // that depend on the kernel window in a way no affine model captures
+    // (im2col thresholds, winograd-like fast paths, register blocking).
+    std::uint64_t h = HashCombine(0x13198a2e03707344ULL,
+                                  static_cast<std::uint64_t>(shape.kernel_volume));
+    h = HashCombine(h, static_cast<std::uint64_t>(shape.inner_length));
+    double blackbox = static_cast<double>(h % 997) / 996.0;  // [0, 1].
+    time += shape.flops / (chip_.core_flops * kAmpEfficiency) * (0.15 + 0.55 * blackbox);
   }
   return time * NoiseFactor(shape);
+}
+
+double KernelGroundTruth::SplitSecondsFloor(const SubTaskShape& floor) const {
+  // A step costs (AffineSeconds + black box) * noise, with the black box
+  // >= 0 and the noise >= its smallest factor. AffineSeconds charges each
+  // step an overhead >= 0 and its flops and bytes at fixed rates >= 0, so
+  // k >= 1 steps cost at least AffineSeconds of their summed work, which is
+  // at least AffineSeconds(floor).
+  return AffineSeconds(floor) * (1.0 + (0.0 - 0.5) * kNoiseSpan);
 }
 
 double KernelGroundTruth::ShiftSeconds(std::int64_t bytes) const {

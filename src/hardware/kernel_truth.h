@@ -40,6 +40,10 @@ class KernelGroundTruth {
   // "Measured" wall time (seconds) of one core executing the sub-task.
   double SubTaskSeconds(const SubTaskShape& shape) const;
 
+  // A lower bound on the summed SubTaskSeconds() of any split of a sub-task
+  // into steps; see TimingSource::SplitSecondsFloor().
+  double SplitSecondsFloor(const SubTaskShape& floor) const;
+
   // "Measured" time for one core to exchange `bytes` with a ring neighbour,
   // including BSP synchronization and the multi-copy shift-buffer iterations
   // (paper §5: source and destination overlap, so shifts run through a
@@ -49,6 +53,9 @@ class KernelGroundTruth {
   const ChipSpec& chip() const { return chip_; }
 
  private:
+  // SubTaskSeconds() before the conv black box and the noise factor: a
+  // per-kind launch overhead plus per-flop and per-byte times, all >= 0.
+  double AffineSeconds(const SubTaskShape& shape) const;
   double NoiseFactor(const SubTaskShape& shape) const;
 
   ChipSpec chip_;

@@ -24,7 +24,17 @@ class TimingSource {
   virtual double SubTaskSeconds(const SubTaskShape& shape) const = 0;
 
   // Wall time (seconds) for one core to shift `bytes` to a ring neighbour.
+  // Never negative.
   virtual double ShiftSeconds(std::int64_t bytes) const = 0;
+
+  // A proven lower bound on the summed SubTaskSeconds() of any k >= 1 steps
+  // that split a sub-task, given what every such split keeps (`floor`, see
+  // SplitFloorShape() in src/core/plan.h): the steps are of its kind, each
+  // has a kernel_volume of at most floor.kernel_volume, their flops sum to at
+  // least floor.flops and their in_bytes + out_bytes to at least floor's. The
+  // search drops plans on it unpriced, so it must hold for every split, not
+  // just the ones seen; a source that cannot prove a bound returns -infinity.
+  virtual double SplitSecondsFloor(const SubTaskShape& floor) const = 0;
 };
 
 // Adapter exposing the ground truth through the TimingSource interface.
@@ -37,6 +47,9 @@ class GroundTruthTiming final : public TimingSource {
     return truth_.SubTaskSeconds(shape);
   }
   double ShiftSeconds(std::int64_t bytes) const override { return truth_.ShiftSeconds(bytes); }
+  double SplitSecondsFloor(const SubTaskShape& floor) const override {
+    return truth_.SplitSecondsFloor(floor);
+  }
 
   const KernelGroundTruth& truth() const { return truth_; }
 

@@ -48,6 +48,7 @@ const char* const kMetricNames[] = {
     "compiler.search.evaluations",
     "compiler.search.filtered_plans",
     "compiler.search.fop_visited",
+    "compiler.search.fops_dominated",
     "compiler.search.pareto_plans",
     "compiler.search.relaxations",
     "compiler.search.searches",

@@ -28,18 +28,9 @@ std::int64_t Product(const std::vector<std::int64_t>& values) {
 
 std::vector<std::int64_t> Divisors(std::int64_t n) {
   T10_CHECK_GT(n, 0);
-  std::vector<std::int64_t> small;
-  std::vector<std::int64_t> large;
-  for (std::int64_t d = 1; d * d <= n; ++d) {
-    if (n % d == 0) {
-      small.push_back(d);
-      if (d != n / d) {
-        large.push_back(n / d);
-      }
-    }
-  }
-  small.insert(small.end(), large.rbegin(), large.rend());
-  return small;
+  std::vector<std::int64_t> divisors;
+  ForEachDivisor(n, [&](std::int64_t d) { divisors.push_back(d); });
+  return divisors;
 }
 
 namespace {

@@ -21,6 +21,26 @@ std::int64_t Product(const std::vector<std::int64_t>& values);
 // All positive divisors of `n`, sorted ascending. CHECKs that `n > 0`.
 std::vector<std::int64_t> Divisors(std::int64_t n);
 
+// Calls `visit` with each positive divisor of `n` > 0, ascending, without
+// allocating: the divisors up to sqrt(n), then their cofactors.
+template <typename Visit>
+void ForEachDivisor(std::int64_t n, Visit&& visit) {
+  std::int64_t d = 1;
+  for (; d * d < n; ++d) {
+    if (n % d == 0) {
+      visit(d);
+    }
+  }
+  if (d * d > n) {
+    --d;  // Its cofactor was visited above.
+  }
+  for (; d >= 1; --d) {
+    if (n % d == 0) {
+      visit(n / d);
+    }
+  }
+}
+
 // Enumerates all ordered tuples (f_0, ..., f_{k-1}) with each f_i >= 1 and
 // product(f) == n, where k == num_factors. Used for splitting a core-count
 // budget across tensor dimensions. The result can be large; callers bound n.

@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+
+#include "src/util/math_util.h"
 #include "src/util/rng.h"
 #include "src/util/stats.h"
 
@@ -97,6 +100,47 @@ TEST_F(CostModelTest, CustomKernelOverrides) {
   shape.kind = OpKind::kVendor;
   shape.flops = 100;
   EXPECT_DOUBLE_EQ(model.SubTaskSeconds(shape), 42.0);
+  // An opaque cost function proves no bound.
+  EXPECT_EQ(model.SplitSecondsFloor(shape), -std::numeric_limits<double>::infinity());
+}
+
+// SplitSecondsFloor() must hold for every split its contract allows, not
+// only the ones plans make: k steps whose flops sum to the floor's, whose
+// bytes sum to 1x or 64x the floor's (a step re-reading a tensor it does not
+// split), and, for a conv, whose kernel volume shrinks to 1 (a matmul step).
+// Checked per class on the ground truth and on the two fits the search tests
+// use: 240 samples (negative gather bytes coefficient) and 100 samples with
+// seed 3 (negative conv and reduce bytes coefficients).
+TEST_F(CostModelTest, SplitSecondsFloorBoundsEverySplit) {
+  const GroundTruthTiming truth(truth_);
+  const FittedCostModel fit240 = FittedCostModel::Fit(truth_, 240, 17);
+  const FittedCostModel fit100 = FittedCostModel::Fit(truth_, 100, 3);
+  Rng rng(11);
+  for (const TimingSource* timing : {static_cast<const TimingSource*>(&truth),
+                                     static_cast<const TimingSource*>(&fit240),
+                                     static_cast<const TimingSource*>(&fit100)}) {
+    for (int c = 0; c < kNumKernelClasses; ++c) {
+      for (int i = 0; i < 50; ++i) {
+        const SubTaskShape floor = FittedCostModel::RandomShape(static_cast<KernelClass>(c), rng);
+        const double bound = timing->SplitSecondsFloor(floor);
+        for (const std::int64_t k : {1, 2, 3, 8}) {
+          for (const std::int64_t reread : {1, 64}) {
+            for (const std::int64_t kernel_volume : {floor.kernel_volume, std::int64_t{1}}) {
+              SubTaskShape step = floor;
+              step.flops = floor.flops / static_cast<double>(k);
+              step.in_bytes = CeilDiv(floor.in_bytes * reread, k);
+              step.out_bytes = CeilDiv(floor.out_bytes * reread, k);
+              step.kernel_volume = kernel_volume;
+              const double seconds = static_cast<double>(k) * timing->SubTaskSeconds(step);
+              ASSERT_GE(seconds, bound * (1.0 - 1e-12))
+                  << KernelClassName(static_cast<KernelClass>(c)) << " k=" << k
+                  << " reread=" << reread << " kernel_volume=" << kernel_volume;
+            }
+          }
+        }
+      }
+    }
+  }
 }
 
 }  // namespace

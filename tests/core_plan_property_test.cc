@@ -61,6 +61,42 @@ Operator RandomMatMul(Rng& rng, int id) {
   return MatMulOp("mm" + std::to_string(id), m, k, n, DataType::kF32, "A", "B", "C");
 }
 
+Operator RandomStridedConv(Rng& rng, int id) {
+  return Conv2dOp("conv" + std::to_string(id), 1, rng.Uniform(1, 6), rng.Uniform(1, 6),
+                  rng.Uniform(1, 8), rng.Uniform(1, 8), rng.Uniform(1, 3), rng.Uniform(1, 3),
+                  DataType::kF16, "I", "W", "O", rng.Uniform(1, 4));
+}
+
+// Every plan's compute-shift steps keep what SplitFloorShape() says of its
+// F_op: the steps' flops and bytes sum to at least the floor's, and none has
+// a larger kernel volume. The search's dominated-F_op skip rests on it.
+TEST(PlanPropertyTest, StepsCoverTheSplitFloor) {
+  Rng rng(31);
+  int accepted = 0;
+  int rotated = 0;
+  for (int trial = 0; trial < 2000; ++trial) {
+    const Operator op = trial % 2 == 0 ? RandomMatMul(rng, trial) : RandomStridedConv(rng, trial);
+    const auto plan = RandomPlan(op, rng, 32);
+    if (!plan.has_value()) {
+      continue;
+    }
+    ++accepted;
+    rotated += plan->total_steps() > 1 ? 1 : 0;
+    FopBase base;
+    ASSERT_TRUE(base.Reset(op, plan->fop()));
+    const SubTaskShape floor = SplitFloorShape(base);
+    const SubTaskShape step = plan->StepSubTask();
+    const std::int64_t steps = plan->total_steps();
+    SCOPED_TRACE(plan->DebugString());
+    EXPECT_EQ(step.kind, floor.kind);
+    EXPECT_LE(step.kernel_volume, floor.kernel_volume);
+    EXPECT_GE(static_cast<double>(steps) * step.flops, floor.flops);
+    EXPECT_GE(steps * (step.in_bytes + step.out_bytes), floor.in_bytes + floor.out_bytes);
+  }
+  EXPECT_GT(accepted, 500) << "random generator rejected too many draws";
+  EXPECT_GT(rotated, 100) << "too few draws rotate anything";
+}
+
 TEST(PlanPropertyTest, MetricsInvariantsHoldForRandomPlans) {
   Rng rng(2024);
   ChipSpec chip = ChipSpec::IpuMk2();

@@ -130,6 +130,36 @@ TEST(ExecutionPlanTest, ConvCompoundDimsGetHalo) {
   EXPECT_FALSE(ExecutionPlan::Create(op, fop, bad).has_value());
 }
 
+// O[h] += I[c, 4h + kh] * W[h]: splitting c over 4 cores shares W, which
+// rotates along h, so the steps split the strided dim 4h + kh. Each step's
+// slab then spans fewer gap elements in total than the unsplit slab, and the
+// floor counts only the elements the sub-task touches.
+TEST(ExecutionPlanTest, SplitFloorShapeCountsTouchedElementsOfStridedDims) {
+  const Operator op("strided", OpKind::kContraction,
+                    {{"h", 16, false}, {"c", 4, true}, {"kh", 1, true}},
+                    {TensorRef{"I", DataType::kF16, {DimRef{1}, DimRef{0, 2, 4}}},
+                     TensorRef{"W", DataType::kF16, {DimRef{0}}}},
+                    TensorRef{"O", DataType::kF16, {DimRef{0}}});
+  const std::vector<std::int64_t> fop = {1, 4, 1};
+  const auto unsplit = ExecutionPlan::Create(op, fop, {{1, 1}, {1}, {1}});
+  const auto split = ExecutionPlan::Create(op, fop, {{1, 1}, {4}, {1}});
+  ASSERT_TRUE(unsplit.has_value());
+  ASSERT_TRUE(split.has_value());
+  ASSERT_EQ(split->total_steps(), 4);
+  auto total_bytes = [](const ExecutionPlan& plan) {
+    const SubTaskShape step = plan.StepSubTask();
+    return plan.total_steps() * (step.in_bytes + step.out_bytes);
+  };
+  // I spans 4 * 15 + 1 = 61 elements unsplit, 4 * (4 * 3 + 1) = 52 in steps.
+  EXPECT_EQ(total_bytes(*unsplit), 2 * (61 + 16 + 16));
+  EXPECT_EQ(total_bytes(*split), 2 * (52 + 16 + 16));
+  FopBase base;
+  ASSERT_TRUE(base.Reset(op, fop));
+  const SubTaskShape floor = SplitFloorShape(base);
+  EXPECT_EQ(floor.in_bytes + floor.out_bytes, 2 * (16 + 16 + 16));
+  EXPECT_EQ(floor.flops, unsplit->StepSubTask().flops);
+}
+
 TEST(ExecutionPlanTest, EvaluateAccountsComputeAndExchange) {
   ChipSpec chip = TestChip();
   GroundTruthTiming timing(chip);

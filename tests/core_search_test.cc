@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <map>
 #include <optional>
@@ -391,6 +392,84 @@ TEST_F(SearchTest, CandidateMetricsMatchCreateEvaluate) {
         }
       }
       if (!check(info.name + "/" + pick->name(), *pick, full_chip, {})) {
+        return;
+      }
+    }
+  }
+}
+
+// The search skips an F_op's cost loop on FopCandidates::SecondsFloor(), so
+// it must bound every choice that passes the filters, under every timing
+// source the search runs on: the ground truth (noise, conv black box), the
+// 240-sample fit (a negative gather bytes coefficient) and the 100-sample
+// seed-3 fit the golden checksums use (negative conv and reduce bytes
+// coefficients). Checked on every F_op of the golden battery and on one
+// contraction per zoo model on a full chip. Returns the choices checked.
+std::int64_t ExpectSecondsFloorBounds(const Operator& op, const ChipSpec& chip,
+                                      const TimingSource& timing,
+                                      const SearchConstraints& constraints) {
+  std::int64_t checked = 0;
+  FopCandidates candidates;
+  ForEachSearchedFop(op, chip, constraints, [&](std::span<const std::int64_t> fop) {
+    if (!candidates.Reset(op, fop, constraints, timing, chip)) {
+      return true;
+    }
+    const double floor = candidates.SecondsFloor();
+    std::vector<std::size_t> choice(candidates.num_tensors(), 0);
+    for (;;) {
+      if (candidates.Valid(choice) && candidates.PerCoreBytes(choice) <= chip.core_memory_bytes) {
+        ++checked;
+        const double seconds = candidates.Metrics(choice).total_seconds();
+        if (seconds < floor) {
+          ADD_FAILURE() << op.name() << ": a choice costs " << seconds << " s, under its F_op's "
+                        << floor << " s floor";
+          return false;
+        }
+      }
+      std::size_t t = choice.size();
+      while (t > 0 && ++choice[t - 1] == candidates.num_options(t - 1)) {
+        choice[--t] = 0;
+      }
+      if (t == 0) {
+        return true;
+      }
+    }
+  });
+  return checked;
+}
+
+TEST_F(SearchTest, SecondsFloorBoundsEveryPassedChoice) {
+  const KernelGroundTruth truth(chip_);
+  const FittedCostModel fitted240 = FittedCostModel::Fit(truth, 240, 17);
+  const FittedCostModel fitted100 = FittedCostModel::Fit(truth, 100, 3);
+  const ChipSpec full_chip = ChipSpec::IpuMk2();
+  const GroundTruthTiming full_truth(full_chip);
+  const FittedCostModel full240 = FittedCostModel::Fit(KernelGroundTruth(full_chip), 240, 17);
+  const FittedCostModel full100 = FittedCostModel::Fit(KernelGroundTruth(full_chip), 100, 3);
+  auto check = [&](const std::string& name, const Operator& op, const ChipSpec& chip,
+                   const SearchConstraints& constraints,
+                   std::initializer_list<std::pair<const char*, const TimingSource*>> sources) {
+    for (const auto& [source, timing] : sources) {
+      SCOPED_TRACE(name + "/" + source);
+      EXPECT_GT(ExpectSecondsFloorBounds(op, chip, *timing, constraints), 0);
+    }
+    return !HasFailure();
+  };
+  for (const GoldenCase& c : GoldenBattery()) {
+    if (!check(c.name, c.op, chip_, c.constraints,
+               {{"truth", &timing_}, {"fitted240", &fitted240}, {"fitted100", &fitted100}})) {
+      return;
+    }
+  }
+  for (const std::vector<ModelInfo>* zoo : {&EvaluationModels(), &LlmModels()}) {
+    for (const ModelInfo& info : *zoo) {
+      const Graph graph = info.build(info.batch_sizes.front());
+      const auto op = std::find_if(graph.ops().begin(), graph.ops().end(), [](const Operator& o) {
+        return o.kind() == OpKind::kContraction;
+      });
+      ASSERT_NE(op, graph.ops().end()) << info.name;
+      if (!check(info.name + "/" + op->name(), *op, full_chip, {},
+                 {{"truth", &full_truth}, {"fitted240", &full240}, {"fitted100", &full100}})) {
         return;
       }
     }
