@@ -87,6 +87,28 @@ double SecondsSince(Clock::time_point start) {
 // re-popped before the health monitor has opened the circuit.
 constexpr int kMaxRequeues = 3;
 
+// Flow-arrow ids linking a request's pre-requeue span to its next queue.wait:
+// unique per (request, requeue round) so repeated failovers keep their
+// arrows distinct.
+std::uint64_t RequeueFlowId(std::int64_t id, int round) {
+  return static_cast<std::uint64_t>(id) * 16 + static_cast<std::uint64_t>(round);
+}
+
+// The time between admission (or the last requeue) and this pop is queue
+// wait; it is only known when the request is popped, so its span starts in
+// the past. A requeued request receives the flow arrow its pre-failover
+// execution emitted.
+void EndQueueWait(const AdmittedRequest& admitted) {
+  obs::Span wait_span = obs::StartSpanAt(admitted.trace, "queue.wait", admitted.admitted_at,
+                                         &QueueWaitHistogram());
+  if (wait_span.active()) {
+    wait_span.AddAttr("requeues", std::to_string(admitted.requeues));
+    if (admitted.requeues > 0) {
+      wait_span.SetFlowIn(RequeueFlowId(admitted.id, admitted.requeues));
+    }
+  }
+}
+
 }  // namespace
 
 const char* ServerStateName(ServerState state) {
@@ -374,7 +396,9 @@ void Server::WorkerLoop(int worker) {
     }
     if (!failed.ok()) {
       // Drain path of a dead server: the one-response invariant still holds,
-      // every queued request learns why the server went down.
+      // every queued request learns why the server went down, and its queue
+      // wait still receives the flow arrow a pre-failover requeue emitted.
+      EndQueueWait(*popped);
       Response response;
       response.id = popped->id;
       response.op_slot = popped->request.op_slot;
@@ -394,12 +418,6 @@ void Server::WorkerLoop(int worker) {
   }
 }
 
-// Flow-arrow ids linking a request's pre-requeue span to its next queue.wait:
-// unique per (request, requeue round) so repeated failovers keep their
-// arrows distinct.
-static std::uint64_t RequeueFlowId(std::int64_t id, int round) {
-  return static_cast<std::uint64_t>(id) * 16 + static_cast<std::uint64_t>(round);
-}
 
 void Server::Process(int worker, AdmittedRequest admitted,
                      const std::shared_ptr<PlanSet>& plans) {
@@ -425,19 +443,7 @@ void Server::Process(int worker, AdmittedRequest admitted,
     Deliver(std::move(response));
   };
 
-  // The time between admission (or the last requeue) and this pop is queue
-  // wait; it is only known now, so its span starts in the past. A requeued
-  // request receives the flow arrow its pre-failover execution emitted.
-  {
-    obs::Span wait_span =
-        obs::StartSpanAt(trace, "queue.wait", admitted.admitted_at, &QueueWaitHistogram());
-    if (wait_span.active()) {
-      wait_span.AddAttr("requeues", std::to_string(admitted.requeues));
-      if (admitted.requeues > 0) {
-        wait_span.SetFlowIn(RequeueFlowId(admitted.id, admitted.requeues));
-      }
-    }
-  }
+  EndQueueWait(admitted);
 
   if (admitted.ExpiredAt(Clock::now())) {
     DeadlineCounter().Increment();

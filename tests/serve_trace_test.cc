@@ -384,6 +384,57 @@ TEST(ServeTraceTest, RequeueRefusedByClosedSchedulerEmitsNoFlow) {
   EXPECT_EQ(flow_starts, flow_ends);
 }
 
+TEST(ServeTraceTest, FailedServerDrainReceivesRequeueFlow) {
+  // Every transfer is damaged, so the request's first execution loses data
+  // and sleeps out a retry backoff, during which core 0 dies. The retry fails
+  // kUnavailable and the request is requeued, its execute span starting a
+  // flow arrow. The replan around the dead core no longer fits the cramped
+  // chip, so the server parks in kFailed, and the worker answers the
+  // requeued request from the failed-server drain, whose queue.wait span
+  // must still receive the arrow.
+  const Graph graph = RotatingModel();
+  obs::Tracer tracer;
+  obs::EventJournal journal;
+  ServerOptions options;
+  options.num_workers = 1;
+  options.health_poll_seconds = 60.0;
+  options.retry_backoff_base_seconds = 0.2;
+  options.faults.burst_corrupt = 1000000;
+  options.tracer = &tracer;
+  options.journal = &journal;
+  Server server(CrampedChip(), graph, options);
+  ASSERT_TRUE(server.Start().ok());
+  Request request;
+  request.op_slot = kRotatingSlot;
+  request.max_retries = 1;
+  ASSERT_TRUE(server.Submit(request).ok());
+  while (IndexOf(journal.Snapshot(), "exec.retry") < 0) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  server.KillCore(0);
+  server.WaitIdle();
+  EXPECT_EQ(server.state(), ServerState::kFailed);
+  EXPECT_FALSE(server.Shutdown().ok());
+
+  const std::vector<Response> responses = server.TakeResponses();
+  ASSERT_EQ(responses.size(), 1u);
+  EXPECT_EQ(responses[0].status.code(), StatusCode::kUnavailable)
+      << responses[0].status.ToString();
+  EXPECT_EQ(server.stats().requeued, 1);
+  std::multiset<std::uint64_t> flow_starts;
+  std::multiset<std::uint64_t> flow_ends;
+  for (const obs::SpanRecord& span : tracer.FinishedSpans()) {
+    if (span.flow_out != 0) {
+      flow_starts.insert(span.flow_out);
+    }
+    if (span.flow_in != 0) {
+      flow_ends.insert(span.flow_in);
+    }
+  }
+  EXPECT_EQ(flow_starts.size(), 1u);
+  EXPECT_EQ(flow_starts, flow_ends);
+}
+
 TEST(ServeTraceTest, UnsurvivableFailureDumpsParkEvent) {
   const Graph graph = SmallModel();
   obs::EventJournal journal;
