@@ -1,7 +1,8 @@
 // Google-benchmark microbenchmarks of the compiler's hot paths: plan
-// geometry derivation, plan cost evaluation, one search candidate's filter
-// and cost, the Pareto frontier over one search's candidates, intra-op
-// search and the inter-op reconcile (Algorithm 1). These are the operations
+// geometry derivation, plan cost evaluation, the search's F_op enumeration,
+// one search candidate's filter and cost, the Pareto frontier over one
+// search's candidates, intra-op search and the inter-op reconcile
+// (Algorithm 1). These are the operations
 // Fig 16/18/19's compile-time numbers are built from.
 // BM_ProgramExecutorRun times the byte-level executor per operator, on the
 // plans the search emits for them; BM_ProgramExecutorConstructAndRun adds
@@ -104,6 +105,39 @@ void BM_CandidateEvaluate(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_CandidateEvaluate);
+
+// The search's enumeration on BERT batch 1's first matmul on the IPU Mk2:
+// every F_op ForEachSearchedFop() visits and its FopCandidates::Reset() (the
+// F_op base and each temporal option's validity and window bytes), with no
+// choice filtered or costed.
+void BM_FopEnumeration(benchmark::State& state) {
+  const Graph graph = BuildBertLarge(1);
+  const auto op = std::ranges::find_if(
+      graph.ops(), [](const Operator& o) { return o.kind() == OpKind::kContraction; });
+  const ChipSpec chip = ChipSpec::IpuMk2();
+  GroundTruthTiming timing(chip);
+  const SearchConstraints constraints;
+  FopCandidates candidates;
+  std::int64_t fops = 0;
+  std::size_t options = 0;
+  for (auto _ : state) {
+    fops = 0;
+    options = 0;
+    ForEachSearchedFop(*op, chip, constraints, [&](std::span<const std::int64_t> fop) {
+      ++fops;
+      if (candidates.Reset(*op, fop, constraints, timing, chip)) {
+        for (std::size_t t = 0; t < candidates.num_tensors(); ++t) {
+          options += candidates.num_options(t);
+        }
+      }
+      return true;
+    });
+  }
+  state.SetItemsProcessed(state.iterations() * fops);
+  state.SetLabel(op->name() + ": " + std::to_string(fops) + " F_ops, " +
+                 std::to_string(options) + " options");
+}
+BENCHMARK(BM_FopEnumeration)->Unit(benchmark::kMicrosecond);
 
 void BM_CostModelPredict(benchmark::State& state) {
   KernelGroundTruth truth(ChipSpec::IpuMk2());
