@@ -132,6 +132,7 @@ void BM_FopEnumeration(benchmark::State& state) {
       }
       return true;
     });
+    benchmark::DoNotOptimize(options);
   }
   state.SetItemsProcessed(state.iterations() * fops);
   state.SetLabel(op->name() + ": " + std::to_string(fops) + " F_ops, " +

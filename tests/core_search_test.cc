@@ -4,6 +4,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <functional>
 #include <map>
 #include <optional>
 #include <sstream>
@@ -254,47 +255,30 @@ TEST_F(SearchTest, GoldenFrontierChecksums) {
   }
 }
 
-// Checks every candidate the search enumerates for `op` under `constraints`:
-// the base + delta path (FopCandidates) must agree with ExecutionPlan::Create
-// on validity, and with Create(...)->Evaluate(...) on every metric, bit for
-// bit. Stops at the first mismatch, or once `constraints.max_evaluations`
-// candidates are checked. Returns the candidates checked and sets
-// `fitting` to how many of them fit the chip.
-std::int64_t CheckCandidates(const Operator& op, const ChipSpec& chip, const TimingSource& timing,
-                             const SearchConstraints& constraints, std::int64_t& fitting) {
-  std::int64_t checked = 0;
+// Walks every choice of temporal options of every F_op the search
+// enumerates for `op` under `constraints`, in search order, calling
+// `visit(fop, candidates, choice)` until it returns false or
+// `constraints.max_evaluations` choices are visited, as the search's cap
+// stops it. Returns the choices visited.
+std::int64_t ForEachCandidate(
+    const Operator& op, const ChipSpec& chip, const TimingSource& timing,
+    const SearchConstraints& constraints,
+    const std::function<bool(std::span<const std::int64_t>, FopCandidates&,
+                             std::span<const std::size_t>)>& visit) {
+  std::int64_t visited = 0;
   FopCandidates candidates;
-  std::vector<std::vector<std::int64_t>> temporal(op.inputs().size() + 1);
-  ForEachSearchedFop(op, chip, constraints, [&](std::span<const std::int64_t> fop_span) {
-    if (!candidates.Reset(op, fop_span, constraints, timing, chip)) {
+  ForEachSearchedFop(op, chip, constraints, [&](std::span<const std::int64_t> fop) {
+    if (!candidates.Reset(op, fop, constraints, timing, chip)) {
       return true;  // Fails the padding filter: no candidates.
     }
-    const std::vector<std::int64_t> fop(fop_span.begin(), fop_span.end());
     std::vector<std::size_t> choice(candidates.num_tensors(), 0);
     for (;;) {
-      if (checked >= constraints.max_evaluations) {
-        return false;  // The search's evaluation cap.
-      }
-      for (std::size_t t = 0; t < temporal.size(); ++t) {
-        const std::span<const std::int64_t> ft = candidates.temporal(t, choice[t]);
-        temporal[t].assign(ft.begin(), ft.end());
-      }
-      ++checked;
-      const std::optional<ExecutionPlan> plan = ExecutionPlan::Create(op, fop, temporal);
-      if (candidates.Valid(choice) != plan.has_value()) {
-        ADD_FAILURE() << op.name() << ": validity disagrees with Create, candidate " << checked;
+      if (visited >= constraints.max_evaluations) {
         return false;
       }
-      if (plan.has_value()) {
-        const PlanMetrics want = plan->Evaluate(timing, chip);
-        const std::int64_t bytes = candidates.PerCoreBytes(choice);
-        const std::string got = MetricsString(candidates.Metrics(choice));
-        if (bytes != want.per_core_bytes || got != MetricsString(want)) {
-          ADD_FAILURE() << plan->DebugString() << "\n  base+delta:" << got << " (" << bytes
-                        << " B)\n  Evaluate:  " << MetricsString(want);
-          return false;
-        }
-        fitting += bytes <= chip.core_memory_bytes ? 1 : 0;
+      ++visited;
+      if (!visit(fop, candidates, choice)) {
+        return false;
       }
       std::size_t t = choice.size();
       while (t > 0 && ++choice[t - 1] == candidates.num_options(t - 1)) {
@@ -305,7 +289,44 @@ std::int64_t CheckCandidates(const Operator& op, const ChipSpec& chip, const Tim
       }
     }
   });
-  return checked;
+  return visited;
+}
+
+// Checks every candidate the search enumerates for `op` under `constraints`:
+// the base + delta path (FopCandidates) must agree with ExecutionPlan::Create
+// on validity, and with Create(...)->Evaluate(...) on every metric, bit for
+// bit. Stops at the first mismatch. Returns the candidates checked and sets
+// `fitting` to how many of them fit the chip.
+std::int64_t CheckCandidates(const Operator& op, const ChipSpec& chip, const TimingSource& timing,
+                             const SearchConstraints& constraints, std::int64_t& fitting) {
+  std::vector<std::vector<std::int64_t>> temporal(op.inputs().size() + 1);
+  return ForEachCandidate(
+      op, chip, timing, constraints,
+      [&](std::span<const std::int64_t> fop_span, FopCandidates& candidates,
+          std::span<const std::size_t> choice) {
+        for (std::size_t t = 0; t < temporal.size(); ++t) {
+          const std::span<const std::int64_t> ft = candidates.temporal(t, choice[t]);
+          temporal[t].assign(ft.begin(), ft.end());
+        }
+        const std::vector<std::int64_t> fop(fop_span.begin(), fop_span.end());
+        const std::optional<ExecutionPlan> plan = ExecutionPlan::Create(op, fop, temporal);
+        if (candidates.Valid(choice) != plan.has_value()) {
+          ADD_FAILURE() << op.name() << ": validity disagrees with Create";
+          return false;
+        }
+        if (plan.has_value()) {
+          const PlanMetrics want = plan->Evaluate(timing, chip);
+          const std::int64_t bytes = candidates.PerCoreBytes(choice);
+          const std::string got = MetricsString(candidates.Metrics(choice));
+          if (bytes != want.per_core_bytes || got != MetricsString(want)) {
+            ADD_FAILURE() << plan->DebugString() << "\n  base+delta:" << got << " (" << bytes
+                          << " B)\n  Evaluate:  " << MetricsString(want);
+            return false;
+          }
+          fitting += bytes <= chip.core_memory_bytes ? 1 : 0;
+        }
+        return true;
+      });
 }
 
 // The "CappedMidFop" golden case pins a cap that lands inside an F_op: some
@@ -404,38 +425,26 @@ TEST_F(SearchTest, CandidateMetricsMatchCreateEvaluate) {
 // 240-sample fit (a negative gather bytes coefficient) and the 100-sample
 // seed-3 fit the golden checksums use (negative conv and reduce bytes
 // coefficients). Checked on every F_op of the golden battery and on one
-// contraction per zoo model on a full chip. Returns the choices checked.
+// contraction per zoo model on a full chip. Returns the choices visited.
 std::int64_t ExpectSecondsFloorBounds(const Operator& op, const ChipSpec& chip,
                                       const TimingSource& timing,
                                       const SearchConstraints& constraints) {
-  std::int64_t checked = 0;
-  FopCandidates candidates;
-  ForEachSearchedFop(op, chip, constraints, [&](std::span<const std::int64_t> fop) {
-    if (!candidates.Reset(op, fop, constraints, timing, chip)) {
-      return true;
-    }
-    const double floor = candidates.SecondsFloor();
-    std::vector<std::size_t> choice(candidates.num_tensors(), 0);
-    for (;;) {
-      if (candidates.Valid(choice) && candidates.PerCoreBytes(choice) <= chip.core_memory_bytes) {
-        ++checked;
+  return ForEachCandidate(
+      op, chip, timing, constraints,
+      [&](std::span<const std::int64_t>, FopCandidates& candidates,
+          std::span<const std::size_t> choice) {
+        if (!candidates.Valid(choice) || candidates.PerCoreBytes(choice) > chip.core_memory_bytes) {
+          return true;
+        }
+        const double floor = candidates.SecondsFloor();
         const double seconds = candidates.Metrics(choice).total_seconds();
         if (seconds < floor) {
           ADD_FAILURE() << op.name() << ": a choice costs " << seconds << " s, under its F_op's "
                         << floor << " s floor";
           return false;
         }
-      }
-      std::size_t t = choice.size();
-      while (t > 0 && ++choice[t - 1] == candidates.num_options(t - 1)) {
-        choice[--t] = 0;
-      }
-      if (t == 0) {
         return true;
-      }
-    }
-  });
-  return checked;
+      });
 }
 
 TEST_F(SearchTest, SecondsFloorBoundsEveryPassedChoice) {
