@@ -112,8 +112,8 @@ class FopCandidates {
 
  private:
   struct Option {
-    std::size_t temporal = 0;       // Offset of its f_t in temporal_.
-    std::int64_t window_bytes = -1;  // -1: its f_t breaks an alignment rule.
+    std::size_t temporal = 0;         // Offset of its f_t in temporal_.
+    std::int64_t window_bytes = -1;   // -1: its f_t breaks an alignment rule.
     bool rotations_derived = false;   // By the first Metrics() that holds it.
     std::size_t rotations_begin = 0;  // Its range in option_rotations_.
     std::size_t rotations_end = 0;

@@ -418,7 +418,6 @@ void Server::WorkerLoop(int worker) {
   }
 }
 
-
 void Server::Process(int worker, AdmittedRequest admitted,
                      const std::shared_ptr<PlanSet>& plans) {
   // Copy before the requeue path can move `admitted` away.
