@@ -116,6 +116,7 @@ Compiler::Compiler(const ChipSpec& chip, CompileOptions options)
   obs::MetricsRegistry& metrics = obs::MetricsRegistry::Global();
   metrics.GetCounter("compiler.cache.hits");
   metrics.GetCounter("compiler.cache.misses");
+  metrics.GetCounter("compiler.plan_cache.rebuilds");
   metrics.GetCounter("compiler.plan_cache.rejected");
   metrics.GetCounter("compiler.search.searches");
   metrics.GetCounter("compiler.search.evaluations");

@@ -96,10 +96,17 @@ struct CompilationContext {
   // metrics by the passes.
   CompiledModel model;
 
-  // IntraOpSearch output: one Pareto set per operator, in op order, plus
-  // which operators were rebuilt from a pre-existing cache entry.
+  // IntraOpSearch output: one Pareto set per distinct operator signature, in
+  // the order the signatures first appear, and each operator's index into
+  // it. A set's plans stay bound to the first operator of its signature;
+  // MaterializeOps binds the copies it takes to their own operator.
   std::vector<IntraOpResult> searches;
-  std::vector<bool> search_from_cache;
+  std::vector<int> search_of_op;
+
+  // The Pareto set of operator `op`.
+  const IntraOpResult& search(int op) const {
+    return searches[static_cast<std::size_t>(search_of_op[static_cast<std::size_t>(op)])];
+  }
 
   // InterOpReconcile artifacts: Algorithm 1's per-operator option lists and
   // the latest schedule it produced (MemoryPlan replaces the schedule when

@@ -10,8 +10,8 @@ namespace {
 
 // Reduces every operator's Pareto set to what Algorithm 1 needs: per-option
 // execution time, active footprint and weight-window bytes.
-std::vector<InterOpOperator> BuildInterOpOptions(const Graph& graph,
-                                                 const std::vector<IntraOpResult>& searches) {
+std::vector<InterOpOperator> BuildInterOpOptions(const CompilationContext& ctx) {
+  const Graph& graph = *ctx.graph;
   std::vector<InterOpOperator> inter_ops(static_cast<std::size_t>(graph.num_ops()));
   for (int i = 0; i < graph.num_ops(); ++i) {
     const Operator& op = graph.op(i);
@@ -23,8 +23,9 @@ std::vector<InterOpOperator> BuildInterOpOptions(const Graph& graph,
         weight_operands.push_back(static_cast<int>(j));
       }
     }
-    for (std::size_t j = 0; j < searches[static_cast<std::size_t>(i)].pareto.size(); ++j) {
-      const PlanCandidate& candidate = searches[static_cast<std::size_t>(i)].pareto[j];
+    const std::vector<PlanCandidate>& pareto = ctx.search(i).pareto;
+    for (std::size_t j = 0; j < pareto.size(); ++j) {
+      const PlanCandidate& candidate = pareto[j];
       OpPlanOption option;
       option.plan_index = static_cast<int>(j);
       option.exec_seconds = candidate.predicted.total_seconds();
@@ -54,7 +55,7 @@ bool ReconcileUnderBudget(CompilationContext& ctx, std::int64_t budget_bytes) {
 }
 
 PassResult InterOpReconcilePass::Run(CompilationContext& ctx) {
-  ctx.inter_ops = BuildInterOpOptions(*ctx.graph, ctx.searches);
+  ctx.inter_ops = BuildInterOpOptions(ctx);
   return ReconcileUnderBudget(ctx, ctx.resources->chip().core_memory_bytes)
              ? PassResult::Continue()
              : PassResult::Stop();

@@ -1,20 +1,25 @@
-// Pass 2: per-operator Pareto search, parallel across operators.
+// Pass 2: per-signature Pareto search, parallel across signatures.
 //
-// For every operator of the graph, resolve its signature against the plan
-// cache; search the distinct missing signatures in parallel on the shared
-// worker pool; then merge results in operator order. The schedule (which
+// Operators with equal signatures get equal search results (plan_cache.h), so
+// the pass produces one Pareto set per distinct signature and points every
+// operator at its set. Walking operators in order, the first operator of a
+// signature resolves it against the plan cache; the distinct missing
+// signatures are searched in parallel on the shared worker pool; a later
+// operator of a signature reuses the first one's set. The schedule (which
 // worker searched which signature, in what order) never reaches the output:
 // SearchOperatorPlans is a pure deterministic enumeration, every task writes
-// only its own result slot, and cache insertion + merging walk fixed orders —
-// so any --jobs value produces a bit-identical CompiledModel.
+// only its own result slot, and cache insertion walks a fixed order — so any
+// --jobs value produces a bit-identical CompiledModel.
 //
 // Cache-counter contract (kept from the monolithic compiler, asserted by
 // tests): walking operators in order, a pre-existing cache entry counts one
 // hit; the first operator of a new signature counts one miss; later
-// operators of that same signature count hits. Hits rebuild plans from the
-// cached configurations and re-evaluate them under the current cost model —
-// a warm compile therefore skips the search funnel entirely
-// (compiler.search.searches stays 0) yet yields byte-identical plans.
+// operators of that same signature count hits. A pre-existing entry is
+// rebuilt once per compile (compiler.plan_cache.rebuilds): its plans are
+// rebuilt from the cached configurations and re-evaluated under the current
+// cost model — a warm compile therefore skips the search funnel entirely
+// (compiler.search.searches stays 0) yet yields byte-identical plans. A
+// damaged entry counts one compiler.plan_cache.rejected per signature.
 
 #ifndef T10_SRC_CORE_PASS_INTRA_OP_SEARCH_H_
 #define T10_SRC_CORE_PASS_INTRA_OP_SEARCH_H_
@@ -27,7 +32,8 @@ namespace t10 {
 
 // Searches one operator through the plan cache (hit: rebuild + re-evaluate;
 // miss: full search + insert). Serial; Compiler::SearchOp and the fault
-// campaign use it directly, the pass parallelizes the miss set.
+// campaign use it directly, the pass parallelizes the miss set. The plans are
+// bound to `op`.
 IntraOpResult SearchOneOp(const Operator& op, CompilerResources& resources);
 
 class IntraOpSearchPass final : public Pass {

@@ -32,7 +32,8 @@ double TransitionSeconds(std::int64_t tensor_bytes, const ChipSpec& chip) {
   return chip.sync_latency_seconds + 2.0 * per_core_bytes / chip.EffectiveLinkBandwidth();
 }
 
-// Builds CompiledOps for every operator from the chosen schedule options.
+// Builds CompiledOps for every operator from the chosen schedule options,
+// binding the plans it copies from a shared Pareto set to their operator.
 void MaterializeOps(CompilationContext& ctx) {
   const Graph& graph = *ctx.graph;
   const ChipSpec& chip = ctx.resources->chip();
@@ -40,12 +41,14 @@ void MaterializeOps(CompilationContext& ctx) {
   CompiledModel& out = ctx.model;
   for (int i = 0; i < graph.num_ops(); ++i) {
     const Operator& op = graph.op(i);
-    const IntraOpResult& search = ctx.searches[static_cast<std::size_t>(i)];
+    const IntraOpResult& search = ctx.search(i);
     const OpSchedule& sched = ctx.schedule.per_op[static_cast<std::size_t>(i)];
     CompiledOp compiled;
     compiled.op_index = i;
     compiled.active_plan = search.pareto[static_cast<std::size_t>(sched.active_option)].plan;
+    compiled.active_plan.BindTo(op);
     compiled.idle_plan = search.pareto[static_cast<std::size_t>(sched.idle_option)].plan;
+    compiled.idle_plan.BindTo(op);
     compiled.predicted = search.pareto[static_cast<std::size_t>(sched.active_option)].predicted;
     compiled.measured = compiled.active_plan.Evaluate(truth, chip);
     compiled.setup_seconds = sched.setup_seconds;

@@ -120,6 +120,28 @@ std::int64_t TotalSteps(std::span<const RotationLoop> loops) {
   return steps;
 }
 
+// True if the two operands map their dims to the same axes.
+bool SameDims(const TensorRef& a, const TensorRef& b) {
+  return std::equal(a.dims.begin(), a.dims.end(), b.dims.begin(), b.dims.end(),
+                    [](const DimRef& x, const DimRef& y) {
+                      return x.axis == y.axis && x.minor_axis == y.minor_axis &&
+                             x.stride == y.stride;
+                    });
+}
+
+// True if a plan derived on `a` holds for `b`: the geometry the derivation
+// reads is equal.
+bool SameStructure(const Operator& a, const Operator& b) {
+  const auto same_axis = [](const Axis& x, const Axis& y) {
+    return x.length == y.length && x.reduction == y.reduction;
+  };
+  return std::equal(a.axes().begin(), a.axes().end(), b.axes().begin(), b.axes().end(),
+                    same_axis) &&
+         std::equal(a.inputs().begin(), a.inputs().end(), b.inputs().begin(), b.inputs().end(),
+                    SameDims) &&
+         SameDims(a.output(), b.output());
+}
+
 }  // namespace
 
 const TensorRef& Operand(const Operator& op, std::size_t ti) {
@@ -375,6 +397,12 @@ bool ExecutionPlan::Rebuild(const Operator& op, std::span<const std::int64_t> fo
   }
   DeriveLoops(base_.axis_slice, rotations_, axis_pace_, loops_);
   return true;
+}
+
+void ExecutionPlan::BindTo(const Operator& op) {
+  T10_CHECK(SameStructure(*base_.op, op))
+      << "a plan of " << base_.op->name() << " cannot bind to " << op.name();
+  base_.op = &op;
 }
 
 std::int64_t ExecutionPlan::total_steps() const { return TotalSteps(loops_); }

@@ -190,6 +190,11 @@ class ExecutionPlan {
                std::span<const std::vector<std::int64_t>> temporal_factors);
 
   const Operator& op() const { return *base_.op; }
+
+  // Binds this plan to `op`, an operator of the same signature as op() (one
+  // Pareto set serves every operator of a signature). CHECK-fails unless the
+  // axis lengths and roles and every operand's dim map are equal.
+  void BindTo(const Operator& op);
   const std::vector<std::int64_t>& fop() const { return base_.fop; }
   // Padded per-core slice length of each axis: l_a = ceil(L_a / F_op[a]).
   const std::vector<std::int64_t>& axis_slices() const { return base_.axis_slice; }

@@ -39,6 +39,7 @@ const char* const kMetricNames[] = {
     "compiler.phase.total.seconds",
     "compiler.plan_cache.entries",
     "compiler.plan_cache.loaded_entries",
+    "compiler.plan_cache.rebuilds",
     "compiler.plan_cache.rejected",
     "compiler.reconcile.delta_idle_bytes",
     "compiler.reconcile.delta_idle_bytes.dist",

@@ -2,6 +2,8 @@
 
 #include <cmath>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include "src/core/pass/compilation_context.h"
 #include "src/core/pass/plan_cache.h"
@@ -33,20 +35,41 @@ VerifyResult CheckCostModelFit(const CompilationContext& ctx) {
 VerifyResult CheckSearchResults(const CompilationContext& ctx) {
   VerifyResult result;
   const Graph& graph = *ctx.graph;
-  if (static_cast<int>(ctx.searches.size()) != graph.num_ops()) {
+  if (static_cast<int>(ctx.search_of_op.size()) != graph.num_ops()) {
     DiagnosticBuilder(result, "pass.search.coverage", graph.name())
-        << "search produced " << ctx.searches.size() << " result(s) for " << graph.num_ops()
+        << "search indexed " << ctx.search_of_op.size() << " of " << graph.num_ops()
         << " operator(s)";
     return result;
   }
   const Verifier verifier(ctx.resources->chip());
   const PlanCache& cache = ctx.resources->plan_cache();
+  // Sets are numbered in the order their signatures first appear: each set
+  // is checked once, at its first operator, and every later operator of the
+  // set must share its signature.
+  std::vector<std::string> set_signatures;
   for (int i = 0; i < graph.num_ops(); ++i) {
     const Operator& op = graph.op(i);
-    const IntraOpResult& search = ctx.searches[static_cast<std::size_t>(i)];
+    const int set = ctx.search_of_op[static_cast<std::size_t>(i)];
+    const int num_seen = static_cast<int>(set_signatures.size());
+    std::string signature = OperatorSignature(op);
+    if (set >= 0 && set < num_seen) {
+      if (signature != set_signatures[static_cast<std::size_t>(set)]) {
+        DiagnosticBuilder(result, "pass.search.coverage", op.name())
+            << "shares Pareto set " << set << " with an operator of another signature";
+      }
+      continue;
+    }
+    if (set != num_seen || set >= static_cast<int>(ctx.searches.size())) {
+      DiagnosticBuilder(result, "pass.search.coverage", op.name())
+          << "points at Pareto set " << set << " where set " << num_seen << " of "
+          << ctx.searches.size() << " is next";
+      continue;
+    }
+    const IntraOpResult& search = ctx.searches[static_cast<std::size_t>(set)];
     // Cache consistency: the entry a warm compile would rebuild from must
     // exist and describe exactly the plan set this compile uses.
-    const CachedPlanSet* entry = cache.Lookup(OperatorSignature(op));
+    const CachedPlanSet* entry = cache.Lookup(signature);
+    set_signatures.push_back(std::move(signature));
     if (entry == nullptr) {
       DiagnosticBuilder(result, "pass.search.cache", op.name())
               .Hint("every searched signature must be inserted into the plan cache")
@@ -69,6 +92,11 @@ VerifyResult CheckSearchResults(const CompilationContext& ctx) {
       result.Merge(verifier.VerifyPlan(candidate.plan));
     }
   }
+  if (set_signatures.size() != ctx.searches.size()) {
+    DiagnosticBuilder(result, "pass.search.coverage", graph.name())
+        << "search produced " << ctx.searches.size() << " Pareto set(s) for "
+        << set_signatures.size() << " distinct signature(s)";
+  }
   return result;
 }
 
@@ -86,8 +114,7 @@ VerifyResult CheckReconcileSchedule(const CompilationContext& ctx) {
   }
   for (int i = 0; i < graph.num_ops(); ++i) {
     const OpSchedule& sched = ctx.schedule.per_op[static_cast<std::size_t>(i)];
-    const int num_options =
-        static_cast<int>(ctx.searches[static_cast<std::size_t>(i)].pareto.size());
+    const int num_options = static_cast<int>(ctx.search(i).pareto.size());
     if (sched.idle_option < 0 || sched.idle_option >= num_options || sched.active_option < 0 ||
         sched.active_option >= num_options) {
       DiagnosticBuilder(result, "pass.reconcile.schedule", graph.op(i).name())

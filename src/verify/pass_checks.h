@@ -6,6 +6,8 @@
 // rule catalogue:
 //
 //   pass.cost_model.fit        every kernel class fitted with a finite R²
+//   pass.search.coverage       every operator points at the Pareto set of its
+//                              signature, one set per distinct signature
 //   pass.search.pareto-order   Pareto sets sorted memory-ascending /
 //                              time-descending with no dominated plan
 //   pass.search.cache          every searched signature is present in the

@@ -115,6 +115,26 @@ TEST(CompilerTest, CacheCountersMatchCachedSignatures) {
   EXPECT_EQ(hits.value() - hits_before, 3);
 }
 
+TEST(CompilerTest, CompiledPlansAreBoundToTheirOwnOperator) {
+  // Four identical layers share one Pareto set; every compiled plan must
+  // still reference its own operator.
+  Graph g("stack");
+  for (int i = 0; i < 4; ++i) {
+    std::string in = i == 0 ? "x" : NumberedName("h", i - 1);
+    g.Add(MatMulOp(NumberedName("fc", i), 16, 128, 128, DataType::kF16, in,
+                   NumberedName("w", i), NumberedName("h", i)));
+    g.MarkWeight(NumberedName("w", i));
+  }
+  Compiler compiler(SmallChip());
+  const CompiledModel model = compiler.Compile(g);
+  ASSERT_TRUE(model.fits);
+  ASSERT_EQ(model.ops.size(), 4u);
+  for (const CompiledOp& op : model.ops) {
+    EXPECT_EQ(&op.active_plan.op(), &g.op(op.op_index)) << op.op_index;
+    EXPECT_EQ(&op.idle_plan.op(), &g.op(op.op_index)) << op.op_index;
+  }
+}
+
 TEST(CompilerTest, OversizedModelDoesNotFit) {
   ChipSpec chip = SmallChip(4);
   chip.core_memory_bytes = 32 * 1024;

@@ -4,15 +4,22 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <filesystem>
+#include <map>
 #include <string>
 
 #include "src/core/compiler.h"
+#include "src/core/pass/plan_cache.h"
 #include "src/ir/builder.h"
+#include "src/models/zoo.h"
 #include "src/obs/metrics.h"
 #include "src/util/strings.h"
 
 namespace t10 {
 namespace {
+
+namespace fs = std::filesystem;
 
 ChipSpec SmallChip(int cores = 64) {
   ChipSpec chip = ChipSpec::IpuMk2();
@@ -119,6 +126,47 @@ TEST(ParallelCompileTest, ReconcileTrajectoryIdenticalAcrossJobCounts) {
               b.reconcile_trajectory[i].total_seconds);
     EXPECT_EQ(a.reconcile_trajectory[i].feasible, b.reconcile_trajectory[i].feasible);
   }
+}
+
+// The evaluation zoo at batch 1 on the full IPU Mk2, which shares one Pareto
+// set among many operators (BERT: 336 operators, 10 signatures): cold and
+// warm compiles at one and four workers give the same model — pinned to the
+// FNV-1a of its Fingerprint() that BENCH_compile.json records — and every
+// compiled plan references its own operator.
+TEST(ParallelCompileTest, ZooFingerprintsMatchColdWarmAndJobCounts) {
+  const std::map<std::string, std::uint64_t> pinned = {
+      {"BERT", 0x88fc9d629d9e0298ull},
+      {"ViT", 0x15bb29058fa4ab05ull},
+      {"ResNet", 0xbd6b7ae0f606d582ull},
+      {"NeRF", 0x84bf8a4dd103e77dull},
+  };
+  const fs::path dir = fs::temp_directory_path() / "t10_parallel_compile_test_zoo";
+  for (const ModelInfo& info : EvaluationModels()) {
+    SCOPED_TRACE(info.name);
+    const Graph graph = info.build(1);
+    fs::remove_all(dir);
+    fs::create_directories(dir);
+    for (const bool warm : {false, true}) {
+      for (const int jobs : {1, 4}) {
+        CompileOptions options;
+        options.jobs = jobs;
+        // The cold jobs=4 compile fills the directory the warm ones read.
+        if (warm || jobs == 4) {
+          options.plan_cache_dir = dir.string();
+        }
+        Compiler compiler(ChipSpec::IpuMk2(), options);
+        const CompiledModel model = compiler.Compile(graph);
+        ASSERT_TRUE(model.fits) << "warm=" << warm << " jobs=" << jobs;
+        EXPECT_EQ(Fnv1a64(model.Fingerprint()), pinned.at(info.name))
+            << "warm=" << warm << " jobs=" << jobs;
+        for (const CompiledOp& op : model.ops) {
+          ASSERT_EQ(&op.active_plan.op(), &graph.op(op.op_index));
+          ASSERT_EQ(&op.idle_plan.op(), &graph.op(op.op_index));
+        }
+      }
+    }
+  }
+  fs::remove_all(dir);
 }
 
 }  // namespace

@@ -14,9 +14,11 @@
 
 #include "src/core/compiler.h"
 #include "src/core/pass/compilation_context.h"
+#include "src/core/pass/intra_op_search.h"
 #include "src/ir/builder.h"
 #include "src/models/zoo.h"
 #include "src/obs/metrics.h"
+#include "src/verify/pass_checks.h"
 #include "src/verify/verifier.h"
 
 namespace t10 {
@@ -239,6 +241,27 @@ TEST(PassPipelineTest, CompileFromIntraOpSearchMatchesFullCompile) {
       restarted.CompileFrom(graph, pass_names::kIntraOpSearch);
   ASSERT_TRUE(restarted_model.fits);
   EXPECT_EQ(restarted_model.Fingerprint(), full_model.Fingerprint());
+}
+
+TEST(PassPipelineTest, SearchKeepsOneParetoSetPerSignature) {
+  // fc1..fc3 share a signature; the add has its own.
+  TestContext t;
+  t.graph = ResidualBlock(32);
+  IntraOpSearchPass search;
+  ASSERT_EQ(search.Run(t.ctx).action, PassResult::Action::kContinue);
+  ASSERT_EQ(t.ctx.searches.size(), 2u);
+  EXPECT_EQ(t.ctx.search_of_op, (std::vector<int>{0, 0, 0, 1}));
+  EXPECT_EQ(&t.ctx.search(2), &t.ctx.searches[0]);
+  EXPECT_TRUE(verify::CheckSearchResults(t.ctx).empty());
+
+  // An operator pointing at another signature's set, or at a set its
+  // signature has not opened yet, breaks the coverage rule.
+  t.ctx.search_of_op[3] = 0;
+  EXPECT_TRUE(verify::CheckSearchResults(t.ctx).HasRule("pass.search.coverage"));
+  t.ctx.search_of_op = {0, 1, 1, 1};
+  EXPECT_TRUE(verify::CheckSearchResults(t.ctx).HasRule("pass.search.coverage"));
+  t.ctx.search_of_op = {0, 0, 0};
+  EXPECT_TRUE(verify::CheckSearchResults(t.ctx).HasRule("pass.search.coverage"));
 }
 
 // A residual block at batch 32 fits 40 and 56 KiB cores, so it must fit the

@@ -15,6 +15,7 @@
 #include "src/core/compiler.h"
 #include "src/ir/builder.h"
 #include "src/obs/metrics.h"
+#include "src/util/strings.h"
 
 namespace t10 {
 namespace {
@@ -35,6 +36,25 @@ Graph Mlp(std::int64_t batch = 32) {
   g.Add(MatMulOp("fc2", batch, 512, 256, DataType::kF16, "h2", "w2", "y"));
   g.MarkWeight("w1");
   g.MarkWeight("w2");
+  return g;
+}
+
+// Four identical blocks (matmul + activation) and a distinct head: nine
+// operators, three signatures.
+Graph RepeatedBlocks() {
+  Graph g("blocks");
+  std::string in = "x";
+  for (int i = 0; i < 4; ++i) {
+    const std::string w = NumberedName("w", i);
+    g.Add(MatMulOp(NumberedName("fc", i), 16, 128, 128, DataType::kF16, in, w,
+                   NumberedName("h", i)));
+    g.MarkWeight(w);
+    in = NumberedName("a", i);
+    g.Add(ElementwiseOp(NumberedName("act", i), {16, 128}, DataType::kF16, NumberedName("h", i),
+                        in, 4.0));
+  }
+  g.Add(MatMulOp("head", 16, 128, 64, DataType::kF16, in, "wh", "y"));
+  g.MarkWeight("wh");
   return g;
 }
 
@@ -104,6 +124,38 @@ TEST(PlanCacheTest, WarmCompileSkipsSearchAndIsByteIdentical) {
   EXPECT_EQ(CounterValue("compiler.cache.misses"), 0);
   EXPECT_EQ(CounterValue("compiler.search.searches"), 0);
   EXPECT_EQ(CounterValue("compiler.cache.hits"), 3);
+  EXPECT_EQ(model.Fingerprint(), cold_fp);
+  obs::MetricsRegistry::Global().Reset();
+}
+
+TEST(PlanCacheTest, WarmCompileRebuildsEachSignatureOnce) {
+  const fs::path dir = FreshCacheDir("rebuilds");
+  CompileOptions options;
+  options.plan_cache_dir = dir.string();
+  const Graph graph = RepeatedBlocks();
+
+  obs::MetricsRegistry::Global().Reset();
+  std::string cold_fp;
+  {
+    Compiler cold(SmallChip(), options);
+    CompiledModel model = cold.Compile(graph);
+    ASSERT_TRUE(model.fits);
+    cold_fp = model.Fingerprint();
+  }
+  EXPECT_EQ(CounterValue("compiler.cache.misses"), 3);
+  EXPECT_EQ(CounterValue("compiler.cache.hits"), 6);
+  EXPECT_EQ(CounterValue("compiler.plan_cache.rebuilds"), 0);
+
+  obs::MetricsRegistry::Global().Reset();
+  Compiler warm(SmallChip(), options);
+  CompiledModel model = warm.Compile(graph);
+  ASSERT_TRUE(model.fits);
+  // Each of the three signatures is rebuilt once; its later operators reuse
+  // that set, yet every operator still counts one hit.
+  EXPECT_EQ(CounterValue("compiler.plan_cache.rebuilds"), 3);
+  EXPECT_EQ(CounterValue("compiler.cache.hits"), graph.num_ops());
+  EXPECT_EQ(CounterValue("compiler.cache.misses"), 0);
+  EXPECT_EQ(CounterValue("compiler.search.searches"), 0);
   EXPECT_EQ(model.Fingerprint(), cold_fp);
   obs::MetricsRegistry::Global().Reset();
 }

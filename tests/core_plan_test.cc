@@ -281,5 +281,52 @@ TEST(ExecutionPlanTest, RebuildInPlaceMatchesCreate) {
   }
 }
 
+// One Pareto set serves every operator of a signature: a copy of its plan
+// binds to another operator of the same shape and costs exactly the same.
+TEST(ExecutionPlanTest, BindToMovesACopyToAnEqualOperator) {
+  const ChipSpec chip = TestChip();
+  const GroundTruthTiming timing(chip);
+  const Operator first = MatMulOp("fc0", 16, 64, 32, DataType::kF16, "x", "w0", "h0");
+  const Operator second = MatMulOp("fc1", 16, 64, 32, DataType::kF16, "h0", "w1", "h1");
+  const auto plan = ExecutionPlan::Create(first, {2, 2, 1}, {{1, 2}, {1, 1}, {1, 1}});
+  ASSERT_TRUE(plan.has_value());
+  ExecutionPlan copy = *plan;
+  copy.BindTo(second);
+  EXPECT_EQ(&copy.op(), &second);
+  EXPECT_EQ(&plan->op(), &first);
+  const PlanMetrics a = plan->Evaluate(timing, chip);
+  const PlanMetrics b = copy.Evaluate(timing, chip);
+  EXPECT_EQ(a.total_seconds(), b.total_seconds());
+  EXPECT_EQ(a.per_core_bytes, b.per_core_bytes);
+  EXPECT_EQ(a.shift_bytes_per_core, b.shift_bytes_per_core);
+}
+
+TEST(ExecutionPlanDeathTest, BindToAMismatchedOperatorFails) {
+  const Operator mm = MatMulOp("mm", 16, 64, 32, DataType::kF16, "A", "B", "C");
+  const auto mm_plan = ExecutionPlan::Create(mm, {2, 2, 1}, {{1, 2}, {1, 1}, {1, 1}});
+  ASSERT_TRUE(mm_plan.has_value());
+  // An axis length differs.
+  const Operator wider = MatMulOp("wider", 16, 64, 64, DataType::kF16, "A", "B", "C");
+  EXPECT_DEATH(ExecutionPlan(*mm_plan).BindTo(wider), "cannot bind to wider");
+
+  // An axis role differs: a row sum reduces the axis an elementwise op maps.
+  const Operator relu = ElementwiseOp("relu", {16, 64}, DataType::kF16, "x", "y");
+  const Operator sum = ReduceOp("sum", {16, 64}, DataType::kF16, "x", "y");
+  const auto relu_plan = ExecutionPlan::Create(relu, {2, 2}, {{1, 1}, {1, 1}});
+  ASSERT_TRUE(relu_plan.has_value());
+  EXPECT_DEATH(ExecutionPlan(*relu_plan).BindTo(sum), "cannot bind to sum");
+
+  // Equal axes, but the input's dim map has another stride.
+  const Operator conv = Conv2dOp("conv", 1, 4, 8, 8, 8, 3, 3, DataType::kF16, "I", "W", "O");
+  const Operator strided =
+      Conv2dOp("strided", 1, 4, 8, 8, 8, 3, 3, DataType::kF16, "I", "W", "O", /*stride=*/2);
+  ASSERT_EQ(conv.axes().size(), strided.axes().size());
+  const auto conv_plan =
+      ExecutionPlan::Create(conv, std::vector<std::int64_t>(conv.axes().size(), 1),
+                            {{1, 1, 1, 1}, {1, 1, 1, 1}, {1, 1, 1, 1}});
+  ASSERT_TRUE(conv_plan.has_value());
+  EXPECT_DEATH(ExecutionPlan(*conv_plan).BindTo(strided), "cannot bind to strided");
+}
+
 }  // namespace
 }  // namespace t10
