@@ -97,15 +97,19 @@ HostTensor ReferenceExecute(const Operator& op, const std::vector<HostTensor>& i
   for (const Axis& axis : op.axes()) {
     extents.push_back(axis.length);
   }
-  auto operand_index = [](const TensorRef& tensor, const std::vector<std::int64_t>& tuple) {
-    std::vector<std::int64_t> index;
-    index.reserve(tensor.dims.size());
-    for (const DimRef& dim : tensor.dims) {
+  // One index buffer per operand, refilled for every tuple.
+  std::vector<std::vector<std::int64_t>> input_index(inputs.size());
+  std::vector<std::int64_t> output_index;
+  auto operand_index = [](const TensorRef& tensor, const std::vector<std::int64_t>& tuple,
+                          std::vector<std::int64_t>& index) -> const std::vector<std::int64_t>& {
+    index.resize(tensor.dims.size());
+    for (std::size_t d = 0; d < tensor.dims.size(); ++d) {
+      const DimRef& dim = tensor.dims[d];
       std::int64_t v = tuple[dim.axis];
       if (dim.compound()) {
         v = dim.stride * v + tuple[dim.minor_axis];
       }
-      index.push_back(v);
+      index[d] = v;
     }
     return index;
   };
@@ -114,17 +118,17 @@ HostTensor ReferenceExecute(const Operator& op, const std::vector<HostTensor>& i
     if (op.kind() == OpKind::kContraction) {
       value = 1.0f;
       for (std::size_t i = 0; i < inputs.size(); ++i) {
-        value *= inputs[i].at(operand_index(op.inputs()[i], tuple));
+        value *= inputs[i].at(operand_index(op.inputs()[i], tuple, input_index[i]));
       }
     } else {
       // Elementwise: identity (1 input) or addition (2 inputs); ReduceSum:
       // accumulate the single input.
-      value = inputs[0].at(operand_index(op.inputs()[0], tuple));
+      value = inputs[0].at(operand_index(op.inputs()[0], tuple, input_index[0]));
       if (inputs.size() > 1) {
-        value += inputs[1].at(operand_index(op.inputs()[1], tuple));
+        value += inputs[1].at(operand_index(op.inputs()[1], tuple, input_index[1]));
       }
     }
-    out.at(operand_index(op.output(), tuple)) += value;
+    out.at(operand_index(op.output(), tuple, output_index)) += value;
   });
   return out;
 }

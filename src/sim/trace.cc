@@ -2,6 +2,8 @@
 
 #include <fstream>
 #include <sstream>
+#include <string_view>
+#include <unordered_map>
 #include <utility>
 
 #include "src/obs/span.h"
@@ -11,7 +13,7 @@ namespace t10 {
 namespace {
 
 // Minimal JSON string escaping (names are op identifiers, but be safe).
-std::string Escape(const std::string& s) {
+std::string Escape(std::string_view s) {
   std::string out;
   out.reserve(s.size());
   for (char c : s) {
@@ -49,16 +51,16 @@ void TraceWriter::AddCounter(const std::string& track, double time_seconds, doub
 }
 
 std::string TraceWriter::ToJson() const {
-  // Stable lane -> tid mapping in first-seen order.
-  std::vector<std::string> lanes;
+  // Stable lane -> tid mapping in first-seen order. The keys view the spans'
+  // lane strings, which outlive this call.
+  std::vector<std::string_view> lanes;
+  std::unordered_map<std::string_view, std::size_t> tid_by_lane;
   auto tid_of = [&](const std::string& lane) {
-    for (std::size_t i = 0; i < lanes.size(); ++i) {
-      if (lanes[i] == lane) {
-        return i;
-      }
+    const auto [it, inserted] = tid_by_lane.emplace(lane, lanes.size());
+    if (inserted) {
+      lanes.push_back(lane);
     }
-    lanes.push_back(lane);
-    return lanes.size() - 1;
+    return it->second;
   };
 
   std::vector<std::string> events;

@@ -394,5 +394,26 @@ TEST(HostTensorTest, ReferenceMatMulMatchesManual) {
   EXPECT_FLOAT_EQ(c.at({1, 1}), 49.0f);
 }
 
+TEST(HostTensorTest, ReferenceOutputsArePinned) {
+  // The output bits of ReferenceExecute, so a change to how it indexes its
+  // operands must keep its loop and accumulation order.
+  struct Pinned {
+    Operator op;
+    std::uint64_t checksum;
+  };
+  const Pinned cases[] = {
+      {MatMulOp("mm", 16, 32, 16, DataType::kF32, "A", "B", "C"), 0x302ce8bb7447d3b0ull},
+      {Conv2dOp("conv_pad", 1, 4, 2, 5, 5, 3, 3, DataType::kF32, "I", "W", "O", /*stride=*/2),
+       0xc3f03cb59c8f9955ull},
+      {ReduceOp("sum", {5, 9}, DataType::kF32, "x", "y"), 0xc0b2eadfa660b660ull},
+      {BinaryOp("add", {5, 7}, DataType::kF32, "x", "z", "y"), 0xa1241f451486d1a7ull},
+  };
+  for (const Pinned& c : cases) {
+    const HostTensor out = ReferenceExecute(c.op, RandomInputs(c.op, 41));
+    EXPECT_EQ(OutputChecksum(out), c.checksum)
+        << c.op.name() << ": 0x" << std::hex << OutputChecksum(out);
+  }
+}
+
 }  // namespace
 }  // namespace t10

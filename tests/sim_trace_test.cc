@@ -3,9 +3,12 @@
 #include <gtest/gtest.h>
 
 #include <fstream>
+#include <string>
 
+#include "src/core/pass/plan_cache.h"
 #include "src/core/trace_export.h"
 #include "src/ir/builder.h"
+#include "src/util/strings.h"
 
 namespace t10 {
 namespace {
@@ -62,6 +65,39 @@ TEST(TraceWriterTest, MixedSpansAndCountersStayValidJson) {
   EXPECT_NE(json.find("\"ph\": \"X\""), std::string::npos);
   EXPECT_NE(json.find("\"ph\": \"C\""), std::string::npos);
   EXPECT_NE(json.find("\"thread_name\""), std::string::npos);
+}
+
+TEST(TraceWriterTest, ManyLanesKeepFirstSeenTidsAndJson) {
+  // A serving trace's shape: a lane per request and per routed request, a
+  // shared lane, and spans that return to lanes seen long before.
+  constexpr int kRequests = 2500;
+  TraceWriter trace;
+  for (int i = 0; i < kRequests; ++i) {
+    const double t = i * 1e-6;
+    trace.Add("admit", NumberedName("req:", i), t, 0.5e-6);
+    trace.Add("route", NumberedName("rtr:", i), t, 0.25e-6);
+    trace.Add("execute", "stage0", t, 0.75e-6);
+    TraceSpan audit;
+    audit.name = "audit";
+    audit.lane = NumberedName("req:", i / 2);
+    audit.start_seconds = t + 1e-6;
+    audit.duration_seconds = 0.5e-6;
+    audit.args = {{"request", std::to_string(i)}};
+    audit.flow_in = i % 7 == 0 ? static_cast<std::uint64_t>(i + 1) : 0;
+    audit.flow_out = i % 11 == 0 ? static_cast<std::uint64_t>(i + 1) : 0;
+    trace.AddSpan(audit);
+    trace.AddCounter("queue depth", t, i % 5);
+  }
+  const std::string json = trace.ToJson();
+  // Tids follow first-seen order: req:0 0, rtr:0 1, stage0 2, req:1 3, ...
+  EXPECT_NE(json.find("\"tid\": 2, \"args\": {\"name\": \"stage0\"}"), std::string::npos);
+  EXPECT_NE(json.find("\"tid\": 3, \"args\": {\"name\": \"req:1\"}"), std::string::npos);
+  EXPECT_NE(json.find("\"tid\": 5000, \"args\": {\"name\": \"rtr:2499\"}"),
+            std::string::npos);
+  EXPECT_EQ(json.find("\"tid\": 5001"), std::string::npos);
+  // The whole document, byte for byte.
+  EXPECT_EQ(Fnv1a64(json), 0xfa393a2a267c69b5ull)
+      << json.size() << " bytes, 0x" << std::hex << Fnv1a64(json);
 }
 
 TEST(TraceExportTest, CompiledModelProducesOrderedSpans) {
