@@ -7,10 +7,11 @@
 // before the fan-out). Every configuration is checked to produce a
 // bit-identical model.
 //
-// Each cell is the median of three compiles (one in T10_BENCH_QUICK=1 mode).
+// Each cell is the median of five compiles (one in T10_BENCH_QUICK=1 mode).
 // T10_BENCH_JSON=<path> writes the per-model results as a JSON baseline
 // (BENCH_compile.json tracks it in-repo): cold jobs=1 and jobs=4 and warm
-// compile ms, the plans the search evaluated, and an FNV checksum of the
+// compile ms, each with the first and third quartile of its compiles (the
+// host's spread), the plans the search evaluated, and an FNV checksum of the
 // compiled model's Fingerprint(), so two builds can be compared for
 // identical output.
 
@@ -23,6 +24,7 @@
 #include "src/core/compiler.h"
 #include "src/core/pass/plan_cache.h"
 #include "src/models/zoo.h"
+#include "src/util/stats.h"
 #include "src/util/thread_pool.h"
 
 namespace t10 {
@@ -30,11 +32,18 @@ namespace {
 
 namespace fs = std::filesystem;
 
-// Median wall time of `reps` compiles, each in a fresh Compiler (as every
-// t10c invocation is). Every compile must produce the same model, whose
-// Fingerprint() lands in `fingerprint`.
-double CompileSeconds(const ChipSpec& chip, const Graph& graph, const CompileOptions& options,
-                      int reps, std::string* fingerprint) {
+// Wall time of a cell's compiles: the median and the quartiles around it.
+struct CellSeconds {
+  double median = 0.0;
+  double q1 = 0.0;
+  double q3 = 0.0;
+};
+
+// Times `reps` compiles, each in a fresh Compiler (as every t10c invocation
+// is). Every compile must produce the same model, whose Fingerprint() lands
+// in `fingerprint`.
+CellSeconds CompileSeconds(const ChipSpec& chip, const Graph& graph,
+                           const CompileOptions& options, int reps, std::string* fingerprint) {
   std::vector<double> seconds;
   for (int rep = 0; rep < reps; ++rep) {
     Compiler compiler(chip, options);
@@ -45,8 +54,7 @@ double CompileSeconds(const ChipSpec& chip, const Graph& graph, const CompileOpt
     *fingerprint = fp;
     seconds.push_back(model.compile_wall_seconds);
   }
-  std::sort(seconds.begin(), seconds.end());
-  return seconds[seconds.size() / 2];
+  return {Percentile(seconds, 50.0), Percentile(seconds, 25.0), Percentile(seconds, 75.0)};
 }
 
 void Run() {
@@ -56,7 +64,7 @@ void Run() {
   const ChipSpec chip = ChipSpec::IpuMk2();
   const std::vector<int> job_counts = bench::QuickMode() ? std::vector<int>{1, 4}
                                                          : std::vector<int>{1, 2, 4, 8};
-  const int reps = bench::QuickMode() ? 1 : 3;
+  const int reps = bench::QuickMode() ? 1 : 5;
   obs::Counter& evaluations =
       obs::MetricsRegistry::Global().GetCounter("compiler.search.evaluations");
 
@@ -70,14 +78,14 @@ void Run() {
     const Graph graph = info.build(batch);
 
     std::string serial_fp;
-    std::vector<double> cold_seconds(9, 0.0);  // Indexed by job count.
+    std::vector<CellSeconds> cold(9);  // Indexed by job count.
     std::int64_t plans_evaluated = 0;
     for (const int jobs : job_counts) {
       CompileOptions options;
       options.jobs = jobs;
       std::string fp;
       const std::int64_t evaluations_before = evaluations.value();
-      cold_seconds[static_cast<std::size_t>(jobs)] =
+      cold[static_cast<std::size_t>(jobs)] =
           CompileSeconds(chip, graph, options, reps, jobs == 1 ? &serial_fp : &fp);
       if (jobs == 1) {
         plans_evaluated = (evaluations.value() - evaluations_before) / reps;
@@ -96,7 +104,7 @@ void Run() {
     cached.plan_cache_dir = cache_dir.string();
     std::string warm_fp;
     CompileSeconds(chip, graph, cached, 1, &warm_fp);  // Cold run populates the dir.
-    const double warm = CompileSeconds(chip, graph, cached, reps, &warm_fp);
+    const CellSeconds warm = CompileSeconds(chip, graph, cached, reps, &warm_fp);
     T10_CHECK(warm_fp == serial_fp) << info.name << ": warm cache produced a different model";
 
     int unique = 0;
@@ -106,26 +114,32 @@ void Run() {
       unique = probe.num_cached_signatures();
     }
 
-    const double base = cold_seconds[1];
+    const double base = cold[1].median;
     const int fastest = job_counts.back();
     auto cell = [&](int jobs) {
-      const double s = cold_seconds[static_cast<std::size_t>(jobs)];
+      const double s = cold[static_cast<std::size_t>(jobs)].median;
       return s > 0.0 ? bench::Ms(s) : std::string("-");
     };
     table.AddRow({info.name, std::to_string(batch), std::to_string(graph.num_ops()),
                   std::to_string(unique), cell(1), cell(2), cell(4), cell(8),
-                  FormatDouble(base / cold_seconds[static_cast<std::size_t>(fastest)], 2) + "x",
-                  bench::Ms(warm)});
+                  FormatDouble(base / cold[static_cast<std::size_t>(fastest)].median, 2) + "x",
+                  bench::Ms(warm.median)});
     char fingerprint_fnv[17];
     std::snprintf(fingerprint_fnv, sizeof(fingerprint_fnv), "%016llx",
                   static_cast<unsigned long long>(Fnv1a64(serial_fp)));
     rows.push_back(bench::JsonObject()
                        .Add("model", info.name)
                        .Add("batch", batch)
-                       .Add("cold_jobs1_ms", cold_seconds[1] * 1e3, 3)
-                       .Add("cold_jobs4_ms", cold_seconds[4] * 1e3, 3)
-                       .Add("speedup_jobs4", cold_seconds[1] / cold_seconds[4], 2)
-                       .Add("warm_ms", warm * 1e3, 3)
+                       .Add("cold_jobs1_ms", cold[1].median * 1e3, 3)
+                       .Add("cold_jobs1_q1_ms", cold[1].q1 * 1e3, 3)
+                       .Add("cold_jobs1_q3_ms", cold[1].q3 * 1e3, 3)
+                       .Add("cold_jobs4_ms", cold[4].median * 1e3, 3)
+                       .Add("cold_jobs4_q1_ms", cold[4].q1 * 1e3, 3)
+                       .Add("cold_jobs4_q3_ms", cold[4].q3 * 1e3, 3)
+                       .Add("speedup_jobs4", cold[1].median / cold[4].median, 2)
+                       .Add("warm_ms", warm.median * 1e3, 3)
+                       .Add("warm_q1_ms", warm.q1 * 1e3, 3)
+                       .Add("warm_q3_ms", warm.q3 * 1e3, 3)
                        .Add("plans_evaluated", plans_evaluated)
                        .Add("fingerprint_fnv", fingerprint_fnv));
   }

@@ -1,8 +1,8 @@
 // Google-benchmark microbenchmarks of the compiler's hot paths: plan
 // geometry derivation, plan cost evaluation, the search's F_op enumeration,
 // one search candidate's filter and cost, the Pareto frontier over one
-// search's candidates, intra-op search and the inter-op reconcile
-// (Algorithm 1). These are the operations
+// search's candidates, intra-op search, the inter-op reconcile
+// (Algorithm 1) and the memory_plan pass. These are the operations
 // Fig 16/18/19's compile-time numbers are built from.
 // BM_ProgramExecutorRun times the byte-level executor per operator, on the
 // plans the search emits for them; BM_ProgramExecutorConstructAndRun adds
@@ -12,6 +12,7 @@
 
 #include <algorithm>
 #include <optional>
+#include <string>
 
 #include "src/core/compiler.h"
 #include "src/core/inter_op.h"
@@ -19,6 +20,7 @@
 #include "src/core/pass/fit_cost_model.h"
 #include "src/core/pass/inter_op_reconcile.h"
 #include "src/core/pass/intra_op_search.h"
+#include "src/core/pass/memory_plan.h"
 #include "src/core/program_executor.h"
 #include "src/core/search.h"
 #include "src/fault/campaign.h"
@@ -208,36 +210,78 @@ void BM_FrontierInsert(benchmark::State& state) {
 }
 BENCHMARK(BM_FrontierInsert)->Unit(benchmark::kMicrosecond);
 
-// Algorithm 1 on the operators a compile of BERT at batch 1 on the IPU Mk2
-// hands it (one Pareto set per operator), under the whole core memory.
-void BM_ReconcileInterOp(benchmark::State& state) {
-  const Graph graph = BuildBertLarge(1);
-  CompilerResources resources(ChipSpec::IpuMk2(), CompileOptions{});
+// A compile of BERT at batch 1 on the IPU Mk2 run through the inter-op
+// reconcile: one Pareto set per operator signature and Algorithm 1's
+// schedule under the whole core memory.
+struct BertReconciled {
+  Graph graph = BuildBertLarge(1);
+  CompilerResources resources{ChipSpec::IpuMk2(), CompileOptions{}};
   CompilationContext ctx;
-  ctx.graph = &graph;
-  ctx.resources = &resources;
-  ctx.model.model_name = graph.name();
-  FitCostModelPass fit;
-  IntraOpSearchPass search;
-  InterOpReconcilePass reconcile;
-  for (Pass* pass : {static_cast<Pass*>(&fit), static_cast<Pass*>(&search),
-                     static_cast<Pass*>(&reconcile)}) {
-    if (pass->Run(ctx).action != PassResult::Action::kContinue) {
-      state.SkipWithError("BERT does not compile through the reconcile");
-      return;
+  bool ok = true;
+
+  BertReconciled() {
+    ctx.graph = &graph;
+    ctx.resources = &resources;
+    ctx.model.model_name = graph.name();
+    FitCostModelPass fit;
+    IntraOpSearchPass search;
+    InterOpReconcilePass reconcile;
+    for (Pass* pass : {static_cast<Pass*>(&fit), static_cast<Pass*>(&search),
+                       static_cast<Pass*>(&reconcile)}) {
+      ok = ok && pass->Run(ctx).action == PassResult::Action::kContinue;
     }
   }
-  const ChipSpec& chip = resources.chip();
+};
+
+// Algorithm 1 on the operators of BERT at batch 1, under the whole core
+// memory.
+void BM_ReconcileInterOp(benchmark::State& state) {
+  const BertReconciled bert;
+  if (!bert.ok) {
+    state.SkipWithError("BERT does not compile through the reconcile");
+    return;
+  }
+  const ChipSpec& chip = bert.resources.chip();
   std::size_t steps = 0;
   for (auto _ : state) {
-    const InterOpSchedule schedule = ReconcileInterOp(ctx.inter_ops, chip, chip.core_memory_bytes);
+    const InterOpSchedule schedule =
+        ReconcileInterOp(bert.ctx.inter_ops, chip, chip.core_memory_bytes);
     benchmark::DoNotOptimize(schedule.total_seconds);
     steps = schedule.trajectory.size();
   }
-  state.SetLabel(std::to_string(ctx.inter_ops.size()) + " ops, " + std::to_string(steps) +
+  state.SetLabel(std::to_string(bert.ctx.inter_ops.size()) + " ops, " + std::to_string(steps) +
                  " steps");
 }
 BENCHMARK(BM_ReconcileInterOp)->Unit(benchmark::kMicrosecond);
+
+// The memory_plan pass on BERT at batch 1 after the reconcile: every
+// operator materialized from its shared Pareto set, then the liveness plan
+// (rerunning Algorithm 1 under a smaller budget while the plan overshoots).
+// Each iteration starts from the reconcile's schedule.
+void BM_MemoryPlanPass(benchmark::State& state) {
+  BertReconciled bert;
+  if (!bert.ok) {
+    state.SkipWithError("BERT does not compile through the reconcile");
+    return;
+  }
+  const InterOpSchedule schedule = bert.ctx.schedule;
+  const CompiledModel model = bert.ctx.model;
+  MemoryPlanPass memory_plan;
+  for (auto _ : state) {
+    state.PauseTiming();
+    bert.ctx.schedule = schedule;
+    bert.ctx.model = model;
+    state.ResumeTiming();
+    if (memory_plan.Run(bert.ctx).action != PassResult::Action::kContinue) {
+      state.SkipWithError("BERT's memory plan does not fit");
+      return;
+    }
+    benchmark::DoNotOptimize(bert.ctx.memory_plan.peak_bytes);
+  }
+  state.SetLabel(std::to_string(bert.ctx.model.ops.size()) + " ops, peak " +
+                 std::to_string(bert.ctx.memory_plan.peak_bytes) + " B/core");
+}
+BENCHMARK(BM_MemoryPlanPass)->Unit(benchmark::kMicrosecond);
 
 void BM_IntraOpSearch(benchmark::State& state) {
   ChipSpec chip = ChipSpec::ScaledIpu(static_cast<int>(state.range(0)));
