@@ -1,4 +1,5 @@
-// Google-benchmark microbenchmarks of the compiler's hot paths: plan
+// Google-benchmark microbenchmarks of the compiler's hot paths: the
+// cost-model fit and the plan-cache load a warm compile starts with, plan
 // geometry derivation, plan cost evaluation, the search's F_op enumeration,
 // one search candidate's filter and cost, the Pareto frontier over one
 // search's candidates, intra-op search, the inter-op reconcile
@@ -11,6 +12,8 @@
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
+#include <cstdint>
+#include <filesystem>
 #include <optional>
 #include <string>
 
@@ -21,6 +24,7 @@
 #include "src/core/pass/inter_op_reconcile.h"
 #include "src/core/pass/intra_op_search.h"
 #include "src/core/pass/memory_plan.h"
+#include "src/core/pass/plan_cache.h"
 #include "src/core/program_executor.h"
 #include "src/core/search.h"
 #include "src/fault/campaign.h"
@@ -156,6 +160,69 @@ void BM_CostModelPredict(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_CostModelPredict);
+
+// The cost-model fit every Compiler runs once: 240 profiled samples per
+// kernel class plus the shift model, on the IPU Mk2.
+void BM_CostModelFit(benchmark::State& state) {
+  const KernelGroundTruth truth(ChipSpec::IpuMk2());
+  const int samples = CompileOptions{}.cost_model_samples;
+  for (auto _ : state) {
+    const FittedCostModel model = FittedCostModel::Fit(truth, samples);
+    benchmark::DoNotOptimize(model.RSquared(KernelClass::kMatMul));
+  }
+}
+BENCHMARK(BM_CostModelFit)->Unit(benchmark::kMicrosecond);
+
+// A plan-cache directory holding the file a warm zoo compile reads: every
+// evaluation model at its first batch size compiled once on the IPU Mk2
+// (jobs = 4), and the fingerprint that names the file.
+struct ZooPlanCache {
+  std::string dir;
+  std::uint64_t fingerprint = 0;
+};
+
+const ZooPlanCache& ZooCache() {
+  static const ZooPlanCache* cache = [] {
+    auto* zoo = new ZooPlanCache;
+    const std::filesystem::path dir =
+        std::filesystem::temp_directory_path() / "t10_bench_zoo_plan_cache";
+    std::filesystem::remove_all(dir);
+    std::filesystem::create_directories(dir);
+    zoo->dir = dir.string();
+    CompileOptions options;
+    options.jobs = 4;
+    options.plan_cache_dir = zoo->dir;
+    for (const ModelInfo& info : EvaluationModels()) {
+      Compiler compiler(ChipSpec::IpuMk2(), options);
+      compiler.Compile(info.build(info.batch_sizes.front()));
+    }
+    CompilerResources resources(ChipSpec::IpuMk2(), options);
+    zoo->fingerprint = PlanCache::Fingerprint(resources.chip(), options.constraints,
+                                              resources.cost_model(), options.cost_model_samples);
+    return zoo;
+  }();
+  return *cache;
+}
+
+// What a warm compile pays to open its plan cache: attaching the zoo's cache
+// directory loads and checks every entry of its file.
+void BM_PlanCacheAttach(benchmark::State& state) {
+  const ZooPlanCache& zoo = ZooCache();
+  int entries = 0;
+  std::int64_t rejected = 0;
+  for (auto _ : state) {
+    PlanCache cache;
+    if (!cache.AttachDir(zoo.dir, zoo.fingerprint).ok()) {
+      state.SkipWithError("cannot attach the zoo's plan cache");
+      return;
+    }
+    entries = cache.size();
+    rejected = cache.rejected_on_load();
+  }
+  state.SetLabel(std::to_string(entries) + " entries, " + std::to_string(rejected) +
+                 " rejected");
+}
+BENCHMARK(BM_PlanCacheAttach)->Unit(benchmark::kMicrosecond);
 
 // BenchOp()'s candidate stream on the IPU Mk2: every candidate the search
 // costs, in its order, with its predicted metrics and an empty plan (the

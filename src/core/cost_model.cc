@@ -150,9 +150,7 @@ FittedCostModel FittedCostModel::Fit(const KernelGroundTruth& truth, int samples
     LinearRegression& reg = model.kernel_models_[static_cast<std::size_t>(c)];
     for (int i = 0; i < samples_per_class; ++i) {
       SubTaskShape shape = RandomShape(cls, rng);
-      const std::array<double, 3> features = Features(shape);
-      reg.AddSample(std::vector<double>(features.begin(), features.end()),
-                    truth.SubTaskSeconds(shape));
+      reg.AddSample(Features(shape), truth.SubTaskSeconds(shape));
     }
     T10_CHECK(reg.Fit()) << "cost model fit failed for " << KernelClassName(cls);
     model.r_squared_[static_cast<std::size_t>(c)] = reg.RSquared();
@@ -166,8 +164,7 @@ FittedCostModel FittedCostModel::Fit(const KernelGroundTruth& truth, int samples
       128 * 1024, 8 * model.shift_chunk_bytes_);
   for (int i = 0; i < samples_per_class; ++i) {
     std::int64_t bytes = rng.Uniform(1, max_shift_bytes);
-    const std::array<double, 3> features = ShiftFeatures(bytes, model.shift_chunk_bytes_);
-    model.shift_model_.AddSample(std::vector<double>(features.begin(), features.end()),
+    model.shift_model_.AddSample(ShiftFeatures(bytes, model.shift_chunk_bytes_),
                                  truth.ShiftSeconds(bytes));
   }
   T10_CHECK(model.shift_model_.Fit()) << "shift cost model fit failed";

@@ -26,13 +26,27 @@ std::string MemoryPlan::DebugString() const {
 }
 
 MemoryPlan PlanMemory(const CompiledModel& model, const Graph& graph, const ChipSpec& chip) {
-  MemoryPlan plan;
-  plan.capacity = chip.core_memory_bytes;
-  if (!model.fits || model.ops.empty()) {
-    plan.fits = model.fits;
+  if (!model.fits) {
+    MemoryPlan plan;
+    plan.capacity = chip.core_memory_bytes;
+    plan.fits = false;
     return plan;
   }
-  const int num_ops = static_cast<int>(model.ops.size());
+  std::vector<OpPlans> plans;
+  plans.reserve(model.ops.size());
+  for (const CompiledOp& op : model.ops) {
+    plans.push_back(OpPlans{&op.active_plan, &op.idle_plan});
+  }
+  return PlanMemory(plans, graph, chip);
+}
+
+MemoryPlan PlanMemory(std::span<const OpPlans> plans, const Graph& graph, const ChipSpec& chip) {
+  MemoryPlan plan;
+  plan.capacity = chip.core_memory_bytes;
+  if (plans.empty()) {
+    return plan;
+  }
+  const int num_ops = static_cast<int>(plans.size());
   T10_CHECK_EQ(num_ops, graph.num_ops());
 
   // --- Build the interval set. ---
@@ -47,9 +61,9 @@ MemoryPlan PlanMemory(const CompiledModel& model, const Graph& graph, const Chip
       if (!graph.tensor(op.inputs()[j].name).is_weight) {
         continue;
       }
-      idle_weights += model.ops[static_cast<std::size_t>(i)].idle_plan.OperandWindowBytes(
+      idle_weights += plans[static_cast<std::size_t>(i)].idle->OperandWindowBytes(
           static_cast<int>(j));
-      active_weights += model.ops[static_cast<std::size_t>(i)].active_plan.OperandWindowBytes(
+      active_weights += plans[static_cast<std::size_t>(i)].active->OperandWindowBytes(
           static_cast<int>(j));
     }
     if (idle_weights > 0) {
@@ -75,16 +89,15 @@ MemoryPlan PlanMemory(const CompiledModel& model, const Graph& graph, const Chip
     int first = info.producer >= 0 ? info.producer : 0;
     int last = first;
     if (info.producer >= 0) {
-      bytes = std::max(bytes, model.ops[static_cast<std::size_t>(info.producer)]
-                                  .active_plan.output_plan()
-                                  .window_bytes);
+      bytes = std::max(
+          bytes, plans[static_cast<std::size_t>(info.producer)].active->output_plan().window_bytes);
     }
     for (int consumer : info.consumers) {
       const Operator& op = graph.op(consumer);
       for (std::size_t j = 0; j < op.inputs().size(); ++j) {
         if (op.inputs()[j].name == name) {
-          bytes = std::max(bytes, model.ops[static_cast<std::size_t>(consumer)]
-                                      .active_plan.OperandWindowBytes(static_cast<int>(j)));
+          bytes = std::max(bytes, plans[static_cast<std::size_t>(consumer)]
+                                      .active->OperandWindowBytes(static_cast<int>(j)));
         }
       }
       last = std::max(last, consumer);

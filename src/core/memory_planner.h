@@ -18,6 +18,7 @@
 
 #include <cstdint>
 #include <map>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -48,8 +49,20 @@ struct MemoryPlan {
   std::string DebugString() const;
 };
 
-// Plans one core's memory for a compiled model. Uses each operator's active
-// per-core footprint, its idle weight windows, and the graph's liveness.
+// The two plans of one operator the memory planner reads window bytes from.
+struct OpPlans {
+  const ExecutionPlan* active = nullptr;
+  const ExecutionPlan* idle = nullptr;
+};
+
+// Plans one core's memory for one OpPlans per graph operator. Uses each
+// operator's active operand and output windows, its idle weight windows, and
+// the graph's liveness. Only window bytes are read, so the plans may be bound
+// to another operator of the same signature.
+MemoryPlan PlanMemory(std::span<const OpPlans> plans, const Graph& graph, const ChipSpec& chip);
+
+// The same over a compiled model's active and idle plans; a model that does
+// not fit gets an empty plan that does not fit either.
 MemoryPlan PlanMemory(const CompiledModel& model, const Graph& graph, const ChipSpec& chip);
 
 }  // namespace t10

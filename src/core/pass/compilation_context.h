@@ -53,8 +53,11 @@ class CompilerResources {
   // Attaches options().plan_cache_dir to the plan cache exactly once per
   // Compiler (no-op without a directory). Attachment failures log a warning
   // and leave the cache memory-only — a broken cache dir must never fail a
-  // compile. Load-time rejections land on compiler.plan_cache.rejected.
-  void EnsurePlanCacheAttached();
+  // compile. Load-time rejections land on compiler.plan_cache.rejected. The
+  // attach (fingerprint and file load, not the fit) runs in a
+  // phase.plan_cache_load span under `trace`, timed into
+  // compiler.phase.plan_cache_load.seconds.
+  void EnsurePlanCacheAttached(const obs::TraceContext& trace = {});
 
   // Worker count the search fans out to: options().jobs, where 0 means
   // ThreadPool::HardwareConcurrency() (negative values clamp to 1).

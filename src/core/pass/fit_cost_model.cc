@@ -6,7 +6,7 @@ namespace t10 {
 
 PassResult FitCostModelPass::Run(CompilationContext& ctx) {
   ctx.resources->cost_model();  // Fits on first use, timed by the resources.
-  ctx.resources->EnsurePlanCacheAttached();
+  ctx.resources->EnsurePlanCacheAttached(ctx.trace);
   return PassResult::Continue();
 }
 

@@ -56,7 +56,7 @@ PassResult IntraOpSearchPass::Run(CompilationContext& ctx) {
   CompilerResources& resources = *ctx.resources;
   obs::MetricsRegistry& metrics = obs::MetricsRegistry::Global();
   // Idempotent: a pipeline restarted past FitCostModel still gets the cache.
-  resources.EnsurePlanCacheAttached();
+  resources.EnsurePlanCacheAttached(ctx.trace);
   // Force the fit before fanning out: the pool workers must only read it.
   const FittedCostModel& cost_model = resources.cost_model();
   const ChipSpec& chip = resources.chip();

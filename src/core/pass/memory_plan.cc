@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cstdint>
 #include <utility>
+#include <vector>
 
 #include "src/core/pass/inter_op_reconcile.h"
 #include "src/obs/metrics.h"
@@ -32,7 +33,7 @@ double TransitionSeconds(std::int64_t tensor_bytes, const ChipSpec& chip) {
   return chip.sync_latency_seconds + 2.0 * per_core_bytes / chip.EffectiveLinkBandwidth();
 }
 
-// Builds CompiledOps for every operator from the chosen schedule options,
+// Builds CompiledOps for every operator from the final schedule's options,
 // binding the plans it copies from a shared Pareto set to their operator.
 void MaterializeOps(CompilationContext& ctx) {
   const Graph& graph = *ctx.graph;
@@ -80,20 +81,22 @@ void MaterializeOps(CompilationContext& ctx) {
   }
 }
 
-// Materializes the current schedule and plans its memory.
+// Plans the memory of the current schedule. Between reconcile reruns nothing
+// is materialized: the planner reads window bytes straight from the shared
+// Pareto sets.
 void PlanSchedule(CompilationContext& ctx) {
   obs::MetricsRegistry& metrics = obs::MetricsRegistry::Global();
-  ctx.model.ops.clear();
-  {
-    obs::Span span = obs::StartSpan(ctx.trace, "phase.materialize",
-                                    &metrics.GetHistogram("compiler.phase.materialize.seconds"));
-    MaterializeOps(ctx);
+  obs::Span span = obs::StartSpan(ctx.trace, "phase.memory_plan",
+                                  &metrics.GetHistogram("compiler.phase.memory_plan.seconds"));
+  std::vector<OpPlans> plans;
+  plans.reserve(static_cast<std::size_t>(ctx.graph->num_ops()));
+  for (int i = 0; i < ctx.graph->num_ops(); ++i) {
+    const std::vector<PlanCandidate>& pareto = ctx.search(i).pareto;
+    const OpSchedule& sched = ctx.schedule.per_op[static_cast<std::size_t>(i)];
+    plans.push_back(OpPlans{&pareto[static_cast<std::size_t>(sched.active_option)].plan,
+                            &pareto[static_cast<std::size_t>(sched.idle_option)].plan});
   }
-  {
-    obs::Span span = obs::StartSpan(ctx.trace, "phase.memory_plan",
-                                    &metrics.GetHistogram("compiler.phase.memory_plan.seconds"));
-    ctx.memory_plan = PlanMemory(ctx.model, *ctx.graph, ctx.resources->chip());
-  }
+  ctx.memory_plan = PlanMemory(plans, *ctx.graph, ctx.resources->chip());
   ctx.model.memory_peak_bytes = ctx.memory_plan.peak_bytes;
 }
 
@@ -126,8 +129,8 @@ std::int64_t PeakCharge(const CompilationContext& ctx) {
 
 PassResult MemoryPlanPass::Run(CompilationContext& ctx) {
   const std::int64_t capacity = ctx.resources->chip().core_memory_bytes;
-  obs::Histogram& reconcile_seconds =
-      obs::MetricsRegistry::Global().GetHistogram("compiler.phase.reconcile.seconds");
+  obs::MetricsRegistry& metrics = obs::MetricsRegistry::Global();
+  obs::Histogram& reconcile_seconds = metrics.GetHistogram("compiler.phase.reconcile.seconds");
   std::int64_t budget = capacity;  // The budget InterOpReconcile ran under.
   std::int64_t previous_peak = -1;
   PlanSchedule(ctx);
@@ -149,6 +152,11 @@ PassResult MemoryPlanPass::Run(CompilationContext& ctx) {
     }
     PlanSchedule(ctx);
   }
+  // The schedule is final: build its CompiledOps once.
+  obs::Span span = obs::StartSpan(ctx.trace, "phase.materialize",
+                                  &metrics.GetHistogram("compiler.phase.materialize.seconds"));
+  ctx.model.ops.clear();
+  MaterializeOps(ctx);
   return PassResult::Continue();
 }
 

@@ -1,12 +1,14 @@
-// Pass 4: materialize the schedule and plan per-core memory (paper §4.4).
+// Pass 4: plan per-core memory and materialize the schedule (paper §4.4).
 //
-// Builds the CompiledOps the schedule selected (active/idle plans, ground
-// truth metrics, setup and layout-transition costs) and runs the
-// liveness-based memory planner over them. Algorithm 1 does not see
-// activations held for later consumers, so the true peak can overshoot the
-// scratchpad. The pass then reruns the reconciliation under a smaller budget
-// and plans again, until the plan fits or no schedule fits the budget. Each
-// next budget comes from numbers the last attempt measured:
+// Runs the liveness-based memory planner over the active and idle plans the
+// schedule selected, reading their window bytes from the shared Pareto sets.
+// Algorithm 1 does not see activations held for later consumers, so the true
+// peak can overshoot the scratchpad. The pass then reruns the reconciliation
+// under a smaller budget and plans again, until the plan fits or no schedule
+// fits the budget. Only the final schedule is materialized into CompiledOps
+// (active/idle plans bound to their operator, ground-truth metrics, setup and
+// layout-transition costs). Each next budget comes from numbers the last
+// attempt measured:
 //   - it is at most the last budget minus the overshoot;
 //   - it is below the schedule's stable_budget, so the schedule changes;
 //   - if the peak did not move, it is below the largest charge of the peak's

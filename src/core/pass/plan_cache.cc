@@ -2,11 +2,11 @@
 
 #include <algorithm>
 #include <cerrno>
+#include <charconv>
 #include <cstdlib>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
-#include <iomanip>
 #include <sstream>
 #include <utility>
 
@@ -20,9 +20,11 @@ namespace {
 namespace fs = std::filesystem;
 
 std::string HexU64(std::uint64_t v) {
-  std::ostringstream out;
-  out << std::hex << std::setw(16) << std::setfill('0') << v;
-  return out.str();
+  std::string out(16, '0');
+  for (int i = 15; i >= 0; --i, v >>= 4) {
+    out[static_cast<std::size_t>(i)] = "0123456789abcdef"[v & 0xf];
+  }
+  return out;
 }
 
 // Binary append helpers for fingerprint hashing: fixed-width little-endian so
@@ -42,7 +44,7 @@ void AppendDouble(std::string& buf, double v) {
   AppendU64(buf, bits);
 }
 
-std::string JoinInts(const std::vector<std::int64_t>& v) {
+std::string JoinInts(std::span<const std::int64_t> v) {
   if (v.empty()) {
     return "-";
   }
@@ -56,46 +58,68 @@ std::string JoinInts(const std::vector<std::int64_t>& v) {
   return out.str();
 }
 
-bool ParseInts(const std::string& text, std::vector<std::int64_t>& out) {
-  out.clear();
+// One decimal integer filling the whole token, in strtoll's grammar: leading
+// whitespace, an optional sign, digits; out-of-range values fail.
+bool ParseInt(std::string_view token, std::int64_t& out) {
+  std::size_t i = 0;
+  // isspace in the C locale: ' ' and '\t' through '\r'.
+  while (i < token.size() && (token[i] == ' ' || (token[i] >= '\t' && token[i] <= '\r'))) {
+    ++i;
+  }
+  if (i < token.size() && token[i] == '+') {
+    ++i;
+    if (i < token.size() && token[i] == '-') {
+      return false;  // from_chars would take the sign strtoll refuses.
+    }
+  }
+  const char* last = token.data() + token.size();
+  const auto [end, error] = std::from_chars(token.data() + i, last, out);
+  return error == std::errc() && end == last;
+}
+
+// Appends the comma-separated integers of `text` ("-" for none) to `out`.
+bool AppendInts(std::string_view text, std::vector<std::int64_t>& out) {
   if (text == "-") {
     return true;
   }
-  if (text.empty()) {
-    return false;
-  }
-  std::size_t pos = 0;
   for (;;) {
-    const std::size_t comma = text.find(',', pos);
-    const std::string token =
-        text.substr(pos, comma == std::string::npos ? std::string::npos : comma - pos);
-    if (token.empty()) {
-      return false;
-    }
-    errno = 0;
-    char* end = nullptr;
-    const long long value = std::strtoll(token.c_str(), &end, 10);
-    if (errno != 0 || end == token.c_str() || *end != '\0') {
+    const std::size_t comma = text.find(',');
+    std::int64_t value = 0;
+    if (!ParseInt(text.substr(0, comma), value)) {
       return false;
     }
     out.push_back(value);
-    if (comma == std::string::npos) {
+    if (comma == std::string_view::npos) {
       return true;
     }
-    pos = comma + 1;
+    text.remove_prefix(comma + 1);
   }
 }
 
 // strtod (not operator>>) because the file stores doubles as hexfloat for an
 // exact round-trip, and istream extraction does not accept hexfloat.
-bool ParseDoubleToken(const std::string& token, double& out) {
-  if (token.empty()) {
+bool ParseDouble(std::string_view text, double& out) {
+  if (text.empty()) {
     return false;
   }
+  const std::string token(text);
   errno = 0;
   char* end = nullptr;
   out = std::strtod(token.c_str(), &end);
   return errno == 0 && end != token.c_str() && *end == '\0';
+}
+
+// Takes the next line off the front of `text` the way std::getline reads
+// it: up to a '\n', which is dropped. False once `text` is empty, so a final
+// '\n' yields no empty line. The line is a view into `text`'s buffer.
+bool NextLine(std::string_view& text, std::string_view& line) {
+  if (text.empty()) {
+    return false;
+  }
+  const std::size_t newline = text.find('\n');
+  line = text.substr(0, newline);
+  text.remove_prefix(newline == std::string_view::npos ? text.size() : newline + 1);
+  return true;
 }
 
 // The checksummed body of one entry: everything between (and including) its
@@ -106,89 +130,73 @@ std::string EntrySerialization(const std::string& signature, const CachedPlanSet
   out << "space " << std::hexfloat << entry.complete_space_log10 << std::defaultfloat << "\n";
   out << "filtered " << entry.filtered_count << "\n";
   out << "visited " << entry.fop_count << "\n";
-  out << "plans " << entry.fops.size() << "\n";
-  for (std::size_t i = 0; i < entry.fops.size(); ++i) {
-    out << "plan fop=" << JoinInts(entry.fops[i]) << " t=";
-    for (std::size_t j = 0; j < entry.temporals[i].size(); ++j) {
-      if (j > 0) {
+  out << "plans " << entry.num_plans() << "\n";
+  for (int plan = 0; plan < entry.num_plans(); ++plan) {
+    out << "plan fop=" << JoinInts(entry.fop(plan)) << " t=";
+    for (int tensor = 0; tensor < entry.num_tensors(plan); ++tensor) {
+      if (tensor > 0) {
         out << "|";
       }
-      out << JoinInts(entry.temporals[i][j]);
+      out << JoinInts(entry.temporal(plan, tensor));
     }
     out << "\n";
   }
   return out.str();
 }
 
-bool ParseEntryBlock(const std::vector<std::string>& lines, std::string& signature,
-                     CachedPlanSet& entry) {
-  if (lines.size() < 5) {
-    return false;
-  }
-  auto field = [&lines](std::size_t i, const char* key, std::string& value) {
-    const std::string prefix = std::string(key) + " ";
-    if (lines[i].rfind(prefix, 0) != 0) {
+// Parses the lines of one checksummed entry block into `entry`, which must be
+// empty. `ints` is scratch space reused across blocks.
+bool ParseEntryBlock(std::string_view block, std::vector<std::int64_t>& ints,
+                     std::string& signature, CachedPlanSet& entry) {
+  std::string_view line;
+  std::string_view value;
+  auto field = [&](std::string_view key) {
+    if (!NextLine(block, line) || !line.starts_with(key)) {
       return false;
     }
-    value = lines[i].substr(prefix.size());
+    value = line.substr(key.size());
     return true;
   };
-  std::string value;
-  std::vector<std::int64_t> one;
-  if (!field(0, "entry", signature) || signature.empty()) {
+  if (!field("entry ") || value.empty()) {
     return false;
   }
-  if (!field(1, "space", value) || !ParseDoubleToken(value, entry.complete_space_log10)) {
+  signature.assign(value);
+  std::int64_t num_plans = 0;
+  if (!field("space ") || !ParseDouble(value, entry.complete_space_log10) ||
+      !field("filtered ") || !ParseInt(value, entry.filtered_count) || !field("visited ") ||
+      !ParseInt(value, entry.fop_count) || !field("plans ") || !ParseInt(value, num_plans) ||
+      num_plans < 0) {
     return false;
   }
-  if (!field(2, "filtered", value) || !ParseInts(value, one) || one.size() != 1) {
-    return false;
-  }
-  entry.filtered_count = one[0];
-  if (!field(3, "visited", value) || !ParseInts(value, one) || one.size() != 1) {
-    return false;
-  }
-  entry.fop_count = one[0];
-  if (!field(4, "plans", value) || !ParseInts(value, one) || one.size() != 1 || one[0] < 0) {
-    return false;
-  }
-  const std::size_t num_plans = static_cast<std::size_t>(one[0]);
-  if (lines.size() != 5 + num_plans) {
-    return false;
-  }
-  for (std::size_t i = 0; i < num_plans; ++i) {
-    const std::string& line = lines[5 + i];
-    if (line.rfind("plan fop=", 0) != 0) {
+  constexpr std::string_view kPlanPrefix = "plan fop=";
+  for (std::int64_t i = 0; i < num_plans; ++i) {
+    if (!NextLine(block, line) || !line.starts_with(kPlanPrefix)) {
       return false;
     }
     const std::size_t tpos = line.find(" t=");
-    if (tpos == std::string::npos) {
+    if (tpos == std::string_view::npos) {
       return false;
     }
-    std::vector<std::int64_t> fop;
-    if (!ParseInts(line.substr(9, tpos - 9), fop)) {
+    ints.clear();
+    if (!AppendInts(line.substr(kPlanPrefix.size(), tpos - kPlanPrefix.size()), ints)) {
       return false;
     }
-    std::vector<std::vector<std::int64_t>> tensors;
-    const std::string rest = line.substr(tpos + 3);
-    std::size_t pos = 0;
+    entry.AddPlan(ints);
+    std::string_view rest = line.substr(tpos + 3);
     for (;;) {
-      const std::size_t bar = rest.find('|', pos);
-      std::vector<std::int64_t> dims;
-      if (!ParseInts(rest.substr(pos, bar == std::string::npos ? std::string::npos : bar - pos),
-                     dims)) {
+      const std::size_t bar = rest.find('|');
+      ints.clear();
+      if (!AppendInts(rest.substr(0, bar), ints)) {
         return false;
       }
-      tensors.push_back(std::move(dims));
-      if (bar == std::string::npos) {
+      entry.AddTemporal(ints);
+      if (bar == std::string_view::npos) {
         break;
       }
-      pos = bar + 1;
+      rest.remove_prefix(bar + 1);
     }
-    entry.fops.push_back(std::move(fop));
-    entry.temporals.push_back(std::move(tensors));
   }
-  return true;
+  return block.empty();  // Exactly `num_plans` plan lines.
 }
 
 std::string FormatHeader() {
@@ -197,54 +205,62 @@ std::string FormatHeader() {
 
 // Loads every entry whose checksum and syntax hold; anything else (bad
 // header, wrong fingerprint, truncated or bit-flipped entries) is counted as
-// rejected and skipped. Never trusts a damaged entry.
-void LoadCacheFile(std::istream& in, std::uint64_t expected_fingerprint,
+// rejected and skipped. Never trusts a damaged entry. One pass over the
+// file's bytes: an entry's checksum covers the contiguous bytes from its
+// "entry" line to its "crc" line, so they are hashed in place.
+void LoadCacheFile(std::string_view text, std::uint64_t expected_fingerprint,
                    std::map<std::string, CachedPlanSet>& entries, std::int64_t& rejected) {
-  std::string line;
-  if (!std::getline(in, line) || line != FormatHeader()) {
+  std::string_view line;
+  if (!NextLine(text, line) || line != FormatHeader()) {
     ++rejected;
     return;
   }
-  if (!std::getline(in, line) || line != "fingerprint " + HexU64(expected_fingerprint)) {
+  if (!NextLine(text, line) || line != "fingerprint " + HexU64(expected_fingerprint)) {
     ++rejected;
     return;
   }
-  std::vector<std::string> block;
-  bool in_block = false;
-  while (std::getline(in, line)) {
-    if (line.rfind("entry ", 0) == 0) {
-      if (in_block) {
+  const char* block_start = nullptr;  // First byte of the open entry, if any.
+  std::vector<std::int64_t> ints;
+  std::string signature;
+  while (NextLine(text, line)) {
+    if (line.starts_with("entry ")) {
+      if (block_start != nullptr) {
         ++rejected;  // Previous entry never reached its checksum line.
       }
-      block.assign(1, line);
-      in_block = true;
+      block_start = line.data();
       continue;
     }
-    if (!in_block) {
+    if (block_start == nullptr) {
       ++rejected;  // Stray bytes between entries.
       continue;
     }
-    if (line.rfind("crc ", 0) == 0) {
-      std::string raw;
-      for (const std::string& block_line : block) {
-        raw += block_line;
-        raw += '\n';
-      }
-      std::string signature;
+    if (line.starts_with("crc ")) {
+      const std::string_view block(block_start,
+                                   static_cast<std::size_t>(line.data() - block_start));
       CachedPlanSet entry;
-      if (line.substr(4) == HexU64(Fnv1a64(raw)) && ParseEntryBlock(block, signature, entry)) {
-        entries[signature] = std::move(entry);
+      if (line.substr(4) == HexU64(Fnv1a64(block)) &&
+          ParseEntryBlock(block, ints, signature, entry)) {
+        entries.insert_or_assign(signature, std::move(entry));
       } else {
         ++rejected;
       }
-      in_block = false;
-      continue;
+      block_start = nullptr;
     }
-    block.push_back(line);
   }
-  if (in_block) {
+  if (block_start != nullptr) {
     ++rejected;  // File truncated mid-entry.
   }
+}
+
+// The bytes of the file at `path`; nullopt if it cannot be opened.
+std::optional<std::string> ReadWholeFile(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  if (!in.good()) {
+    return std::nullopt;
+  }
+  std::ostringstream text;
+  text << in.rdbuf();
+  return std::move(text).str();
 }
 
 // Keeps at most `max_files` cache files in `dir` (ours always survives);
@@ -315,18 +331,33 @@ std::uint64_t Fnv1a64(std::string_view data, std::uint64_t seed) {
   return hash;
 }
 
+void CachedPlanSet::AddPlan(std::span<const std::int64_t> fop) {
+  values.insert(values.end(), fop.begin(), fop.end());
+  list_end.push_back(static_cast<std::uint32_t>(values.size()));
+  plan_list.push_back(static_cast<std::uint32_t>(list_end.size()));
+}
+
+void CachedPlanSet::AddTemporal(std::span<const std::int64_t> temporal) {
+  values.insert(values.end(), temporal.begin(), temporal.end());
+  list_end.push_back(static_cast<std::uint32_t>(values.size()));
+  plan_list.back() = static_cast<std::uint32_t>(list_end.size());
+}
+
+std::span<const std::int64_t> CachedPlanSet::List(std::size_t list) const {
+  const std::size_t begin = list == 0 ? 0 : list_end[list - 1];
+  return std::span<const std::int64_t>(values).subspan(begin, list_end[list] - begin);
+}
+
 CachedPlanSet ToCachedPlanSet(const IntraOpResult& result) {
   CachedPlanSet cached;
   cached.complete_space_log10 = result.complete_space_log10;
   cached.filtered_count = result.filtered_count;
   cached.fop_count = result.fop_count;
   for (const PlanCandidate& candidate : result.pareto) {
-    cached.fops.push_back(candidate.plan.fop());
-    std::vector<std::vector<std::int64_t>> temporal;
+    cached.AddPlan(candidate.plan.fop());
     for (const RTensorPlan& tensor_plan : candidate.plan.tensors()) {
-      temporal.push_back(tensor_plan.temporal);
+      cached.AddTemporal(tensor_plan.temporal);
     }
-    cached.temporals.push_back(std::move(temporal));
   }
   return cached;
 }
@@ -334,20 +365,27 @@ CachedPlanSet ToCachedPlanSet(const IntraOpResult& result) {
 std::optional<IntraOpResult> RebuildFromCache(const CachedPlanSet& entry, const Operator& op,
                                               const TimingSource& cost_model,
                                               const ChipSpec& chip) {
-  if (entry.fops.size() != entry.temporals.size()) {
-    return std::nullopt;
-  }
   IntraOpResult result;
   result.complete_space_log10 = entry.complete_space_log10;
   result.filtered_count = entry.filtered_count;
   result.fop_count = entry.fop_count;
-  for (std::size_t i = 0; i < entry.fops.size(); ++i) {
-    auto plan = ExecutionPlan::Create(op, entry.fops[i], entry.temporals[i]);
-    if (!plan.has_value()) {
+  result.pareto.reserve(static_cast<std::size_t>(entry.num_plans()));
+  const std::size_t num_tensors = op.inputs().size() + 1;
+  std::vector<std::vector<std::int64_t>> temporal(num_tensors);  // Reused by every plan.
+  for (int i = 0; i < entry.num_plans(); ++i) {
+    if (entry.num_tensors(i) != static_cast<int>(num_tensors)) {
+      return std::nullopt;  // Not this signature's tensor count; re-search.
+    }
+    for (std::size_t t = 0; t < num_tensors; ++t) {
+      const std::span<const std::int64_t> factors = entry.temporal(i, static_cast<int>(t));
+      temporal[t].assign(factors.begin(), factors.end());
+    }
+    ExecutionPlan plan;
+    if (!plan.Rebuild(op, entry.fop(i), temporal)) {
       return std::nullopt;  // Incompatible or damaged entry; re-search.
     }
-    const PlanMetrics predicted = plan->Evaluate(cost_model, chip);
-    result.pareto.push_back(PlanCandidate{std::move(*plan), predicted});
+    const PlanMetrics predicted = plan.Evaluate(cost_model, chip);
+    result.pareto.push_back(PlanCandidate{std::move(plan), predicted});
   }
   return result;
 }
@@ -420,9 +458,8 @@ Status PlanCache::AttachDir(const std::string& dir, std::uint64_t fingerprint, i
   entries_.clear();
   rejected_on_load_ = 0;
 
-  std::ifstream in(path_);
-  if (in.good()) {
-    LoadCacheFile(in, fingerprint_, entries_, rejected_on_load_);
+  if (const std::optional<std::string> text = ReadWholeFile(path_)) {
+    LoadCacheFile(*text, fingerprint_, entries_, rejected_on_load_);
     if (rejected_on_load_ > 0) {
       T10_LOG(Warning) << "plan cache: rejected " << rejected_on_load_
                        << " damaged entr(y/ies) in " << path_ << "; they will be recompiled";

@@ -25,6 +25,7 @@
 #include <cstdint>
 #include <map>
 #include <optional>
+#include <span>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -46,13 +47,37 @@ std::uint64_t Fnv1a64(std::string_view data,
                       std::uint64_t seed = 14695981039346656037ull);
 
 // One cached search result: enough to rebuild the Pareto frontier against any
-// operator with the same signature.
+// operator with the same signature. Stored flat, so loading an entry makes no
+// per-plan allocation: every plan is a run of integer lists in `values` (its
+// F_op, then one temporal-factor list per tensor, inputs first), `list_end`
+// holds the end offset of each list and `plan_list` the index of each plan's
+// first list, with one closing index past the last plan.
 struct CachedPlanSet {
-  std::vector<std::vector<std::int64_t>> fops;
-  std::vector<std::vector<std::vector<std::int64_t>>> temporals;
+  std::vector<std::int64_t> values;
+  std::vector<std::uint32_t> list_end;
+  std::vector<std::uint32_t> plan_list = {0};
   double complete_space_log10 = 0.0;
   std::int64_t filtered_count = 0;
   std::int64_t fop_count = 0;
+
+  int num_plans() const { return static_cast<int>(plan_list.size()) - 1; }
+  std::span<const std::int64_t> fop(int plan) const { return List(FirstList(plan)); }
+  int num_tensors(int plan) const {
+    return static_cast<int>(FirstList(plan + 1) - FirstList(plan)) - 1;
+  }
+  std::span<const std::int64_t> temporal(int plan, int tensor) const {
+    return List(FirstList(plan) + 1 + static_cast<std::size_t>(tensor));
+  }
+
+  // Opens a plan with F_op `fop`; AddTemporal then appends its tensors.
+  void AddPlan(std::span<const std::int64_t> fop);
+  void AddTemporal(std::span<const std::int64_t> temporal);
+
+  bool operator==(const CachedPlanSet&) const = default;
+
+ private:
+  std::size_t FirstList(int plan) const { return plan_list[static_cast<std::size_t>(plan)]; }
+  std::span<const std::int64_t> List(std::size_t list) const;
 };
 
 // Converts a search result into its cacheable configuration.

@@ -35,6 +35,7 @@ const char* const kMetricNames[] = {
     "compiler.phase.materialize.seconds",
     "compiler.phase.memory_plan.seconds",
     "compiler.phase.pareto.seconds",
+    "compiler.phase.plan_cache_load.seconds",
     "compiler.phase.reconcile.seconds",
     "compiler.phase.total.seconds",
     "compiler.plan_cache.entries",

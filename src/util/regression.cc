@@ -6,21 +6,23 @@
 
 namespace t10 {
 
-void LinearRegression::AddSample(const std::vector<double>& features, double target) {
-  if (!rows_.empty()) {
-    T10_CHECK_EQ(features.size(), rows_.front().size());
+void LinearRegression::AddSample(std::span<const double> features, double target) {
+  if (targets_.empty()) {
+    num_features_ = features.size();
+  } else {
+    T10_CHECK_EQ(features.size(), num_features_);
   }
-  rows_.push_back(features);
+  rows_.insert(rows_.end(), features.begin(), features.end());
   targets_.push_back(target);
 }
 
 bool LinearRegression::Fit() {
   coefficients_.clear();
-  if (rows_.empty()) {
+  if (targets_.empty()) {
     return false;
   }
-  const std::size_t n = rows_.size();
-  const std::size_t k = rows_.front().size();
+  const std::size_t n = targets_.size();
+  const std::size_t k = num_features_;
   if (n < k) {
     return false;
   }
@@ -29,10 +31,11 @@ bool LinearRegression::Fit() {
   std::vector<std::vector<double>> a(k, std::vector<double>(k, 0.0));
   std::vector<double> b(k, 0.0);
   for (std::size_t i = 0; i < n; ++i) {
+    const double* row = rows_.data() + i * k;
     for (std::size_t r = 0; r < k; ++r) {
-      b[r] += rows_[i][r] * targets_[i];
+      b[r] += row[r] * targets_[i];
       for (std::size_t c = 0; c < k; ++c) {
-        a[r][c] += rows_[i][r] * rows_[i][c];
+        a[r][c] += row[r] * row[c];
       }
     }
   }
@@ -88,7 +91,8 @@ double LinearRegression::RSquared() const {
   double ss_res = 0.0;
   double ss_tot = 0.0;
   for (std::size_t i = 0; i < targets_.size(); ++i) {
-    double pred = Predict(rows_[i]);
+    const double pred =
+        Predict(std::span<const double>(rows_).subspan(i * num_features_, num_features_));
     ss_res += (targets_[i] - pred) * (targets_[i] - pred);
     ss_tot += (targets_[i] - mean) * (targets_[i] - mean);
   }

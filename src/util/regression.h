@@ -5,6 +5,7 @@
 #define T10_SRC_UTIL_REGRESSION_H_
 
 #include <cstddef>
+#include <initializer_list>
 #include <span>
 #include <vector>
 
@@ -18,7 +19,10 @@ class LinearRegression {
   LinearRegression() = default;
 
   // Adds one observation. All observations must have the same feature count.
-  void AddSample(const std::vector<double>& features, double target);
+  void AddSample(std::span<const double> features, double target);
+  void AddSample(std::initializer_list<double> features, double target) {
+    AddSample(std::span<const double>(features.begin(), features.size()), target);
+  }
 
   // Solves for the coefficients. Returns false if the system is singular
   // (e.g. fewer samples than features); coefficients are then left empty.
@@ -34,7 +38,8 @@ class LinearRegression {
   std::size_t num_samples() const { return targets_.size(); }
 
  private:
-  std::vector<std::vector<double>> rows_;
+  std::size_t num_features_ = 0;
+  std::vector<double> rows_;  // Row-major: num_features_ values per sample.
   std::vector<double> targets_;
   std::vector<double> coefficients_;
 };

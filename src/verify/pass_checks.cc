@@ -74,9 +74,9 @@ VerifyResult CheckSearchResults(const CompilationContext& ctx) {
       DiagnosticBuilder(result, "pass.search.cache", op.name())
               .Hint("every searched signature must be inserted into the plan cache")
           << "no plan cache entry for this operator's signature";
-    } else if (entry->fops.size() != search.pareto.size()) {
+    } else if (static_cast<std::size_t>(entry->num_plans()) != search.pareto.size()) {
       DiagnosticBuilder(result, "pass.search.cache", op.name())
-          << "cache entry holds " << entry->fops.size() << " plan(s) but the search result has "
+          << "cache entry holds " << entry->num_plans() << " plan(s) but the search result has "
           << search.pareto.size();
     }
     for (std::size_t j = 0; j + 1 < search.pareto.size(); ++j) {

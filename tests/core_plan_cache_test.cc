@@ -7,12 +7,15 @@
 
 #include <chrono>
 #include <cstdint>
+#include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <iterator>
 #include <string>
 #include <vector>
 
 #include "src/core/compiler.h"
+#include "src/hardware/timing_source.h"
 #include "src/ir/builder.h"
 #include "src/obs/metrics.h"
 #include "src/util/strings.h"
@@ -278,8 +281,12 @@ TEST(PlanCacheTest, FlushReloadRoundTripsHexfloatValues) {
   PlanCache writer;
   ASSERT_TRUE(writer.AttachDir(dir.string(), 0x1234abcdu).ok());
   CachedPlanSet entry;
-  entry.fops = {{4, 16}, {8, 8}};
-  entry.temporals = {{{1, 2}, {}}, {{2, 1}, {4}}};
+  entry.AddPlan(std::vector<std::int64_t>{4, 16});
+  entry.AddTemporal(std::vector<std::int64_t>{1, 2});
+  entry.AddTemporal({});
+  entry.AddPlan(std::vector<std::int64_t>{8, 8});
+  entry.AddTemporal(std::vector<std::int64_t>{2, 1});
+  entry.AddTemporal(std::vector<std::int64_t>{4});
   entry.complete_space_log10 = 3.14159265358979311599796346854;
   entry.filtered_count = 42;
   entry.fop_count = 7;
@@ -292,13 +299,32 @@ TEST(PlanCacheTest, FlushReloadRoundTripsHexfloatValues) {
   ASSERT_EQ(reader.size(), 1);
   const CachedPlanSet* loaded = reader.Lookup("sig-a");
   ASSERT_NE(loaded, nullptr);
-  EXPECT_EQ(loaded->fops, entry.fops);
-  EXPECT_EQ(loaded->temporals, entry.temporals);
+  ASSERT_EQ(loaded->num_plans(), 2);
+  EXPECT_EQ(loaded->num_tensors(0), 2);
+  EXPECT_TRUE(loaded->temporal(0, 1).empty());
+  EXPECT_EQ(loaded->temporal(1, 1)[0], 4);
+  EXPECT_EQ(*loaded, entry);
   // Hexfloat serialization must be bit-exact, not just close.
   EXPECT_EQ(loaded->complete_space_log10, entry.complete_space_log10);
   EXPECT_EQ(loaded->filtered_count, 42);
   EXPECT_EQ(loaded->fop_count, 7);
   EXPECT_EQ(reader.Lookup("sig-b"), nullptr);
+}
+
+TEST(PlanCacheTest, RebuildRejectsAnEntryWithTheWrongTensorCount) {
+  const Graph graph = Mlp();
+  const Operator& fc1 = graph.op(0);
+  const ChipSpec chip = SmallChip();
+  const GroundTruthTiming timing(chip);
+  const CachedPlanSet entry = ToCachedPlanSet(SearchOperatorPlans(fc1, chip, timing));
+  ASSERT_TRUE(RebuildFromCache(entry, fc1, timing, chip).has_value());
+
+  // A checksummed entry can still describe another operator's tensors: it is
+  // rejected like a damaged one, so the caller searches afresh.
+  CachedPlanSet one_tensor;
+  one_tensor.AddPlan(entry.fop(0));
+  one_tensor.AddTemporal(entry.temporal(0, 0));
+  EXPECT_FALSE(RebuildFromCache(one_tensor, fc1, timing, chip).has_value());
 }
 
 TEST(PlanCacheTest, EvictsOldestFilesBeyondMaxFiles) {
@@ -308,8 +334,8 @@ TEST(PlanCacheTest, EvictsOldestFilesBeyondMaxFiles) {
     PlanCache cache;
     ASSERT_TRUE(cache.AttachDir(dir.string(), fp, /*max_files=*/16).ok());
     CachedPlanSet entry;
-    entry.fops = {{1}};
-    entry.temporals = {{{1}}};
+    entry.AddPlan(std::vector<std::int64_t>{1});
+    entry.AddTemporal(std::vector<std::int64_t>{1});
     cache.Insert("sig", entry);
     ASSERT_TRUE(cache.Flush().ok());
     // Spread mtimes so eviction order is well-defined.
@@ -330,6 +356,103 @@ TEST(PlanCacheTest, EvictsOldestFilesBeyondMaxFiles) {
   EXPECT_FALSE(fs::exists(dir / "plans-0000000000000003.t10cache"));
   EXPECT_TRUE(fs::exists(dir / "plans-0000000000000004.t10cache"));
   EXPECT_TRUE(fs::exists(dir / "plans-0000000000000005.t10cache"));
+}
+
+// An entry body followed by its checksum line, as Flush writes it.
+std::string WithCrc(const std::string& body, const char* line_end = "\n") {
+  char hex[17];
+  std::snprintf(hex, sizeof(hex), "%016llx",
+                static_cast<unsigned long long>(Fnv1a64(body)));
+  return body + "crc " + hex + line_end;
+}
+
+std::string ReadFile(const fs::path& path) {
+  std::ifstream in(path, std::ios::binary);
+  return std::string(std::istreambuf_iterator<char>(in), std::istreambuf_iterator<char>());
+}
+
+void WriteFile(const fs::path& path, const std::string& content) {
+  std::ofstream out(path, std::ios::binary | std::ios::trunc);
+  out << content;
+}
+
+TEST(PlanCacheTest, LoaderKeepsTheLineLoadersEntriesAndRejections) {
+  const fs::path dir = FreshCacheDir("loader");
+  constexpr std::uint64_t kFingerprint = 0xfeedu;
+  const std::string header = "t10-plan-cache v1\nfingerprint 000000000000feed\n";
+  const std::string first_a =
+      "entry sig-a\nspace 0x1p+0\nfiltered 1\nvisited 2\nplans 1\nplan fop=2 t=1|1\n";
+  std::string flipped_b =
+      WithCrc("entry sig-b\nspace 0x1p+1\nfiltered 3\nvisited 4\nplans 1\nplan fop=8 t=2|1\n");
+  flipped_b[flipped_b.find("fop=8") + 4] = '9';
+  const std::string d =
+      "entry sig-d\nspace 0x1.8p+2\nfiltered 6\nvisited 7\nplans 2\n"
+      "plan fop=4,4 t=1,2|-\nplan fop=16,1 t=-|1\n";
+  const std::string second_a =
+      "entry sig-a\nspace 0x1p+2\nfiltered 10\nvisited 11\nplans 1\nplan fop=2 t=2|1\n";
+  const std::string crlf_e =
+      "entry sig-e\r\nspace 0x1p+0\r\nfiltered 1\r\nvisited 1\r\nplans 0\r\n";
+  // strtoll's grammar: leading whitespace and '+' are accepted.
+  const std::string spaced_f =
+      "entry sig-f\nspace  0x1p-1\nfiltered +12\nvisited \t7\nplans 1\nplan fop= 3,+5 t=1|-\n";
+  const std::string trailing_space_h =
+      "entry sig-h\nspace 0x1p+0\nfiltered 5 \nvisited 1\nplans 0\n";
+  WriteFile(dir / "plans-000000000000feed.t10cache",
+            header + WithCrc(first_a) + flipped_b + "stray\n" +
+                "entry sig-c\nspace 0x1p+0\nfiltered 1\nvisited 1\nplans 0\n" + WithCrc(d) +
+                WithCrc(second_a) + WithCrc(crlf_e, "\r\n") + WithCrc(spaced_f) +
+                WithCrc(trailing_space_h) + "entry sig-t\nspace 0x1p+0\nfil");
+
+  // Rejected: the flipped b, the stray line, c (no crc line before d), the
+  // \r\n entry, h's trailing space and the truncated tail. The second a
+  // replaces the first. These are the counts and, after the flush below, the
+  // bytes the getline-based loader produced on this file.
+  PlanCache cache;
+  ASSERT_TRUE(cache.AttachDir(dir.string(), kFingerprint).ok());
+  EXPECT_EQ(cache.rejected_on_load(), 6);
+  EXPECT_EQ(cache.size(), 3);
+  ASSERT_NE(cache.Lookup("sig-a"), nullptr);
+  EXPECT_EQ(cache.Lookup("sig-a")->filtered_count, 10);
+  ASSERT_NE(cache.Lookup("sig-f"), nullptr);
+  EXPECT_EQ(cache.Lookup("sig-f")->filtered_count, 12);
+  EXPECT_EQ(cache.Lookup("sig-f")->fop(0)[1], 5);
+  for (const char* rejected : {"sig-b", "sig-c", "sig-e", "sig-e\r", "sig-h", "sig-t"}) {
+    EXPECT_EQ(cache.Lookup(rejected), nullptr) << rejected;
+  }
+
+  CachedPlanSet z;
+  z.AddPlan(std::vector<std::int64_t>{1});
+  z.AddTemporal(std::vector<std::int64_t>{1});
+  cache.Insert("sig-z", z);
+  ASSERT_TRUE(cache.Flush().ok());
+  EXPECT_EQ(ReadFile(cache.file_path()),
+            header + WithCrc(second_a) + WithCrc(d) +
+                WithCrc("entry sig-f\nspace 0x1p-1\nfiltered 12\nvisited 7\nplans 1\n"
+                        "plan fop=3,5 t=1|-\n") +
+                WithCrc("entry sig-z\nspace 0x0p+0\nfiltered 0\nvisited 0\nplans 1\n"
+                        "plan fop=1 t=1\n"));
+
+  // A whole file with \r\n line endings fails its header; so does an empty
+  // one. Either counts one rejection.
+  for (const std::string& content : {std::string("t10-plan-cache v1\r\n"), std::string()}) {
+    WriteFile(dir / "plans-000000000000feed.t10cache", content);
+    PlanCache rejected;
+    ASSERT_TRUE(rejected.AttachDir(dir.string(), kFingerprint).ok());
+    EXPECT_EQ(rejected.rejected_on_load(), 1);
+    EXPECT_EQ(rejected.size(), 0);
+  }
+}
+
+TEST(PlanCacheTest, DefaultMk2FingerprintIsPinned) {
+  // The cache file name of a default IPU Mk2 compile. It hashes probe
+  // predictions of the fitted cost model, so any change to the fit's
+  // arithmetic (not only to its inputs) moves it and orphans every cache.
+  const ChipSpec chip = ChipSpec::IpuMk2();
+  const CompileOptions options;
+  const GroundTruthTiming truth(chip);
+  const FittedCostModel model = FittedCostModel::Fit(truth.truth(), options.cost_model_samples);
+  EXPECT_EQ(PlanCache::Fingerprint(chip, options.constraints, model, options.cost_model_samples),
+            0xd72e9ba6b7ce4912ull);
 }
 
 TEST(PlanCacheTest, AttachMissingDirectoryFails) {
