@@ -376,7 +376,7 @@ void WriteFile(const fs::path& path, const std::string& content) {
   out << content;
 }
 
-TEST(PlanCacheTest, LoaderKeepsTheLineLoadersEntriesAndRejections) {
+TEST(PlanCacheTest, CraftedFileLoadsExactlyTheIntactEntries) {
   const fs::path dir = FreshCacheDir("loader");
   constexpr std::uint64_t kFingerprint = 0xfeedu;
   const std::string header = "t10-plan-cache v1\nfingerprint 000000000000feed\n";
@@ -392,7 +392,6 @@ TEST(PlanCacheTest, LoaderKeepsTheLineLoadersEntriesAndRejections) {
       "entry sig-a\nspace 0x1p+2\nfiltered 10\nvisited 11\nplans 1\nplan fop=2 t=2|1\n";
   const std::string crlf_e =
       "entry sig-e\r\nspace 0x1p+0\r\nfiltered 1\r\nvisited 1\r\nplans 0\r\n";
-  // strtoll's grammar: leading whitespace and '+' are accepted.
   const std::string spaced_f =
       "entry sig-f\nspace  0x1p-1\nfiltered +12\nvisited \t7\nplans 1\nplan fop= 3,+5 t=1|-\n";
   const std::string trailing_space_h =
@@ -405,8 +404,9 @@ TEST(PlanCacheTest, LoaderKeepsTheLineLoadersEntriesAndRejections) {
 
   // Rejected: the flipped b, the stray line, c (no crc line before d), the
   // \r\n entry, h's trailing space and the truncated tail. The second a
-  // replaces the first. These are the counts and, after the flush below, the
-  // bytes the getline-based loader produced on this file.
+  // replaces the first. Integers follow strtoll's grammar, so f's leading
+  // whitespace and '+' signs load. A std::getline loader gives these same
+  // counts and, after the flush below, the same bytes.
   PlanCache cache;
   ASSERT_TRUE(cache.AttachDir(dir.string(), kFingerprint).ok());
   EXPECT_EQ(cache.rejected_on_load(), 6);
