@@ -1,19 +1,19 @@
 // Compile-time scaling of the parallel intra-op search: wall time vs --jobs
 // (1/2/4/8) on a cold signature cache, plus the warm-cache floor where the
 // persistent plan cache eliminates the search entirely. The search dominates
-// compile time (Fig 18), so the speedup tracks how well the per-operator
-// fan-out fills the workers: models with many *distinct* signatures scale,
-// models dominated by one repeated signature do not (the cache dedupes them
-// before the fan-out). Every configuration is checked to produce a
-// bit-identical model.
+// compile time (Fig 18); it cuts each distinct signature's F_op enumeration
+// into chunks and runs them largest first, so the speedup tracks the
+// workers' throughput rather than the largest signature. Every
+// configuration is checked to produce a bit-identical model.
 //
-// Each cell is the median of five compiles (one in T10_BENCH_QUICK=1 mode).
-// T10_BENCH_JSON=<path> writes the per-model results as a JSON baseline
-// (BENCH_compile.json tracks it in-repo): cold jobs=1 and jobs=4 and warm
-// compile ms, each with the first and third quartile of its compiles (the
-// host's spread), the plans the search evaluated, and an FNV checksum of the
-// compiled model's Fingerprint(), so two builds can be compared for
-// identical output.
+// Each cell is the median of five compiles (one in T10_BENCH_QUICK=1 mode),
+// taken round-robin over models, job counts and cold/warm, so a cell's
+// quartiles span the host's phases. T10_BENCH_JSON=<path> writes the
+// per-model results as a JSON baseline (BENCH_compile.json tracks it
+// in-repo): cold jobs=1 and jobs=4 and warm compile ms, each with the first
+// and third quartile of its compiles (the host's spread), the plans the
+// search evaluated, and an FNV checksum of the compiled model's
+// Fingerprint(), so two builds can be compared for identical output.
 
 #include <algorithm>
 #include <filesystem>
@@ -39,23 +39,42 @@ struct CellSeconds {
   double q3 = 0.0;
 };
 
-// Times `reps` compiles, each in a fresh Compiler (as every t10c invocation
-// is). Every compile must produce the same model, whose Fingerprint() lands
-// in `fingerprint`.
-CellSeconds CompileSeconds(const ChipSpec& chip, const Graph& graph,
-                           const CompileOptions& options, int reps, std::string* fingerprint) {
-  std::vector<double> seconds;
-  for (int rep = 0; rep < reps; ++rep) {
-    Compiler compiler(chip, options);
-    CompiledModel model = compiler.Compile(graph);
-    T10_CHECK(model.fits) << graph.name();
-    const std::string fp = model.Fingerprint();
-    T10_CHECK(rep == 0 || fp == *fingerprint) << graph.name() << ": compiles differ";
-    *fingerprint = fp;
-    seconds.push_back(model.compile_wall_seconds);
-  }
+CellSeconds Cell(const std::vector<double>& seconds) {
   return {Percentile(seconds, 50.0), Percentile(seconds, 25.0), Percentile(seconds, 75.0)};
 }
+
+// One compile in a fresh Compiler (as every t10c invocation is); returns its
+// wall seconds. The model must match `fingerprint`, or sets it when empty.
+double CompileOnce(const ChipSpec& chip, const Graph& graph, const CompileOptions& options,
+                   std::string& fingerprint) {
+  Compiler compiler(chip, options);
+  CompiledModel model = compiler.Compile(graph);
+  T10_CHECK(model.fits) << graph.name();
+  const std::string fp = model.Fingerprint();
+  T10_CHECK(fingerprint.empty() || fp == fingerprint)
+      << graph.name() << ": jobs=" << options.jobs
+      << (options.plan_cache_dir.empty() ? " cold" : " warm") << " produced a different model";
+  fingerprint = fp;
+  return model.compile_wall_seconds;
+}
+
+// One model's compiles, cell by cell.
+struct ModelRuns {
+  ModelRuns(const ModelInfo& model, const fs::path& cache_root)
+      : info(&model),
+        batch(model.batch_sizes.front()),
+        graph(model.build(batch)),
+        cache_dir(cache_root / model.name) {}
+
+  const ModelInfo* info;
+  std::int64_t batch;
+  Graph graph;
+  fs::path cache_dir;  // Filled once; the warm compiles read it.
+  std::string fingerprint;
+  std::vector<std::vector<double>> cold = std::vector<std::vector<double>>(9);  // Seconds, by job count.
+  std::vector<double> warm;
+  std::int64_t plans_evaluated = 0;
+};
 
 void Run() {
   bench::Header("Compile scaling", "compile wall time vs --jobs, cold vs warm plan cache");
@@ -68,44 +87,59 @@ void Run() {
   obs::Counter& evaluations =
       obs::MetricsRegistry::Global().GetCounter("compiler.search.evaluations");
 
-  const fs::path cache_dir = fs::temp_directory_path() / "t10_bench_compile_scaling";
+  const fs::path cache_root = fs::temp_directory_path() / "t10_bench_compile_scaling";
+  fs::remove_all(cache_root);
+
+  const std::vector<ModelInfo> models = EvaluationModels();
+  std::vector<ModelRuns> runs;
+  runs.reserve(models.size());
+  for (const ModelInfo& info : models) {
+    fs::create_directories(runs.emplace_back(info, cache_root).cache_dir);
+  }
+
+  // The compiles go round-robin: each repetition compiles every model at
+  // every job count, cold and warm, so each cell's quartiles span the host's
+  // phases rather than one stretch of it. The first repetition's serial
+  // compile pins each model's fingerprint; every other compile must match.
+  for (int rep = 0; rep < reps; ++rep) {
+    for (ModelRuns& run : runs) {
+      for (const int jobs : job_counts) {
+        CompileOptions options;
+        options.jobs = jobs;
+        const std::int64_t evaluations_before = evaluations.value();
+        run.cold[static_cast<std::size_t>(jobs)].push_back(
+            CompileOnce(chip, run.graph, options, run.fingerprint));
+        if (rep == 0 && jobs == 1) {
+          run.plans_evaluated = evaluations.value() - evaluations_before;
+        }
+      }
+      // Warm persistent cache: a process-level compile against a directory
+      // an earlier compile filled skips the search entirely.
+      CompileOptions cached;
+      cached.jobs = job_counts.back();
+      cached.plan_cache_dir = run.cache_dir.string();
+      if (rep == 0) {
+        CompileOnce(chip, run.graph, cached, run.fingerprint);  // Populates the dir.
+      }
+      run.warm.push_back(CompileOnce(chip, run.graph, cached, run.fingerprint));
+    }
+  }
+  fs::remove_all(cache_root);
 
   Table table({"Model", "BS", "Ops", "Sigs", "jobs=1", "jobs=2", "jobs=4", "jobs=8",
                "Speedup", "Warm cache"});
   std::vector<bench::JsonObject> rows;
-  for (const ModelInfo& info : EvaluationModels()) {
-    const std::int64_t batch = info.batch_sizes.front();
-    const Graph graph = info.build(batch);
-
-    std::string serial_fp;
-    std::vector<CellSeconds> cold(9);  // Indexed by job count.
-    std::int64_t plans_evaluated = 0;
+  for (const ModelRuns& run : runs) {
+    const ModelInfo& info = *run.info;
+    const Graph& graph = run.graph;
+    const std::int64_t batch = run.batch;
+    std::vector<CellSeconds> cold(run.cold.size());  // Indexed by job count.
     for (const int jobs : job_counts) {
-      CompileOptions options;
-      options.jobs = jobs;
-      std::string fp;
-      const std::int64_t evaluations_before = evaluations.value();
-      cold[static_cast<std::size_t>(jobs)] =
-          CompileSeconds(chip, graph, options, reps, jobs == 1 ? &serial_fp : &fp);
-      if (jobs == 1) {
-        plans_evaluated = (evaluations.value() - evaluations_before) / reps;
-      } else {
-        T10_CHECK(fp == serial_fp) << info.name << ": jobs=" << jobs
-                                   << " produced a different model";
-      }
+      cold[static_cast<std::size_t>(jobs)] = Cell(run.cold[static_cast<std::size_t>(jobs)]);
     }
-
-    // Warm persistent cache: a second process-level compile against the same
-    // directory skips the search entirely.
-    fs::remove_all(cache_dir);
-    fs::create_directories(cache_dir);
-    CompileOptions cached;
-    cached.jobs = job_counts.back();
-    cached.plan_cache_dir = cache_dir.string();
-    std::string warm_fp;
-    CompileSeconds(chip, graph, cached, 1, &warm_fp);  // Cold run populates the dir.
-    const CellSeconds warm = CompileSeconds(chip, graph, cached, reps, &warm_fp);
-    T10_CHECK(warm_fp == serial_fp) << info.name << ": warm cache produced a different model";
+    const CellSeconds warm = Cell(run.warm);
+    const std::int64_t plans_evaluated = run.plans_evaluated;
+    const std::string& serial_fp = run.fingerprint;
 
     int unique = 0;
     {
@@ -144,7 +178,6 @@ void Run() {
                        .Add("fingerprint_fnv", fingerprint_fnv));
   }
   table.Print();
-  fs::remove_all(cache_dir);
   bench::WriteJsonBaseline(bench::JsonObject()
                                .Add("bench", "compile_scaling")
                                .Add("host_concurrency", ThreadPool::HardwareConcurrency())
@@ -152,9 +185,10 @@ void Run() {
                                .Add("models", rows));
 
   bench::Note(
-      "Speedup is jobs=1 over the largest jobs count, cold cache. The fan-out parallelises "
-      "distinct operator signatures, so repeated-layer models saturate below the worker count; "
-      "the warm column is the persistent plan cache (search skipped, bit-identical model).");
+      "Speedup is jobs=1 over the largest jobs count, cold cache. The fan-out cuts each "
+      "distinct signature's search into chunks, so one large signature no longer sets the "
+      "time; the warm column is the persistent plan cache (search skipped, bit-identical "
+      "model).");
 }
 
 }  // namespace

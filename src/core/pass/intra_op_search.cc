@@ -1,5 +1,8 @@
 #include "src/core/pass/intra_op_search.h"
 
+#include <algorithm>
+#include <atomic>
+#include <functional>
 #include <optional>
 #include <string>
 #include <unordered_map>
@@ -9,6 +12,7 @@
 #include "src/core/pass/plan_cache.h"
 #include "src/obs/metrics.h"
 #include "src/obs/span.h"
+#include "src/util/thread_pool.h"
 #include "src/verify/pass_checks.h"
 
 namespace t10 {
@@ -37,6 +41,75 @@ std::optional<IntraOpResult> RebuildCached(const std::string& signature, const O
 }
 
 }  // namespace
+
+void RunSearches(std::span<OperatorSearch> searches, int max_chunks, ThreadPool* pool,
+                 const obs::TraceContext& trace) {
+  const auto for_each = [pool](std::int64_t n, const std::function<void(std::int64_t)>& fn) {
+    if (pool != nullptr) {
+      pool->ParallelFor(n, fn);
+      return;
+    }
+    for (std::int64_t i = 0; i < n; ++i) {
+      fn(i);
+    }
+  };
+  struct Task {
+    std::size_t search = 0;
+    int chunk = 0;
+    std::int64_t fops = 0;
+  };
+  std::vector<std::size_t> pending;
+  for (std::size_t s = 0; s < searches.size(); ++s) {
+    if (!searches[s].done()) {
+      pending.push_back(s);
+    }
+  }
+  std::vector<Task> tasks;
+  while (!pending.empty()) {
+    for_each(std::ssize(pending), [&](std::int64_t i) {
+      searches[pending[static_cast<std::size_t>(i)]].Split(max_chunks);
+    });
+    // Chunks still to run per search: whichever task ends its search's last
+    // chunk merges it, so merges overlap the other searches' chunks.
+    std::vector<std::atomic<int>> unfinished(searches.size());
+    tasks.clear();
+    for (const std::size_t s : pending) {
+      unfinished[s].store(searches[s].num_chunks(), std::memory_order_relaxed);
+      for (int k = 0; k < searches[s].num_chunks(); ++k) {
+        tasks.push_back(Task{s, k, searches[s].chunk_fops(k)});
+      }
+    }
+    // Largest first: ParallelFor claims indices in ascending order, so the
+    // long chunks start early and the short ones fill in at the end.
+    std::stable_sort(tasks.begin(), tasks.end(),
+                     [](const Task& a, const Task& b) { return a.fops > b.fops; });
+    for_each(std::ssize(tasks), [&](std::int64_t i) {
+      const Task& task = tasks[static_cast<std::size_t>(i)];
+      OperatorSearch& search = searches[task.search];
+      {
+        // Chunk k of an operator has a lane of its own, so concurrent chunks
+        // of one search render side by side.
+        obs::Span span;
+        if (trace.active()) {
+          const std::string& name = search.op().name();
+          span = obs::StartSpan(
+              trace.WithTrack(task.chunk == 0 ? "compile.search." + name
+                                              : "compile.search." + name + "." +
+                                                    std::to_string(task.chunk)),
+              "search");
+          span.AddAttr("op", name);
+          span.AddAttr("chunk", std::to_string(task.chunk));
+          span.AddAttr("fops", std::to_string(task.fops));
+        }
+        search.RunChunk(task.chunk);
+      }
+      if (unfinished[task.search].fetch_sub(1, std::memory_order_acq_rel) == 1) {
+        search.Merge();
+      }
+    });
+    std::erase_if(pending, [&](std::size_t s) { return searches[s].done(); });
+  }
+}
 
 IntraOpResult SearchOneOp(const Operator& op, CompilerResources& resources) {
   resources.EnsurePlanCacheAttached();
@@ -67,8 +140,8 @@ PassResult IntraOpSearchPass::Run(CompilationContext& ctx) {
 
   // Serial stage, in op order: give every distinct signature a slot, filled
   // from the cache if it holds the signature, so hit/miss accounting is
-  // schedule-independent. Distinct missing signatures become one search task
-  // each.
+  // schedule-independent. Each distinct missing signature becomes one
+  // search.
   struct Miss {
     int slot = 0;  // Index into ctx.searches.
     const Operator* op = nullptr;
@@ -97,32 +170,19 @@ PassResult IntraOpSearchPass::Run(CompilationContext& ctx) {
     ctx.searches.emplace_back();
   }
 
-  // Parallel stage: one search per distinct missing signature. Each task
-  // writes only its own slot of ctx.searches; SearchOperatorPlans is
-  // deterministic and its counters are atomics, so totals (not
-  // interleavings) are what surfaces.
-  const std::int64_t num_misses = static_cast<std::int64_t>(misses.size());
-  // The context is captured by value: whichever pool thread runs a task, its
-  // span lands under this pass's span, on a per-op "compile.search.<op>"
-  // lane so concurrent searches render side by side.
-  const obs::TraceContext trace = ctx.trace;
-  const auto search_miss = [&, trace](std::int64_t index) {
-    const Miss& miss = misses[static_cast<std::size_t>(index)];
-    obs::Span task_span;
-    if (trace.active()) {
-      task_span = obs::StartSpan(trace.WithTrack("compile.search." + miss.op->name()), "search");
-      task_span.AddAttr("op", miss.op->name());
-      task_span.AddAttr("signature", miss.signature);
-    }
-    ctx.searches[static_cast<std::size_t>(miss.slot)] =
-        SearchOperatorPlans(*miss.op, chip, cost_model, resources.options().constraints);
-  };
-  if (resources.jobs() > 1 && num_misses > 1) {
-    resources.pool().ParallelFor(num_misses, search_miss);
-  } else {
-    for (std::int64_t index = 0; index < num_misses; ++index) {
-      search_miss(index);
-    }
+  // Parallel stage: every distinct missing signature's search, cut into
+  // chunks that all go to the pool at once (RunSearches). Each search
+  // writes only its own state, and its result is the serial search's.
+  std::vector<OperatorSearch> searches;
+  searches.reserve(misses.size());
+  for (const Miss& miss : misses) {
+    searches.emplace_back(*miss.op, chip, cost_model, resources.options().constraints);
+  }
+  const int jobs = resources.jobs();
+  RunSearches(searches, jobs, jobs > 1 && !searches.empty() ? &resources.pool() : nullptr,
+              ctx.trace);
+  for (std::size_t i = 0; i < misses.size(); ++i) {
+    ctx.searches[static_cast<std::size_t>(misses[i].slot)] = searches[i].TakeResult();
   }
 
   // Cache insertion in a fixed order: the order the misses were found.

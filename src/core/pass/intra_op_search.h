@@ -1,15 +1,17 @@
-// Pass 2: per-signature Pareto search, parallel across signatures.
+// Pass 2: per-signature Pareto search, parallel across and within signatures.
 //
 // Operators with equal signatures get equal search results (plan_cache.h), so
 // the pass produces one Pareto set per distinct signature and points every
 // operator at its set. Walking operators in order, the first operator of a
 // signature resolves it against the plan cache; the distinct missing
-// signatures are searched in parallel on the shared worker pool; a later
-// operator of a signature reuses the first one's set. The schedule (which
-// worker searched which signature, in what order) never reaches the output:
-// SearchOperatorPlans is a pure deterministic enumeration, every task writes
-// only its own result slot, and cache insertion walks a fixed order — so any
-// --jobs value produces a bit-identical CompiledModel.
+// signatures are searched in parallel on the shared worker pool, each cut
+// into chunks of its F_op enumeration (RunSearches); a later operator of a
+// signature reuses the first one's set. The schedule (which worker ran which
+// chunk, in what order) never reaches the output: a search merges its chunks
+// in enumeration order into exactly the serial search's result
+// (OperatorSearch), every search writes only its own state, and cache
+// insertion walks a fixed order — so any --jobs value produces a
+// bit-identical CompiledModel.
 //
 // Cache-counter contract (kept from the monolithic compiler, asserted by
 // tests): walking operators in order, a pre-existing cache entry counts one
@@ -24,9 +26,13 @@
 #ifndef T10_SRC_CORE_PASS_INTRA_OP_SEARCH_H_
 #define T10_SRC_CORE_PASS_INTRA_OP_SEARCH_H_
 
+#include <span>
+
 #include "src/core/pass/pass.h"
 #include "src/core/search.h"
 #include "src/ir/operator.h"
+#include "src/obs/span.h"
+#include "src/util/thread_pool.h"
 
 namespace t10 {
 
@@ -35,6 +41,16 @@ namespace t10 {
 // campaign use it directly, the pass parallelizes the miss set. The plans are
 // bound to `op`.
 IntraOpResult SearchOneOp(const Operator& op, CompilerResources& resources);
+
+// Runs every search in `searches` to completion. Each round cuts every
+// unfinished search into min(max_chunks, its F_op count) chunks and hands
+// all of the chunks to one ParallelFor on `pool` (inline when null), largest
+// first; the task that ends a search's last chunk merges it. A search whose
+// frontier came up empty relaxes and goes again in the next round. Under an
+// active `trace`, each chunk is a "search" span on lane
+// "compile.search.<op>" (chunk 0) or "compile.search.<op>.<k>".
+void RunSearches(std::span<OperatorSearch> searches, int max_chunks, ThreadPool* pool,
+                 const obs::TraceContext& trace = {});
 
 class IntraOpSearchPass final : public Pass {
  public:

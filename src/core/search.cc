@@ -181,11 +181,15 @@ bool InsertIntoFrontier(std::vector<T>& frontier, T item) {
   return true;
 }
 
+// One chunk of a search's F_op enumeration, walked on its own: its own
+// running frontier, the F_ops and option indices its members point at, and
+// its counts. Merge() folds chunk k's members into chunk 0's state.
 struct EnumerationState {
   const Operator* op = nullptr;
   const ChipSpec* chip = nullptr;
   const TimingSource* cost = nullptr;
   const SearchConstraints* constraints = nullptr;
+  std::int64_t budget = 0;          // Enumeration attempts allowed.
   FopCandidates candidates;         // The F_op being visited.
   std::vector<std::size_t> choice;  // One option index per tensor.
   // The visited F_op's choices that passed the filters, one index per tensor.
@@ -197,10 +201,11 @@ struct EnumerationState {
   std::int64_t evaluations = 0;     // Enumeration attempts (budget control).
   std::int64_t fop_count = 0;
   std::int64_t fops_dominated = 0;  // F_ops whose cost loop the frontier skipped.
-  // Phase wall-time split, accumulated per F_op and published once per
-  // search (compiler.phase.{filtering,cost_eval}.seconds).
-  double filter_seconds = 0.0;
+  // Phase wall time, published once per merge: the cost loops
+  // (compiler.phase.cost_eval.seconds) and the whole walk, whose rest is
+  // filtering. Only costed F_ops read the clock.
   double cost_eval_seconds = 0.0;
+  double walk_seconds = 0.0;
 };
 
 // Steps `choice` to the next option per tensor, the last tensor fastest: the
@@ -218,21 +223,20 @@ bool NextChoice(const FopCandidates& candidates, std::vector<std::size_t>& choic
 
 // Filters every choice of temporal options under one F_op (padding, then
 // validity and per-core memory), then costs the ones that pass and folds
-// them into the frontier; each of the two loops is timed once. The cost loop
-// is skipped when a frontier member matches or beats the F_op's corner: the
-// smallest bytes of its passed choices and a lower bound on their seconds.
-// That member was enumerated earlier, so the frontier's tie rule would drop
-// every one of them.
+// them into the frontier, timing the cost loop. The cost loop is skipped
+// when a frontier member matches or beats the F_op's corner: the smallest
+// bytes of its passed choices and a lower bound on their seconds. That
+// member was enumerated earlier, so the frontier's tie rule would drop every
+// one of them.
 void EvaluateFop(EnumerationState& state, std::span<const std::int64_t> fop) {
   ++state.fop_count;
   FopCandidates& candidates = state.candidates;
   state.passed.clear();
   std::int64_t corner_bytes = INT64_MAX;
-  const auto t0 = std::chrono::steady_clock::now();
   if (candidates.Reset(*state.op, fop, *state.constraints, *state.cost, *state.chip)) {
     state.choice.assign(candidates.num_tensors(), 0);
     do {
-      if (state.evaluations >= state.constraints->max_evaluations) {
+      if (state.evaluations >= state.budget) {
         break;
       }
       ++state.evaluations;
@@ -246,8 +250,6 @@ void EvaluateFop(EnumerationState& state, std::span<const std::int64_t> fop) {
       }
     } while (NextChoice(candidates, state.choice));
   }
-  const auto t1 = std::chrono::steady_clock::now();
-  state.filter_seconds += std::chrono::duration<double>(t1 - t0).count();
   if (state.passed.empty()) {
     return;
   }
@@ -256,23 +258,24 @@ void EvaluateFop(EnumerationState& state, std::span<const std::int64_t> fop) {
   state.filtered_count += static_cast<std::int64_t>(state.passed.size() / n);
   if (Covered(state.frontier, corner_bytes, candidates.SecondsFloor())) {
     ++state.fops_dominated;
-  } else {
-    const std::size_t fop_offset = state.fops.size();  // Where F_op goes once a member needs it.
-    for (std::size_t offset = 0; offset < state.passed.size(); offset += n) {
-      const std::span<const std::size_t> choice(&state.passed[offset], n);
-      const PlanMetrics m = candidates.Metrics(choice);
-      if (InsertIntoFrontier(state.frontier,
-                             FrontierMember{m.per_core_bytes, m.total_seconds(), fop_offset,
-                                            state.member_options.size()})) {
-        state.member_options.insert(state.member_options.end(), choice.begin(), choice.end());
-        if (state.fops.size() == fop_offset) {
-          state.fops.insert(state.fops.end(), fop.begin(), fop.end());
-        }
+    return;
+  }
+  const auto cost_start = std::chrono::steady_clock::now();
+  const std::size_t fop_offset = state.fops.size();  // Where F_op goes once a member needs it.
+  for (std::size_t offset = 0; offset < state.passed.size(); offset += n) {
+    const std::span<const std::size_t> choice(&state.passed[offset], n);
+    const PlanMetrics m = candidates.Metrics(choice);
+    if (InsertIntoFrontier(state.frontier,
+                           FrontierMember{m.per_core_bytes, m.total_seconds(), fop_offset,
+                                          state.member_options.size()})) {
+      state.member_options.insert(state.member_options.end(), choice.begin(), choice.end());
+      if (state.fops.size() == fop_offset) {
+        state.fops.insert(state.fops.end(), fop.begin(), fop.end());
       }
     }
   }
   state.cost_eval_seconds +=
-      std::chrono::duration<double>(std::chrono::steady_clock::now() - t1).count();
+      std::chrono::duration<double>(std::chrono::steady_clock::now() - cost_start).count();
 }
 
 // Builds a full plan for each frontier member only: its options are derived
@@ -457,80 +460,181 @@ double FopCandidates::SecondsFloor() const {
          (1.0 - kRoundingSlack);
 }
 
-IntraOpResult SearchOperatorPlans(const Operator& op, const ChipSpec& chip,
-                                  const TimingSource& cost_model,
-                                  const SearchConstraints& constraints) {
+// Chunks of one search sit side by side and run on different threads: each
+// starts on a cache line of its own, so one chunk's per-choice writes do not
+// invalidate the line its neighbour reads on every choice.
+struct alignas(64) OperatorSearch::Chunk : EnumerationState {};
+
+OperatorSearch::OperatorSearch(const Operator& op, const ChipSpec& chip,
+                               const TimingSource& cost_model,
+                               const SearchConstraints& constraints)
+    : op_(&op), chip_(&chip), cost_model_(&cost_model), active_(constraints) {
   T10_CHECK(constraints.max_rotating_dims >= 0 && constraints.max_rotating_dims <= 2)
       << "max_rotating_dims must be 0, 1 or 2, got " << constraints.max_rotating_dims;
-  obs::MetricsRegistry& metrics = obs::MetricsRegistry::Global();
-  metrics.GetCounter("compiler.search.searches").Increment();
-  IntraOpResult result;
-  result.complete_space_log10 = EstimateCompleteSpace(op, chip);
-
+  obs::MetricsRegistry::Global().GetCounter("compiler.search.searches").Increment();
+  result_.complete_space_log10 = EstimateCompleteSpace(op, chip);
   if (op.kind() == OpKind::kVendor) {
     ExecutionPlan plan = VendorPlan(op, chip);
-    PlanMetrics metrics = plan.Evaluate(cost_model, chip);
-    result.pareto.push_back(PlanCandidate{std::move(plan), metrics});
-    result.filtered_count = 1;
-    result.fop_count = 1;
-    return result;
+    const PlanMetrics predicted = plan.Evaluate(cost_model, chip);
+    result_.pareto.push_back(PlanCandidate{std::move(plan), predicted});
+    result_.filtered_count = 1;
+    result_.fop_count = 1;
+    done_ = true;
+  }
+}
+
+OperatorSearch::~OperatorSearch() = default;
+OperatorSearch::OperatorSearch(OperatorSearch&&) noexcept = default;
+OperatorSearch& OperatorSearch::operator=(OperatorSearch&&) noexcept = default;
+
+void OperatorSearch::Split(int max_chunks) {
+  T10_CHECK(!done_) << op_->name() << ": Split() on a finished search";
+  const auto start = std::chrono::steady_clock::now();
+  fops_.clear();
+  std::size_t count = 0;
+  ForEachSearchedFop(*op_, *chip_, active_, [&](std::span<const std::int64_t> fop) {
+    fops_.insert(fops_.end(), fop.begin(), fop.end());
+    ++count;
+    return true;
+  });
+  collect_seconds_ =
+      std::chrono::duration<double>(std::chrono::steady_clock::now() - start).count();
+  const std::size_t chunks = std::min(static_cast<std::size_t>(std::max(max_chunks, 1)),
+                                      std::max<std::size_t>(count, 1));
+  chunk_begin_.resize(chunks + 1);
+  for (std::size_t k = 0; k <= chunks; ++k) {
+    chunk_begin_[k] = count * k / chunks;
+  }
+  chunks_.assign(chunks, Chunk{});
+}
+
+std::int64_t OperatorSearch::chunk_fops(int k) const {
+  const auto index = static_cast<std::size_t>(k);
+  return static_cast<std::int64_t>(chunk_begin_[index + 1] - chunk_begin_[index]);
+}
+
+void OperatorSearch::RunChunk(int k) { Walk(static_cast<std::size_t>(k), active_.max_evaluations); }
+
+void OperatorSearch::Walk(std::size_t k, std::int64_t budget) {
+  Chunk& chunk = chunks_[k];
+  chunk = Chunk{};
+  chunk.op = op_;
+  chunk.chip = chip_;
+  chunk.cost = cost_model_;
+  chunk.constraints = &active_;
+  chunk.budget = budget;
+  const std::size_t rank = op_->axes().size();
+  const auto start = std::chrono::steady_clock::now();
+  for (std::size_t i = chunk_begin_[k]; i < chunk_begin_[k + 1] && chunk.evaluations < budget;
+       ++i) {
+    EvaluateFop(chunk, {fops_.data() + i * rank, rank});
+  }
+  chunk.walk_seconds =
+      std::chrono::duration<double>(std::chrono::steady_clock::now() - start).count();
+}
+
+void OperatorSearch::Merge() {
+  T10_CHECK(!done_ && !chunks_.empty()) << op_->name() << ": Merge() without a Split()";
+  // The serial walk stops once its evaluations reach the cap: the chunk
+  // where the running count gets there is walked again with what is left,
+  // and the chunks after it are dropped.
+  std::size_t used = chunks_.size();
+  std::int64_t evaluations = 0;
+  for (std::size_t k = 0; k < used; ++k) {
+    const std::int64_t left = active_.max_evaluations - evaluations;
+    if (chunks_[k].evaluations >= left) {
+      if (chunks_[k].budget != left) {
+        Walk(k, left);
+      }
+      used = k + 1;
+    }
+    evaluations += chunks_[k].evaluations;
   }
 
-  SearchConstraints active = constraints;
-  for (int attempt = 0; attempt < 4; ++attempt) {
-    EnumerationState state;
-    state.op = &op;
-    state.chip = &chip;
-    state.cost = &cost_model;
-    state.constraints = &active;
-    const auto enum_start = std::chrono::steady_clock::now();
-    ForEachSearchedFop(op, chip, active, [&state](std::span<const std::int64_t> fop) {
-      if (state.evaluations >= state.constraints->max_evaluations) {
-        return false;
-      }
-      EvaluateFop(state, fop);
-      return true;
-    });
-    const double enum_total =
-        std::chrono::duration<double>(std::chrono::steady_clock::now() - enum_start).count();
-    // The filtered space is the set of *valid* plans that passed every
-    // rule-based constraint (Fig 18's middle bar), costed or dominated;
-    // enumeration attempts that fail an alignment/divisibility rule are not
-    // plans.
-    result.filtered_count = state.filtered_count;
-    result.fop_count = state.fop_count;
-
-    metrics.GetCounter("compiler.search.evaluations").Add(state.evaluations);
-    metrics.GetCounter("compiler.search.fop_visited").Add(state.fop_count);
-    metrics.GetCounter("compiler.search.filtered_plans").Add(result.filtered_count);
-    metrics.GetCounter("compiler.search.fops_dominated").Add(state.fops_dominated);
-    metrics.GetHistogram("compiler.phase.filtering.seconds").Record(state.filter_seconds);
-    metrics.GetHistogram("compiler.phase.cost_eval.seconds").Record(state.cost_eval_seconds);
-    // Pure enumeration time = walking the F_op tree minus the per-F_op
-    // filter and cost loops accounted above.
-    metrics.GetHistogram("compiler.phase.enumeration.seconds")
-        .Record(std::max(0.0, enum_total - state.filter_seconds - state.cost_eval_seconds));
-
-    if (!state.frontier.empty()) {
-      obs::Span pareto_span = obs::StartSpan(obs::TraceContext(), "phase.pareto",
-                                             &metrics.GetHistogram("compiler.phase.pareto.seconds"));
-      result.pareto = FrontierPlans(state);
-      metrics.GetCounter("compiler.search.pareto_plans")
-          .Add(static_cast<std::int64_t>(result.pareto.size()));
-      return result;
+  // Chunk k's members go in after every earlier chunk's, so of exact ties
+  // the member enumerated first stays. Their offsets move past the F_ops
+  // and option indices already merged.
+  Chunk& merged = chunks_[0];
+  for (std::size_t k = 1; k < used; ++k) {
+    const Chunk& chunk = chunks_[k];
+    const std::size_t fop_base = merged.fops.size();
+    const std::size_t options_base = merged.member_options.size();
+    for (FrontierMember member : chunk.frontier) {
+      member.fop += fop_base;
+      member.options += options_base;
+      InsertIntoFrontier(merged.frontier, member);
     }
+    merged.fops.insert(merged.fops.end(), chunk.fops.begin(), chunk.fops.end());
+    merged.member_options.insert(merged.member_options.end(), chunk.member_options.begin(),
+                                 chunk.member_options.end());
+    merged.filtered_count += chunk.filtered_count;
+    merged.evaluations += chunk.evaluations;
+    merged.fop_count += chunk.fop_count;
+    merged.fops_dominated += chunk.fops_dominated;
+    merged.cost_eval_seconds += chunk.cost_eval_seconds;
+    merged.walk_seconds += chunk.walk_seconds;
+  }
+
+  // The filtered space is the set of *valid* plans that passed every
+  // rule-based constraint (Fig 18's middle bar), costed or dominated;
+  // enumeration attempts that fail an alignment/divisibility rule are not
+  // plans.
+  result_.filtered_count = merged.filtered_count;
+  result_.fop_count = merged.fop_count;
+  obs::MetricsRegistry& metrics = obs::MetricsRegistry::Global();
+  metrics.GetCounter("compiler.search.evaluations").Add(merged.evaluations);
+  metrics.GetCounter("compiler.search.fop_visited").Add(merged.fop_count);
+  metrics.GetCounter("compiler.search.filtered_plans").Add(merged.filtered_count);
+  metrics.GetCounter("compiler.search.fops_dominated").Add(merged.fops_dominated);
+  metrics.GetHistogram("compiler.phase.filtering.seconds")
+      .Record(std::max(0.0, merged.walk_seconds - merged.cost_eval_seconds));
+  metrics.GetHistogram("compiler.phase.cost_eval.seconds").Record(merged.cost_eval_seconds);
+  // Enumeration is collecting the F_ops; the chunk walks are filtering and
+  // costing.
+  metrics.GetHistogram("compiler.phase.enumeration.seconds").Record(collect_seconds_);
+
+  if (!merged.frontier.empty()) {
+    obs::Span pareto_span = obs::StartSpan(obs::TraceContext(), "phase.pareto",
+                                           &metrics.GetHistogram("compiler.phase.pareto.seconds"));
+    result_.pareto = FrontierPlans(merged);
+    metrics.GetCounter("compiler.search.pareto_plans")
+        .Add(static_cast<std::int64_t>(result_.pareto.size()));
+    done_ = true;
+  } else {
     // No plan satisfied the constraints (tiny or awkwardly-shaped operator):
     // relax and retry, as a user would (paper §6.3 studies this knob).
     metrics.GetCounter("compiler.search.relaxations").Increment();
-    T10_LOG(Info) << op.name() << ": relaxing search constraints (attempt " << attempt + 1 << ")";
-    active.parallelism_fraction *= 0.5;
-    active.padding_threshold *= 0.8;
+    T10_LOG(Info) << op_->name() << ": relaxing search constraints (attempt " << attempt_ + 1
+                  << ")";
+    active_.parallelism_fraction *= 0.5;
+    active_.padding_threshold *= 0.8;
+    if (++attempt_ == 4) {
+      // Even with relaxed constraints nothing fits the per-core memory: the
+      // operator is too large for this chip. Callers see an empty frontier.
+      T10_LOG(Warning) << "operator " << op_->name() << " has no plan fitting "
+                       << chip_->core_memory_bytes << "B per core";
+      done_ = true;
+    }
   }
-  // Even with relaxed constraints nothing fits the per-core memory: the
-  // operator is too large for this chip. Callers see an empty frontier.
-  T10_LOG(Warning) << "operator " << op.name() << " has no plan fitting "
-                   << chip.core_memory_bytes << "B per core";
-  return result;
+  chunks_ = {};
+  fops_ = {};
+}
+
+IntraOpResult OperatorSearch::TakeResult() {
+  T10_CHECK(done_) << op_->name() << ": TakeResult() before the search is done";
+  return std::move(result_);
+}
+
+IntraOpResult SearchOperatorPlans(const Operator& op, const ChipSpec& chip,
+                                  const TimingSource& cost_model,
+                                  const SearchConstraints& constraints) {
+  OperatorSearch search(op, chip, cost_model, constraints);
+  while (!search.done()) {
+    search.Split(1);
+    search.RunChunk(0);
+    search.Merge();
+  }
+  return search.TakeResult();
 }
 
 }  // namespace t10

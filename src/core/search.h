@@ -14,6 +14,7 @@
 #ifndef T10_SRC_CORE_SEARCH_H_
 #define T10_SRC_CORE_SEARCH_H_
 
+#include <cstddef>
 #include <cstdint>
 #include <functional>
 #include <span>
@@ -60,10 +61,75 @@ struct IntraOpResult {
 // Searches execution plans for one operator. Vendor ops get a single fixed
 // whole-chip plan. If the constrained search comes up empty the constraints
 // are progressively relaxed; a still-empty frontier means the operator cannot
-// fit the chip.
+// fit the chip. The one-chunk OperatorSearch.
 IntraOpResult SearchOperatorPlans(const Operator& op, const ChipSpec& chip,
                                   const TimingSource& cost_model,
                                   const SearchConstraints& constraints = {});
+
+// One operator's search, cut into contiguous chunks of its F_op enumeration
+// that may run on different threads. Each round: Split() collects the
+// attempt's F_ops and cuts them, RunChunk() walks one chunk into its own
+// frontier, and Merge(), once every chunk ran, folds the chunk frontiers in
+// chunk order through the frontier routine. That is exactly the serial
+// walk's frontier, counts and plans for any chunk count: of exact ties the
+// member enumerated first stays, and a chunk skips only F_ops that a member
+// it enumerated earlier covers. Only compiler.search.fops_dominated depends
+// on the cut. A merge whose frontier is empty relaxes the constraints and
+// leaves the search for another round, as SearchOperatorPlans retries.
+class OperatorSearch {
+ public:
+  // Counts one search. A vendor op is done at once with its fixed plan.
+  OperatorSearch(const Operator& op, const ChipSpec& chip, const TimingSource& cost_model,
+                 const SearchConstraints& constraints);
+  ~OperatorSearch();
+  OperatorSearch(OperatorSearch&&) noexcept;
+  OperatorSearch& operator=(OperatorSearch&&) noexcept;
+
+  const Operator& op() const { return *op_; }
+  bool done() const { return done_; }
+
+  // Collects the current attempt's F_ops and cuts them into
+  // min(max_chunks, F_op count) chunks of near-equal F_op counts, at least
+  // one. Not while done().
+  void Split(int max_chunks);
+  int num_chunks() const { return static_cast<int>(chunk_begin_.size()) - 1; }
+  // F_ops in chunk `k`: the dispatch order's cost estimate.
+  std::int64_t chunk_fops(int k) const;
+
+  // Walks chunk `k`. Calls for distinct chunks may run concurrently.
+  void RunChunk(int k);
+
+  // Folds the round's chunks into the search's frontier and publishes the
+  // round's compiler.search.* counts and compiler.phase.* times once. Of the
+  // chunks in order, the one where the running evaluation count reaches
+  // max_evaluations is walked again with what is left of the budget, and
+  // the ones after it are dropped, as the serial walk stops there. A
+  // non-empty frontier's plans are built and the search is done(); an empty
+  // one relaxes the constraints, and after the last relaxation the search
+  // is done() with an empty frontier.
+  void Merge();
+
+  // The result, once done(). Leaves the search empty.
+  IntraOpResult TakeResult();
+
+ private:
+  struct Chunk;
+
+  // Walks chunk `k` afresh, stopping once `budget` evaluations are used.
+  void Walk(std::size_t k, std::int64_t budget);
+
+  const Operator* op_;
+  const ChipSpec* chip_;
+  const TimingSource* cost_model_;
+  SearchConstraints active_;  // The current attempt's constraints.
+  int attempt_ = 0;
+  bool done_ = false;
+  std::vector<std::int64_t> fops_;         // The attempt's F_ops, flat.
+  double collect_seconds_ = 0.0;           // Split()'s F_op walk.
+  std::vector<std::size_t> chunk_begin_;   // Chunk k is F_ops [begin[k], begin[k + 1]).
+  std::vector<Chunk> chunks_;
+  IntraOpResult result_;
+};
 
 // Calls `visit` with each F_op the search enumerates for `op` under
 // `constraints`, in search order: every product of per-axis factors that

@@ -1,12 +1,13 @@
 // A small fixed-size worker pool for compile-time parallelism.
 //
-// The intra-operator search is embarrassingly parallel across operators
-// (paper Fig 18: the search dominates compile time), but results must be
-// bit-deterministic regardless of worker count. The pool therefore exposes
-// ParallelFor(n, fn), which runs fn(0..n-1) with each task writing only its
-// own output slot; callers merge slots in index order afterwards, so the
-// schedule (which worker ran which index, in what order) never leaks into
-// the result.
+// The intra-operator search dominates compile time (paper Fig 18) and runs
+// as many independent chunks: each distinct signature's F_op enumeration is
+// cut into contiguous ranges, each walked into its own partial frontier. The
+// results must be bit-deterministic regardless of worker count. The pool
+// therefore exposes ParallelFor(n, fn), which runs fn(0..n-1) with each task
+// writing only its own output slot; callers merge slots in a fixed order
+// (the search: chunk order), so the schedule (which worker ran which index,
+// in what order) never leaks into the result.
 //
 // Tasks must not throw: the workers run them bare, and a T10_CHECK failure
 // aborts the process as everywhere else in the codebase.
@@ -46,8 +47,10 @@ class ThreadPool {
   // Runs fn(0), ..., fn(n - 1) across the workers and returns when all calls
   // finished. Indices are claimed dynamically (an atomic cursor), so the
   // assignment of index to worker is not deterministic — fn must only write
-  // state owned by its index. With one worker the calling thread runs the
-  // loop inline, making --jobs=1 a true serial baseline.
+  // state owned by its index. They are claimed in ascending order, though:
+  // a caller that sorts its tasks largest first gets them started largest
+  // first, as the search's dispatch does. With one worker the calling thread
+  // runs the loop inline, making --jobs=1 a true serial baseline.
   void ParallelFor(std::int64_t n, const std::function<void(std::int64_t)>& fn);
 
   // max(1, std::thread::hardware_concurrency()) — the default for t10c

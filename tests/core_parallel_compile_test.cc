@@ -128,11 +128,25 @@ TEST(ParallelCompileTest, ReconcileTrajectoryIdenticalAcrossJobCounts) {
   }
 }
 
+// Every compiler.search.* and compiler.cache.* counter but
+// fops_dominated, the one count that depends on how the search is cut.
+std::map<std::string, std::int64_t> ScheduleFreeCounts() {
+  std::map<std::string, std::int64_t> counts;
+  for (const char* name :
+       {"compiler.search.searches", "compiler.search.evaluations", "compiler.search.fop_visited",
+        "compiler.search.filtered_plans", "compiler.search.pareto_plans",
+        "compiler.search.relaxations", "compiler.cache.hits", "compiler.cache.misses"}) {
+    counts[name] = obs::MetricsRegistry::Global().GetCounter(name).value();
+  }
+  return counts;
+}
+
 // The evaluation zoo at batch 1 on the full IPU Mk2, which shares one Pareto
 // set among many operators (BERT: 336 operators, 10 signatures): cold and
-// warm compiles at one and four workers give the same model — pinned to the
-// FNV-1a of its Fingerprint() that BENCH_compile.json records — and every
-// compiled plan references its own operator.
+// warm compiles at one to eight workers give the same model — pinned to the
+// FNV-1a of its Fingerprint() that BENCH_compile.json records — and the same
+// search and cache counts, and every compiled plan references its own
+// operator.
 TEST(ParallelCompileTest, ZooFingerprintsMatchColdWarmAndJobCounts) {
   const std::map<std::string, std::uint64_t> pinned = {
       {"BERT", 0x88fc9d629d9e0298ull},
@@ -147,18 +161,28 @@ TEST(ParallelCompileTest, ZooFingerprintsMatchColdWarmAndJobCounts) {
     fs::remove_all(dir);
     fs::create_directories(dir);
     for (const bool warm : {false, true}) {
-      for (const int jobs : {1, 4}) {
+      std::map<std::string, std::int64_t> serial_counts;
+      for (const int jobs : {1, 2, 3, 4, 8}) {
         CompileOptions options;
         options.jobs = jobs;
         // The cold jobs=4 compile fills the directory the warm ones read.
         if (warm || jobs == 4) {
           options.plan_cache_dir = dir.string();
         }
+        std::map<std::string, std::int64_t> counts = ScheduleFreeCounts();
         Compiler compiler(ChipSpec::IpuMk2(), options);
         const CompiledModel model = compiler.Compile(graph);
         ASSERT_TRUE(model.fits) << "warm=" << warm << " jobs=" << jobs;
         EXPECT_EQ(Fnv1a64(model.Fingerprint()), pinned.at(info.name))
             << "warm=" << warm << " jobs=" << jobs;
+        for (auto& [name, value] : counts) {
+          value = obs::MetricsRegistry::Global().GetCounter(name).value() - value;
+        }
+        if (jobs == 1) {
+          serial_counts = counts;
+        } else {
+          EXPECT_EQ(counts, serial_counts) << "warm=" << warm << " jobs=" << jobs;
+        }
         for (const CompiledOp& op : model.ops) {
           ASSERT_EQ(&op.active_plan.op(), &graph.op(op.op_index));
           ASSERT_EQ(&op.idle_plan.op(), &graph.op(op.op_index));
@@ -167,6 +191,26 @@ TEST(ParallelCompileTest, ZooFingerprintsMatchColdWarmAndJobCounts) {
     }
   }
   fs::remove_all(dir);
+}
+
+// The search publishes its phase times once per signature, however many
+// chunks it ran as: every compiler.phase.* histogram of the search gets one
+// sample per search.
+TEST(ParallelCompileTest, SearchPhaseTimersRecordOncePerSearch) {
+  obs::MetricsRegistry& metrics = obs::MetricsRegistry::Global();
+  metrics.Reset();
+  CompileOptions options;
+  options.jobs = 4;
+  Compiler compiler(SmallChip(), options);
+  ASSERT_TRUE(compiler.Compile(WideStack()).fits);
+  const std::int64_t searches = metrics.GetCounter("compiler.search.searches").value();
+  EXPECT_EQ(searches, 7);
+  for (const char* phase : {"filtering", "cost_eval", "enumeration", "pareto"}) {
+    EXPECT_EQ(metrics.GetHistogram(std::string("compiler.phase.") + phase + ".seconds").count(),
+              searches)
+        << phase;
+  }
+  metrics.Reset();
 }
 
 }  // namespace

@@ -9,12 +9,15 @@
 #include <optional>
 #include <sstream>
 #include <string>
+#include <vector>
 
 #include "src/core/cost_model.h"
+#include "src/core/pass/intra_op_search.h"
 #include "src/core/pass/plan_cache.h"
 #include "src/ir/builder.h"
 #include "src/models/zoo.h"
 #include "src/obs/metrics.h"
+#include "src/util/thread_pool.h"
 
 namespace t10 {
 namespace {
@@ -212,30 +215,36 @@ std::vector<GoldenCase> GoldenBattery() {
   };
 }
 
+// The pinned checksum of each golden case's search, under the ground truth
+// ("/truth") and the fitted cost model ("/fitted").
+std::map<std::string, std::uint64_t> GoldenChecksums() {
+  return {
+    {"MatMul/truth", 0xf0de3cf2048e6d6cULL},
+    {"MatMul/fitted", 0xb7749262e98b317fULL},
+    {"BatchedMatMul/truth", 0x122f418e973a7336ULL},
+    {"BatchedMatMul/fitted", 0x3555f355bff61c8fULL},
+    {"StridedPaddedConv/truth", 0x7d3ccd7ee2c1684cULL},
+    {"StridedPaddedConv/fitted", 0x96ebffacbfbb0967ULL},
+    {"Binary/truth", 0xb6e5b6d64e4931b8ULL},
+    {"Binary/fitted", 0x6845d304ffa1eafeULL},
+    {"Unary/truth", 0x98e0cdc4f3e15f0aULL},
+    {"Unary/fitted", 0x10cd027ca1078a45ULL},
+    {"Reduce/truth", 0xf62cc66e391faecaULL},
+    {"Reduce/fitted", 0x58975dda44e32e9bULL},
+    {"MaxRotatingDims1/truth", 0xaae220eb7418b018ULL},
+    {"MaxRotatingDims1/fitted", 0x5a18b1e4406c2449ULL},
+    {"TinyRelaxation/truth", 0x9242ce3bd2a3f096ULL},
+    {"TinyRelaxation/fitted", 0xb405d06407fca50eULL},
+    {"CappedMidFop/truth", 0xf79b0235536a259cULL},
+    {"CappedMidFop/fitted", 0x0841cbb93d71e30dULL},
+  };
+}
+
 // Pins the search output, under both the ground truth and the fitted cost
 // model, so a change to enumeration, costing or the frontier that alters any
 // plan or prediction fails here rather than only in end-to-end fingerprints.
 TEST_F(SearchTest, GoldenFrontierChecksums) {
-  const std::map<std::string, std::uint64_t> golden = {
-      {"MatMul/truth", 0xf0de3cf2048e6d6cULL},
-      {"MatMul/fitted", 0xb7749262e98b317fULL},
-      {"BatchedMatMul/truth", 0x122f418e973a7336ULL},
-      {"BatchedMatMul/fitted", 0x3555f355bff61c8fULL},
-      {"StridedPaddedConv/truth", 0x7d3ccd7ee2c1684cULL},
-      {"StridedPaddedConv/fitted", 0x96ebffacbfbb0967ULL},
-      {"Binary/truth", 0xb6e5b6d64e4931b8ULL},
-      {"Binary/fitted", 0x6845d304ffa1eafeULL},
-      {"Unary/truth", 0x98e0cdc4f3e15f0aULL},
-      {"Unary/fitted", 0x10cd027ca1078a45ULL},
-      {"Reduce/truth", 0xf62cc66e391faecaULL},
-      {"Reduce/fitted", 0x58975dda44e32e9bULL},
-      {"MaxRotatingDims1/truth", 0xaae220eb7418b018ULL},
-      {"MaxRotatingDims1/fitted", 0x5a18b1e4406c2449ULL},
-      {"TinyRelaxation/truth", 0x9242ce3bd2a3f096ULL},
-      {"TinyRelaxation/fitted", 0xb405d06407fca50eULL},
-      {"CappedMidFop/truth", 0xf79b0235536a259cULL},
-      {"CappedMidFop/fitted", 0x0841cbb93d71e30dULL},
-  };
+  const std::map<std::string, std::uint64_t> golden = GoldenChecksums();
   const FittedCostModel fitted = FittedCostModel::Fit(KernelGroundTruth(chip_), 100, 3);
   for (const GoldenCase& c : GoldenBattery()) {
     for (const auto& [suffix, timing] :
@@ -251,6 +260,51 @@ TEST_F(SearchTest, GoldenFrontierChecksums) {
         continue;
       }
       EXPECT_EQ(sum, it->second) << "got 0x" << std::hex << sum;
+    }
+  }
+}
+
+// The chunked search, on a 4-worker pool, gives every golden case's pinned
+// checksum and the serial search's F_op, filtered and evaluation counts, for
+// one chunk, a few, and more chunks than any attempt has F_ops: the chunk
+// merge, the cap rule and the relaxation retry are exact.
+TEST_F(SearchTest, ChunkedSearchMatchesGoldens) {
+  const std::map<std::string, std::uint64_t> golden = GoldenChecksums();
+  const FittedCostModel fitted = FittedCostModel::Fit(KernelGroundTruth(chip_), 100, 3);
+  obs::Counter& evaluations =
+      obs::MetricsRegistry::Global().GetCounter("compiler.search.evaluations");
+  ThreadPool pool(4);
+  for (const GoldenCase& c : GoldenBattery()) {
+    // Every F_op any relaxation attempt can visit: no parallelism or padding
+    // bound at all.
+    SearchConstraints unbounded = c.constraints;
+    unbounded.parallelism_fraction = 0.0;
+    unbounded.padding_threshold = 0.0;
+    int max_fops = 0;
+    ForEachSearchedFop(c.op, chip_, unbounded, [&](std::span<const std::int64_t>) {
+      ++max_fops;
+      return true;
+    });
+    for (const auto& [suffix, timing] :
+         {std::pair<std::string, const TimingSource*>{"/truth", &timing_},
+          std::pair<std::string, const TimingSource*>{"/fitted", &fitted}}) {
+      const std::string name = c.name + suffix;
+      std::int64_t before = evaluations.value();
+      const IntraOpResult serial = SearchOperatorPlans(c.op, chip_, *timing, c.constraints);
+      const std::int64_t serial_evaluations = evaluations.value() - before;
+      for (const int chunks : {1, 2, 3, 7, max_fops + 1}) {
+        SCOPED_TRACE(name + " chunks=" + std::to_string(chunks));
+        std::vector<OperatorSearch> searches;
+        searches.emplace_back(c.op, chip_, *timing, c.constraints);
+        before = evaluations.value();
+        RunSearches(searches, chunks, &pool);
+        ASSERT_TRUE(searches.front().done());
+        const IntraOpResult chunked = searches.front().TakeResult();
+        EXPECT_EQ(ResultChecksum(chunked), golden.at(name));
+        EXPECT_EQ(chunked.filtered_count, serial.filtered_count);
+        EXPECT_EQ(chunked.fop_count, serial.fop_count);
+        EXPECT_EQ(evaluations.value() - before, serial_evaluations);
+      }
     }
   }
 }
