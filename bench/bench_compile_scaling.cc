@@ -16,6 +16,7 @@
 // Fingerprint(), so two builds can be compared for identical output.
 
 #include <algorithm>
+#include <array>
 #include <filesystem>
 #include <string>
 #include <vector>
@@ -71,7 +72,7 @@ struct ModelRuns {
   Graph graph;
   fs::path cache_dir;  // Filled once; the warm compiles read it.
   std::string fingerprint;
-  std::vector<std::vector<double>> cold = std::vector<std::vector<double>>(9);  // Seconds, by job count.
+  std::array<std::vector<double>, 9> cold;  // Seconds, indexed by job count.
   std::vector<double> warm;
   std::int64_t plans_evaluated = 0;
 };
@@ -133,7 +134,7 @@ void Run() {
     const ModelInfo& info = *run.info;
     const Graph& graph = run.graph;
     const std::int64_t batch = run.batch;
-    std::vector<CellSeconds> cold(run.cold.size());  // Indexed by job count.
+    std::array<CellSeconds, 9> cold{};  // Indexed by job count.
     for (const int jobs : job_counts) {
       cold[static_cast<std::size_t>(jobs)] = Cell(run.cold[static_cast<std::size_t>(jobs)]);
     }

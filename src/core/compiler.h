@@ -47,9 +47,9 @@ struct CompileOptions {
   // (t10c --plan-cache=DIR); empty keeps the cache in-memory only.
   std::string plan_cache_dir;
   // When set, every compile roots a trace on the "compile" lane: one span
-  // per pass run (PassManager) and one per parallel intra-op search task on
-  // a "compile.search.<op>" lane (t10c --trace-spans). Null = no tracing,
-  // zero overhead.
+  // per pass run (PassManager) and one per intra-op search chunk on a
+  // "compile.search.<op>" lane, "compile.search.<op>.<k>" for chunk k > 0
+  // (t10c --trace-spans). Null = no tracing, zero overhead.
   obs::Tracer* tracer = nullptr;
 };
 

@@ -505,7 +505,7 @@ void OperatorSearch::Split(int max_chunks) {
   for (std::size_t k = 0; k <= chunks; ++k) {
     chunk_begin_[k] = count * k / chunks;
   }
-  chunks_.assign(chunks, Chunk{});
+  chunks_.resize(chunks);
 }
 
 std::int64_t OperatorSearch::chunk_fops(int k) const {
@@ -540,13 +540,14 @@ void OperatorSearch::Merge() {
   // and the chunks after it are dropped.
   std::size_t used = chunks_.size();
   std::int64_t evaluations = 0;
-  for (std::size_t k = 0; k < used; ++k) {
+  for (std::size_t k = 0; k < chunks_.size(); ++k) {
     const std::int64_t left = active_.max_evaluations - evaluations;
     if (chunks_[k].evaluations >= left) {
       if (chunks_[k].budget != left) {
         Walk(k, left);
       }
       used = k + 1;
+      break;
     }
     evaluations += chunks_[k].evaluations;
   }
