@@ -78,9 +78,9 @@ void BM_PlanEvaluate(benchmark::State& state) {
 }
 BENCHMARK(BM_PlanEvaluate);
 
-// One search candidate, BenchPlan()'s: the filter (validity and per-core
-// bytes) and the cost, from its F_op's base plus its options' deltas, as
-// SearchOperatorPlans costs every candidate.
+// One search candidate, BenchPlan()'s: the filter (per-core bytes) and the
+// cost, from its F_op's base plus its options' deltas, as the search costs a
+// candidate.
 void BM_CandidateEvaluate(benchmark::State& state) {
   ChipSpec chip = ChipSpec::IpuMk2();
   GroundTruthTiming timing(chip);
@@ -103,8 +103,7 @@ void BM_CandidateEvaluate(benchmark::State& state) {
     }
   }
   for (auto _ : state) {
-    const bool passes =
-        candidates.Valid(choice) && candidates.PerCoreBytes(choice) <= chip.core_memory_bytes;
+    const bool passes = candidates.PerCoreBytes(choice) <= chip.core_memory_bytes;
     benchmark::DoNotOptimize(passes);
     PlanMetrics metrics = candidates.Metrics(choice);
     benchmark::DoNotOptimize(metrics);
@@ -114,8 +113,8 @@ BENCHMARK(BM_CandidateEvaluate);
 
 // The search's enumeration on BERT batch 1's first matmul on the IPU Mk2:
 // every F_op ForEachSearchedFop() visits and its FopCandidates::Reset() (the
-// F_op base and each temporal option's validity and window bytes), with no
-// choice filtered or costed.
+// F_op base and each temporal option's window bytes), with no choice
+// filtered or costed.
 void BM_FopEnumeration(benchmark::State& state) {
   const Graph graph = BuildBertLarge(1);
   const auto op = std::ranges::find_if(
@@ -240,8 +239,7 @@ const std::vector<PlanCandidate>& CandidateStream() {
       }
       std::vector<std::size_t> choice(candidates.num_tensors(), 0);
       for (;;) {
-        if (candidates.Valid(choice) &&
-            candidates.PerCoreBytes(choice) <= chip.core_memory_bytes) {
+        if (candidates.PerCoreBytes(choice) <= chip.core_memory_bytes) {
           out->push_back(PlanCandidate{ExecutionPlan(), candidates.Metrics(choice)});
         }
         std::size_t t = choice.size();

@@ -7,6 +7,7 @@
 #include <iterator>
 #include <numeric>
 #include <optional>
+#include <tuple>
 
 #include "src/obs/metrics.h"
 #include "src/obs/span.h"
@@ -32,51 +33,81 @@ std::vector<std::int64_t> AxisFactorCandidates(std::int64_t length, std::int64_t
   return out;
 }
 
-// Appends to `out` every temporal factor vector for one tensor, rank values
-// each: all-ones, plus every way of splitting at most `max_dims` (0, 1 or 2)
-// non-compound dims by divisors of the sharing count P that also tile the
-// sub-tensor exactly. Returns how many it appended.
-std::size_t AppendTemporalOptions(const TensorRef& tensor,
-                                  const std::vector<std::int64_t>& sub_shape,
-                                  std::int64_t share_cores, int max_dims,
-                                  std::vector<std::int64_t>& out) {
-  const std::size_t rank = tensor.dims.size();
-  out.insert(out.end(), rank, 1);  // Full replication across rings of one core.
-  std::size_t count = 1;
-  if (max_dims == 0 || share_cores <= 1 || rank == 0) {
-    return count;
+// Calls `visit(d, f, d2, f2)` for each temporal option of one tensor, whose
+// spatial fields `tp` holds, but the all-ones one, in option order: every way
+// of splitting at most `max_dims` (0, 1 or 2) non-compound dims by divisors
+// of the sharing count P that also tile the sub-tensor exactly. Dim d splits f ways and dim d2 > d f2 ways; a
+// one-dim split has f2 == 1 and d2 == d. Each option's f and f2 divide their
+// sub-tensor lengths and f * f2 divides P, so TemporalWindowBytes() accepts
+// every one, with a window of sub_bytes / (f * f2). The one place the option
+// rules live: AppendTemporalOptions() derives the options from it and
+// CountFopFunnel() counts them.
+template <typename Visit>
+void ForEachTemporalSplit(const TensorRef& tensor, const RTensorPlan& tp, int max_dims,
+                          Visit&& visit) {
+  const std::int64_t share_cores = tp.share_cores;
+  if (max_dims == 0 || share_cores <= 1) {
+    return;
   }
-  auto append = [&](std::size_t d, std::int64_t f) {
-    out.insert(out.end(), rank, 1);
-    out[out.size() - rank + d] = f;
-    ++count;
-  };
-  for (std::size_t d = 0; d < rank; ++d) {
+  for (std::size_t d = 0; d < tensor.dims.size(); ++d) {
     if (tensor.dims[d].compound()) {
       continue;
     }
-    ForEachDivisor(std::gcd(share_cores, sub_shape[d]), [&](std::int64_t f) {
+    ForEachDivisor(std::gcd(share_cores, tp.sub_shape[d]), [&](std::int64_t f) {
       if (f == 1) {
         return;
       }
-      append(d, f);
+      visit(d, f, d, std::int64_t{1});
       if (max_dims < 2) {
         return;
       }
-      for (std::size_t d2 = d + 1; d2 < rank; ++d2) {
+      for (std::size_t d2 = d + 1; d2 < tensor.dims.size(); ++d2) {
         if (tensor.dims[d2].compound()) {
           continue;
         }
-        ForEachDivisor(std::gcd(share_cores / f, sub_shape[d2]), [&](std::int64_t f2) {
+        ForEachDivisor(std::gcd(share_cores / f, tp.sub_shape[d2]), [&](std::int64_t f2) {
           if (f2 != 1) {
-            append(d, f);
-            out[out.size() - rank + d2] = f2;
+            visit(d, f, d2, f2);
           }
         });
       }
     });
   }
+}
+
+// The temporal options a tensor gets: the output is never split in time.
+int TensorMaxRotatingDims(const FopBase& base, std::size_t tensor, int max_rotating_dims) {
+  return tensor + 1 == base.tensors.size() ? 0 : max_rotating_dims;
+}
+
+// Appends to `out` every temporal factor vector for one tensor, rank values
+// each: all-ones (full replication across rings of one core), then each
+// ForEachTemporalSplit() option. Returns how many it appended.
+std::size_t AppendTemporalOptions(const TensorRef& tensor, const RTensorPlan& tp, int max_dims,
+                                  std::vector<std::int64_t>& out) {
+  const std::size_t rank = tensor.dims.size();
+  out.insert(out.end(), rank, 1);
+  std::size_t count = 1;
+  ForEachTemporalSplit(tensor, tp, max_dims,
+                       [&](std::size_t d, std::int64_t f, std::size_t d2, std::int64_t f2) {
+                         out.insert(out.end(), rank, 1);
+                         out[out.size() - rank + d] = f;
+                         out[out.size() - rank + d2] *= f2;
+                         ++count;
+                       });
   return count;
+}
+
+// A lower bound on the seconds of every choice under `base`: the epilogue
+// plus TimingSource::SplitSecondsFloor() of its SplitFloorShape(), as shifts
+// cost >= 0, less a relative slack for the rounding of either side.
+double SecondsFloorOf(const FopBase& base, const EpilogueCost& epilogue,
+                      const TimingSource& timing) {
+  // Both sides sum a few non-negative terms, so each is within a few ulps of
+  // its exact value; 1e-12 covers that many times over.
+  constexpr double kRoundingSlack = 1e-12;
+  return (epilogue.seconds + timing.SplitSecondsFloor(SplitFloorShape(base))) *
+         (1.0 - kRoundingSlack);
 }
 
 // log10 of the unconstrained configuration count: every F_op value per axis,
@@ -119,20 +150,27 @@ ExecutionPlan VendorPlan(const Operator& op, const ChipSpec& chip) {
   return *plan;
 }
 
-// A member of the search's running frontier: what the frontier compares and
-// what rebuilds its plan. Only frontier members are rebuilt.
+// A member of the search's running frontier: what the frontier compares, and
+// its enumeration position, which breaks exact ties and rebuilds its plan.
+// Only frontier members are rebuilt.
 struct FrontierMember {
   std::int64_t per_core_bytes = 0;
   double total_seconds = 0.0;
-  std::size_t fop = 0;      // Offset of its F_op in EnumerationState::fops.
-  std::size_t options = 0;  // Offset of its per-tensor option indices in
-                            // EnumerationState::member_options.
+  std::size_t fop = 0;       // Its F_op's index in the attempt's F_op list.
+  std::int64_t ordinal = 0;  // Its choice's place among the F_op's choices (NextChoice()).
 };
 
 std::int64_t FrontierBytes(const PlanCandidate& c) { return c.predicted.per_core_bytes; }
 double FrontierSeconds(const PlanCandidate& c) { return c.predicted.total_seconds(); }
 std::int64_t FrontierBytes(const FrontierMember& m) { return m.per_core_bytes; }
 double FrontierSeconds(const FrontierMember& m) { return m.total_seconds; }
+
+// Whether `a` was enumerated before `b`. The candidates ParetoFrontier()
+// folds carry no position: they arrive in enumeration order.
+bool EnumeratedBefore(const PlanCandidate&, const PlanCandidate&) { return false; }
+bool EnumeratedBefore(const FrontierMember& a, const FrontierMember& b) {
+  return std::tie(a.fop, a.ordinal) < std::tie(b.fop, b.ordinal);
+}
 
 // The first member of `frontier` (bytes ascending) with more than `bytes`;
 // the one before it, if any, is the fastest with at most `bytes`.
@@ -153,17 +191,27 @@ bool Covered(std::vector<T>& frontier, std::int64_t bytes, double seconds) {
 
 // Adds `item` to `frontier`, the Pareto frontier of the items added before
 // it: per-core bytes strictly ascending, seconds strictly descending. An item
-// that some member matches or beats on both axes is dropped, so of exact
-// (bytes, seconds) ties the one added first stays; otherwise the item goes in
-// and the members it dominates go out. Returns whether it went in. The one
-// frontier routine: ParetoFrontier() and the search both fold through it.
+// that some member matches or beats on both axes is dropped, except that of
+// an exact (bytes, seconds) tie the one enumerated first stays, whichever
+// arrives first; otherwise the item goes in and the members it dominates go
+// out. So the frontier does not depend on the order items arrive in. Returns
+// whether it went in. The one frontier routine: ParetoFrontier() and the
+// search both fold through it.
 template <typename T>
 bool InsertIntoFrontier(std::vector<T>& frontier, T item) {
   const std::int64_t bytes = FrontierBytes(item);
   const double seconds = FrontierSeconds(item);
   const auto above = FirstAbove(frontier, bytes);
-  if (above != frontier.begin() && FrontierSeconds(*std::prev(above)) <= seconds) {
-    return false;
+  if (above != frontier.begin()) {
+    T& best = *std::prev(above);  // The fastest member with at most `bytes`.
+    if (FrontierSeconds(best) <= seconds) {
+      if (FrontierBytes(best) != bytes || FrontierSeconds(best) != seconds ||
+          !EnumeratedBefore(item, best)) {
+        return false;
+      }
+      best = std::move(item);  // An exact tie it precedes: the staircase keeps its shape.
+      return true;
+    }
   }
   // The members it dominates: from the first with at least `bytes` on, while
   // they are no faster.
@@ -181,31 +229,37 @@ bool InsertIntoFrontier(std::vector<T>& frontier, T item) {
   return true;
 }
 
+// An F_op with choices that pass the filters, as pass 1 counted it: what
+// pass 2 orders, skips or costs it by.
+struct PassedFop {
+  double seconds_floor = 0.0;     // A lower bound on its choices' seconds.
+  std::int64_t corner_bytes = 0;  // The smallest per-core bytes of its passed choices.
+  std::size_t fop = 0;            // Its index in the attempt's F_op list.
+  std::int64_t choices = 0;       // Its choices before the cap: all, or the first ones.
+};
+
 // One chunk of a search's F_op enumeration, walked on its own: its own
-// running frontier, the F_ops and option indices its members point at, and
-// its counts. Merge() folds chunk k's members into chunk 0's state.
+// running frontier and counts. Merge() folds chunk k's members into chunk 0's
+// state.
 struct EnumerationState {
   const Operator* op = nullptr;
   const ChipSpec* chip = nullptr;
   const TimingSource* cost = nullptr;
   const SearchConstraints* constraints = nullptr;
   std::int64_t budget = 0;          // Enumeration attempts allowed.
-  FopCandidates candidates;         // The F_op being visited.
+  FopBase base;                     // The F_op pass 1 counts.
+  FopCandidates candidates;         // An F_op whose choices are walked.
   std::vector<std::size_t> choice;  // One option index per tensor.
-  // The visited F_op's choices that passed the filters, one index per tensor.
-  std::vector<std::size_t> passed;
-  std::vector<FrontierMember> frontier;     // Bytes ascending.
-  std::vector<std::int64_t> fops;           // Each F_op ever in the frontier, flat.
-  std::vector<std::size_t> member_options;  // Per member ever inserted, one index per tensor.
+  std::vector<PassedFop> passed;    // Pass 1's output, pass 2's input.
+  std::vector<FrontierMember> frontier;  // Bytes ascending.
   std::int64_t filtered_count = 0;  // Candidates that passed the filters.
   std::int64_t evaluations = 0;     // Enumeration attempts (budget control).
   std::int64_t fop_count = 0;
   std::int64_t fops_dominated = 0;  // F_ops whose cost loop the frontier skipped.
-  // Phase wall time, published once per merge: the cost loops
-  // (compiler.phase.cost_eval.seconds) and the whole walk, whose rest is
-  // filtering. Only costed F_ops read the clock.
+  // Wall time of pass 1 (compiler.phase.filtering.seconds) and pass 2
+  // (compiler.phase.cost_eval.seconds), published once per merge.
+  double filtering_seconds = 0.0;
   double cost_eval_seconds = 0.0;
-  double walk_seconds = 0.0;
 };
 
 // Steps `choice` to the next option per tensor, the last tensor fastest: the
@@ -221,68 +275,98 @@ bool NextChoice(const FopCandidates& candidates, std::vector<std::size_t>& choic
   return false;
 }
 
-// Filters every choice of temporal options under one F_op (padding, then
-// validity and per-core memory), then costs the ones that pass and folds
-// them into the frontier, timing the cost loop. The cost loop is skipped
-// when a frontier member matches or beats the F_op's corner: the smallest
-// bytes of its passed choices and a lower bound on their seconds. That
-// member was enumerated earlier, so the frontier's tie rule would drop every
-// one of them.
-void EvaluateFop(EnumerationState& state, std::span<const std::int64_t> fop) {
+// Pass 1 on F_op `index` of the attempt: counts its choices (enumeration
+// attempts, up to the budget) and those that pass the filters (padding, then
+// per-core memory) from its base alone, and keeps it for pass 2 if any pass.
+// Every choice is valid (ForEachTemporalSplit()) and the all-replicated one
+// holds the most bytes, so when it fits the core every choice passes and the
+// corner is CountFopFunnel()'s. Only an F_op whose all-replicated choice
+// overflows the core, or the one where the budget runs out, derives its
+// options and walks its choices through the filter loop.
+void FilterFop(EnumerationState& state, std::size_t index, std::span<const std::int64_t> fop) {
   ++state.fop_count;
-  FopCandidates& candidates = state.candidates;
-  state.passed.clear();
-  std::int64_t corner_bytes = INT64_MAX;
-  if (candidates.Reset(*state.op, fop, *state.constraints, *state.cost, *state.chip)) {
+  FopBase& base = state.base;
+  if (!base.Reset(*state.op, fop) ||
+      base.padding_ratio < state.constraints->padding_threshold) {
+    return;
+  }
+  const FopFunnel funnel = CountFopFunnel(base, *state.constraints, *state.chip);
+  const std::int64_t choices = std::min(funnel.choices, state.budget - state.evaluations);
+  state.evaluations += choices;
+  const std::int64_t memory = state.chip->core_memory_bytes;
+  if (funnel.corner_bytes > memory) {
+    return;  // Not even its smallest choice fits.
+  }
+  std::int64_t passed = choices;
+  std::int64_t corner_bytes = funnel.corner_bytes;
+  if (choices < funnel.choices || funnel.replicated_bytes > memory) {
+    FopCandidates& candidates = state.candidates;
+    candidates.Reset(*state.op, fop, *state.constraints, *state.cost, *state.chip);
     state.choice.assign(candidates.num_tensors(), 0);
-    do {
-      if (state.evaluations >= state.budget) {
-        break;
-      }
-      ++state.evaluations;
-      if (!candidates.Valid(state.choice)) {
-        continue;
-      }
+    passed = 0;
+    corner_bytes = INT64_MAX;
+    for (std::int64_t ordinal = 0; ordinal < choices;
+         ++ordinal, NextChoice(candidates, state.choice)) {
       const std::int64_t bytes = candidates.PerCoreBytes(state.choice);
-      if (bytes <= state.chip->core_memory_bytes) {
-        state.passed.insert(state.passed.end(), state.choice.begin(), state.choice.end());
+      if (bytes <= memory) {
+        ++passed;
         corner_bytes = std::min(corner_bytes, bytes);
       }
-    } while (NextChoice(candidates, state.choice));
-  }
-  if (state.passed.empty()) {
-    return;
-  }
-
-  const std::size_t n = candidates.num_tensors();
-  state.filtered_count += static_cast<std::int64_t>(state.passed.size() / n);
-  if (Covered(state.frontier, corner_bytes, candidates.SecondsFloor())) {
-    ++state.fops_dominated;
-    return;
-  }
-  const auto cost_start = std::chrono::steady_clock::now();
-  const std::size_t fop_offset = state.fops.size();  // Where F_op goes once a member needs it.
-  for (std::size_t offset = 0; offset < state.passed.size(); offset += n) {
-    const std::span<const std::size_t> choice(&state.passed[offset], n);
-    const PlanMetrics m = candidates.Metrics(choice);
-    if (InsertIntoFrontier(state.frontier,
-                           FrontierMember{m.per_core_bytes, m.total_seconds(), fop_offset,
-                                          state.member_options.size()})) {
-      state.member_options.insert(state.member_options.end(), choice.begin(), choice.end());
-      if (state.fops.size() == fop_offset) {
-        state.fops.insert(state.fops.end(), fop.begin(), fop.end());
-      }
+    }
+    if (passed == 0) {
+      return;
     }
   }
-  state.cost_eval_seconds +=
-      std::chrono::duration<double>(std::chrono::steady_clock::now() - cost_start).count();
+  state.filtered_count += passed;
+  state.passed.push_back(PassedFop{SecondsFloorOf(base, Epilogue(base, *state.cost), *state.cost),
+                                   corner_bytes, index, choices});
+}
+
+// Pass 2: costs pass 1's F_ops in ascending order of their seconds floor, so
+// fast members fill the frontier early. A frontier member that matches or
+// beats (bytes, seconds floor) on both axes holds no more bytes than a choice
+// of that many bytes and is strictly faster, as the floor is below every
+// choice's seconds: the choice is on no frontier, whatever the order. So an
+// F_op whose corner (smallest passed bytes, floor) is covered is skipped
+// whole, and a kept F_op derives its options and costs only its passed
+// choices before the cap that the frontier does not cover at their own
+// bytes. Each goes in at its enumeration position, so of exact ties the one
+// enumerated first stays.
+void CostPassedFops(EnumerationState& state, std::span<const std::int64_t> fops) {
+  const std::size_t rank = state.op->axes().size();
+  std::sort(state.passed.begin(), state.passed.end(), [](const PassedFop& a, const PassedFop& b) {
+    return std::tie(a.seconds_floor, a.fop) < std::tie(b.seconds_floor, b.fop);
+  });
+  FopCandidates& candidates = state.candidates;
+  for (const PassedFop& fop : state.passed) {
+    if (Covered(state.frontier, fop.corner_bytes, fop.seconds_floor)) {
+      ++state.fops_dominated;
+      continue;
+    }
+    candidates.Reset(*state.op, fops.subspan(fop.fop * rank, rank), *state.constraints,
+                     *state.cost, *state.chip);
+    state.choice.assign(candidates.num_tensors(), 0);
+    for (std::int64_t ordinal = 0; ordinal < fop.choices;
+         ++ordinal, NextChoice(candidates, state.choice)) {
+      const std::int64_t bytes = candidates.PerCoreBytes(state.choice);
+      if (bytes > state.chip->core_memory_bytes ||
+          Covered(state.frontier, bytes, fop.seconds_floor)) {
+        continue;
+      }
+      const PlanMetrics m = candidates.Metrics(state.choice);
+      InsertIntoFrontier(state.frontier,
+                         FrontierMember{m.per_core_bytes, m.total_seconds(), fop.fop, ordinal});
+    }
+  }
 }
 
 // Builds a full plan for each frontier member only: its options are derived
 // again from its F_op, once per F_op the members share, then the plan is
 // created and evaluated.
-std::vector<PlanCandidate> FrontierPlans(EnumerationState& state) {
+std::vector<PlanCandidate> FrontierPlans(EnumerationState& state,
+                                         std::span<const std::int64_t> fops) {
   const Operator& op = *state.op;
+  const std::size_t rank = op.axes().size();
   FopCandidates& candidates = state.candidates;
   std::vector<std::vector<std::int64_t>> temporal(op.inputs().size() + 1);
   std::vector<std::size_t> by_fop(state.frontier.size());
@@ -292,20 +376,24 @@ std::vector<PlanCandidate> FrontierPlans(EnumerationState& state) {
   });
   std::vector<PlanCandidate> plans(state.frontier.size());
   std::vector<std::int64_t> fop;
-  std::size_t reset_fop = SIZE_MAX;  // Offset of the F_op `candidates` holds.
+  std::size_t reset_fop = SIZE_MAX;  // The F_op `candidates` holds.
   for (const std::size_t i : by_fop) {
     const FrontierMember& member = state.frontier[i];
     if (member.fop != reset_fop) {
       reset_fop = member.fop;
-      const auto fop_begin = state.fops.begin() + static_cast<std::ptrdiff_t>(member.fop);
-      fop.assign(fop_begin, fop_begin + std::ssize(op.axes()));
+      const std::span<const std::int64_t> fop_span = fops.subspan(member.fop * rank, rank);
+      fop.assign(fop_span.begin(), fop_span.end());
       const bool kept = candidates.Reset(op, fop, *state.constraints, *state.cost, *state.chip);
       T10_CHECK(kept) << op.name() << ": a costed F_op failed the filters";
     }
-    for (std::size_t t = 0; t < temporal.size(); ++t) {
+    // The member's choice from its ordinal: the last tensor counts fastest.
+    std::int64_t ordinal = member.ordinal;
+    for (std::size_t t = temporal.size(); t-- > 0;) {
+      const auto options = static_cast<std::int64_t>(candidates.num_options(t));
       const std::span<const std::int64_t> ft =
-          candidates.temporal(t, state.member_options[member.options + t]);
+          candidates.temporal(t, static_cast<std::size_t>(ordinal % options));
       temporal[t].assign(ft.begin(), ft.end());
+      ordinal /= options;
     }
     std::optional<ExecutionPlan> plan = ExecutionPlan::Create(op, fop, temporal);
     T10_CHECK(plan.has_value()) << op.name() << ": a costed candidate failed to rebuild";
@@ -394,16 +482,15 @@ bool FopCandidates::Reset(const Operator& op, std::span<const std::int64_t> fop,
     const RTensorPlan& tp = base_.tensors[t];
     const std::size_t rank = tensor.dims.size();
     std::size_t offset = temporal_.size();
-    // The output is never split in time: its one option is all ones.
-    const std::size_t count =
-        AppendTemporalOptions(tensor, tp.sub_shape, tp.share_cores,
-                              is_output ? 0 : constraints.max_rotating_dims, temporal_);
+    const std::size_t count = AppendTemporalOptions(
+        tensor, tp, TensorMaxRotatingDims(base_, t, constraints.max_rotating_dims), temporal_);
     tensor_options_.push_back(options_.size());
     for (std::size_t o = 0; o < count; ++o, offset += rank) {
       Option& option = options_.emplace_back();
       option.temporal = offset;
       option.window_bytes =
           TemporalWindowBytes(tensor, is_output, {temporal_.data() + offset, rank}, tp);
+      T10_CHECK_GE(option.window_bytes, 0) << op.name() << ": an option breaks an alignment rule";
     }
   }
   tensor_options_.push_back(options_.size());
@@ -414,15 +501,6 @@ std::span<const std::int64_t> FopCandidates::temporal(std::size_t tensor,
                                                       std::size_t option) const {
   return {temporal_.data() + this->option(tensor, option).temporal,
           Operand(*base_.op, tensor).dims.size()};
-}
-
-bool FopCandidates::Valid(std::span<const std::size_t> choice) const {
-  for (std::size_t t = 0; t < choice.size(); ++t) {
-    if (option(t, choice[t]).window_bytes < 0) {
-      return false;
-    }
-  }
-  return true;
 }
 
 std::int64_t FopCandidates::PerCoreBytes(std::span<const std::size_t> choice) const {
@@ -453,11 +531,27 @@ PlanMetrics FopCandidates::Metrics(std::span<const std::size_t> choice) {
 }
 
 double FopCandidates::SecondsFloor() const {
-  // Both sides sum a few non-negative terms, so each is within a few ulps of
-  // its exact value; 1e-12 covers that many times over.
-  constexpr double kRoundingSlack = 1e-12;
-  return (epilogue_.seconds + timing_->SplitSecondsFloor(SplitFloorShape(base_))) *
-         (1.0 - kRoundingSlack);
+  return SecondsFloorOf(base_, epilogue_, *timing_);
+}
+
+FopFunnel CountFopFunnel(const FopBase& base, const SearchConstraints& constraints,
+                         const ChipSpec& chip) {
+  FopFunnel funnel{1, chip.shift_buffer_bytes, chip.shift_buffer_bytes};
+  for (std::size_t t = 0; t < base.tensors.size(); ++t) {
+    const RTensorPlan& tp = base.tensors[t];
+    std::int64_t options = 1;   // All ones, the largest window.
+    std::int64_t max_ring = 1;  // The smallest window's ring.
+    ForEachTemporalSplit(Operand(*base.op, t), tp,
+                         TensorMaxRotatingDims(base, t, constraints.max_rotating_dims),
+                         [&](std::size_t, std::int64_t f, std::size_t, std::int64_t f2) {
+                           ++options;
+                           max_ring = std::max(max_ring, f * f2);
+                         });
+    funnel.choices *= options;
+    funnel.corner_bytes += tp.sub_bytes / max_ring;
+    funnel.replicated_bytes += tp.sub_bytes;
+  }
+  return funnel;
 }
 
 // Chunks of one search sit side by side and run on different threads: each
@@ -527,10 +621,13 @@ void OperatorSearch::Walk(std::size_t k, std::int64_t budget) {
   const auto start = std::chrono::steady_clock::now();
   for (std::size_t i = chunk_begin_[k]; i < chunk_begin_[k + 1] && chunk.evaluations < budget;
        ++i) {
-    EvaluateFop(chunk, {fops_.data() + i * rank, rank});
+    FilterFop(chunk, i, {fops_.data() + i * rank, rank});
   }
-  chunk.walk_seconds =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() - start).count();
+  const auto filtered = std::chrono::steady_clock::now();
+  CostPassedFops(chunk, fops_);
+  chunk.filtering_seconds = std::chrono::duration<double>(filtered - start).count();
+  chunk.cost_eval_seconds =
+      std::chrono::duration<double>(std::chrono::steady_clock::now() - filtered).count();
 }
 
 void OperatorSearch::Merge() {
@@ -552,34 +649,24 @@ void OperatorSearch::Merge() {
     evaluations += chunks_[k].evaluations;
   }
 
-  // Chunk k's members go in after every earlier chunk's, so of exact ties
-  // the member enumerated first stays. Their offsets move past the F_ops
-  // and option indices already merged.
+  // Members carry their enumeration positions, so the fold order does not
+  // matter: of exact ties the member enumerated first stays.
   Chunk& merged = chunks_[0];
   for (std::size_t k = 1; k < used; ++k) {
     const Chunk& chunk = chunks_[k];
-    const std::size_t fop_base = merged.fops.size();
-    const std::size_t options_base = merged.member_options.size();
-    for (FrontierMember member : chunk.frontier) {
-      member.fop += fop_base;
-      member.options += options_base;
+    for (const FrontierMember& member : chunk.frontier) {
       InsertIntoFrontier(merged.frontier, member);
     }
-    merged.fops.insert(merged.fops.end(), chunk.fops.begin(), chunk.fops.end());
-    merged.member_options.insert(merged.member_options.end(), chunk.member_options.begin(),
-                                 chunk.member_options.end());
     merged.filtered_count += chunk.filtered_count;
     merged.evaluations += chunk.evaluations;
     merged.fop_count += chunk.fop_count;
     merged.fops_dominated += chunk.fops_dominated;
+    merged.filtering_seconds += chunk.filtering_seconds;
     merged.cost_eval_seconds += chunk.cost_eval_seconds;
-    merged.walk_seconds += chunk.walk_seconds;
   }
 
   // The filtered space is the set of *valid* plans that passed every
-  // rule-based constraint (Fig 18's middle bar), costed or dominated;
-  // enumeration attempts that fail an alignment/divisibility rule are not
-  // plans.
+  // rule-based constraint (Fig 18's middle bar), costed or dominated.
   result_.filtered_count = merged.filtered_count;
   result_.fop_count = merged.fop_count;
   obs::MetricsRegistry& metrics = obs::MetricsRegistry::Global();
@@ -587,17 +674,16 @@ void OperatorSearch::Merge() {
   metrics.GetCounter("compiler.search.fop_visited").Add(merged.fop_count);
   metrics.GetCounter("compiler.search.filtered_plans").Add(merged.filtered_count);
   metrics.GetCounter("compiler.search.fops_dominated").Add(merged.fops_dominated);
-  metrics.GetHistogram("compiler.phase.filtering.seconds")
-      .Record(std::max(0.0, merged.walk_seconds - merged.cost_eval_seconds));
-  metrics.GetHistogram("compiler.phase.cost_eval.seconds").Record(merged.cost_eval_seconds);
-  // Enumeration is collecting the F_ops; the chunk walks are filtering and
-  // costing.
+  // Enumeration is collecting the F_ops, filtering the chunks' pass 1 and
+  // cost_eval their pass 2.
   metrics.GetHistogram("compiler.phase.enumeration.seconds").Record(collect_seconds_);
+  metrics.GetHistogram("compiler.phase.filtering.seconds").Record(merged.filtering_seconds);
+  metrics.GetHistogram("compiler.phase.cost_eval.seconds").Record(merged.cost_eval_seconds);
 
   if (!merged.frontier.empty()) {
     obs::Span pareto_span = obs::StartSpan(obs::TraceContext(), "phase.pareto",
                                            &metrics.GetHistogram("compiler.phase.pareto.seconds"));
-    result_.pareto = FrontierPlans(merged);
+    result_.pareto = FrontierPlans(merged, fops_);
     metrics.GetCounter("compiler.search.pareto_plans")
         .Add(static_cast<std::int64_t>(result_.pareto.size()));
     done_ = true;

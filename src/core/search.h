@@ -8,8 +8,9 @@
 //     achievable core count, and
 //   - padding: plans whose padded tensors waste more than
 //     (1 - padding_threshold) of their footprint are discarded.
-// Surviving plans are costed with the fitted model and reduced to the
-// Pareto-optimal frontier of (execution time, per-core memory).
+// Surviving plans are counted from each F_op's base; those that could reach
+// the Pareto-optimal frontier of (execution time, per-core memory) are
+// costed with the fitted model and reduced to it.
 
 #ifndef T10_SRC_CORE_SEARCH_H_
 #define T10_SRC_CORE_SEARCH_H_
@@ -69,11 +70,15 @@ IntraOpResult SearchOperatorPlans(const Operator& op, const ChipSpec& chip,
 // One operator's search, cut into contiguous chunks of its F_op enumeration
 // that may run on different threads. Each round: Split() collects the
 // attempt's F_ops and cuts them, RunChunk() walks one chunk into its own
-// frontier, and Merge(), once every chunk ran, folds the chunk frontiers in
-// chunk order through the frontier routine. That is exactly the serial
-// walk's frontier, counts and plans for any chunk count: of exact ties the
-// member enumerated first stays, and a chunk skips only F_ops that a member
-// it enumerated earlier covers. Only compiler.search.fops_dominated depends
+// frontier in two passes, and Merge(), once every chunk ran, folds the chunk
+// frontiers through the frontier routine. Pass 1 counts each F_op's choices,
+// the ones that pass the filters and its corner from the F_op's base alone
+// (CountFopFunnel()); pass 2 costs the F_ops with passed choices in ascending
+// order of their seconds floor, skipping each F_op whose corner, and each
+// choice whose bytes, the running frontier covers. Frontier members carry their enumeration position (F_op,
+// choice), and of exact (bytes, seconds) ties the earlier stays, so the
+// frontier, the counts and the plans are the enumeration-order walk's for any
+// chunk count and visiting order. Only compiler.search.fops_dominated depends
 // on the cut. A merge whose frontier is empty relaxes the constraints and
 // leaves the search for another round, as SearchOperatorPlans retries.
 class OperatorSearch {
@@ -96,7 +101,9 @@ class OperatorSearch {
   // F_ops in chunk `k`: the dispatch order's cost estimate.
   std::int64_t chunk_fops(int k) const;
 
-  // Walks chunk `k`. Calls for distinct chunks may run concurrently.
+  // Walks chunk `k`: pass 1 over its F_ops in order, up to the
+  // max_evaluations cap, then pass 2. Calls for distinct chunks may run
+  // concurrently.
   void RunChunk(int k);
 
   // Folds the round's chunks into the search's frontier and publishes the
@@ -139,19 +146,32 @@ void ForEachSearchedFop(const Operator& op, const ChipSpec& chip,
                         const SearchConstraints& constraints,
                         const std::function<bool(std::span<const std::int64_t>)>& visit);
 
+// What the search's pass 1 counts of one F_op's choices (one temporal option
+// per tensor) from its base alone, deriving no option. Every option the
+// search derives passes TemporalWindowBytes(), with a window of the
+// tensor's sub-tensor bytes over its ring size, so every choice is valid.
+// Exposed for testing.
+struct FopFunnel {
+  std::int64_t choices = 0;           // The product of the per-tensor option counts.
+  std::int64_t corner_bytes = 0;      // The smallest per-core bytes of any choice.
+  std::int64_t replicated_bytes = 0;  // The all-replicated choice's, the largest.
+};
+FopFunnel CountFopFunnel(const FopBase& base, const SearchConstraints& constraints,
+                         const ChipSpec& chip);
+
 // What the search costs under one F_op: the plan's F_op base, built once,
 // and for each tensor (inputs, then the output) the temporal options it
-// tries, each reduced to its delta on the base: validity and window bytes,
-// and, once a choice holding it is costed, its rotating (axis, window length)
-// pairs. A choice of one option per tensor is then filtered and costed
-// without building a plan, through the helpers ExecutionPlan::Rebuild() and
+// tries, each reduced to its delta on the base: window bytes and, once a
+// choice holding it is costed, its rotating (axis, window length) pairs. A
+// choice of one option per tensor is then filtered and costed without
+// building a plan, through the helpers ExecutionPlan::Rebuild() and
 // Evaluate() are made of. Reset() reuses all storage. Exposed for testing.
 class FopCandidates {
  public:
-  // Derives the base and every option's validity and window bytes for `fop`.
-  // Returns false if F_op fails the padding filter; the options are then
-  // unusable until the next successful Reset(). `timing` and `chip` must
-  // outlive the next Reset().
+  // Derives the base and every option's window bytes for `fop`. Returns
+  // false if F_op fails the padding filter; the options are then unusable
+  // until the next successful Reset(). `timing` and `chip` must outlive the
+  // next Reset().
   bool Reset(const Operator& op, std::span<const std::int64_t> fop,
              const SearchConstraints& constraints, const TimingSource& timing,
              const ChipSpec& chip);
@@ -163,15 +183,14 @@ class FopCandidates {
   // The temporal factors of option `option` of tensor `tensor`.
   std::span<const std::int64_t> temporal(std::size_t tensor, std::size_t option) const;
 
-  // `choice` holds one option index per tensor. Valid() agrees with whether
-  // ExecutionPlan::Create() succeeds on those factors; PerCoreBytes() and
-  // Metrics() equal what the created plan reports.
-  bool Valid(std::span<const std::size_t> choice) const;
+  // `choice` holds one option index per tensor; ExecutionPlan::Create()
+  // succeeds on every choice's factors. PerCoreBytes() and Metrics() equal
+  // what the created plan reports.
   std::int64_t PerCoreBytes(std::span<const std::size_t> choice) const;
   PlanMetrics Metrics(std::span<const std::size_t> choice);
 
-  // A lower bound on Metrics(choice).total_seconds() of every valid choice:
-  // the epilogue plus TimingSource::SplitSecondsFloor() of the F_op's
+  // A lower bound on Metrics(choice).total_seconds() of every choice: the
+  // epilogue plus TimingSource::SplitSecondsFloor() of the F_op's
   // SplitFloorShape(), as shifts cost >= 0, less a relative slack for the
   // rounding of either side.
   double SecondsFloor() const;
@@ -179,7 +198,7 @@ class FopCandidates {
  private:
   struct Option {
     std::size_t temporal = 0;         // Offset of its f_t in temporal_.
-    std::int64_t window_bytes = -1;   // -1: its f_t breaks an alignment rule.
+    std::int64_t window_bytes = 0;
     bool rotations_derived = false;   // By the first Metrics() that holds it.
     std::size_t rotations_begin = 0;  // Its range in option_rotations_.
     std::size_t rotations_end = 0;
@@ -206,8 +225,8 @@ class FopCandidates {
 // sorted by bytes ascending: keeps a plan iff no other plan is at least as
 // good on both axes (and strictly better on one). Of plans tied exactly on
 // (bytes, time) the one earliest in `candidates` is kept. The search folds
-// its candidates through the same routine, in enumeration order. Exposed for
-// testing.
+// its candidates through the same routine, breaking exact ties by
+// enumeration position. Exposed for testing.
 std::vector<PlanCandidate> ParetoFrontier(std::vector<PlanCandidate> candidates);
 
 }  // namespace t10

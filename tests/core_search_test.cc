@@ -163,14 +163,11 @@ std::string MetricsString(const PlanMetrics& m) {
   return out.str();
 }
 
-// FNV checksum of everything a search returns: each frontier plan's F_op,
-// every tensor's temporal factors and the predicted metrics (hexfloat, so
-// any bit of drift shows), plus the space statistics.
-std::uint64_t ResultChecksum(const IntraOpResult& result) {
+// Each frontier plan's F_op, every tensor's temporal factors and the
+// predicted metrics (hexfloat, so any bit of drift shows), a line each.
+std::string FrontierString(const std::vector<PlanCandidate>& pareto) {
   std::ostringstream out;
-  out << std::hexfloat << result.complete_space_log10 << " " << result.filtered_count << " "
-      << result.fop_count << "\n";
-  for (const PlanCandidate& c : result.pareto) {
+  for (const PlanCandidate& c : pareto) {
     for (std::int64_t f : c.plan.fop()) {
       out << f << ",";
     }
@@ -182,6 +179,16 @@ std::uint64_t ResultChecksum(const IntraOpResult& result) {
     }
     out << MetricsString(c.predicted) << "\n";
   }
+  return out.str();
+}
+
+// FNV checksum of everything a search returns: its frontier plans
+// (FrontierString()) plus the space statistics.
+std::uint64_t ResultChecksum(const IntraOpResult& result) {
+  std::ostringstream out;
+  out << std::hexfloat << result.complete_space_log10 << " " << result.filtered_count << " "
+      << result.fop_count << "\n"
+      << FrontierString(result.pareto);
   return Fnv1a64(out.str());
 }
 
@@ -347,9 +354,9 @@ std::int64_t ForEachCandidate(
 }
 
 // Checks every candidate the search enumerates for `op` under `constraints`:
-// the base + delta path (FopCandidates) must agree with ExecutionPlan::Create
-// on validity, and with Create(...)->Evaluate(...) on every metric, bit for
-// bit. Stops at the first mismatch. Returns the candidates checked and sets
+// ExecutionPlan::Create must accept it, and the base + delta path
+// (FopCandidates) must agree with Create(...)->Evaluate(...) on every metric,
+// bit for bit. Stops at the first mismatch. Returns the candidates checked and sets
 // `fitting` to how many of them fit the chip.
 std::int64_t CheckCandidates(const Operator& op, const ChipSpec& chip, const TimingSource& timing,
                              const SearchConstraints& constraints, std::int64_t& fitting) {
@@ -364,27 +371,258 @@ std::int64_t CheckCandidates(const Operator& op, const ChipSpec& chip, const Tim
         }
         const std::vector<std::int64_t> fop(fop_span.begin(), fop_span.end());
         const std::optional<ExecutionPlan> plan = ExecutionPlan::Create(op, fop, temporal);
-        if (candidates.Valid(choice) != plan.has_value()) {
-          ADD_FAILURE() << op.name() << ": validity disagrees with Create";
+        if (!plan.has_value()) {
+          ADD_FAILURE() << op.name() << ": an enumerated choice fails Create";
           return false;
         }
-        if (plan.has_value()) {
-          const PlanMetrics want = plan->Evaluate(timing, chip);
-          const std::int64_t bytes = candidates.PerCoreBytes(choice);
-          const std::string got = MetricsString(candidates.Metrics(choice));
-          if (bytes != want.per_core_bytes || got != MetricsString(want)) {
-            ADD_FAILURE() << plan->DebugString() << "\n  base+delta:" << got << " (" << bytes
-                          << " B)\n  Evaluate:  " << MetricsString(want);
-            return false;
-          }
-          fitting += bytes <= chip.core_memory_bytes ? 1 : 0;
+        const PlanMetrics want = plan->Evaluate(timing, chip);
+        const std::int64_t bytes = candidates.PerCoreBytes(choice);
+        const std::string got = MetricsString(candidates.Metrics(choice));
+        if (bytes != want.per_core_bytes || got != MetricsString(want)) {
+          ADD_FAILURE() << plan->DebugString() << "\n  base+delta:" << got << " (" << bytes
+                        << " B)\n  Evaluate:  " << MetricsString(want);
+          return false;
         }
+        fitting += bytes <= chip.core_memory_bytes ? 1 : 0;
         return true;
       });
 }
 
+// What one attempt of the search must return, by brute force: how many
+// choices ForEachCandidate() visits fit the chip, and their frontier, each
+// built by ExecutionPlan::Create() and Evaluate() and folded in enumeration
+// order.
+struct EnumeratedSearch {
+  std::int64_t fitting = 0;
+  std::vector<PlanCandidate> frontier;
+};
+
+EnumeratedSearch EnumerateSearch(const Operator& op, const ChipSpec& chip,
+                                 const TimingSource& timing,
+                                 const SearchConstraints& constraints) {
+  EnumeratedSearch out;
+  std::vector<PlanCandidate> fitting;
+  std::vector<std::vector<std::int64_t>> temporal(op.inputs().size() + 1);
+  ForEachCandidate(op, chip, timing, constraints,
+                   [&](std::span<const std::int64_t> fop, FopCandidates& candidates,
+                       std::span<const std::size_t> choice) {
+                     if (candidates.PerCoreBytes(choice) > chip.core_memory_bytes) {
+                       return true;
+                     }
+                     for (std::size_t t = 0; t < temporal.size(); ++t) {
+                       const std::span<const std::int64_t> ft = candidates.temporal(t, choice[t]);
+                       temporal[t].assign(ft.begin(), ft.end());
+                     }
+                     std::optional<ExecutionPlan> plan = ExecutionPlan::Create(
+                         op, std::vector<std::int64_t>(fop.begin(), fop.end()), temporal);
+                     EXPECT_TRUE(plan.has_value());
+                     if (plan.has_value()) {
+                       const PlanMetrics predicted = plan->Evaluate(timing, chip);
+                       fitting.push_back(PlanCandidate{*std::move(plan), predicted});
+                     }
+                     return true;
+                   });
+  out.fitting = std::ssize(fitting);
+  out.frontier = ParetoFrontier(std::move(fitting));
+  return out;
+}
+
+// Runs the search serially and at 1, 2 and 7 chunks on a 4-worker pool, and
+// expects each to give `want`'s filtered count and frontier.
+void ExpectSearchesMatch(const Operator& op, const ChipSpec& chip, const TimingSource& timing,
+                         const SearchConstraints& constraints, const EnumeratedSearch& want) {
+  const std::string frontier = FrontierString(want.frontier);
+  const IntraOpResult serial = SearchOperatorPlans(op, chip, timing, constraints);
+  EXPECT_EQ(serial.filtered_count, want.fitting);
+  EXPECT_EQ(FrontierString(serial.pareto), frontier);
+  ThreadPool pool(4);
+  for (const int chunks : {1, 2, 7}) {
+    SCOPED_TRACE("chunks=" + std::to_string(chunks));
+    std::vector<OperatorSearch> searches;
+    searches.emplace_back(op, chip, timing, constraints);
+    RunSearches(searches, chunks, &pool);
+    ASSERT_TRUE(searches.front().done());
+    const IntraOpResult chunked = searches.front().TakeResult();
+    EXPECT_EQ(chunked.filtered_count, want.fitting);
+    EXPECT_EQ(FrontierString(chunked.pareto), frontier);
+  }
+}
+
+// The 64-core test chip with 5 KiB of each core beside the shift buffer:
+// MatMul's all-replicated choice overflows the core under many F_ops that
+// still have choices that fit.
+ChipSpec SmallCoreChip(ChipSpec chip) {
+  chip.core_memory_bytes = chip.shift_buffer_bytes + 5 * 1024;
+  return chip;
+}
+
+// Pass 1 of the search counts each F_op's funnel from its base and trusts
+// every derived option to be valid. For every F_op the search visits for
+// `op`, checks that each option FopCandidates derives passes
+// TemporalWindowBytes(), and that CountFopFunnel() equals the enumerated
+// filter loop: the choice count, the smallest per-core bytes, and the
+// all-replicated bytes, which are the largest. Returns how many F_ops have
+// an all-replicated choice that overflows the core while some choice fits.
+std::int64_t ExpectCountedFunnelMatchesFilterLoop(const Operator& op, const ChipSpec& chip,
+                                                  const TimingSource& timing,
+                                                  const SearchConstraints& constraints) {
+  std::int64_t overflowing = 0;
+  FopBase base;
+  FopCandidates candidates;
+  std::vector<std::size_t> choice;
+  ForEachSearchedFop(op, chip, constraints, [&](std::span<const std::int64_t> fop) {
+    const bool kept = candidates.Reset(op, fop, constraints, timing, chip);
+    EXPECT_EQ(kept, base.Reset(op, fop) && base.padding_ratio >= constraints.padding_threshold);
+    if (!kept) {
+      return true;
+    }
+    for (std::size_t t = 0; t < candidates.num_tensors(); ++t) {
+      const bool is_output = t + 1 == candidates.num_tensors();
+      for (std::size_t o = 0; o < candidates.num_options(t); ++o) {
+        if (TemporalWindowBytes(Operand(op, t), is_output, candidates.temporal(t, o),
+                                base.tensors[t]) < 0) {
+          ADD_FAILURE() << op.name() << ": option " << o << " of tensor " << t
+                        << " breaks an alignment rule";
+          return false;
+        }
+      }
+    }
+    std::int64_t choices = 0;
+    std::int64_t smallest = INT64_MAX;
+    std::int64_t largest = 0;
+    std::int64_t fitting = 0;
+    choice.assign(candidates.num_tensors(), 0);
+    const std::int64_t replicated = candidates.PerCoreBytes(choice);
+    for (;;) {
+      const std::int64_t bytes = candidates.PerCoreBytes(choice);
+      ++choices;
+      smallest = std::min(smallest, bytes);
+      largest = std::max(largest, bytes);
+      fitting += bytes <= chip.core_memory_bytes ? 1 : 0;
+      std::size_t t = choice.size();
+      while (t > 0 && ++choice[t - 1] == candidates.num_options(t - 1)) {
+        choice[--t] = 0;
+      }
+      if (t == 0) {
+        break;
+      }
+    }
+    const FopFunnel funnel = CountFopFunnel(base, constraints, chip);
+    if (funnel.choices != choices || funnel.corner_bytes != smallest ||
+        funnel.replicated_bytes != replicated || replicated != largest) {
+      ADD_FAILURE() << op.name() << ": counted " << funnel.choices << " choices, corner "
+                    << funnel.corner_bytes << " B, replicated " << funnel.replicated_bytes
+                    << " B; enumerated " << choices << ", " << smallest << " B, " << replicated
+                    << " B (largest " << largest << " B)";
+      return false;
+    }
+    overflowing += replicated > chip.core_memory_bytes && fitting > 0 ? 1 : 0;
+    return true;
+  });
+  return overflowing;
+}
+
+TEST_F(SearchTest, CountedFunnelMatchesTheFilterLoop) {
+  for (const GoldenCase& c : GoldenBattery()) {
+    SCOPED_TRACE(c.name);
+    ExpectCountedFunnelMatchesFilterLoop(c.op, chip_, timing_, c.constraints);
+  }
+  const ChipSpec small = SmallCoreChip(chip_);
+  for (const GoldenCase& c : GoldenBattery()) {
+    SCOPED_TRACE(c.name + " on " + std::to_string(small.core_memory_bytes) + " B cores");
+    const std::int64_t overflowing =
+        ExpectCountedFunnelMatchesFilterLoop(c.op, small, timing_, c.constraints);
+    if (c.name == "MatMul") {
+      EXPECT_GT(overflowing, 0) << "no F_op runs pass 1's filter loop";
+    }
+  }
+  const ChipSpec full_chip = ChipSpec::IpuMk2();
+  const GroundTruthTiming full_truth(full_chip);
+  for (const std::vector<ModelInfo>* zoo : {&EvaluationModels(), &LlmModels()}) {
+    for (const ModelInfo& info : *zoo) {
+      const Graph graph = info.build(info.batch_sizes.front());
+      const auto op = std::find_if(graph.ops().begin(), graph.ops().end(), [](const Operator& o) {
+        return o.kind() == OpKind::kContraction;
+      });
+      ASSERT_NE(op, graph.ops().end()) << info.name;
+      SCOPED_TRACE(info.name + "/" + op->name());
+      ExpectCountedFunnelMatchesFilterLoop(*op, full_chip, full_truth, {});
+    }
+  }
+}
+
+// On cores too small for many all-replicated choices, the search (whose
+// pass 1 then runs the filter loop) counts exactly the fitting choices and
+// returns their frontier, serially and at 1, 2 and 7 chunks.
+TEST_F(SearchTest, ChunkedSearchMatchesEnumeratedFrontierOnSmallCores) {
+  const ChipSpec small = SmallCoreChip(chip_);
+  const Operator op = MatMulOp("mm", 64, 256, 64, DataType::kF16, "A", "B", "C");
+  const EnumeratedSearch want = EnumerateSearch(op, small, timing_, {});
+  ASSERT_FALSE(want.frontier.empty());
+  ExpectSearchesMatch(op, small, timing_, {}, want);
+}
+
+// A timing source under which every F_op of an elementwise op costs the same
+// one step, while the seconds floor falls as the innermost slice grows: so
+// F_ops tie exactly on (bytes, seconds), and a later-enumerated F_op with a
+// longer innermost slice has the lower floor.
+class FlatStepTiming final : public TimingSource {
+ public:
+  static constexpr double kStepSeconds = 1e-6;
+  double SubTaskSeconds(const SubTaskShape&) const override { return kStepSeconds; }
+  double ShiftSeconds(std::int64_t) const override { return 0.0; }
+  double SplitSecondsFloor(const SubTaskShape& floor) const override {
+    return kStepSeconds - 1e-9 * static_cast<double>(floor.inner_length);
+  }
+};
+
+// Exact ties across F_ops: on 8 cores, add{8, 8} has the F_ops (1,8), (2,4),
+// (4,2) and (8,1), in that enumeration order, each with one choice of the
+// same bytes and seconds. Pass 2 visits them in floor order, (8,1) first, so
+// the enumeration-order winner (1,8) arrives last; it must still be the one
+// plan on the frontier, serially and at 1, 2 and 7 chunks.
+TEST_F(SearchTest, ChunkedSearchKeepsTheEarlierFopOfAnExactTie) {
+  const ChipSpec chip = ChipSpec::ScaledIpu(8);
+  const FlatStepTiming timing;
+  const Operator op = BinaryOp("add", {8, 8}, DataType::kF16, "x", "y", "z");
+  const SearchConstraints constraints;
+  std::vector<std::vector<std::int64_t>> fops;
+  std::vector<double> floors;
+  FopCandidates candidates;
+  ForEachSearchedFop(op, chip, constraints, [&](std::span<const std::int64_t> fop) {
+    fops.emplace_back(fop.begin(), fop.end());
+    EXPECT_TRUE(candidates.Reset(op, fop, constraints, timing, chip));
+    floors.push_back(candidates.SecondsFloor());
+    return true;
+  });
+  ASSERT_EQ(fops, (std::vector<std::vector<std::int64_t>>{{1, 8}, {2, 4}, {4, 2}, {8, 1}}));
+  ASSERT_TRUE(std::is_sorted(floors.rbegin(), floors.rend()) && floors.back() < floors.front())
+      << "the later F_ops must have the lower floors";
+
+  auto expect_first_fop_wins = [&](const IntraOpResult& result) {
+    ASSERT_EQ(result.pareto.size(), 1u);
+    EXPECT_EQ(result.pareto.front().plan.fop(), fops.front());
+    EXPECT_EQ(result.pareto.front().predicted.total_seconds(), FlatStepTiming::kStepSeconds);
+  };
+  expect_first_fop_wins(SearchOperatorPlans(op, chip, timing, constraints));
+  ThreadPool pool(4);
+  for (const int chunks : {1, 2, 7}) {
+    SCOPED_TRACE("chunks=" + std::to_string(chunks));
+    std::vector<OperatorSearch> searches;
+    searches.emplace_back(op, chip, timing, constraints);
+    RunSearches(searches, chunks, &pool);
+    ASSERT_TRUE(searches.front().done());
+    expect_first_fop_wins(searches.front().TakeResult());
+  }
+}
+
 // The "CappedMidFop" golden case pins a cap that lands inside an F_op: some
-// F_op has choices on both sides of it.
+// F_op has choices on both sides of it. That F_op's seconds floor is below
+// an earlier F_op's, so pass 2 reaches it out of enumeration order, and the
+// search must still count and cost only its choices before the cap: its
+// filtered count and frontier are those of exactly the first kMidFopCap
+// choices, serially and at 1, 2 and 7 chunks, and that frontier differs from
+// the one with all the F_op's choices.
 TEST_F(SearchTest, MidFopCapLandsInsideAnFop) {
   const std::vector<GoldenCase> battery = GoldenBattery();
   const GoldenCase& c = battery.back();
@@ -392,6 +630,8 @@ TEST_F(SearchTest, MidFopCapLandsInsideAnFop) {
   FopCandidates candidates;
   std::int64_t before = 0;
   bool inside = false;
+  double highest_floor = 0.0;  // Of the F_ops before the capped one.
+  double capped_floor = 0.0;
   ForEachSearchedFop(c.op, chip_, c.constraints, [&](std::span<const std::int64_t> fop) {
     if (!candidates.Reset(c.op, fop, c.constraints, timing_, chip_)) {
       return true;
@@ -402,9 +642,23 @@ TEST_F(SearchTest, MidFopCapLandsInsideAnFop) {
     }
     inside = before < kMidFopCap && kMidFopCap < before + choices;
     before += choices;
-    return before < kMidFopCap;
+    if (before < kMidFopCap) {
+      highest_floor = std::max(highest_floor, candidates.SecondsFloor());
+      return true;
+    }
+    capped_floor = candidates.SecondsFloor();
+    return false;
   });
-  EXPECT_TRUE(inside) << "the cap falls between F_ops after " << before << " choices";
+  ASSERT_TRUE(inside) << "the cap falls between F_ops after " << before << " choices";
+  EXPECT_LT(capped_floor, highest_floor) << "pass 2 reaches the capped F_op in enumeration order";
+
+  const EnumeratedSearch want = EnumerateSearch(c.op, chip_, timing_, c.constraints);
+  SearchConstraints whole_fop = c.constraints;
+  whole_fop.max_evaluations = before;
+  EXPECT_NE(FrontierString(EnumerateSearch(c.op, chip_, timing_, whole_fop).frontier),
+            FrontierString(want.frontier))
+      << "the capped F_op's later choices do not change the frontier";
+  ExpectSearchesMatch(c.op, chip_, timing_, c.constraints, want);
 }
 
 // Checks every candidate SearchOperatorPlans(op) costs, relaxed attempts
@@ -487,7 +741,7 @@ std::int64_t ExpectSecondsFloorBounds(const Operator& op, const ChipSpec& chip,
       op, chip, timing, constraints,
       [&](std::span<const std::int64_t>, FopCandidates& candidates,
           std::span<const std::size_t> choice) {
-        if (!candidates.Valid(choice) || candidates.PerCoreBytes(choice) > chip.core_memory_bytes) {
+        if (candidates.PerCoreBytes(choice) > chip.core_memory_bytes) {
           return true;
         }
         const double floor = candidates.SecondsFloor();
