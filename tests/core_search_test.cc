@@ -599,21 +599,11 @@ TEST_F(SearchTest, ChunkedSearchKeepsTheEarlierFopOfAnExactTie) {
   ASSERT_TRUE(std::is_sorted(floors.rbegin(), floors.rend()) && floors.back() < floors.front())
       << "the later F_ops must have the lower floors";
 
-  auto expect_first_fop_wins = [&](const IntraOpResult& result) {
-    ASSERT_EQ(result.pareto.size(), 1u);
-    EXPECT_EQ(result.pareto.front().plan.fop(), fops.front());
-    EXPECT_EQ(result.pareto.front().predicted.total_seconds(), FlatStepTiming::kStepSeconds);
-  };
-  expect_first_fop_wins(SearchOperatorPlans(op, chip, timing, constraints));
-  ThreadPool pool(4);
-  for (const int chunks : {1, 2, 7}) {
-    SCOPED_TRACE("chunks=" + std::to_string(chunks));
-    std::vector<OperatorSearch> searches;
-    searches.emplace_back(op, chip, timing, constraints);
-    RunSearches(searches, chunks, &pool);
-    ASSERT_TRUE(searches.front().done());
-    expect_first_fop_wins(searches.front().TakeResult());
-  }
+  const EnumeratedSearch want = EnumerateSearch(op, chip, timing, constraints);
+  ASSERT_EQ(want.frontier.size(), 1u);
+  ASSERT_EQ(want.frontier.front().plan.fop(), fops.front());
+  ASSERT_EQ(want.frontier.front().predicted.total_seconds(), FlatStepTiming::kStepSeconds);
+  ExpectSearchesMatch(op, chip, timing, constraints, want);
 }
 
 // The "CappedMidFop" golden case pins a cap that lands inside an F_op: some
