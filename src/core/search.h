@@ -53,7 +53,7 @@ struct IntraOpResult {
   // log10 of the estimated complete configuration space (Fig 18).
   double complete_space_log10 = 0.0;
   // Plans that survived the rule-based filters: cost-evaluated, or dropped
-  // unpriced because a frontier member already dominated their F_op.
+  // unpriced because a frontier member already dominated them or their F_op.
   std::int64_t filtered_count = 0;
   // Valid F_op vectors visited.
   std::int64_t fop_count = 0;
