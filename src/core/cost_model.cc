@@ -18,6 +18,10 @@ std::array<double, 3> ShiftFeatures(std::int64_t bytes, std::int64_t chunk_bytes
   return {1.0, static_cast<double>(bytes), static_cast<double>(CeilDiv(bytes, chunk_bytes))};
 }
 
+bool AllNonNegative(const std::vector<double>& coefficients) {
+  return std::none_of(coefficients.begin(), coefficients.end(), [](double v) { return v < 0.0; });
+}
+
 }  // namespace
 
 const char* KernelClassName(KernelClass cls) {
@@ -181,22 +185,26 @@ double FittedCostModel::SubTaskSeconds(const SubTaskShape& shape) const {
   return std::max(predicted, kMinPrediction);
 }
 
-double FittedCostModel::SplitSecondsFloor(const SubTaskShape& floor) const {
+double FittedCostModel::SplitSecondsFloor(const SubTaskShape& floor, std::int64_t steps) const {
+  const double clamped = static_cast<double>(steps) * kMinPrediction;
   auto class_floor = [&](KernelClass cls) {
     const auto c = static_cast<std::size_t>(cls);
     if (custom_[c]) {
       return -std::numeric_limits<double>::infinity();  // Its function is opaque.
     }
     // Every step is clamped to at least kMinPrediction. With no coefficient
-    // below 0, k >= 1 steps also predict at least one intercept plus the
+    // below 0, the steps also predict at least `steps` intercepts plus the
     // flops and bytes terms of their summed work, so at least the floor's
-    // prediction. A negative coefficient (a fit can give one: the bytes of
-    // gather, conv and reduce have) breaks that, leaving the clamp.
+    // prediction plus steps - 1 intercepts. A negative coefficient (a fit can
+    // give one: the bytes of gather, conv and reduce have) breaks that,
+    // leaving the clamp.
     const std::vector<double>& coefficients = kernel_models_[c].coefficients();
-    if (std::any_of(coefficients.begin(), coefficients.end(), [](double v) { return v < 0.0; })) {
-      return kMinPrediction;
+    if (!AllNonNegative(coefficients)) {
+      return clamped;
     }
-    return std::max(kernel_models_[c].Predict(Features(floor)), kMinPrediction);
+    return std::max(kernel_models_[c].Predict(Features(floor)) +
+                        static_cast<double>(steps - 1) * coefficients[0],
+                    clamped);
   };
   const KernelClass cls = ClassifySubTask(floor);
   // A step of a conv whose kernel volume shrinks to 1 is costed as a matmul.
@@ -211,6 +219,23 @@ double FittedCostModel::ShiftSeconds(std::int64_t bytes) const {
   }
   double predicted = shift_model_.Predict(ShiftFeatures(bytes, shift_chunk_bytes_));
   return std::max(predicted, kMinPrediction);
+}
+
+double FittedCostModel::ShiftSecondsFloor(std::int64_t shifts, std::int64_t bytes) const {
+  // Every shift is clamped to at least kMinPrediction. With no coefficient
+  // below 0, the run also predicts at least `shifts` intercepts, the bytes
+  // term of its summed bytes, and the iterations term of its summed
+  // iterations, each shift taking at least one and together at least those
+  // of `bytes`.
+  const double clamped = static_cast<double>(shifts) * kMinPrediction;
+  const std::vector<double>& c = shift_model_.coefficients();
+  if (!AllNonNegative(c)) {
+    return clamped;
+  }
+  const std::int64_t iterations = std::max(shifts, CeilDiv(bytes, shift_chunk_bytes_));
+  return std::max(static_cast<double>(shifts) * c[0] + c[1] * static_cast<double>(bytes) +
+                      c[2] * static_cast<double>(iterations),
+                  clamped);
 }
 
 double FittedCostModel::RSquared(KernelClass cls) const {

@@ -50,10 +50,15 @@ class FittedCostModel final : public TimingSource {
   // TimingSource: regression predictions (clamped to a small positive floor).
   double SubTaskSeconds(const SubTaskShape& shape) const override;
   double ShiftSeconds(std::int64_t bytes) const override;
-  // Per class the steps can fall in: the 100 ns floor every prediction is
-  // clamped to, or, if the class's coefficients are all >= 0, the clamped
-  // prediction for the floor's features; -infinity for a custom kernel.
-  double SplitSecondsFloor(const SubTaskShape& floor) const override;
+  // Per class the steps can fall in: `steps` times the 100 ns floor every
+  // prediction is clamped to, or, if the class's coefficients are all >= 0,
+  // the larger of that and the prediction for the floor's features plus
+  // steps - 1 intercepts; -infinity for a custom kernel.
+  double SplitSecondsFloor(const SubTaskShape& floor, std::int64_t steps) const override;
+  // `shifts` times the 100 ns clamp, or, if the shift model's coefficients
+  // are all >= 0, the larger of that and `shifts` intercepts plus the bytes
+  // term of `bytes` plus the iterations term of max(shifts, its iterations).
+  double ShiftSecondsFloor(std::int64_t shifts, std::int64_t bytes) const override;
 
   // Training-set goodness of fit per class (Fig 8 reports these).
   double RSquared(KernelClass cls) const;

@@ -260,14 +260,27 @@ void AppendRotations(const TensorRef& tensor, std::span<const std::int64_t> ft,
   }
 }
 
-void DeriveLoops(std::span<const std::int64_t> axis_slice, std::span<const Rotation> rotations,
-                 std::vector<std::int64_t>& axis_pace, std::vector<RotationLoop>& loops) {
+std::int64_t DerivePaces(std::span<const std::int64_t> axis_slice,
+                         std::span<const Rotation> rotations,
+                         std::vector<std::int64_t>& axis_pace) {
   // Rotating pace per axis: minimum window among the dims rotating on it.
   axis_pace.assign(axis_slice.size(), 0);
   for (const Rotation& r : rotations) {
     std::int64_t& pace = axis_pace[static_cast<std::size_t>(r.axis)];
     pace = pace == 0 ? r.window_len : std::min(pace, r.window_len);
   }
+  std::int64_t steps = 1;
+  for (std::size_t a = 0; a < axis_slice.size(); ++a) {
+    if (axis_pace[a] != 0) {
+      steps *= axis_slice[a] / axis_pace[a];
+    }
+  }
+  return steps;
+}
+
+void DeriveLoops(std::span<const std::int64_t> axis_slice, std::span<const Rotation> rotations,
+                 std::vector<std::int64_t>& axis_pace, std::vector<RotationLoop>& loops) {
+  DerivePaces(axis_slice, rotations, axis_pace);
 
   // Loop nest over rotated axes. The axis whose rotating tensors are smallest
   // becomes the innermost loop (paper §4.4: it iterates most often, so it

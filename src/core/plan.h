@@ -143,8 +143,15 @@ void AppendRotations(const TensorRef& tensor, std::span<const std::int64_t> ft,
                      std::vector<Rotation>& rotations);
 
 // Derives the rotating pace of every axis (the minimum window among the dims
-// rotating along it; 0 = not rotated) and the loop nest over rotated axes,
-// outermost first, reusing the storage of both outputs.
+// rotating along it; 0 = not rotated), reusing the storage of `axis_pace`,
+// and returns the steps of the loop nest over the rotated axes: the product
+// of their slices over their paces.
+std::int64_t DerivePaces(std::span<const std::int64_t> axis_slice,
+                         std::span<const Rotation> rotations,
+                         std::vector<std::int64_t>& axis_pace);
+
+// DerivePaces() and the loop nest over rotated axes, outermost first,
+// reusing the storage of both outputs.
 void DeriveLoops(std::span<const std::int64_t> axis_slice, std::span<const Rotation> rotations,
                  std::vector<std::int64_t>& axis_pace, std::vector<RotationLoop>& loops);
 

@@ -5,6 +5,7 @@
 #include <cmath>
 #include <functional>
 #include <iterator>
+#include <limits>
 #include <numeric>
 #include <optional>
 #include <tuple>
@@ -98,16 +99,22 @@ std::size_t AppendTemporalOptions(const TensorRef& tensor, const RTensorPlan& tp
   return count;
 }
 
-// A lower bound on the seconds of every choice under `base`: the epilogue
-// plus TimingSource::SplitSecondsFloor() of its SplitFloorShape(), as shifts
-// cost >= 0, less a relative slack for the rounding of either side.
-double SecondsFloorOf(const FopBase& base, const EpilogueCost& epilogue,
-                      const TimingSource& timing) {
-  // Both sides sum a few non-negative terms, so each is within a few ulps of
-  // its exact value; 1e-12 covers that many times over.
+// `seconds`, a sum of proven lower bounds on a choice's seconds, less a
+// relative slack for the rounding of either side. Both sides sum a few
+// non-negative terms, so each is within a few ulps of its exact value; 1e-12
+// covers that many times over. The slack also keeps a positive floor
+// strictly below the seconds it bounds.
+double LessRoundingSlack(double seconds) {
   constexpr double kRoundingSlack = 1e-12;
-  return (epilogue.seconds + timing.SplitSecondsFloor(SplitFloorShape(base))) *
-         (1.0 - kRoundingSlack);
+  return seconds * (1.0 - kRoundingSlack);
+}
+
+// A lower bound on the seconds of every choice under an F_op: its epilogue
+// plus TimingSource::SplitSecondsFloor() of its SplitFloorShape() for one
+// step, as more steps cost no less and shifts cost >= 0.
+double SecondsFloorOf(const SubTaskShape& floor_shape, const EpilogueCost& epilogue,
+                      const TimingSource& timing) {
+  return LessRoundingSlack(epilogue.seconds + timing.SplitSecondsFloor(floor_shape, 1));
 }
 
 // log10 of the unconstrained configuration count: every F_op value per axis,
@@ -181,12 +188,13 @@ typename std::vector<T>::iterator FirstAbove(std::vector<T>& frontier, std::int6
       [](std::int64_t b, const T& member) { return b < FrontierBytes(member); });
 }
 
-// Whether a member of `frontier` matches or beats (bytes, seconds) on both
-// axes.
-template <typename T>
-bool Covered(std::vector<T>& frontier, std::int64_t bytes, double seconds) {
+// The seconds of the fastest member of `frontier` with at most `bytes`, or
+// +infinity if there is none: the frontier covers (bytes, s), some member
+// matching or beating it on both axes, iff this is <= s.
+double FastestWithin(std::vector<FrontierMember>& frontier, std::int64_t bytes) {
   const auto above = FirstAbove(frontier, bytes);
-  return above != frontier.begin() && FrontierSeconds(*std::prev(above)) <= seconds;
+  return above == frontier.begin() ? std::numeric_limits<double>::infinity()
+                                   : FrontierSeconds(*std::prev(above));
 }
 
 // Adds `item` to `frontier`, the Pareto frontier of the items added before
@@ -256,6 +264,7 @@ struct EnumerationState {
   std::int64_t evaluations = 0;     // Enumeration attempts (budget control).
   std::int64_t fop_count = 0;
   std::int64_t fops_dominated = 0;  // F_ops whose cost loop the frontier skipped.
+  std::int64_t costed_choices = 0;  // Choices priced by FopCandidates::Metrics().
   // Wall time of pass 1 (compiler.phase.filtering.seconds) and pass 2
   // (compiler.phase.cost_eval.seconds), published once per merge.
   double filtering_seconds = 0.0;
@@ -318,8 +327,9 @@ void FilterFop(EnumerationState& state, std::size_t index, std::span<const std::
     }
   }
   state.filtered_count += passed;
-  state.passed.push_back(PassedFop{SecondsFloorOf(base, Epilogue(base, *state.cost), *state.cost),
-                                   corner_bytes, index, choices});
+  state.passed.push_back(PassedFop{
+      SecondsFloorOf(SplitFloorShape(base), Epilogue(base, *state.cost), *state.cost),
+      corner_bytes, index, choices});
 }
 
 // Pass 2: costs pass 1's F_ops in ascending order of their seconds floor, so
@@ -330,7 +340,9 @@ void FilterFop(EnumerationState& state, std::size_t index, std::span<const std::
 // F_op whose corner (smallest passed bytes, floor) is covered is skipped
 // whole, and a kept F_op derives its options and costs only its passed
 // choices before the cap that the frontier does not cover at their own
-// bytes. Each goes in at its enumeration position, so of exact ties the one
+// bytes and the F_op's floor, nor at their own floor (FopCandidates::Floor(),
+// which bills the choice's step launches and shifts), by the same argument.
+// Each goes in at its enumeration position, so of exact ties the one
 // enumerated first stays.
 void CostPassedFops(EnumerationState& state, std::span<const std::int64_t> fops) {
   const std::size_t rank = state.op->axes().size();
@@ -339,7 +351,7 @@ void CostPassedFops(EnumerationState& state, std::span<const std::int64_t> fops)
   });
   FopCandidates& candidates = state.candidates;
   for (const PassedFop& fop : state.passed) {
-    if (Covered(state.frontier, fop.corner_bytes, fop.seconds_floor)) {
+    if (FastestWithin(state.frontier, fop.corner_bytes) <= fop.seconds_floor) {
       ++state.fops_dominated;
       continue;
     }
@@ -349,10 +361,14 @@ void CostPassedFops(EnumerationState& state, std::span<const std::int64_t> fops)
     for (std::int64_t ordinal = 0; ordinal < fop.choices;
          ++ordinal, NextChoice(candidates, state.choice)) {
       const std::int64_t bytes = candidates.PerCoreBytes(state.choice);
-      if (bytes > state.chip->core_memory_bytes ||
-          Covered(state.frontier, bytes, fop.seconds_floor)) {
+      if (bytes > state.chip->core_memory_bytes) {
         continue;
       }
+      const double fastest = FastestWithin(state.frontier, bytes);
+      if (fastest <= fop.seconds_floor || fastest <= candidates.Floor(state.choice).seconds) {
+        continue;
+      }
+      ++state.costed_choices;
       const PlanMetrics m = candidates.Metrics(state.choice);
       InsertIntoFrontier(state.frontier,
                          FrontierMember{m.per_core_bytes, m.total_seconds(), fop.fop, ordinal});
@@ -472,6 +488,7 @@ bool FopCandidates::Reset(const Operator& op, std::span<const std::int64_t> fop,
   timing_ = &timing;
   chip_ = &chip;
   epilogue_ = Epilogue(base_, timing);
+  floor_shape_ = SplitFloorShape(base_);
   temporal_.clear();
   options_.clear();
   tensor_options_.clear();
@@ -488,9 +505,18 @@ bool FopCandidates::Reset(const Operator& op, std::span<const std::int64_t> fop,
     for (std::size_t o = 0; o < count; ++o, offset += rank) {
       Option& option = options_.emplace_back();
       option.temporal = offset;
-      option.window_bytes =
-          TemporalWindowBytes(tensor, is_output, {temporal_.data() + offset, rank}, tp);
+      const std::span<const std::int64_t> ft(temporal_.data() + offset, rank);
+      option.window_bytes = TemporalWindowBytes(tensor, is_output, ft, tp);
       T10_CHECK_GE(option.window_bytes, 0) << op.name() << ": an option breaks an alignment rule";
+      option.rotations_begin = option_rotations_.size();
+      AppendRotations(tensor, ft, tp, option.window_bytes, option_rotations_);
+      option.rotations_end = option_rotations_.size();
+      for (std::size_t r = option.rotations_begin; r < option.rotations_end; ++r) {
+        const Rotation& rotation = option_rotations_[r];
+        const std::int64_t slice = base_.axis_slice[static_cast<std::size_t>(rotation.axis)];
+        option.shift_floor += timing.ShiftSecondsFloor(
+            slice / rotation.window_len, rotation.window_bytes / rotation.window_len * slice);
+      }
     }
   }
   tensor_options_.push_back(options_.size());
@@ -511,27 +537,37 @@ std::int64_t FopCandidates::PerCoreBytes(std::span<const std::size_t> choice) co
   return bytes;
 }
 
-PlanMetrics FopCandidates::Metrics(std::span<const std::size_t> choice) {
+void FopCandidates::GatherRotations(std::span<const std::size_t> choice) {
   rotations_.clear();
   for (std::size_t t = 0; t < choice.size(); ++t) {
-    Option& o = options_[tensor_options_[t] + choice[t]];
-    if (!o.rotations_derived) {
-      o.rotations_begin = option_rotations_.size();
-      AppendRotations(Operand(*base_.op, t), temporal(t, choice[t]), base_.tensors[t],
-                      o.window_bytes, option_rotations_);
-      o.rotations_end = option_rotations_.size();
-      o.rotations_derived = true;
-    }
+    const Option& o = option(t, choice[t]);
     rotations_.insert(rotations_.end(), option_rotations_.begin() + o.rotations_begin,
                       option_rotations_.begin() + o.rotations_end);
   }
+}
+
+PlanMetrics FopCandidates::Metrics(std::span<const std::size_t> choice) {
+  GatherRotations(choice);
   DeriveLoops(base_.axis_slice, rotations_, axis_pace_, loops_);
   return CostPlan(base_, rotations_, axis_pace_, loops_, PerCoreBytes(choice), epilogue_,
                   *timing_);
 }
 
 double FopCandidates::SecondsFloor() const {
-  return SecondsFloorOf(base_, epilogue_, *timing_);
+  return SecondsFloorOf(floor_shape_, epilogue_, *timing_);
+}
+
+FopCandidates::ChoiceFloor FopCandidates::Floor(std::span<const std::size_t> choice) {
+  GatherRotations(choice);
+  ChoiceFloor floor;
+  floor.steps = DerivePaces(base_.axis_slice, rotations_, axis_pace_);
+  double shifts = 0.0;
+  for (std::size_t t = 0; t < choice.size(); ++t) {
+    shifts += option(t, choice[t]).shift_floor;
+  }
+  floor.seconds = LessRoundingSlack(
+      epilogue_.seconds + timing_->SplitSecondsFloor(floor_shape_, floor.steps) + shifts);
+  return floor;
 }
 
 FopFunnel CountFopFunnel(const FopBase& base, const SearchConstraints& constraints,
@@ -661,6 +697,7 @@ void OperatorSearch::Merge() {
     merged.evaluations += chunk.evaluations;
     merged.fop_count += chunk.fop_count;
     merged.fops_dominated += chunk.fops_dominated;
+    merged.costed_choices += chunk.costed_choices;
     merged.filtering_seconds += chunk.filtering_seconds;
     merged.cost_eval_seconds += chunk.cost_eval_seconds;
   }
@@ -674,6 +711,7 @@ void OperatorSearch::Merge() {
   metrics.GetCounter("compiler.search.fop_visited").Add(merged.fop_count);
   metrics.GetCounter("compiler.search.filtered_plans").Add(merged.filtered_count);
   metrics.GetCounter("compiler.search.fops_dominated").Add(merged.fops_dominated);
+  metrics.GetCounter("compiler.search.costed_choices").Add(merged.costed_choices);
   // Enumeration is collecting the F_ops, filtering the chunks' pass 1 and
   // cost_eval their pass 2.
   metrics.GetHistogram("compiler.phase.enumeration.seconds").Record(collect_seconds_);

@@ -74,13 +74,15 @@ IntraOpResult SearchOperatorPlans(const Operator& op, const ChipSpec& chip,
 // frontiers through the frontier routine. Pass 1 counts each F_op's choices,
 // the ones that pass the filters and its corner from the F_op's base alone
 // (CountFopFunnel()); pass 2 costs the F_ops with passed choices in ascending
-// order of their seconds floor, skipping each F_op whose corner, and each
-// choice whose bytes, the running frontier covers. Frontier members carry their enumeration position (F_op,
-// choice), and of exact (bytes, seconds) ties the earlier stays, so the
-// frontier, the counts and the plans are the enumeration-order walk's for any
-// chunk count and visiting order. Only compiler.search.fops_dominated depends
-// on the cut. A merge whose frontier is empty relaxes the constraints and
-// leaves the search for another round, as SearchOperatorPlans retries.
+// order of their seconds floor, skipping each F_op whose corner the running
+// frontier covers, and each choice it covers at the choice's bytes and the
+// F_op's floor or the choice's own (FopCandidates::Floor()). Frontier members
+// carry their enumeration position (F_op, choice), and of exact (bytes,
+// seconds) ties the earlier stays, so the frontier, the counts and the plans
+// are the enumeration-order walk's for any chunk count and visiting order.
+// Only compiler.search.fops_dominated and compiler.search.costed_choices
+// depend on the cut. A merge whose frontier is empty relaxes the constraints
+// and leaves the search for another round, as SearchOperatorPlans retries.
 class OperatorSearch {
  public:
   // Counts one search. A vendor op is done at once with its fixed plan.
@@ -161,17 +163,17 @@ FopFunnel CountFopFunnel(const FopBase& base, const SearchConstraints& constrain
 
 // What the search costs under one F_op: the plan's F_op base, built once,
 // and for each tensor (inputs, then the output) the temporal options it
-// tries, each reduced to its delta on the base: window bytes and, once a
-// choice holding it is costed, its rotating (axis, window length) pairs. A
-// choice of one option per tensor is then filtered and costed without
-// building a plan, through the helpers ExecutionPlan::Rebuild() and
+// tries, each reduced to its delta on the base: window bytes, rotating
+// (axis, window length) pairs and a lower bound on its shifts' seconds. A
+// choice of one option per tensor is then filtered, bounded and costed
+// without building a plan, through the helpers ExecutionPlan::Rebuild() and
 // Evaluate() are made of. Reset() reuses all storage. Exposed for testing.
 class FopCandidates {
  public:
-  // Derives the base and every option's window bytes for `fop`. Returns
-  // false if F_op fails the padding filter; the options are then unusable
-  // until the next successful Reset(). `timing` and `chip` must outlive the
-  // next Reset().
+  // Derives the base, its epilogue and SplitFloorShape(), and every option's
+  // delta for `fop`. Returns false if F_op fails the padding filter; the
+  // options are then unusable until the next successful Reset(). `timing`
+  // and `chip` must outlive the next Reset().
   bool Reset(const Operator& op, std::span<const std::int64_t> fop,
              const SearchConstraints& constraints, const TimingSource& timing,
              const ChipSpec& chip);
@@ -191,31 +193,49 @@ class FopCandidates {
 
   // A lower bound on Metrics(choice).total_seconds() of every choice: the
   // epilogue plus TimingSource::SplitSecondsFloor() of the F_op's
-  // SplitFloorShape(), as shifts cost >= 0, less a relative slack for the
-  // rounding of either side.
+  // SplitFloorShape() for one step, as more steps cost no less and shifts
+  // cost >= 0, less a relative slack for the rounding of either side.
   double SecondsFloor() const;
+
+  // A lower bound on one choice's Metrics().total_seconds(), without its
+  // costing: `steps` is its Metrics().steps, the product over rotated axes
+  // of the axis slice over the smallest window rotating along it, and
+  // `seconds` the epilogue plus SplitSecondsFloor() for those steps plus
+  // each option's shift floor, less the same slack.
+  struct ChoiceFloor {
+    std::int64_t steps = 0;
+    double seconds = 0.0;
+  };
+  ChoiceFloor Floor(std::span<const std::size_t> choice);
 
  private:
   struct Option {
     std::size_t temporal = 0;         // Offset of its f_t in temporal_.
     std::int64_t window_bytes = 0;
-    bool rotations_derived = false;   // By the first Metrics() that holds it.
     std::size_t rotations_begin = 0;  // Its range in option_rotations_.
     std::size_t rotations_end = 0;
+    // TimingSource::ShiftSecondsFloor() summed over its rotating dims. A dim
+    // of window length w along an axis of slice l ships at least l / w slabs
+    // of at least l * window_bytes / w bytes in all: its loop advances l /
+    // pace times, pace <= w, and each slab is window_bytes * pace / w.
+    double shift_floor = 0.0;
   };
   const Option& option(std::size_t tensor, std::size_t index) const {
     return options_[tensor_options_[tensor] + index];
   }
+  // Fills rotations_ with the rotating dims of `choice`'s options.
+  void GatherRotations(std::span<const std::size_t> choice);
 
   FopBase base_;
   const TimingSource* timing_ = nullptr;
   const ChipSpec* chip_ = nullptr;
   EpilogueCost epilogue_;
+  SubTaskShape floor_shape_;                 // SplitFloorShape(base_).
   std::vector<std::int64_t> temporal_;       // Every option's f_t, flat.
   std::vector<Option> options_;              // Per tensor, contiguous.
   std::vector<std::size_t> tensor_options_;  // Tensor t's options start here.
   std::vector<Rotation> option_rotations_;
-  // Scratch of one Metrics() call.
+  // Scratch of one Metrics() or Floor() call.
   std::vector<Rotation> rotations_;
   std::vector<std::int64_t> axis_pace_;
   std::vector<RotationLoop> loops_;

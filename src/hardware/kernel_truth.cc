@@ -19,6 +19,23 @@ constexpr double kScalarEfficiency = 0.22;
 
 // Span of the multiplicative measurement noise: +/-1.5%.
 constexpr double kNoiseSpan = 0.03;
+// The smallest noise factor NoiseFactor() returns.
+constexpr double kMinNoise = 1.0 - 0.5 * kNoiseSpan;
+
+// The fixed launch overhead AffineSeconds() charges one step of `kind`.
+double VertexOverhead(OpKind kind) {
+  switch (kind) {
+    case OpKind::kContraction:
+      return kMatrixVertexOverhead;
+    case OpKind::kElementwise:
+    case OpKind::kReduceSum:
+    case OpKind::kGather:
+      return kScalarVertexOverhead;
+    case OpKind::kVendor:
+      return 4.0 * kScalarVertexOverhead;
+  }
+  return 0.0;
+}
 
 std::uint64_t HashCombine(std::uint64_t h, std::uint64_t v) {
   h ^= v + 0x9e3779b97f4a7c15ULL + (h << 6) + (h >> 2);
@@ -48,20 +65,19 @@ double KernelGroundTruth::NoiseFactor(const SubTaskShape& shape) const {
 double KernelGroundTruth::AffineSeconds(const SubTaskShape& shape) const {
   const double bytes = static_cast<double>(shape.in_bytes + shape.out_bytes);
   const double memory_time = bytes / chip_.local_memory_bandwidth;
+  const double overhead = VertexOverhead(shape.kind);
   switch (shape.kind) {
     case OpKind::kContraction:
-      return kMatrixVertexOverhead + shape.flops / (chip_.core_flops * kAmpEfficiency) +
-             memory_time;
+      return overhead + shape.flops / (chip_.core_flops * kAmpEfficiency) + memory_time;
     case OpKind::kElementwise:
     case OpKind::kReduceSum:
-      return kScalarVertexOverhead + shape.flops / (chip_.core_flops * kScalarEfficiency) +
-             memory_time;
+      return overhead + shape.flops / (chip_.core_flops * kScalarEfficiency) + memory_time;
     case OpKind::kGather:
       // Dominated by local memory movement.
-      return kScalarVertexOverhead + 2.0 * memory_time;
+      return overhead + 2.0 * memory_time;
     case OpKind::kVendor:
-      return 4.0 * kScalarVertexOverhead +
-             1.5 * (shape.flops / (chip_.core_flops * kScalarEfficiency)) + memory_time;
+      return overhead + 1.5 * (shape.flops / (chip_.core_flops * kScalarEfficiency)) +
+             memory_time;
   }
   return 0.0;
 }
@@ -81,13 +97,17 @@ double KernelGroundTruth::SubTaskSeconds(const SubTaskShape& shape) const {
   return time * NoiseFactor(shape);
 }
 
-double KernelGroundTruth::SplitSecondsFloor(const SubTaskShape& floor) const {
+double KernelGroundTruth::SplitSecondsFloor(const SubTaskShape& floor,
+                                            std::int64_t steps) const {
   // A step costs (AffineSeconds + black box) * noise, with the black box
-  // >= 0 and the noise >= its smallest factor. AffineSeconds charges each
-  // step an overhead >= 0 and its flops and bytes at fixed rates >= 0, so
-  // k >= 1 steps cost at least AffineSeconds of their summed work, which is
-  // at least AffineSeconds(floor).
-  return AffineSeconds(floor) * (1.0 + (0.0 - 0.5) * kNoiseSpan);
+  // >= 0 and the noise >= kMinNoise. AffineSeconds charges each step the
+  // kind's launch overhead and its flops and bytes at fixed rates >= 0, so
+  // `steps` steps cost at least `steps` overheads plus the rates of their
+  // summed work, which is at least AffineSeconds(floor) plus steps - 1
+  // overheads.
+  return (AffineSeconds(floor) +
+          static_cast<double>(steps - 1) * VertexOverhead(floor.kind)) *
+         kMinNoise;
 }
 
 double KernelGroundTruth::ShiftSeconds(std::int64_t bytes) const {
@@ -101,6 +121,14 @@ double KernelGroundTruth::ShiftSeconds(std::int64_t bytes) const {
   const std::int64_t iterations = CeilDiv(bytes, chip_.shift_buffer_bytes);
   return chip_.sync_latency_seconds + wire +
          static_cast<double>(iterations - 1) * 0.05e-6;
+}
+
+double KernelGroundTruth::ShiftSecondsFloor(std::int64_t shifts, std::int64_t bytes) const {
+  // Each shift of > 0 bytes costs its synchronization, its wire time and
+  // chunk iterations >= 0, so the run costs at least `shifts`
+  // synchronizations plus the wire time of its summed bytes.
+  return static_cast<double>(shifts) * chip_.sync_latency_seconds +
+         static_cast<double>(bytes) / chip_.EffectiveLinkBandwidth();
 }
 
 }  // namespace t10

@@ -40,9 +40,9 @@ class KernelGroundTruth {
   // "Measured" wall time (seconds) of one core executing the sub-task.
   double SubTaskSeconds(const SubTaskShape& shape) const;
 
-  // A lower bound on the summed SubTaskSeconds() of any split of a sub-task
-  // into steps; see TimingSource::SplitSecondsFloor().
-  double SplitSecondsFloor(const SubTaskShape& floor) const;
+  // A lower bound on the summed SubTaskSeconds() of a split of a sub-task
+  // into `steps` steps; see TimingSource::SplitSecondsFloor().
+  double SplitSecondsFloor(const SubTaskShape& floor, std::int64_t steps) const;
 
   // "Measured" time for one core to exchange `bytes` with a ring neighbour,
   // including BSP synchronization and the multi-copy shift-buffer iterations
@@ -50,11 +50,16 @@ class KernelGroundTruth {
   // bounded temporary buffer).
   double ShiftSeconds(std::int64_t bytes) const;
 
+  // A lower bound on the summed ShiftSeconds() of a run of shifts; see
+  // TimingSource::ShiftSecondsFloor().
+  double ShiftSecondsFloor(std::int64_t shifts, std::int64_t bytes) const;
+
   const ChipSpec& chip() const { return chip_; }
 
  private:
   // SubTaskSeconds() before the conv black box and the noise factor: a
-  // per-kind launch overhead plus per-flop and per-byte times, all >= 0.
+  // per-kind launch overhead (VertexOverhead()) plus per-flop and per-byte
+  // times, all >= 0.
   double AffineSeconds(const SubTaskShape& shape) const;
   double NoiseFactor(const SubTaskShape& shape) const;
 

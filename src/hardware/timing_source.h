@@ -27,14 +27,21 @@ class TimingSource {
   // Never negative.
   virtual double ShiftSeconds(std::int64_t bytes) const = 0;
 
-  // A proven lower bound on the summed SubTaskSeconds() of any k >= 1 steps
-  // that split a sub-task, given what every such split keeps (`floor`, see
-  // SplitFloorShape() in src/core/plan.h): the steps are of its kind, each
-  // has a kernel_volume of at most floor.kernel_volume, their flops sum to at
-  // least floor.flops and their in_bytes + out_bytes to at least floor's. The
-  // search drops plans on it unpriced, so it must hold for every split, not
-  // just the ones seen; a source that cannot prove a bound returns -infinity.
-  virtual double SplitSecondsFloor(const SubTaskShape& floor) const = 0;
+  // A proven lower bound on the summed SubTaskSeconds() of exactly `steps`
+  // >= 1 steps that split a sub-task, given what every such split keeps
+  // (`floor`, see SplitFloorShape() in src/core/plan.h): the steps are of its
+  // kind, each has a kernel_volume of at most floor.kernel_volume, their flops
+  // sum to at least floor.flops and their in_bytes + out_bytes to at least
+  // floor's. Non-decreasing in `steps`, so the 1-step bound holds for any
+  // split. The search drops plans on it unpriced, so it must hold for every
+  // split, not just the ones seen; a source that cannot prove a bound returns
+  // -infinity.
+  virtual double SplitSecondsFloor(const SubTaskShape& floor, std::int64_t steps) const = 0;
+
+  // A proven lower bound on the summed ShiftSeconds() of at least `shifts`
+  // shifts of more than 0 bytes each, whose bytes total at least `bytes`.
+  // Like SplitSecondsFloor(), it must hold for every such run.
+  virtual double ShiftSecondsFloor(std::int64_t shifts, std::int64_t bytes) const = 0;
 };
 
 // Adapter exposing the ground truth through the TimingSource interface.
@@ -47,8 +54,11 @@ class GroundTruthTiming final : public TimingSource {
     return truth_.SubTaskSeconds(shape);
   }
   double ShiftSeconds(std::int64_t bytes) const override { return truth_.ShiftSeconds(bytes); }
-  double SplitSecondsFloor(const SubTaskShape& floor) const override {
-    return truth_.SplitSecondsFloor(floor);
+  double SplitSecondsFloor(const SubTaskShape& floor, std::int64_t steps) const override {
+    return truth_.SplitSecondsFloor(floor, steps);
+  }
+  double ShiftSecondsFloor(std::int64_t shifts, std::int64_t bytes) const override {
+    return truth_.ShiftSecondsFloor(shifts, bytes);
   }
 
   const KernelGroundTruth& truth() const { return truth_; }

@@ -47,6 +47,7 @@ const char* const kMetricNames[] = {
     "compiler.reconcile.delta_seconds",
     "compiler.reconcile.delta_seconds.dist",
     "compiler.reconcile.steps",
+    "compiler.search.costed_choices",
     "compiler.search.evaluations",
     "compiler.search.filtered_plans",
     "compiler.search.fop_visited",

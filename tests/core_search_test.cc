@@ -562,18 +562,21 @@ TEST_F(SearchTest, ChunkedSearchMatchesEnumeratedFrontierOnSmallCores) {
   ExpectSearchesMatch(op, small, timing_, {}, want);
 }
 
-// A timing source under which every F_op of an elementwise op costs the same
-// one step, while the seconds floor falls as the innermost slice grows: so
-// F_ops tie exactly on (bytes, seconds), and a later-enumerated F_op with a
-// longer innermost slice has the lower floor.
+// A timing source under which every step costs the same and shifts are free,
+// so every one-step F_op of an elementwise op costs the same, while the
+// seconds floor falls as the innermost slice grows: so F_ops tie exactly on
+// (bytes, seconds), and a later-enumerated F_op with a longer innermost slice
+// has the lower floor.
 class FlatStepTiming final : public TimingSource {
  public:
   static constexpr double kStepSeconds = 1e-6;
   double SubTaskSeconds(const SubTaskShape&) const override { return kStepSeconds; }
   double ShiftSeconds(std::int64_t) const override { return 0.0; }
-  double SplitSecondsFloor(const SubTaskShape& floor) const override {
-    return kStepSeconds - 1e-9 * static_cast<double>(floor.inner_length);
+  double SplitSecondsFloor(const SubTaskShape& floor, std::int64_t steps) const override {
+    return static_cast<double>(steps) * kStepSeconds -
+           1e-9 * static_cast<double>(floor.inner_length);
   }
+  double ShiftSecondsFloor(std::int64_t, std::int64_t) const override { return 0.0; }
 };
 
 // Exact ties across F_ops: on 8 cores, add{8, 8} has the F_ops (1,8), (2,4),
@@ -717,57 +720,43 @@ TEST_F(SearchTest, CandidateMetricsMatchCreateEvaluate) {
   }
 }
 
-// The search skips an F_op's cost loop on FopCandidates::SecondsFloor(), so
-// it must bound every choice that passes the filters, under every timing
-// source the search runs on: the ground truth (noise, conv black box), the
-// 240-sample fit (a negative gather bytes coefficient) and the 100-sample
-// seed-3 fit the golden checksums use (negative conv and reduce bytes
-// coefficients). Checked on every F_op of the golden battery and on one
-// contraction per zoo model on a full chip. Returns the choices visited.
-std::int64_t ExpectSecondsFloorBounds(const Operator& op, const ChipSpec& chip,
-                                      const TimingSource& timing,
-                                      const SearchConstraints& constraints) {
-  return ForEachCandidate(
-      op, chip, timing, constraints,
-      [&](std::span<const std::int64_t>, FopCandidates& candidates,
-          std::span<const std::size_t> choice) {
-        if (candidates.PerCoreBytes(choice) > chip.core_memory_bytes) {
-          return true;
-        }
-        const double floor = candidates.SecondsFloor();
-        const double seconds = candidates.Metrics(choice).total_seconds();
-        if (seconds < floor) {
-          ADD_FAILURE() << op.name() << ": a choice costs " << seconds << " s, under its F_op's "
-                        << floor << " s floor";
-          return false;
-        }
-        return true;
-      });
-}
-
-TEST_F(SearchTest, SecondsFloorBoundsEveryPassedChoice) {
-  const KernelGroundTruth truth(chip_);
-  const FittedCostModel fitted240 = FittedCostModel::Fit(truth, 240, 17);
-  const FittedCostModel fitted100 = FittedCostModel::Fit(truth, 100, 3);
-  const ChipSpec full_chip = ChipSpec::IpuMk2();
-  const GroundTruthTiming full_truth(full_chip);
-  const FittedCostModel full240 = FittedCostModel::Fit(KernelGroundTruth(full_chip), 240, 17);
-  const FittedCostModel full100 = FittedCostModel::Fit(KernelGroundTruth(full_chip), 100, 3);
-  auto check = [&](const std::string& name, const Operator& op, const ChipSpec& chip,
-                   const SearchConstraints& constraints,
-                   std::initializer_list<std::pair<const char*, const TimingSource*>> sources) {
-    for (const auto& [source, timing] : sources) {
+// Calls `check(name, op, chip, constraints, timing)` for each case a seconds
+// floor must hold on, under every timing source the search runs on: the
+// ground truth (noise, conv black box), the 240-sample fit (a negative gather
+// bytes coefficient) and the 100-sample seed-3 fit the golden checksums use
+// (negative conv and reduce bytes coefficients). The cases: the golden
+// battery on `chip`, on each of `more_chips`, and one contraction per zoo
+// model on a full chip. Stops at the first case that fails.
+void ForEachFloorCase(
+    const ChipSpec& chip, std::initializer_list<ChipSpec> more_chips,
+    const std::function<void(const std::string&, const Operator&, const ChipSpec&,
+                             const SearchConstraints&, const TimingSource&)>& check) {
+  auto run = [&](const std::string& name, const Operator& op, const ChipSpec& on,
+                 const SearchConstraints& constraints) {
+    const KernelGroundTruth truth(on);
+    const GroundTruthTiming truth_timing(truth);
+    const FittedCostModel fit240 = FittedCostModel::Fit(truth, 240, 17);
+    const FittedCostModel fit100 = FittedCostModel::Fit(truth, 100, 3);
+    for (const auto& [source, timing] :
+         {std::pair<const char*, const TimingSource*>{"truth", &truth_timing},
+          std::pair<const char*, const TimingSource*>{"fitted240", &fit240},
+          std::pair<const char*, const TimingSource*>{"fitted100", &fit100}}) {
       SCOPED_TRACE(name + "/" + source);
-      EXPECT_GT(ExpectSecondsFloorBounds(op, chip, *timing, constraints), 0);
+      check(name, op, on, constraints, *timing);
     }
-    return !HasFailure();
+    return !::testing::Test::HasFailure();
   };
-  for (const GoldenCase& c : GoldenBattery()) {
-    if (!check(c.name, c.op, chip_, c.constraints,
-               {{"truth", &timing_}, {"fitted240", &fitted240}, {"fitted100", &fitted100}})) {
-      return;
+  std::vector<ChipSpec> chips = {chip};
+  chips.insert(chips.end(), more_chips.begin(), more_chips.end());
+  for (const ChipSpec& on : chips) {
+    for (const GoldenCase& c : GoldenBattery()) {
+      if (!run(c.name + " on " + std::to_string(on.core_memory_bytes) + " B cores", c.op, on,
+               c.constraints)) {
+        return;
+      }
     }
   }
+  const ChipSpec full_chip = ChipSpec::IpuMk2();
   for (const std::vector<ModelInfo>* zoo : {&EvaluationModels(), &LlmModels()}) {
     for (const ModelInfo& info : *zoo) {
       const Graph graph = info.build(info.batch_sizes.front());
@@ -775,12 +764,66 @@ TEST_F(SearchTest, SecondsFloorBoundsEveryPassedChoice) {
         return o.kind() == OpKind::kContraction;
       });
       ASSERT_NE(op, graph.ops().end()) << info.name;
-      if (!check(info.name + "/" + op->name(), *op, full_chip, {},
-                 {{"truth", &full_truth}, {"fitted240", &full240}, {"fitted100", &full100}})) {
+      if (!run(info.name + "/" + op->name(), *op, full_chip, {})) {
         return;
       }
     }
   }
+}
+
+// The search skips an F_op's cost loop on FopCandidates::SecondsFloor(), so
+// it must bound every choice that passes the filters, on every F_op of the
+// golden battery and of one contraction per zoo model (ForEachFloorCase()).
+TEST_F(SearchTest, SecondsFloorBoundsEveryPassedChoice) {
+  ForEachFloorCase(chip_, {}, [](const std::string&, const Operator& op, const ChipSpec& chip,
+                                 const SearchConstraints& constraints,
+                                 const TimingSource& timing) {
+    const std::int64_t visited = ForEachCandidate(
+        op, chip, timing, constraints,
+        [&](std::span<const std::int64_t>, FopCandidates& candidates,
+            std::span<const std::size_t> choice) {
+          if (candidates.PerCoreBytes(choice) > chip.core_memory_bytes) {
+            return true;
+          }
+          const double floor = candidates.SecondsFloor();
+          const double seconds = candidates.Metrics(choice).total_seconds();
+          if (seconds < floor) {
+            ADD_FAILURE() << op.name() << ": a choice costs " << seconds
+                          << " s, under its F_op's " << floor << " s floor";
+            return false;
+          }
+          return true;
+        });
+    EXPECT_GT(visited, 0);
+  });
+}
+
+// Pass 2 drops a choice unpriced on FopCandidates::Floor(), so it must bound
+// every choice's seconds, and its step count must be the one the choice is
+// costed with, on every choice of every F_op of the golden battery, of the
+// battery on the small-core chip, and of one contraction per zoo model
+// (ForEachFloorCase()).
+TEST_F(SearchTest, ChoiceFloorBoundsEveryChoice) {
+  ForEachFloorCase(chip_, {SmallCoreChip(chip_)},
+                   [](const std::string&, const Operator& op, const ChipSpec& chip,
+                      const SearchConstraints& constraints, const TimingSource& timing) {
+                     const std::int64_t visited = ForEachCandidate(
+                         op, chip, timing, constraints,
+                         [&](std::span<const std::int64_t>, FopCandidates& candidates,
+                             std::span<const std::size_t> choice) {
+                           const FopCandidates::ChoiceFloor floor = candidates.Floor(choice);
+                           const PlanMetrics m = candidates.Metrics(choice);
+                           if (floor.steps != m.steps || m.total_seconds() < floor.seconds) {
+                             ADD_FAILURE() << op.name() << ": a choice of " << m.steps
+                                           << " steps costs " << m.total_seconds()
+                                           << " s; its floor has " << floor.steps
+                                           << " steps and " << floor.seconds << " s";
+                             return false;
+                           }
+                           return true;
+                         });
+                     EXPECT_GT(visited, 0);
+                   });
 }
 
 TEST(ParetoFrontierTest, FiltersDominatedPlans) {
