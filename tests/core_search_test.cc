@@ -720,38 +720,63 @@ TEST_F(SearchTest, CandidateMetricsMatchCreateEvaluate) {
   }
 }
 
-// Calls `check(name, op, chip, constraints, timing)` for each case a seconds
-// floor must hold on, under every timing source the search runs on: the
-// ground truth (noise, conv black box), the 240-sample fit (a negative gather
-// bytes coefficient) and the 100-sample seed-3 fit the golden checksums use
-// (negative conv and reduce bytes coefficients). The cases: the golden
-// battery on `chip`, on each of `more_chips`, and one contraction per zoo
-// model on a full chip. Stops at the first case that fails.
-void ForEachFloorCase(
-    const ChipSpec& chip, std::initializer_list<ChipSpec> more_chips,
-    const std::function<void(const std::string&, const Operator&, const ChipSpec&,
-                             const SearchConstraints&, const TimingSource&)>& check) {
-  auto run = [&](const std::string& name, const Operator& op, const ChipSpec& on,
-                 const SearchConstraints& constraints) {
-    const KernelGroundTruth truth(on);
+// The search skips an F_op's cost loop on FopCandidates::SecondsFloor(), and
+// pass 2 drops a single choice unpriced on FopCandidates::Floor(). So the
+// F_op's floor must bound every choice that passes the filters, and each
+// choice's floor must bound its seconds with the step count the choice is
+// costed with. Returns the choices visited.
+std::int64_t ExpectSecondsFloorBounds(const Operator& op, const ChipSpec& chip,
+                                      const TimingSource& timing,
+                                      const SearchConstraints& constraints) {
+  return ForEachCandidate(
+      op, chip, timing, constraints,
+      [&](std::span<const std::int64_t>, FopCandidates& candidates,
+          std::span<const std::size_t> choice) {
+        const FopCandidates::ChoiceFloor floor = candidates.Floor(choice);
+        const PlanMetrics m = candidates.Metrics(choice);
+        const double seconds = m.total_seconds();
+        if (floor.steps != m.steps || seconds < floor.seconds) {
+          ADD_FAILURE() << op.name() << ": a choice of " << m.steps << " steps costs " << seconds
+                        << " s; its floor has " << floor.steps << " steps and " << floor.seconds
+                        << " s";
+          return false;
+        }
+        if (candidates.PerCoreBytes(choice) <= chip.core_memory_bytes &&
+            seconds < candidates.SecondsFloor()) {
+          ADD_FAILURE() << op.name() << ": a choice costs " << seconds << " s, under its F_op's "
+                        << candidates.SecondsFloor() << " s floor";
+          return false;
+        }
+        return true;
+      });
+}
+
+// Checked under every timing source the search runs on: the ground truth
+// (noise, conv black box), the 240-sample fit (a negative gather bytes
+// coefficient) and the 100-sample seed-3 fit the golden checksums use
+// (negative conv and reduce bytes coefficients); on every F_op of the golden
+// battery, of the battery on the small-core chip, and of one contraction per
+// zoo and LLM model on a full chip.
+TEST_F(SearchTest, SecondsFloorBoundsEveryPassedChoice) {
+  auto check = [&](const std::string& name, const Operator& op, const ChipSpec& chip,
+                   const SearchConstraints& constraints) {
+    const KernelGroundTruth truth(chip);
     const GroundTruthTiming truth_timing(truth);
-    const FittedCostModel fit240 = FittedCostModel::Fit(truth, 240, 17);
-    const FittedCostModel fit100 = FittedCostModel::Fit(truth, 100, 3);
+    const FittedCostModel fitted240 = FittedCostModel::Fit(truth, 240, 17);
+    const FittedCostModel fitted100 = FittedCostModel::Fit(truth, 100, 3);
     for (const auto& [source, timing] :
          {std::pair<const char*, const TimingSource*>{"truth", &truth_timing},
-          std::pair<const char*, const TimingSource*>{"fitted240", &fit240},
-          std::pair<const char*, const TimingSource*>{"fitted100", &fit100}}) {
+          std::pair<const char*, const TimingSource*>{"fitted240", &fitted240},
+          std::pair<const char*, const TimingSource*>{"fitted100", &fitted100}}) {
       SCOPED_TRACE(name + "/" + source);
-      check(name, op, on, constraints, *timing);
+      EXPECT_GT(ExpectSecondsFloorBounds(op, chip, *timing, constraints), 0);
     }
-    return !::testing::Test::HasFailure();
+    return !HasFailure();
   };
-  std::vector<ChipSpec> chips = {chip};
-  chips.insert(chips.end(), more_chips.begin(), more_chips.end());
-  for (const ChipSpec& on : chips) {
+  for (const ChipSpec& chip : {chip_, SmallCoreChip(chip_)}) {
     for (const GoldenCase& c : GoldenBattery()) {
-      if (!run(c.name + " on " + std::to_string(on.core_memory_bytes) + " B cores", c.op, on,
-               c.constraints)) {
+      if (!check(c.name + " on " + std::to_string(chip.core_memory_bytes) + " B cores", c.op,
+                 chip, c.constraints)) {
         return;
       }
     }
@@ -764,66 +789,11 @@ void ForEachFloorCase(
         return o.kind() == OpKind::kContraction;
       });
       ASSERT_NE(op, graph.ops().end()) << info.name;
-      if (!run(info.name + "/" + op->name(), *op, full_chip, {})) {
+      if (!check(info.name + "/" + op->name(), *op, full_chip, {})) {
         return;
       }
     }
   }
-}
-
-// The search skips an F_op's cost loop on FopCandidates::SecondsFloor(), so
-// it must bound every choice that passes the filters, on every F_op of the
-// golden battery and of one contraction per zoo model (ForEachFloorCase()).
-TEST_F(SearchTest, SecondsFloorBoundsEveryPassedChoice) {
-  ForEachFloorCase(chip_, {}, [](const std::string&, const Operator& op, const ChipSpec& chip,
-                                 const SearchConstraints& constraints,
-                                 const TimingSource& timing) {
-    const std::int64_t visited = ForEachCandidate(
-        op, chip, timing, constraints,
-        [&](std::span<const std::int64_t>, FopCandidates& candidates,
-            std::span<const std::size_t> choice) {
-          if (candidates.PerCoreBytes(choice) > chip.core_memory_bytes) {
-            return true;
-          }
-          const double floor = candidates.SecondsFloor();
-          const double seconds = candidates.Metrics(choice).total_seconds();
-          if (seconds < floor) {
-            ADD_FAILURE() << op.name() << ": a choice costs " << seconds
-                          << " s, under its F_op's " << floor << " s floor";
-            return false;
-          }
-          return true;
-        });
-    EXPECT_GT(visited, 0);
-  });
-}
-
-// Pass 2 drops a choice unpriced on FopCandidates::Floor(), so it must bound
-// every choice's seconds, and its step count must be the one the choice is
-// costed with, on every choice of every F_op of the golden battery, of the
-// battery on the small-core chip, and of one contraction per zoo model
-// (ForEachFloorCase()).
-TEST_F(SearchTest, ChoiceFloorBoundsEveryChoice) {
-  ForEachFloorCase(chip_, {SmallCoreChip(chip_)},
-                   [](const std::string&, const Operator& op, const ChipSpec& chip,
-                      const SearchConstraints& constraints, const TimingSource& timing) {
-                     const std::int64_t visited = ForEachCandidate(
-                         op, chip, timing, constraints,
-                         [&](std::span<const std::int64_t>, FopCandidates& candidates,
-                             std::span<const std::size_t> choice) {
-                           const FopCandidates::ChoiceFloor floor = candidates.Floor(choice);
-                           const PlanMetrics m = candidates.Metrics(choice);
-                           if (floor.steps != m.steps || m.total_seconds() < floor.seconds) {
-                             ADD_FAILURE() << op.name() << ": a choice of " << m.steps
-                                           << " steps costs " << m.total_seconds()
-                                           << " s; its floor has " << floor.steps
-                                           << " steps and " << floor.seconds << " s";
-                             return false;
-                           }
-                           return true;
-                         });
-                     EXPECT_GT(visited, 0);
-                   });
 }
 
 TEST(ParetoFrontierTest, FiltersDominatedPlans) {
