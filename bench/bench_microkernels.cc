@@ -16,6 +16,7 @@
 #include <filesystem>
 #include <optional>
 #include <string>
+#include <utility>
 
 #include "src/core/compiler.h"
 #include "src/core/inter_op.h"
@@ -275,16 +276,16 @@ void BM_FrontierInsert(benchmark::State& state) {
 }
 BENCHMARK(BM_FrontierInsert)->Unit(benchmark::kMicrosecond);
 
-// A compile of BERT at batch 1 on the IPU Mk2 run through the inter-op
-// reconcile: one Pareto set per operator signature and Algorithm 1's
-// schedule under the whole core memory.
-struct BertReconciled {
-  Graph graph = BuildBertLarge(1);
+// A compile of a model at batch 1 on the IPU Mk2 run through the inter-op
+// reconcile: one Pareto set per operator signature, Algorithm 1's option sets
+// and its schedule under the whole core memory.
+struct Reconciled {
+  Graph graph;
   CompilerResources resources{ChipSpec::IpuMk2(), CompileOptions{}};
   CompilationContext ctx;
   bool ok = true;
 
-  BertReconciled() {
+  explicit Reconciled(Graph model) : graph(std::move(model)) {
     ctx.graph = &graph;
     ctx.resources = &resources;
     ctx.model.model_name = graph.name();
@@ -298,33 +299,42 @@ struct BertReconciled {
   }
 };
 
-// Algorithm 1 on the operators of BERT at batch 1, under the whole core
-// memory.
+// Algorithm 1 on the operators of BERT (arg 0 = 0) or ViT (1) at batch 1,
+// under the whole core memory (arg 1 = 0) or a binding budget (1): one byte
+// below the whole-memory run's stable budget, the largest budget that
+// changes its schedule, as memory_plan's reruns do.
 void BM_ReconcileInterOp(benchmark::State& state) {
-  const BertReconciled bert;
-  if (!bert.ok) {
-    state.SkipWithError("BERT does not compile through the reconcile");
+  const Reconciled model(state.range(0) == 0 ? BuildBertLarge(1) : BuildVitBase(1));
+  if (!model.ok) {
+    state.SkipWithError("the model does not compile through the reconcile");
     return;
   }
-  const ChipSpec& chip = bert.resources.chip();
+  const ChipSpec& chip = model.resources.chip();
+  const std::int64_t budget =
+      state.range(1) == 0 ? chip.core_memory_bytes : model.ctx.schedule.stable_budget - 1;
   std::size_t steps = 0;
   for (auto _ : state) {
     const InterOpSchedule schedule =
-        ReconcileInterOp(bert.ctx.inter_ops, chip, chip.core_memory_bytes);
+        ReconcileInterOp(model.ctx.option_sets, model.ctx.option_set_of_op, chip, budget);
     benchmark::DoNotOptimize(schedule.total_seconds);
     steps = schedule.trajectory.size();
   }
-  state.SetLabel(std::to_string(bert.ctx.inter_ops.size()) + " ops, " + std::to_string(steps) +
-                 " steps");
+  state.SetLabel(model.graph.name() + ": " + std::to_string(model.ctx.option_set_of_op.size()) +
+                 " ops, " + std::to_string(model.ctx.option_sets.size()) + " option sets, " +
+                 std::to_string(steps) + " steps");
 }
-BENCHMARK(BM_ReconcileInterOp)->Unit(benchmark::kMicrosecond);
+BENCHMARK(BM_ReconcileInterOp)
+    ->Args({0, 0})
+    ->Args({1, 0})
+    ->Args({0, 1})
+    ->Unit(benchmark::kMicrosecond);
 
 // The memory_plan pass on BERT at batch 1 after the reconcile: every
 // operator materialized from its shared Pareto set, then the liveness plan
 // (rerunning Algorithm 1 under a smaller budget while the plan overshoots).
 // Each iteration starts from the reconcile's schedule.
 void BM_MemoryPlanPass(benchmark::State& state) {
-  BertReconciled bert;
+  Reconciled bert(BuildBertLarge(1));
   if (!bert.ok) {
     state.SkipWithError("BERT does not compile through the reconcile");
     return;

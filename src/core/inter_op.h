@@ -14,6 +14,7 @@
 #define T10_SRC_CORE_INTER_OP_H_
 
 #include <cstdint>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -35,6 +36,35 @@ struct OpPlanOption {
 struct InterOpOperator {
   std::string name;
   std::vector<OpPlanOption> options;  // The operator's Pareto frontier.
+};
+
+// The options of one Pareto set as Algorithm 1 sees them, shared by every
+// operator that carries the set with the same weight operands (identical
+// operators reuse one plan set, paper §6.3). Option j is plan j of the set;
+// the window bytes of all options sit in one flat array.
+class OpOptionSet {
+ public:
+  explicit OpOptionSet(int num_weights) : num_weights_(num_weights) {}
+
+  // Appends an option; `windows` holds its window bytes per weight operand.
+  void Add(double exec_seconds, std::int64_t active_bytes, std::span<const std::int64_t> windows);
+
+  int size() const { return static_cast<int>(exec_seconds_.size()); }
+  double exec_seconds(int j) const { return exec_seconds_[static_cast<std::size_t>(j)]; }
+  std::int64_t active_bytes(int j) const { return active_bytes_[static_cast<std::size_t>(j)]; }
+  // Per-core persistent weight footprint: the sum of the option's windows.
+  std::int64_t weight_bytes(int j) const { return weight_bytes_[static_cast<std::size_t>(j)]; }
+
+  // SetupFetchBytes() and SetupSeconds() below, between options of this set.
+  std::int64_t SetupFetchBytes(int idle, int active) const;
+  double SetupSeconds(int idle, int active, const ChipSpec& chip) const;
+
+ private:
+  int num_weights_ = 0;
+  std::vector<double> exec_seconds_;
+  std::vector<std::int64_t> active_bytes_;
+  std::vector<std::int64_t> weight_bytes_;
+  std::vector<std::int64_t> windows_;  // Option j's at [j * num_weights_, (j + 1) * num_weights_).
 };
 
 // Chosen states for one operator.
@@ -77,13 +107,20 @@ std::int64_t SetupFetchBytes(const OpPlanOption& idle, const OpPlanOption& activ
 // core fetches the missing part of its active window over its link.
 double SetupSeconds(const OpPlanOption& idle, const OpPlanOption& active, const ChipSpec& chip);
 
-// Algorithm 1. `memory_budget_per_core` is the scratchpad capacity available
-// to this model (chip.core_memory_bytes, or less when the liveness plan needs
-// room Algorithm 1 does not see). Returns the best schedule found;
-// `feasible` is false if even minimal layouts exceed memory.
+// Algorithm 1 over `set_of_op.size()` operators: operator i picks its plans
+// from sets[set_of_op[i]]. `memory_budget_per_core` is the scratchpad
+// capacity available to this model (chip.core_memory_bytes, or less when the
+// liveness plan needs room Algorithm 1 does not see). Returns the best
+// schedule found; `feasible` is false if even minimal layouts exceed memory.
 // `max_steps` bounds the greedy loop: 1 evaluates only the all-minimal-idle
 // configuration (the Roller-style policy, used for ablation), < 0 runs to
 // convergence.
+InterOpSchedule ReconcileInterOp(std::span<const OpOptionSet> sets,
+                                 std::span<const int> set_of_op, const ChipSpec& chip,
+                                 std::int64_t memory_budget_per_core, int max_steps = -1);
+
+// The same over per-operator option lists (each operator its own set, each
+// option's plan_index its position in the list).
 InterOpSchedule ReconcileInterOp(const std::vector<InterOpOperator>& ops, const ChipSpec& chip,
                                  std::int64_t memory_budget_per_core, int max_steps = -1);
 

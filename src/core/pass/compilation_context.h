@@ -111,10 +111,12 @@ struct CompilationContext {
     return searches[static_cast<std::size_t>(search_of_op[static_cast<std::size_t>(op)])];
   }
 
-  // InterOpReconcile artifacts: Algorithm 1's per-operator option lists and
-  // the latest schedule it produced (MemoryPlan replaces the schedule when
-  // it reruns the reconciliation under a smaller budget).
-  std::vector<InterOpOperator> inter_ops;
+  // InterOpReconcile artifacts: Algorithm 1's option sets, one per (Pareto
+  // set, weight operands), each operator's index into them, and the latest
+  // schedule it produced (MemoryPlan replaces the schedule when it reruns the
+  // reconciliation under a smaller budget).
+  std::vector<OpOptionSet> option_sets;
+  std::vector<int> option_set_of_op;
   InterOpSchedule schedule;
 
   // MemoryPlan artifact: the liveness-based per-core memory plan of the

@@ -1,5 +1,7 @@
 #include "src/core/pass/inter_op_reconcile.h"
 
+#include <cstdint>
+#include <map>
 #include <utility>
 #include <vector>
 
@@ -8,42 +10,47 @@
 namespace t10 {
 namespace {
 
-// Reduces every operator's Pareto set to what Algorithm 1 needs: per-option
-// execution time, active footprint and weight-window bytes.
-std::vector<InterOpOperator> BuildInterOpOptions(const CompilationContext& ctx) {
+// Reduces the Pareto sets to what Algorithm 1 needs: per-option execution
+// time, active footprint and weight-window bytes. Operators of one signature
+// whose weights are the same operands share one option set.
+void BuildOptionSets(CompilationContext& ctx) {
   const Graph& graph = *ctx.graph;
-  std::vector<InterOpOperator> inter_ops(static_cast<std::size_t>(graph.num_ops()));
+  ctx.option_sets.clear();
+  ctx.option_set_of_op.assign(static_cast<std::size_t>(graph.num_ops()), -1);
+  std::map<std::pair<int, std::vector<int>>, int> set_of_key;
+  std::vector<int> weight_operands;
+  std::vector<std::int64_t> windows;
   for (int i = 0; i < graph.num_ops(); ++i) {
     const Operator& op = graph.op(i);
-    InterOpOperator& io = inter_ops[static_cast<std::size_t>(i)];
-    io.name = op.name();
-    std::vector<int> weight_operands;
+    weight_operands.clear();
     for (std::size_t j = 0; j < op.inputs().size(); ++j) {
       if (graph.tensor(op.inputs()[j].name).is_weight) {
         weight_operands.push_back(static_cast<int>(j));
       }
     }
-    const std::vector<PlanCandidate>& pareto = ctx.search(i).pareto;
-    for (std::size_t j = 0; j < pareto.size(); ++j) {
-      const PlanCandidate& candidate = pareto[j];
-      OpPlanOption option;
-      option.plan_index = static_cast<int>(j);
-      option.exec_seconds = candidate.predicted.total_seconds();
-      option.active_bytes = candidate.predicted.per_core_bytes;
+    const auto [it, inserted] =
+        set_of_key.try_emplace({ctx.search_of_op[static_cast<std::size_t>(i)], weight_operands},
+                               static_cast<int>(ctx.option_sets.size()));
+    ctx.option_set_of_op[static_cast<std::size_t>(i)] = it->second;
+    if (!inserted) {
+      continue;
+    }
+    OpOptionSet& set = ctx.option_sets.emplace_back(static_cast<int>(weight_operands.size()));
+    for (const PlanCandidate& candidate : ctx.search(i).pareto) {
+      windows.clear();
       for (const int w : weight_operands) {
-        option.weight_windows.push_back(candidate.plan.OperandWindowBytes(w));
-        option.weight_bytes += option.weight_windows.back();
+        windows.push_back(candidate.plan.OperandWindowBytes(w));
       }
-      io.options.push_back(std::move(option));
+      set.Add(candidate.predicted.total_seconds(), candidate.predicted.per_core_bytes, windows);
     }
   }
-  return inter_ops;
 }
 
 }  // namespace
 
 bool ReconcileUnderBudget(CompilationContext& ctx, std::int64_t budget_bytes) {
-  ctx.schedule = ReconcileInterOp(ctx.inter_ops, ctx.resources->chip(), budget_bytes,
+  ctx.schedule = ReconcileInterOp(ctx.option_sets, ctx.option_set_of_op, ctx.resources->chip(),
+                                  budget_bytes,
                                   ctx.resources->options().inter_op_reconcile ? -1 : 1);
   ctx.model.fits = ctx.schedule.feasible;
   ctx.model.reconcile_trajectory = ctx.schedule.trajectory;
@@ -55,7 +62,7 @@ bool ReconcileUnderBudget(CompilationContext& ctx, std::int64_t budget_bytes) {
 }
 
 PassResult InterOpReconcilePass::Run(CompilationContext& ctx) {
-  ctx.inter_ops = BuildInterOpOptions(ctx);
+  BuildOptionSets(ctx);
   return ReconcileUnderBudget(ctx, ctx.resources->chip().core_memory_bytes)
              ? PassResult::Continue()
              : PassResult::Stop();

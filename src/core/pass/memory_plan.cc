@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <map>
 #include <utility>
 #include <vector>
 
@@ -40,6 +41,9 @@ void MaterializeOps(CompilationContext& ctx) {
   const ChipSpec& chip = ctx.resources->chip();
   const GroundTruthTiming& truth = ctx.resources->truth();
   CompiledModel& out = ctx.model;
+  // Operators that run the same plan of one Pareto set have the same
+  // structure (BindTo checks it), so each (set, plan) is measured once.
+  std::map<std::pair<int, int>, PlanMetrics> measured;
   for (int i = 0; i < graph.num_ops(); ++i) {
     const Operator& op = graph.op(i);
     const IntraOpResult& search = ctx.search(i);
@@ -51,13 +55,16 @@ void MaterializeOps(CompilationContext& ctx) {
     compiled.idle_plan = search.pareto[static_cast<std::size_t>(sched.idle_option)].plan;
     compiled.idle_plan.BindTo(op);
     compiled.predicted = search.pareto[static_cast<std::size_t>(sched.active_option)].predicted;
-    compiled.measured = compiled.active_plan.Evaluate(truth, chip);
+    const auto [it, inserted] =
+        measured.try_emplace({ctx.search_of_op[static_cast<std::size_t>(i)], sched.active_option});
+    if (inserted) {
+      it->second = compiled.active_plan.Evaluate(truth, chip);
+    }
+    compiled.measured = it->second;
     compiled.setup_seconds = sched.setup_seconds;
     compiled.setup_bytes =
-        SetupFetchBytes(ctx.inter_ops[static_cast<std::size_t>(i)]
-                            .options[static_cast<std::size_t>(sched.idle_option)],
-                        ctx.inter_ops[static_cast<std::size_t>(i)]
-                            .options[static_cast<std::size_t>(sched.active_option)]);
+        ctx.option_sets[static_cast<std::size_t>(ctx.option_set_of_op[static_cast<std::size_t>(i)])]
+            .SetupFetchBytes(sched.idle_option, sched.active_option);
     compiled.complete_space_log10 = search.complete_space_log10;
     compiled.filtered_count = search.filtered_count;
     compiled.pareto_count = static_cast<std::int64_t>(search.pareto.size());

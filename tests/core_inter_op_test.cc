@@ -2,10 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <bit>
 #include <cstdint>
 #include <limits>
 #include <random>
+#include <string>
+#include <vector>
 
 namespace t10 {
 namespace {
@@ -139,6 +142,7 @@ InterOpSchedule FullRescanReconcile(const std::vector<InterOpOperator>& ops, con
     return ops[i].options[static_cast<std::size_t>(j)];
   };
   std::vector<int> idle(n, 0), active, best_idle, best_active;
+  std::vector<std::int64_t> charged, best_charged;
   for (std::size_t i = 0; i < n; ++i) {
     for (int j = 1; j < static_cast<int>(ops[i].options.size()); ++j) {
       idle[i] = opt(i, j).weight_bytes < opt(i, idle[i]).weight_bytes ? j : idle[i];
@@ -156,23 +160,27 @@ InterOpSchedule FullRescanReconcile(const std::vector<InterOpOperator>& ops, con
     }
     double time = 0.0;
     active.assign(n, -1);
+    charged.assign(n, 0);
     for (std::size_t i = 0; i < n && time < kInf; ++i) {
       double op_time = kInf;
+      const std::int64_t others_idle = idle_bytes - opt(i, idle[i]).weight_bytes;
       for (int j = 0; j < static_cast<int>(ops[i].options.size()); ++j) {
         const double t = opt(i, j).exec_seconds + SetupSeconds(opt(i, idle[i]), opt(i, j), chip);
-        if (opt(i, j).active_bytes <= budget - idle_bytes + opt(i, idle[i]).weight_bytes &&
-            t < op_time) {
+        if (opt(i, j).active_bytes <= budget - others_idle && t < op_time) {
           op_time = t;
           active[i] = j;
         }
       }
       time = active[i] < 0 ? kInf : time + op_time;
+      charged[i] = active[i] < 0 ? 0 : opt(i, active[i]).active_bytes + others_idle;
+      schedule.stable_budget = std::max({schedule.stable_budget, idle_bytes, charged[i]});
     }
     schedule.trajectory.push_back(ReconcileStep{idle_bytes, time, time < kInf});
     if (time < best_time) {
       best_time = time;
       best_idle = idle;
       best_active = active;
+      best_charged = charged;
       schedule.idle_bytes_per_core = idle_bytes;
     }
     double best_ratio = -1.0;
@@ -204,8 +212,8 @@ InterOpSchedule FullRescanReconcile(const std::vector<InterOpOperator>& ops, con
   schedule.total_seconds = best_time;
   for (std::size_t i = 0; i < n; ++i) {
     const double setup = SetupSeconds(opt(i, best_idle[i]), opt(i, best_active[i]), chip);
-    schedule.per_op.push_back(
-        OpSchedule{best_idle[i], best_active[i], setup, opt(i, best_active[i]).exec_seconds});
+    schedule.per_op.push_back(OpSchedule{best_idle[i], best_active[i], setup,
+                                         opt(i, best_active[i]).exec_seconds, best_charged[i]});
     schedule.setup_seconds += setup;
   }
   return schedule;
@@ -277,6 +285,105 @@ TEST(ReconcileTest, IncrementalMatchesFullRescan) {
   // The battery reaches both outcomes.
   EXPECT_GT(feasible, 100);
   EXPECT_GT(infeasible, 20);
+}
+
+// Every field of two schedules, bit for bit.
+void ExpectSameSchedule(const InterOpSchedule& got, const InterOpSchedule& want) {
+  ASSERT_EQ(got.feasible, want.feasible);
+  EXPECT_EQ(Bits(got.total_seconds), Bits(want.total_seconds));
+  EXPECT_EQ(Bits(got.setup_seconds), Bits(want.setup_seconds));
+  EXPECT_EQ(got.idle_bytes_per_core, want.idle_bytes_per_core);
+  EXPECT_EQ(got.stable_budget, want.stable_budget);
+  ASSERT_EQ(got.per_op.size(), want.per_op.size());
+  for (std::size_t i = 0; i < want.per_op.size(); ++i) {
+    EXPECT_EQ(got.per_op[i].idle_option, want.per_op[i].idle_option) << "op " << i;
+    EXPECT_EQ(got.per_op[i].active_option, want.per_op[i].active_option) << "op " << i;
+    EXPECT_EQ(Bits(got.per_op[i].setup_seconds), Bits(want.per_op[i].setup_seconds));
+    EXPECT_EQ(Bits(got.per_op[i].exec_seconds), Bits(want.per_op[i].exec_seconds));
+    EXPECT_EQ(got.per_op[i].charged_bytes, want.per_op[i].charged_bytes) << "op " << i;
+  }
+  ASSERT_EQ(got.trajectory.size(), want.trajectory.size());
+  for (std::size_t s = 0; s < want.trajectory.size(); ++s) {
+    EXPECT_EQ(got.trajectory[s].idle_bytes_per_core, want.trajectory[s].idle_bytes_per_core);
+    EXPECT_EQ(Bits(got.trajectory[s].total_seconds), Bits(want.trajectory[s].total_seconds));
+    EXPECT_EQ(got.trajectory[s].feasible, want.trajectory[s].feasible);
+  }
+}
+
+// Operators drawn in shuffled order from 2-4 shared option lists, as a
+// compile hands them over (one list per Pareto set and weight operands).
+// Few distinct byte and time values make ties frequent; budgets range from
+// below the smallest idle footprint through tight to roomy. The set form
+// must match the full rescan over per-operator copies of the lists,
+// stable_budget and every charge included.
+TEST(ReconcileTest, SharedOptionSetsMatchFullRescan) {
+  const ChipSpec chip = ChipSpec::IpuMk2();
+  std::mt19937_64 rng(35);
+  auto pick = [&](int lo, int hi) { return std::uniform_int_distribution<int>(lo, hi)(rng); };
+  int feasible = 0;
+  int infeasible = 0;
+  int long_runs = 0;
+  for (int trial = 0; trial < 300; ++trial) {
+    std::vector<std::vector<OpPlanOption>> lists(static_cast<std::size_t>(pick(2, 4)));
+    for (std::vector<OpPlanOption>& list : lists) {
+      const int weights = pick(1, 2);
+      const int count = pick(1, 8);
+      for (int j = 0; j < count; ++j) {
+        OpPlanOption o;
+        o.plan_index = j;
+        o.exec_seconds = 1e-6 * pick(1, 4);
+        for (int w = 0; w < weights; ++w) {
+          o.weight_windows.push_back(4096 * pick(0, 3));
+          o.weight_bytes += o.weight_windows.back();
+        }
+        o.active_bytes = o.weight_bytes + 8192 * pick(0, 3);
+        list.push_back(std::move(o));
+      }
+    }
+    std::vector<OpOptionSet> sets;
+    for (const std::vector<OpPlanOption>& list : lists) {
+      OpOptionSet& set = sets.emplace_back(static_cast<int>(list.front().weight_windows.size()));
+      for (const OpPlanOption& o : list) {
+        set.Add(o.exec_seconds, o.active_bytes, o.weight_windows);
+      }
+    }
+    std::vector<int> set_of_op(static_cast<std::size_t>(pick(10, 60)));
+    std::vector<InterOpOperator> ops(set_of_op.size());
+    std::int64_t min_idle = 0;
+    std::int64_t growth = 0;  // Idle bytes every operator's largest layout adds.
+    std::int64_t max_active = 0;
+    for (std::size_t i = 0; i < set_of_op.size(); ++i) {
+      set_of_op[i] = pick(0, static_cast<int>(lists.size()) - 1);
+      ops[i].options = lists[static_cast<std::size_t>(set_of_op[i])];
+      std::int64_t least = std::numeric_limits<std::int64_t>::max();
+      std::int64_t most = 0;
+      for (const OpPlanOption& o : ops[i].options) {
+        least = std::min(least, o.weight_bytes);
+        most = std::max(most, o.weight_bytes);
+        max_active = std::max(max_active, o.active_bytes);
+      }
+      min_idle += least;
+      growth += most - least;
+    }
+    // Quadratic in the draw, so tight budgets are drawn more often.
+    const std::int64_t span = (growth + max_active) / 4096 + 2;
+    const std::int64_t f = pick(0, 16);
+    const std::int64_t budget = min_idle - 4096 + 4096 * (span * f * f / 256);
+    for (const int max_steps : {1, -1}) {
+      SCOPED_TRACE("trial " + std::to_string(trial) + " max_steps " + std::to_string(max_steps));
+      const InterOpSchedule want = FullRescanReconcile(ops, chip, budget, max_steps);
+      ExpectSameSchedule(ReconcileInterOp(sets, set_of_op, chip, budget, max_steps), want);
+      (want.feasible ? feasible : infeasible) += 1;
+      long_runs += want.trajectory.size() >= 10 ? 1 : 0;
+      if (HasFailure()) {
+        return;
+      }
+    }
+  }
+  // The battery reaches both outcomes, and many runs take many steps.
+  EXPECT_GT(feasible, 300);
+  EXPECT_GT(infeasible, 80);
+  EXPECT_GT(long_runs, 60);
 }
 
 }  // namespace
