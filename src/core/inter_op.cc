@@ -140,11 +140,11 @@ class SetTables {
 
 // Every operator's state across greedy steps, one flat array per field.
 // Each operator's active pick is the prefix-best entry at `pos`, the last
-// position in its set's active-bytes order that fits budget - (the other
-// operators' idle bytes). The idle total only grows, and an operator's own
-// idle bytes only grow when it is the one a step moves (which keeps what the
-// others hold), so a position only moves down: the pick stays until the
-// idle total passes `threshold`.
+// position in its set's active-bytes order that fits its bound: the budget
+// minus the other operators' idle bytes. The bound only shrinks (the idle
+// total only grows, and a step that moves an operator's own idle layout
+// leaves the others' bytes alone), so `pos` only moves down, and the pick
+// stands until the idle total passes `threshold`.
 class OpStates {
  public:
   OpStates(std::span<SetTables> tables, std::span<const int> set_of_op, std::int64_t budget)
@@ -162,6 +162,7 @@ class OpStates {
     // Lines 2-3: every operator starts at its most memory-efficient idle
     // layout. The threshold forces a pick at the first step.
     for (std::size_t i = 0; i < set_of_op.size(); ++i) {
+      T10_CHECK_LT(static_cast<std::size_t>(set_of_op[i]), tables_.size()) << "operator " << i;
       const OpOptionSet& set = tables_[static_cast<std::size_t>(set_of_op[i])].set();
       T10_CHECK_GT(set.size(), 0) << "operator " << i << " has no plan options";
       int best = 0;
@@ -176,8 +177,6 @@ class OpStates {
 
   std::size_t size() const { return idle_.size(); }
   std::int64_t idle_bytes() const { return idle_bytes_; }
-  int idle(std::size_t i) const { return idle_[i]; }
-  int active(std::size_t i) const { return active_[i]; }
   double seconds(std::size_t i) const { return seconds_[i]; }
   std::int64_t charge(std::size_t i) const { return charge_[i]; }
   double ratio(std::size_t i) const { return ratio_[i]; }
